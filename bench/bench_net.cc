@@ -305,16 +305,62 @@ class ZipfianKeys {
   std::vector<double> cdf_;
 };
 
+// Forwards every call to `inner` but reports that commit rounds share no
+// cost, so the node's batcher runs each commit in its own round: the
+// "unbatched" reference over the very same bounded-pool engine.
+class SoloRoundEngine final : public StorageEngine {
+ public:
+  explicit SoloRoundEngine(StorageEngine& inner) : inner_(inner) {}
+
+  Result<std::string> Get(const std::string& key) override { return inner_.Get(key); }
+  Result<std::string> GetRange(const std::string& key, uint64_t offset,
+                               uint64_t length) override {
+    return inner_.GetRange(key, offset, length);
+  }
+  std::vector<Result<std::string>> MultiGet(std::span<const std::string> keys) override {
+    return inner_.MultiGet(keys);
+  }
+  Status Put(std::string key, std::string value) override {
+    return inner_.Put(std::move(key), std::move(value));
+  }
+  Status BatchPut(std::span<const WriteOp> ops) override { return inner_.BatchPut(ops); }
+  Status BatchPutConsume(std::span<WriteOp> ops) override { return inner_.BatchPutConsume(ops); }
+  void BatchPutEach(std::span<WriteOp> ops, std::span<Status> statuses) override {
+    inner_.BatchPutEach(ops, statuses);
+  }
+  void CommitUnits(std::span<CommitUnit> units, std::span<Status> results,
+                   CommitStageProfile* profile) override {
+    inner_.CommitUnits(units, results, profile);
+  }
+  bool CommitRoundsShareCost() const override { return false; }
+  Status Delete(const std::string& key) override { return inner_.Delete(key); }
+  Status BatchDelete(std::span<const std::string> keys) override {
+    return inner_.BatchDelete(keys);
+  }
+  Result<std::vector<std::string>> List(const std::string& prefix) override {
+    return inner_.List(prefix);
+  }
+  std::string_view name() const override { return inner_.name(); }
+  bool SupportsBatchPut() const override { return inner_.SupportsBatchPut(); }
+  size_t MaxBatchSize() const override { return inner_.MaxBatchSize(); }
+  double client_cpu_factor() const override { return inner_.client_cpu_factor(); }
+  const StorageCounters& counters() const override { return inner_.counters(); }
+
+ private:
+  StorageEngine& inner_;
+};
+
 void RunCommitBatchingConfig(bool batching, size_t clients, long ops_per_client,
                              const ZipfianKeys& zipf, size_t key_space, size_t pool_slots) {
   // Fresh engine per config so batched and unbatched runs see identical
   // initial state and identical pool pressure.
   SimDynamo storage(BenchClock(), SimDynamoOptions{});
   storage.SetMaxConcurrentRequests(pool_slots);
+  SoloRoundEngine solo_rounds(storage);
   AftNodeOptions node_options;
   node_options.service_cores = 0;  // Measure protocol rounds, not simulated CPU.
-  node_options.enable_commit_batching = batching;
-  AftNode node("bench-batch", storage, BenchClock(), node_options);
+  AftNode node("bench-batch", batching ? static_cast<StorageEngine&>(storage) : solo_rounds,
+               BenchClock(), node_options);
   Check(node.Start(), "batch node Start");
 
   // Seed the key space so the RMW reads mostly hit.

@@ -245,7 +245,6 @@ AbResult MeasureAttributionRun(const char* node_id, bool stage_timing) {
   SimDynamo engine(clock, InstantDynamoOptions());
   AftNodeOptions options;
   options.service_cores = 0;
-  options.enable_commit_batching = true;
   AftNode node(node_id, engine, clock, options);
   AbResult result;
   if (!node.Start().ok()) {

@@ -256,73 +256,72 @@ Status AftNode::Put(const Uuid& txid, const std::string& key, std::string value)
   // data to storage; it stays invisible until the commit record lands.
   if (txn->buffered_bytes > options_.spill_threshold_bytes && !txn->dirty.empty()) {
     metrics_.spills->Increment();
-    // Spilled versions carry a zero timestamp (the commit timestamp is not
-    // yet known); the authoritative metadata is the commit record.
-    AFT_RETURN_IF_ERROR(FlushVersions(*txn, TxnId(0, txid)));
+    AFT_RETURN_IF_ERROR(SpillVersions(*txn));
     txn->buffered_bytes = 0;  // Spilled payloads no longer count against the threshold.
   }
   return Status::Ok();
 }
 
-Status AftNode::FlushVersions(TransactionState& txn, const TxnId& writer_id, bool final_flush) {
+void AftNode::PrepareDirtyWrites(const TransactionState& txn, const TxnId& writer_id,
+                                 SmallVector<WriteOp, 8>& ops,
+                                 std::vector<VersionLocator>& locators) {
   if (txn.dirty.empty()) {
-    return Status::Ok();
+    return;
   }
   if (options_.packed_layout) {
     // One segment object holds every dirty payload; locators go into the
     // commit record (§8 data layout). A rewritten key's stale locator from
     // an earlier spill is replaced.
     std::string segment;
-    std::vector<VersionLocator> fresh;
     for (const auto& [key, payload] : txn.write_buffer) {
       if (!txn.dirty.contains(key)) {
         continue;
       }
-      fresh.push_back(VersionLocator{key, txn.next_segment_index,
-                                     static_cast<uint32_t>(segment.size()),
-                                     static_cast<uint32_t>(payload.size())});
+      std::erase_if(locators, [&](const VersionLocator& old) { return old.key == key; });
+      locators.push_back(VersionLocator{key, txn.next_segment_index,
+                                        static_cast<uint32_t>(segment.size()),
+                                        static_cast<uint32_t>(payload.size())});
       segment += payload;
     }
-    AFT_RETURN_IF_ERROR(storage_.Put(SegmentStorageKey(txn.uuid, txn.next_segment_index),
-                                     std::move(segment)));
-    for (const VersionLocator& locator : fresh) {
-      std::erase_if(txn.packed_locators,
-                    [&](const VersionLocator& old) { return old.key == locator.key; });
-      txn.packed_locators.push_back(locator);
-    }
-    ++txn.next_segment_index;
-  } else {
-    // Key-per-version layout: the cowritten set is the transaction's full
-    // write set so far; for the final (commit-time) flush this is the
-    // complete, authoritative set. Encode it straight out of the write
-    // buffer's keys — no intermediate write-set vector, no VersionedValue
-    // materialization; each op is exactly two exact-sized strings (the
-    // version key and the serialized value) that move into the engine.
-    const auto cowritten = std::views::keys(txn.write_buffer);
-    const size_t value_base_bytes =
-        record_detail::kRecordHeaderBytes + EncodedStringVectorBytes(cowritten) + 4;
-    SmallVector<WriteOp, 8> ops;
-    ops.reserve(txn.dirty.size());
-    for (const auto& [key, payload] : txn.write_buffer) {
-      if (!txn.dirty.contains(key)) {
-        continue;
-      }
-      BinaryWriter w;
-      w.Reserve(value_base_bytes + payload.size());
-      EncodeVersionedValueFields(w, writer_id, cowritten, payload);
-      ops.push_back(WriteOp{VersionStorageKey(key, txn.uuid), std::move(w).TakeData()});
-    }
-    AFT_RETURN_IF_ERROR(storage_.BatchPutConsume(std::span<WriteOp>(ops.data(), ops.size())));
+    ops.push_back(
+        WriteOp{SegmentStorageKey(txn.uuid, txn.next_segment_index), std::move(segment)});
+    return;
   }
-  // The spilled set exists so an abort can delete orphaned version objects;
-  // the commit-time (final) flush never aborts afterwards — its transaction
-  // is erased on every path — so skip the per-key bookkeeping inserts there.
-  if (!final_flush) {
-    for (const auto& [key, payload] : txn.write_buffer) {
-      if (txn.dirty.contains(key)) {
-        txn.spilled.insert(key);
-      }
+  // Key-per-version layout: the cowritten set is the transaction's full
+  // write set so far; for the commit this is the complete, authoritative
+  // set. Encode it straight out of the write buffer's keys — no
+  // intermediate write-set vector, no VersionedValue materialization; each
+  // op is exactly two exact-sized strings (the version key and the
+  // serialized value) that move into the engine.
+  const auto cowritten = std::views::keys(txn.write_buffer);
+  const size_t value_base_bytes =
+      record_detail::kRecordHeaderBytes + EncodedStringVectorBytes(cowritten) + 4;
+  ops.reserve(txn.dirty.size());
+  for (const auto& [key, payload] : txn.write_buffer) {
+    if (!txn.dirty.contains(key)) {
+      continue;
     }
+    BinaryWriter w;
+    w.Reserve(value_base_bytes + payload.size());
+    EncodeVersionedValueFields(w, writer_id, cowritten, payload);
+    ops.push_back(WriteOp{VersionStorageKey(key, txn.uuid), std::move(w).TakeData()});
+  }
+}
+
+Status AftNode::SpillVersions(TransactionState& txn) {
+  SmallVector<WriteOp, 8> ops;
+  std::vector<VersionLocator> locators = txn.packed_locators;
+  // Spilled versions carry a zero timestamp (the commit timestamp is not
+  // yet known); the authoritative metadata is the commit record.
+  PrepareDirtyWrites(txn, TxnId(0, txn.uuid), ops, locators);
+  AFT_RETURN_IF_ERROR(storage_.BatchPutConsume(std::span<WriteOp>(ops.data(), ops.size())));
+  if (options_.packed_layout) {
+    txn.packed_locators = std::move(locators);
+    ++txn.next_segment_index;
+  }
+  // The spilled set exists so an abort can delete orphaned version objects.
+  for (const std::string& key : txn.dirty) {
+    txn.spilled.insert(key);
   }
   txn.dirty.clear();
   return Status::Ok();
@@ -696,125 +695,26 @@ Result<TxnId> AftNode::CommitTransaction(const Uuid& txid) {
   const TxnId commit_id(clock_.WallTimeMicros(), txid);
   txn->commit_id = commit_id;
 
-  // Batched path: concurrent committers coalesce into shared storage rounds
-  // (src/core/commit_batcher.h) — one merged data flush, one §3.3 barrier,
-  // one batched record write, with per-transaction poisoning. The legacy
-  // per-transaction sequence below remains for the packed layout (its
-  // segment flush mutates txn state mid-write), for crash-point tests
-  // (they pin the exact legacy write order), and when batching is off.
-  if (options_.enable_commit_batching && !options_.packed_layout && !options_.crash_hook) {
-    // Prepare this transaction's commit unit under its lock: exactly the
-    // writes the unbatched flush would issue, plus the serialized record.
-    // The dirty set is NOT cleared yet — a failed round drops the
-    // transaction back to kRunning with its buffer intact, and a retry
-    // re-prepares the same unit (version keys are uuid-addressed, so the
-    // rewrite is idempotent).
-    const auto cowritten = std::views::keys(txn->write_buffer);
-    const size_t value_base_bytes =
-        record_detail::kRecordHeaderBytes + EncodedStringVectorBytes(cowritten) + 4;
-    SmallVector<WriteOp, 8> ops;
-    ops.reserve(txn->dirty.size());
-    for (const auto& [key, payload] : txn->write_buffer) {
-      if (!txn->dirty.contains(key)) {
-        continue;
-      }
-      BinaryWriter w;
-      w.Reserve(value_base_bytes + payload.size());
-      EncodeVersionedValueFields(w, commit_id, cowritten, payload);
-      ops.push_back(WriteOp{VersionStorageKey(key, txn->uuid), std::move(w).TakeData()});
-    }
-    std::vector<std::string> write_set_keys;
-    write_set_keys.reserve(txn->write_buffer.size());
-    for (const auto& [key, payload] : txn->write_buffer) {
-      write_set_keys.push_back(key);
-    }
-    auto record = std::allocate_shared<const CommitRecord>(
-        record_alloc_, CommitRecord{commit_id, std::move(write_set_keys), 0, {}});
-    CommitBatcher::Pending pending;
-    pending.data_ops = std::span<WriteOp>(ops.data(), ops.size());
-    pending.commit_record = WriteOp{CommitStorageKey(commit_id), record->Serialize()};
-    pending.record = record;
-    pending.trace = txn->trace;
-
-    Status committed;
-    {
-      // The round — data flush, §3.3 barrier, record write, possibly fused
-      // with batch-mates — runs outside the transaction lock so committers
-      // prepared on other threads can join it and the leader can publish.
-      // While unlocked the transaction sits in kCommitting, which rejects
-      // every concurrent mutation of it.
-      obs::TraceSpan round_span(txn->trace, "CommitRound", node_id_);
-      lock.Unlock();
-      committed = batcher_.Commit(pending);
-      lock.Lock();
-    }
-    if (!committed.ok()) {
-      txn->status = TxnStatus::kRunning;  // Buffer and dirty set intact; retry or abort.
-      return committed;
-    }
-
-    // Step 3: local visibility. The round leader's publisher already staged
-    // the record (and trace) for broadcast.
-    txn->dirty.clear();
-    if (commits_.Add(record)) {
-      index_.AddCommit(*record);
-    }
-    for (const auto& [key, payload] : txn->write_buffer) {
-      data_cache_.Put(VersionStorageKey(key, txid), payload);
-    }
-    commits_.NoteLocalCommit(commit_id);
-    txn->status = TxnStatus::kCommitted;
-    UnpinReads(*txn);
-    txn->reads_from.clear();
-    lock.Unlock();
-
-    FinishCommittedTransaction(txid, commit_id);
-    return commit_id;
-  }
-
   if (MaybeCrash(CrashPoint::kBeforeDataWrite)) {
     return Status::Unavailable("node crashed");
   }
 
-  // Write-ordering protocol step 1 (§3.3): persist ALL of the transaction's
-  // key versions — dispatched in parallel by the engine (batched where it
-  // has a batch API, concurrent per-key PUTs where it does not). BatchPut
-  // returns only after every write has completed (the IoExecutor's per-call
-  // latch, never the pool's drain), so a non-OK status here means the commit
-  // record must not be written: stray versions that did land are invisible
-  // orphans the sweep reaps.
-  Status flushed;
-  {
-    obs::TraceSpan flush_span(txn->trace, "CommitFlush", node_id_);
-    if (attrib) {
-      // Same decomposition CommitUnits applies on the batched path: flush
-      // wall minus the executor's completion-latch wait is data_flush, the
-      // latch wait itself is the §3.3 barrier (stragglers only).
-      IoExecutor::ConsumeLatchWaitNanos();
-      const auto flush_start = StageClock::now();
-      flushed = FlushVersions(*txn, commit_id, /*final_flush=*/true);
-      const double flush_wall_s = StageSecondsSince(flush_start);
-      const double barrier_s =
-          static_cast<double>(IoExecutor::ConsumeLatchWaitNanos()) * 1e-9;
-      metrics_.stages.data_flush->Observe(flush_wall_s - barrier_s);
-      metrics_.stages.barrier->Observe(barrier_s);
-    } else {
-      flushed = FlushVersions(*txn, commit_id, /*final_flush=*/true);
-    }
+  // Write-ordering protocol (§3.3), prepared under the transaction lock as
+  // one commit unit: step 1 persists ALL of the transaction's dirty versions
+  // (one segment object in the packed layout), step 2 the commit record —
+  // only then does the transaction become visible. Nothing here mutates the
+  // transaction: a failed round drops it back to kRunning with its buffer,
+  // dirty set and packed locators intact, and a retry re-prepares the same
+  // unit (version and segment keys are uuid-addressed, so the rewrite is
+  // idempotent).
+  SmallVector<WriteOp, 8> ops;
+  std::vector<VersionLocator> locators;
+  uint32_t segment_count = 0;
+  if (options_.packed_layout) {
+    locators = txn->packed_locators;
+    segment_count = txn->next_segment_index + (txn->dirty.empty() ? 0 : 1);
   }
-  if (!flushed.ok()) {
-    txn->status = TxnStatus::kRunning;  // Let the client retry or abort.
-    return flushed;
-  }
-
-  if (MaybeCrash(CrashPoint::kAfterDataWrite)) {
-    // Data is durable but the commit record is not: the transaction is NOT
-    // committed; its versions are invisible orphans the GC will reap.
-    return Status::Unavailable("node crashed");
-  }
-
-  // Step 2: persist the commit record to the Transaction Commit Set. Only
-  // now does the transaction become visible.
+  PrepareDirtyWrites(*txn, commit_id, ops, locators);
   std::vector<std::string> write_set_keys;
   write_set_keys.reserve(txn->write_buffer.size());
   for (const auto& [key, payload] : txn->write_buffer) {
@@ -825,20 +725,35 @@ Result<TxnId> AftNode::CommitTransaction(const Uuid& txid) {
   // so records released on gossip / fault-manager threads free safely.
   auto record = std::allocate_shared<const CommitRecord>(
       record_alloc_,
-      CommitRecord{commit_id, std::move(write_set_keys),
-                   options_.packed_layout ? txn->next_segment_index : 0,
-                   options_.packed_layout ? txn->packed_locators : std::vector<VersionLocator>{}});
+      CommitRecord{commit_id, std::move(write_set_keys), segment_count, std::move(locators)});
+  CommitBatcher::Pending pending;
+  pending.unit.data_ops = std::span<WriteOp>(ops.data(), ops.size());
+  pending.unit.commit_record = WriteOp{CommitStorageKey(commit_id), record->Serialize()};
+  pending.record = record;
+  pending.trace = txn->trace;
+  if (options_.crash_hook) {
+    // Data is durable but the commit record is not: the transaction is NOT
+    // committed; its versions are invisible orphans the GC will reap.
+    pending.unit.after_data_write = [this] {
+      return MaybeCrash(CrashPoint::kAfterDataWrite) ? Status::Unavailable("node crashed")
+                                                     : Status::Ok();
+    };
+  }
+
   Status committed;
   {
-    obs::TraceSpan record_span(txn->trace, "CommitRecordWrite", node_id_);
-    const auto record_start = attrib ? StageClock::now() : StageClock::time_point{};
-    committed = storage_.Put(CommitStorageKey(commit_id), record->Serialize());
-    if (attrib) {
-      metrics_.stages.record_write->Observe(StageSecondsSince(record_start));
-    }
+    // The round — data flush, §3.3 barrier, record write, fused with
+    // batch-mates where the engine's rounds merge — runs outside the
+    // transaction lock so committers prepared on other threads can join it
+    // and the leader can publish. While unlocked the transaction sits in
+    // kCommitting, which rejects every concurrent mutation of it.
+    obs::TraceSpan round_span(txn->trace, "CommitRound", node_id_);
+    lock.Unlock();
+    committed = batcher_.Commit(pending);
+    lock.Lock();
   }
   if (!committed.ok()) {
-    txn->status = TxnStatus::kRunning;
+    txn->status = TxnStatus::kRunning;  // Let the client retry or abort.
     return committed;
   }
 
@@ -849,7 +764,13 @@ Result<TxnId> AftNode::CommitTransaction(const Uuid& txid) {
     return Status::Unavailable("node crashed");
   }
 
-  // Step 3: update local caches and make the data visible locally.
+  // Step 3: local visibility. The round's publisher already staged the
+  // record (and trace) for broadcast.
+  txn->dirty.clear();
+  if (options_.packed_layout) {
+    txn->packed_locators = record->locators;
+    txn->next_segment_index = segment_count;
+  }
   if (commits_.Add(record)) {
     index_.AddCommit(*record);
   }
@@ -857,17 +778,6 @@ Result<TxnId> AftNode::CommitTransaction(const Uuid& txid) {
     data_cache_.Put(VersionStorageKey(key, txid), payload);
   }
   commits_.NoteLocalCommit(commit_id);
-  {
-    const auto publish_start = attrib ? StageClock::now() : StageClock::time_point{};
-    {
-      MutexLock block(broadcast_mu_);
-      pending_broadcast_.push_back(record);
-      pending_broadcast_traces_.push_back(txn->trace);
-    }
-    if (attrib) {
-      metrics_.stages.gossip_publish->Observe(StageSecondsSince(publish_start));
-    }
-  }
   txn->status = TxnStatus::kCommitted;
   UnpinReads(*txn);
   txn->reads_from.clear();

@@ -23,6 +23,7 @@
 #include "src/common/clock.h"
 #include "src/common/mutex.h"
 #include "src/common/pool_allocator.h"
+#include "src/common/small_vector.h"
 #include "src/common/status.h"
 #include "src/common/throttle.h"
 #include "src/core/commit_batcher.h"
@@ -94,17 +95,10 @@ struct AftNodeOptions {
   // retries.
   size_t committed_uuid_memory = 65536;
 
-  // Cross-transaction commit batching (src/core/commit_batcher.h):
-  // concurrent CommitTransaction calls coalesce into shared storage rounds
-  // — one merged data flush, one §3.3 barrier, one batched commit-record
-  // write — with per-transaction poisoning. A lone committer takes a solo
-  // fast path identical to the unbatched sequence. Automatically bypassed
-  // for the packed layout (its segment flush mutates per-txn state
-  // mid-write) and when a crash_hook is installed (the crash-point tests
-  // pin the exact legacy write sequence).
-  bool enable_commit_batching = true;
-
   // Fault-injection hook: return true to crash the node at this point.
+  // kAfterDataWrite fires inside the commit round, between this
+  // transaction's data write and its record write (CommitUnit's
+  // after_data_write), possibly on a batch-mate's thread.
   std::function<bool(CrashPoint)> crash_hook;
 };
 
@@ -259,13 +253,16 @@ class AftNode {
 
   Status CheckAlive() const;
   Result<TxnPtr> FindTransaction(const Uuid& txid);
-  // Writes the buffer's dirty entries to storage as version objects.
-  // `final_flush` marks the commit-time flush: the spilled-key bookkeeping
-  // (only ever consumed by abort's cleanup) is skipped — any versions
-  // orphaned by a failed commit are left to the orphan sweep, which the
-  // write-ordering barrier already relies on for partial flush failures.
-  Status FlushVersions(TransactionState& txn, const TxnId& writer_id, bool final_flush = false)
+  // Appends the writes that persist the buffer's dirty entries under
+  // `writer_id` to `ops`: one version object per dirty key, or in the
+  // packed layout ONE segment object at txn.next_segment_index, whose fresh
+  // locators replace the keys' stale ones in `locators`. Reads `txn` only;
+  // the caller applies the outcome once the write is acknowledged.
+  void PrepareDirtyWrites(const TransactionState& txn, const TxnId& writer_id,
+                          SmallVector<WriteOp, 8>& ops, std::vector<VersionLocator>& locators)
       REQUIRES(txn.mu);
+  // §3.3 spill: writes the dirty entries as invisible intermediary versions.
+  Status SpillVersions(TransactionState& txn) REQUIRES(txn.mu);
   // Fetches a version payload through the data cache with bounded retries.
   // `record` supplies the locators needed for the packed layout.
   Result<std::string> ReadVersionPayload(const std::string& key, const TxnId& version,
@@ -327,7 +324,8 @@ class AftNode {
   std::vector<CommitRecordPtr> pending_broadcast_ GUARDED_BY(broadcast_mu_);
   std::vector<obs::TraceContext> pending_broadcast_traces_ GUARDED_BY(broadcast_mu_);
 
-  // Group commit across transactions (see enable_commit_batching). The
+  // Every commit's storage round runs through the batcher, which merges
+  // concurrent rounds where the engine's rounds share a cost. The
   // listener is read lock-free on the commit hot path: the flag is only
   // ever set once, before traffic, so the std::function itself is stable.
   CommitBatcher batcher_;
@@ -354,9 +352,8 @@ class AftNode {
     obs::Histogram* read_latency_ms;
     obs::Histogram* read_walk_depth;
     // aft_commit_stage_seconds children (shared with batcher_ — same
-    // registry keys). The node observes txn_lock_wait on every commit and
-    // the storage/publish stages on the legacy unbatched path; the batcher
-    // observes the queue and round stages on the batched path.
+    // registry keys). The node observes txn_lock_wait; the batcher observes
+    // the queue and round stages.
     CommitStageHistograms stages;
   };
   Instruments metrics_;

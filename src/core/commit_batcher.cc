@@ -66,16 +66,22 @@ CommitBatcher::CommitBatcher(const std::string& node_id, StorageEngine& storage,
 }
 
 Status CommitBatcher::Commit(Pending& pending) {
+  Pending* solo = &pending;
+  if (!storage_.CommitRoundsShareCost()) {
+    // Nothing for a merged round to share: run this commit's round now,
+    // concurrently with any others, without the latch.
+    ExecuteRound(std::span<Pending* const>(&solo, 1), solo);
+    leader_commits_->Increment();
+    return std::move(pending.result);
+  }
   const bool attrib = contention::StageTimingEnabled();
   MutexLock lock(mu_);
   if (!round_in_flight_ && queue_.empty()) {
     // Solo fast path: nobody to piggyback on and nobody ahead. Run the
     // round alone without touching the queue — with CommitUnits' n==1
-    // degeneration this is byte- and allocation-identical to the legacy
-    // unbatched commit, so a single writer pays nothing for batching.
+    // degeneration a single writer pays nothing for batching.
     round_in_flight_ = true;
     lock.Unlock();
-    Pending* solo = &pending;
     ExecuteRound(std::span<Pending* const>(&solo, 1), solo);
     lock.Lock();
     round_in_flight_ = false;
@@ -168,16 +174,13 @@ void CommitBatcher::ExecuteRound(std::span<Pending* const> members, const Pendin
   }
   bool round_ok = false;
   if (members.size() == 1) {
-    // One stack unit; no publisher list to build.
+    // The member's own unit and verdict, in place; no publisher list to build.
     Pending& p = *members[0];
-    CommitUnit unit{p.data_ops, std::move(p.commit_record)};
-    Status result;
-    storage_.CommitUnits(std::span<CommitUnit>(&unit, 1), std::span<Status>(&result, 1),
+    storage_.CommitUnits(std::span<CommitUnit>(&p.unit, 1), std::span<Status>(&p.result, 1),
                          profile_ptr);
     if (sampled) {
       RecordRoundSpans(members, span_start, obs::Tracer::NowMicros());
     }
-    p.result = std::move(result);
     round_ok = p.result.ok();
     double publish_s = 0;
     if (publisher_ && round_ok) {
@@ -202,7 +205,7 @@ void CommitBatcher::ExecuteRound(std::span<Pending* const> members, const Pendin
   results.reserve(members.size());
   // aftlint: hot
   for (Pending* member : members) {
-    units.push_back(CommitUnit{member->data_ops, std::move(member->commit_record)});
+    units.push_back(std::move(member->unit));
     results.push_back(Status());
   }
   storage_.CommitUnits(std::span<CommitUnit>(units.data(), units.size()),

@@ -2,8 +2,15 @@
 //
 // CommitTransaction's storage cost is two serialized rounds against the
 // shared engine — flush the data versions, then (after the §3.3 barrier)
-// write the commit record. Under concurrency every transaction pays both
-// rounds by itself. The batcher coalesces them the way the WAL's group
+// write the commit record. Every commit runs through this batcher, but it
+// merges rounds only where the engine says a round has a shared cost
+// (StorageEngine::CommitRoundsShareCost: a group-committed fsync, a bounded
+// connection pool). Elsewhere — S3 with no batch API and an unbounded pool —
+// merging would only make commits wait for each other and pay the slowest
+// member's tail, so every commit runs its own round concurrently, with no
+// batcher lock taken.
+//
+// Where rounds merge, the batcher coalesces them the way the WAL's group
 // commit coalesces fsyncs (latch-and-piggyback): the first committer
 // through becomes the round LEADER and executes the storage rounds for
 // everyone queued behind it; followers park on a condvar and wake with
@@ -11,8 +18,7 @@
 // is in flight new arrivals queue, and whatever depth accumulated by round
 // completion IS the next batch. No timer, so a lone committer pays zero
 // added latency: the solo fast path never touches the queue and its
-// storage sequence (see StorageEngine::CommitUnits) is exactly the legacy
-// unbatched commit.
+// storage sequence is StorageEngine::CommitUnits' single-unit one.
 //
 // Per-transaction semantics are preserved, not averaged: unit-level §3.3
 // ordering (a member's record is written only after ALL of that member's
@@ -60,11 +66,10 @@ class CommitBatcher {
  public:
   // One transaction's contribution to a round, fully prepared by the caller
   // (under its transaction lock) before submission. The batcher owns the
-  // struct from Commit() entry until Commit() returns; `data_ops` and
-  // `commit_record` may be consumed by the storage engine either way.
+  // struct from Commit() entry until Commit() returns; `unit` may be
+  // consumed by the storage engine either way.
   struct Pending {
-    std::span<WriteOp> data_ops;  // serialized version objects
-    WriteOp commit_record;        // commit-set key + serialized record
+    CommitUnit unit;              // data ops, commit record, optional hook
     CommitRecordPtr record;       // in-memory record, for the publisher
     obs::TraceContext trace;      // transaction's trace, follows into gossip
     Status result;                // verdict, written by the round leader
@@ -86,7 +91,9 @@ class CommitBatcher {
   // Commits `pending` as part of some round (possibly alone) and returns
   // its individual verdict; blocks until the round containing it completes.
   // On failure the member's commit record was NOT written, so the caller's
-  // transaction stays retryable.
+  // transaction stays retryable. Asks the engine once per call whether
+  // rounds merge; a non-merging commit is recorded as a solo leader
+  // (batch size 1, zero queue wait).
   Status Commit(Pending& pending);
 
  private:
@@ -97,11 +104,10 @@ class CommitBatcher {
   // form meanwhile.
   void ExecuteRound(std::span<Pending* const> members, const Pending* leader);
 
-  // Stamps the legacy per-phase lifecycle spans ("CommitFlush",
+  // Stamps the per-phase lifecycle spans ("CommitFlush",
   // "CommitRecordWrite") over [start_us, end_us] for every sampled member.
-  // The fused round persists data versions and commit records in one engine
-  // call, so both stages share the round's window; keeping the stage names
-  // keeps sampled traces readable by the same consumers as unbatched runs.
+  // The round persists data versions and commit records in one engine
+  // call, so both stages share the round's window.
   void RecordRoundSpans(std::span<Pending* const> members, uint64_t start_us,
                         uint64_t end_us) const;
 

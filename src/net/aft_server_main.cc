@@ -29,19 +29,16 @@
 //                   endpoint, paced ~10ms apart (default 0 = none). Gives a
 //                   metrics scraper something non-zero and monotone to watch;
 //                   used by the CI metrics smoke.
-//   --commit-batching on|off  cross-transaction commit batching (group
-//                   commit at the AFT layer; default on). "off" pins the
-//                   legacy one-round-trip-set-per-transaction sequence —
-//                   the baseline the bench gate compares against.
 //   --contention-sample N  sample every Nth lock/queue acquisition into the
 //                   contention profiler (default 64; 0 = off, 1 = every).
 //                   Results surface on /debug/contention and as the
 //                   aft_lock_* metric families.
 //
 // Every flag (and the env defaults it consulted) is echoed to /varz on the
-// metrics exporter, so scrape-side tooling can tell node configurations
-// apart; /readyz aggregates engine_recovered / server_accepting / node_alive
-// (plus gossip_live on clustered binaries).
+// metrics exporter, as is the commit policy the engine implies
+// (commit.rounds_share_cost: true|false), so scrape-side tooling can tell
+// node configurations apart; /readyz aggregates engine_recovered /
+// server_accepting / node_alive (plus gossip_live on clustered binaries).
 //
 // SIGINT / SIGTERM trigger a clean shutdown: stop accepting, drain handler
 // threads, stop the node's background sweeps, exit 0.
@@ -77,8 +74,7 @@ void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--port N] [--engine s3|dynamo|redis|local] [--data-dir D] "
                "[--node-id ID] [--threading thread|event] [--metrics-port N] "
-               "[--trace-sample N] [--smoke-traffic N] [--commit-batching on|off] "
-               "[--contention-sample N]\n",
+               "[--trace-sample N] [--smoke-traffic N] [--contention-sample N]\n",
                argv0);
 }
 
@@ -95,7 +91,6 @@ int main(int argc, char** argv) {
   int metrics_port = -1;  // -1 = exporter disabled; 0 = kernel-assigned.
   uint64_t trace_sample = 0;
   uint64_t smoke_traffic = 0;
-  bool commit_batching = true;
   // Cheap enough to leave on by default (1/64 sampling; see bench_obs).
   uint32_t contention_sample = 64;
 
@@ -140,16 +135,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) { Usage(argv[0]); return 2; }
       smoke_traffic = static_cast<uint64_t>(std::atoll(v));
-    } else if (arg == "--commit-batching") {
-      const char* v = next();
-      if (v != nullptr && std::strcmp(v, "on") == 0) {
-        commit_batching = true;
-      } else if (v != nullptr && std::strcmp(v, "off") == 0) {
-        commit_batching = false;
-      } else {
-        Usage(argv[0]);
-        return 2;
-      }
     } else if (arg == "--contention-sample") {
       const char* v = next();
       if (v == nullptr) { Usage(argv[0]); return 2; }
@@ -177,7 +162,6 @@ int main(int argc, char** argv) {
   obs::SetVarz("flag.metrics_port", std::to_string(metrics_port));
   obs::SetVarz("flag.trace_sample", std::to_string(trace_sample));
   obs::SetVarz("flag.smoke_traffic", std::to_string(smoke_traffic));
-  obs::SetVarz("flag.commit_batching", commit_batching ? "on" : "off");
   obs::SetVarz("flag.contention_sample", std::to_string(contention_sample));
   obs::SetVarz("env.AFT_NET_THREADING", env_threading != nullptr ? env_threading : "(unset)");
   obs::SetVarz("env.AFT_IO_THREADS", env_io_threads != nullptr ? env_io_threads : "(unset)");
@@ -196,9 +180,11 @@ int main(int argc, char** argv) {
   obs::ScopedReadyCheck engine_ready = obs::RegisterReadyCheck(
       "engine_recovered", [engine] { return std::make_pair(true, engine); });
 
-  AftNodeOptions node_options;
-  node_options.enable_commit_batching = commit_batching;
-  AftNode node(node_id, *storage, clock, node_options);
+  // Which commit policy this node runs: merged rounds only where the
+  // engine's rounds share a cost (src/core/commit_batcher.h).
+  obs::SetVarz("commit.rounds_share_cost", storage->CommitRoundsShareCost() ? "true" : "false");
+
+  AftNode node(node_id, *storage, clock);
   if (!node.Start().ok()) {
     std::fprintf(stderr, "aft-server: failed to start node\n");
     return 1;

@@ -442,6 +442,12 @@ Status LocalEngine::BatchPut(std::span<const WriteOp> ops) {
 
 void LocalEngine::CommitUnits(std::span<CommitUnit> units, std::span<Status> results,
                               CommitStageProfile* profile) {
+  for (const CommitUnit& unit : units) {
+    if (unit.after_data_write) {
+      StorageEngine::CommitUnits(units, results, profile);
+      return;
+    }
+  }
   for (Status& r : results) {
     r = Status::Ok();
   }

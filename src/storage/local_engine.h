@@ -109,8 +109,14 @@ class LocalEngine final : public StorageEngine {
   // data_flush = AppendBatch + index publication, record_write = the
   // group-committed fsync (data and records become durable together),
   // barrier = 0 (ordering rides batch append order, no separate wait).
+  // A round with an after_data_write hook has no point between a unit's
+  // data and its record in one append, so it takes the generic two-round
+  // path instead.
   void CommitUnits(std::span<CommitUnit> units, std::span<Status> results,
                    CommitStageProfile* profile = nullptr) override;
+  // Every round ends in one group-committed fsync, paid once however many
+  // units ride it.
+  bool CommitRoundsShareCost() const override { return true; }
   Status Delete(const std::string& key) override;
   Status BatchDelete(std::span<const std::string> keys) override;
   Result<std::vector<std::string>> List(const std::string& prefix) override;

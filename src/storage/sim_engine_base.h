@@ -63,6 +63,11 @@ class SimEngineBase : public StorageEngine {
   // merged call pass the pool once instead of k times.
   void SetMaxConcurrentRequests(size_t n);
 
+  // True exactly while SetMaxConcurrentRequests bounds the pool (see above).
+  bool CommitRoundsShareCost() const override {
+    return pool_limit_hint_.load(std::memory_order_relaxed) != 0;
+  }
+
   Result<std::string> Get(const std::string& key) override;
   // Native ranged read: charges the get latency for `length` bytes only.
   Result<std::string> GetRange(const std::string& key, uint64_t offset,

@@ -40,9 +40,8 @@ void StorageEngine::CommitUnits(std::span<CommitUnit> units, std::span<Status> r
     IoExecutor::ConsumeLatchWaitNanos();
   }
   if (units.size() == 1) {
-    // Solo fast path: identical to the legacy unbatched commit sequence
-    // (data flush, then the record once the flush is acknowledged), so a
-    // single writer pays no batching overhead — and no extra allocations.
+    // Solo path: the data flush, then the record once the flush is
+    // acknowledged — no merging overhead and no extra allocations.
     // Stage boundaries are shared clock readings (see CommitStageProfile):
     // two reads total when the caller supplied `start`.
     const auto flush_start =
@@ -56,6 +55,9 @@ void StorageEngine::CommitUnits(std::span<CommitUnit> units, std::span<Status> r
       const double flush_wall_s = std::chrono::duration<double>(flush_end - flush_start).count();
       profile->barrier_s = static_cast<double>(IoExecutor::ConsumeLatchWaitNanos()) * 1e-9;
       profile->data_flush_s = flush_wall_s - profile->barrier_s;
+    }
+    if (flushed.ok() && units[0].after_data_write) {
+      flushed = units[0].after_data_write();
     }
     if (!flushed.ok()) {
       results[0] = std::move(flushed);
@@ -102,6 +104,11 @@ void StorageEngine::CommitUnits(std::span<CommitUnit> units, std::span<Status> r
   for (size_t i = 0; i < op_status.size(); ++i) {
     if (!op_status[i].ok() && results[owner[i]].ok()) {
       results[owner[i]] = std::move(op_status[i]);
+    }
+  }
+  for (size_t u = 0; u < units.size(); ++u) {
+    if (results[u].ok() && units[u].after_data_write) {
+      results[u] = units[u].after_data_write();
     }
   }
 

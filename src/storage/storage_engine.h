@@ -19,6 +19,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -40,6 +41,10 @@ struct WriteOp {
 struct CommitUnit {
   std::span<WriteOp> data_ops;  // version/segment objects; may be consumed
   WriteOp commit_record;        // commit-set key + serialized record; may be consumed
+  // Optional: runs once this unit's data ops are acknowledged and before its
+  // record is written. A non-OK status poisons the unit like a failed data
+  // op. Null except under crash-point injection (CrashPoint::kAfterDataWrite).
+  std::function<Status()> after_data_write;
 };
 
 // Wall-clock decomposition of one CommitUnits call, in seconds. Stages are
@@ -145,14 +150,23 @@ class StorageEngine {
   // never written — without failing batch-mates; stray data versions a
   // poisoned unit did land are invisible orphans (no record references
   // them) left to the fault manager's sweep. Ops may be consumed like
-  // BatchPutConsume. A single-unit call degenerates to exactly the legacy
-  // unbatched commit (one BatchPutConsume + one Put), so the solo fast
-  // path costs nothing extra. Engines may override to fuse the rounds
-  // further — the local engine rides a whole batch on one WAL append and
-  // one group-committed fsync. A non-null `profile` receives the per-stage
-  // wall-clock split documented on CommitStageProfile.
+  // BatchPutConsume. A single-unit call degenerates to one BatchPutConsume
+  // plus one Put, so the solo path costs nothing extra. Engines may override
+  // to fuse the rounds further — the local engine rides a whole batch on
+  // one WAL append and one group-committed fsync. A unit's after_data_write
+  // hook runs between the two rounds. A non-null `profile` receives the
+  // per-stage wall-clock split documented on CommitStageProfile.
   virtual void CommitUnits(std::span<CommitUnit> units, std::span<Status> results,
                            CommitStageProfile* profile = nullptr);
+
+  // Whether one multi-unit CommitUnits round costs less than the same units
+  // committed in separate, concurrent rounds: true only when a round pays
+  // some cost ONCE that every separate round would pay again (a
+  // group-committed fsync, a slot in a bounded connection pool). Where it
+  // is false, merging only makes commits wait for each other and pay the
+  // slowest member's tail, so the commit batcher runs every commit in its
+  // own round. May change at runtime (SimEngineBase's pool bound).
+  virtual bool CommitRoundsShareCost() const { return false; }
 
   // Deletes `key`. Deleting a missing key is OK (idempotent).
   virtual Status Delete(const std::string& key) = 0;

@@ -10,9 +10,14 @@
 //     stay readable.
 //   * Fusion — a multi-unit round on the local engine rides ONE batched API
 //     call and ONE group-committed fsync.
-//   * Equivalence — a batched node commit is observably identical to the
-//     legacy unbatched one, including after crash-recovery replay, and a
-//     failed round leaves the transaction retryable.
+//   * Policy — rounds merge only where the engine says they share a cost
+//     (StorageEngine::CommitRoundsShareCost): concurrent committers over
+//     unbounded-pool S3 never queue, while bounded-pool DynamoDB and the
+//     local engine still fuse.
+//   * Equivalence — commits through a merging and a non-merging engine
+//     leave the same committed state, including after crash-recovery
+//     replay; a failed round leaves the transaction retryable; a crash
+//     between data and record leaves no record, even on the local engine.
 // The TSan stress at the bottom drives concurrent committers through the
 // batcher under fault injection (run under -DAFT_SANITIZE=thread in CI).
 
@@ -29,11 +34,14 @@
 #include <gtest/gtest.h>
 
 #include "src/common/clock.h"
+#include "src/common/histogram.h"
 #include "src/common/status.h"
 #include "src/core/aft_node.h"
 #include "src/core/records.h"
+#include "src/obs/metrics.h"
 #include "src/storage/local_engine.h"
 #include "src/storage/sim_dynamo.h"
+#include "src/storage/sim_s3.h"
 
 namespace aft {
 namespace {
@@ -89,7 +97,7 @@ SimDynamoOptions InstantDynamoOptions() {
 struct UnitFixture {
   std::vector<WriteOp> data;
   WriteOp record;
-  CommitUnit unit() { return CommitUnit{std::span<WriteOp>(data), record}; }
+  CommitUnit unit() { return CommitUnit{std::span<WriteOp>(data), record, nullptr}; }
 };
 
 UnitFixture MakeUnit(const std::string& tag, int data_ops) {
@@ -106,6 +114,47 @@ AftNodeOptions FastNodeOptions() {
   AftNodeOptions options;
   options.service_cores = 0;  // No service-time throttling in tests.
   return options;
+}
+
+obs::Histogram* BatchSizes(const std::string& node_id) {
+  return obs::MetricsRegistry::Global().GetHistogram(
+      "aft_commit_batch_size", "Transactions fused per commit round",
+      ExponentialBoundaries(1, 2, 8), {{"node", node_id}});
+}
+
+// Starts `writers` transactions of one key each, then commits them all at
+// once from `writers` threads, `rounds` times over. Returns the wall time of
+// the commit phase in ms.
+double CommitConcurrently(AftNode& node, int writers, int rounds) {
+  std::atomic<int> ready{0};
+  std::atomic<bool> go{false};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < writers; ++w) {
+    threads.emplace_back([&, w] {
+      for (int r = 0; r < rounds; ++r) {
+        auto txid = node.StartTransaction();
+        ASSERT_TRUE(txid.ok());
+        ASSERT_TRUE(node.Put(*txid, "w" + std::to_string(w), std::to_string(r)).ok());
+        if (r == 0) {
+          ready.fetch_add(1);
+          while (!go.load()) {
+            std::this_thread::yield();
+          }
+        }
+        ASSERT_TRUE(node.CommitTransaction(*txid).ok());
+      }
+    });
+  }
+  while (ready.load() < writers) {
+    std::this_thread::yield();
+  }
+  const auto start = std::chrono::steady_clock::now();
+  go.store(true);
+  for (std::thread& t : threads) {
+    t.join();
+  }
+  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
+      .count();
 }
 
 // ---- storage-level contract -------------------------------------------------
@@ -244,44 +293,131 @@ TEST(CommitUnitsDefaultImpl, TwoRoundFallbackPreservesPerUnitOutcomes) {
   EXPECT_FALSE(engine.PeekLatest("commit/d").has_value());
 }
 
+// ---- merge policy -----------------------------------------------------------
+
+TEST(CommitBatcherPolicy, EnginesReportWhetherRoundsShareCost) {
+  RealClock clock(0.002);
+  SimS3 s3(clock);
+  EXPECT_FALSE(s3.CommitRoundsShareCost());
+  s3.SetMaxConcurrentRequests(4);
+  EXPECT_TRUE(s3.CommitRoundsShareCost());
+  s3.SetMaxConcurrentRequests(0);
+  EXPECT_FALSE(s3.CommitRoundsShareCost());
+
+  TempDir dir;
+  auto local = LocalEngine::Open(dir.path());
+  ASSERT_TRUE(local.ok());
+  EXPECT_TRUE((*local)->CommitRoundsShareCost());
+}
+
+TEST(CommitBatcherPolicy, UnboundedS3CommittersNeverQueue) {
+  // S3 has no batch API and an unbounded pool: a merged round would only
+  // make 8 committers wait for each other. Each runs its own round.
+  RealClock clock(1.0);
+  SimS3Options options;
+  const LatencyModel put(50.0, 0.0);  // Deterministic, so wall times compare.
+  options.profile = EngineLatencyProfile{LatencyModel::Zero(), put, LatencyModel::Zero(),
+                                         LatencyModel::Zero(), LatencyModel::Zero(),
+                                         LatencyModel::Zero()};
+  options.staleness = StalenessModel{};
+  SimS3 engine(clock, options);
+  const std::string id = "policy-s3";
+  AftNode node(id, engine, clock, FastNodeOptions());
+  ASSERT_TRUE(node.Start().ok());
+
+  const double solo_ms = CommitConcurrently(node, /*writers=*/1, /*rounds=*/1);
+  const double concurrent_ms = CommitConcurrently(node, /*writers=*/8, /*rounds=*/1);
+
+  obs::Histogram* sizes = BatchSizes(id);
+  EXPECT_EQ(sizes->Count(), 9u);
+  EXPECT_EQ(sizes->Sum(), 9.0) << "some round carried more than one commit";
+  const CommitStageHistograms stages = CommitStageHistograms::ForNode(id);
+  EXPECT_EQ(stages.queue_wait_follower->Count(), 0u);
+  EXPECT_EQ(stages.queue_wait_leader->Sum(), 0.0);
+  // Two 50 ms PUTs per commit. Merging would take at least two rounds here
+  // (the first committer's, then everyone else's); serializing, eight.
+  EXPECT_LT(concurrent_ms, 1.6 * solo_ms)
+      << "8 concurrent commits took " << concurrent_ms << " ms, one took " << solo_ms << " ms";
+}
+
+TEST(CommitBatcherPolicy, BoundedPoolDynamoWritersStillFuse) {
+  RealClock clock(0.2);
+  SimDynamo engine(clock, SimDynamoOptions{});
+  engine.SetMaxConcurrentRequests(4);
+  const std::string id = "policy-dynamo-pool";
+  AftNode node(id, engine, clock, FastNodeOptions());
+  ASSERT_TRUE(node.Start().ok());
+  CommitConcurrently(node, /*writers=*/16, /*rounds=*/10);
+  obs::Histogram* sizes = BatchSizes(id);
+  ASSERT_GT(sizes->Count(), 0u);
+  EXPECT_GT(sizes->Sum() / static_cast<double>(sizes->Count()), 1.0);
+}
+
+TEST(CommitBatcherPolicy, LocalEngineWritersStillFuse) {
+  TempDir dir;
+  RealClock clock(0.002);
+  auto engine = LocalEngine::Open(dir.path());
+  ASSERT_TRUE(engine.ok());
+  const std::string id = "policy-local";
+  AftNode node(id, **engine, clock, FastNodeOptions());
+  ASSERT_TRUE(node.Start().ok());
+  CommitConcurrently(node, /*writers=*/16, /*rounds=*/10);
+  obs::Histogram* sizes = BatchSizes(id);
+  ASSERT_GT(sizes->Count(), 0u);
+  EXPECT_GT(sizes->Sum() / static_cast<double>(sizes->Count()), 1.0);
+}
+
 // ---- node-level contract ----------------------------------------------------
 
-TEST(CommitBatcherNode, BatchedCommitEquivalentToUnbatchedAfterReplay) {
-  // The same workload through a batched and an unbatched node must leave
-  // equivalent committed state, including after a reopen/replay cycle.
-  for (const bool batching : {true, false}) {
-    TempDir dir;
-    RealClock clock(0.002);
-    {
-      auto engine = LocalEngine::Open(dir.path());
-      ASSERT_TRUE(engine.ok());
-      AftNodeOptions options = FastNodeOptions();
-      options.enable_commit_batching = batching;
-      AftNode node("n0", **engine, clock, options);
-      ASSERT_TRUE(node.Start().ok());
-      for (int t = 0; t < 10; ++t) {
-        auto txid = node.StartTransaction();
-        ASSERT_TRUE(txid.ok());
-        ASSERT_TRUE(node.Put(*txid, "k" + std::to_string(t % 3), "v" + std::to_string(t)).ok());
-        ASSERT_TRUE(node.Put(*txid, "shared", "round-" + std::to_string(t)).ok());
-        ASSERT_TRUE(node.CommitTransaction(*txid).ok());
-      }
-    }
-    auto reopened = LocalEngine::Open(dir.path());
-    ASSERT_TRUE(reopened.ok());
-    AftNode reader("reader", **reopened, clock, FastNodeOptions());
-    ASSERT_TRUE(reader.Start().ok());
-    auto txid = reader.StartTransaction();
+// Ten transactions over three keys plus one key every transaction writes.
+void CommitEquivalenceWorkload(StorageEngine& engine, Clock& clock) {
+  AftNode node("n0", engine, clock, FastNodeOptions());
+  ASSERT_TRUE(node.Start().ok());
+  for (int t = 0; t < 10; ++t) {
+    auto txid = node.StartTransaction();
     ASSERT_TRUE(txid.ok());
-    auto shared = reader.Get(*txid, "shared");
-    ASSERT_TRUE(shared.ok()) << "batching=" << batching;
-    ASSERT_TRUE(shared->has_value());
-    EXPECT_EQ(**shared, "round-9");
-    auto k2 = reader.Get(*txid, "k2");
-    ASSERT_TRUE(k2.ok());
-    ASSERT_TRUE(k2->has_value());
-    EXPECT_EQ(**k2, "v8");
+    ASSERT_TRUE(node.Put(*txid, "k" + std::to_string(t % 3), "v" + std::to_string(t)).ok());
+    ASSERT_TRUE(node.Put(*txid, "shared", "round-" + std::to_string(t)).ok());
+    ASSERT_TRUE(node.CommitTransaction(*txid).ok());
   }
+}
+
+// What a node bootstrapped from `engine` must read after the workload.
+void CheckEquivalenceState(StorageEngine& engine, Clock& clock) {
+  AftNode reader("reader", engine, clock, FastNodeOptions());
+  ASSERT_TRUE(reader.Start().ok());
+  auto txid = reader.StartTransaction();
+  ASSERT_TRUE(txid.ok());
+  auto shared = reader.Get(*txid, "shared");
+  ASSERT_TRUE(shared.ok());
+  ASSERT_TRUE(shared->has_value());
+  EXPECT_EQ(**shared, "round-9");
+  auto k2 = reader.Get(*txid, "k2");
+  ASSERT_TRUE(k2.ok());
+  ASSERT_TRUE(k2->has_value());
+  EXPECT_EQ(**k2, "v8");
+}
+
+TEST(CommitBatcherNode, BatchedCommitEquivalentToUnbatchedAfterReplay) {
+  // The same workload through a merging engine (LocalEngine, recovered by
+  // reopening its WAL) and a non-merging one (unbounded-pool SimDynamo,
+  // recovered by a fresh node's bootstrap) leaves the same committed state.
+  RealClock clock(0.002);
+  TempDir dir;
+  {
+    auto engine = LocalEngine::Open(dir.path());
+    ASSERT_TRUE(engine.ok());
+    ASSERT_TRUE((*engine)->CommitRoundsShareCost());
+    CommitEquivalenceWorkload(**engine, clock);
+  }
+  auto reopened = LocalEngine::Open(dir.path());
+  ASSERT_TRUE(reopened.ok());
+  CheckEquivalenceState(**reopened, clock);
+
+  SimDynamo dynamo(clock, InstantDynamoOptions());
+  ASSERT_FALSE(dynamo.CommitRoundsShareCost());
+  CommitEquivalenceWorkload(dynamo, clock);
+  CheckEquivalenceState(dynamo, clock);
 }
 
 TEST(CommitBatcherNode, FailedRoundLeavesTransactionRetryable) {
@@ -319,6 +455,37 @@ TEST(CommitBatcherNode, FailedRoundLeavesTransactionRetryable) {
   ASSERT_TRUE(read.ok());
   ASSERT_TRUE(read->has_value());
   EXPECT_EQ(**read, "v1");
+}
+
+TEST(CommitBatcherNode, CrashAfterDataWriteOnLocalEngineWritesNoRecord) {
+  // The local engine fuses data and records into one WAL append; a round
+  // carrying the kAfterDataWrite hook must still land the data alone.
+  TempDir dir;
+  RealClock clock(0.002);
+  {
+    auto engine = LocalEngine::Open(dir.path());
+    ASSERT_TRUE(engine.ok());
+    AftNodeOptions options = FastNodeOptions();
+    options.crash_hook = [](CrashPoint point) { return point == CrashPoint::kAfterDataWrite; };
+    AftNode node("crashy", **engine, clock, options);
+    ASSERT_TRUE(node.Start().ok());
+    auto txid = node.StartTransaction();
+    ASSERT_TRUE(txid.ok());
+    ASSERT_TRUE(node.Put(*txid, "k", "half-done").ok());
+    EXPECT_TRUE(node.CommitTransaction(*txid).status().IsUnavailable());
+    EXPECT_FALSE(node.alive());
+  }
+  auto reopened = LocalEngine::Open(dir.path());
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ((*reopened)->List(std::string(kVersionPrefix))->size(), 1u);
+  EXPECT_TRUE((*reopened)->List(std::string(kCommitPrefix))->empty());
+  AftNode reader("reader", **reopened, clock, FastNodeOptions());
+  ASSERT_TRUE(reader.Start().ok());
+  auto txid = reader.StartTransaction();
+  ASSERT_TRUE(txid.ok());
+  auto read = reader.Get(*txid, "k");
+  ASSERT_TRUE(read.ok());
+  EXPECT_FALSE(read->has_value());
 }
 
 TEST(CommitBatcherNode, PoisonedMemberDoesNotFailBatchMates) {
@@ -395,13 +562,19 @@ TEST(CommitBatcherNode, PoisonedMemberDoesNotFailBatchMates) {
 
 // ---- concurrency stress (TSan leg) ------------------------------------------
 
-TEST(CommitBatcherStress, ConcurrentCommittersUnderTransientFaults) {
+// Parameter: the engine's connection-pool bound; 0 (unbounded) means rounds
+// never merge, anything else means they do.
+class CommitBatcherStress : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(CommitBatcherStress, ConcurrentCommittersUnderTransientFaults) {
   // Many committers race through the batcher against an engine that fails
   // writes at random; every failure is retried until it lands. Exercises
   // solo / leader / follower paths, leadership handoff, and per-member
-  // poisoning concurrently. Run under TSan in CI.
+  // poisoning concurrently where rounds merge, and concurrent solo rounds
+  // where they do not. Run under TSan in CI.
   RealClock clock(0.002);
   SimDynamo engine(clock, InstantDynamoOptions());
+  engine.SetMaxConcurrentRequests(GetParam());
   engine.InjectTransientFaults(0.05);
 
   AftNode node("n0", engine, clock, FastNodeOptions());
@@ -446,6 +619,8 @@ TEST(CommitBatcherStress, ConcurrentCommittersUnderTransientFaults) {
     EXPECT_EQ(**read, std::to_string(t) + ":" + std::to_string(kTxnsPerThread - 1));
   }
 }
+
+INSTANTIATE_TEST_SUITE_P(PoolBounds, CommitBatcherStress, ::testing::Values(0u, 4u));
 
 }  // namespace
 }  // namespace aft

@@ -5,11 +5,12 @@
 //   * Reconciliation — the per-stage commit decomposition is a set of
 //     DISJOINT, nested slices of the end-to-end commit, so across any run
 //     the stage sums total at most the aft_node_commit_latency_ms sum.
-//     Holds on the solo fast path AND under batched concurrency, on both
-//     the simulated-cloud engine and the durable LocalEngine.
+//     Holds on the solo fast path, under concurrent non-merging rounds and
+//     under merged rounds, on both the simulated-cloud engine and the
+//     durable LocalEngine.
 //   * Coverage — every committed transaction observes every per-commit
 //     stage exactly once, with exactly one queue_wait_{leader,follower}
-//     by batch role (and none at all on the legacy unbatched path).
+//     by batch role (always leader where the engine's rounds do not merge).
 //   * Exactness — a thread that demonstrably blocked ~N ms on a named,
 //     fully-sampled Mutex shows ≥ ~N ms of wait at its site; with sampling
 //     off the same contention records nothing.
@@ -70,10 +71,9 @@ SimDynamoOptions InstantDynamoOptions() {
   return options;
 }
 
-AftNodeOptions FastNodeOptions(bool batching) {
+AftNodeOptions FastNodeOptions() {
   AftNodeOptions options;
   options.service_cores = 0;
-  options.enable_commit_batching = batching;
   return options;
 }
 
@@ -131,7 +131,7 @@ uint64_t RunCommits(AftNode& node, int threads, int txns_per_thread) {
 // per-commit stages are disjoint slices of the commit_latency_ms window, so
 // their sums cannot exceed the end-to-end sum. 5% + 2ms of slack absorbs
 // float accumulation and the ms→s unit hop, NOT any structural overlap.
-void CheckReconciliation(const std::string& node_id, uint64_t committed, bool batched) {
+void CheckReconciliation(const std::string& node_id, uint64_t committed, bool merging) {
   auto& reg = obs::MetricsRegistry::Global();
   CommitStageHistograms stages = CommitStageHistograms::ForNode(node_id);
   obs::Histogram* e2e =
@@ -145,13 +145,12 @@ void CheckReconciliation(const std::string& node_id, uint64_t committed, bool ba
   EXPECT_EQ(stages.barrier->Count(), committed);
   EXPECT_EQ(stages.record_write->Count(), committed);
   EXPECT_EQ(stages.gossip_publish->Count(), committed);
-  const uint64_t queue_waits =
-      stages.queue_wait_leader->Count() + stages.queue_wait_follower->Count();
-  if (batched) {
-    EXPECT_EQ(queue_waits, committed);
-    EXPECT_GE(stages.queue_wait_leader->Count(), 1u);
-  } else {
-    EXPECT_EQ(queue_waits, 0u);  // The legacy path never touches the batcher.
+  EXPECT_EQ(stages.queue_wait_leader->Count() + stages.queue_wait_follower->Count(), committed);
+  EXPECT_GE(stages.queue_wait_leader->Count(), 1u);
+  if (!merging) {
+    // Every commit ran its own round: no followers, no wait.
+    EXPECT_EQ(stages.queue_wait_follower->Count(), 0u);
+    EXPECT_EQ(stages.queue_wait_leader->Sum(), 0.0);
   }
 
   const double stage_sum_s = stages.txn_lock_wait->Sum() + stages.queue_wait_leader->Sum() +
@@ -167,34 +166,35 @@ void CheckReconciliation(const std::string& node_id, uint64_t committed, bool ba
 TEST(LatencyAttribution, ReconcilesSoloSimEngine) {
   RealClock clock(0.002);
   SimDynamo engine(clock, InstantDynamoOptions());
-  AftNode node("attr-sim-solo", engine, clock, FastNodeOptions(true));
+  AftNode node("attr-sim-solo", engine, clock, FastNodeOptions());
   ASSERT_TRUE(node.Start().ok());
   const uint64_t committed = RunCommits(node, /*threads=*/1, /*txns_per_thread=*/25);
   node.Kill();
   ASSERT_GT(committed, 0u);
-  CheckReconciliation("attr-sim-solo", committed, /*batched=*/true);
+  CheckReconciliation("attr-sim-solo", committed, /*merging=*/false);
 }
 
 TEST(LatencyAttribution, ReconcilesBatchedSimEngine) {
   RealClock clock(0.002);
   SimDynamo engine(clock, InstantDynamoOptions());
-  AftNode node("attr-sim-batched", engine, clock, FastNodeOptions(true));
+  engine.SetMaxConcurrentRequests(2);  // A bounded pool: rounds merge.
+  AftNode node("attr-sim-batched", engine, clock, FastNodeOptions());
   ASSERT_TRUE(node.Start().ok());
   const uint64_t committed = RunCommits(node, /*threads=*/8, /*txns_per_thread=*/25);
   node.Kill();
   ASSERT_GT(committed, 0u);
-  CheckReconciliation("attr-sim-batched", committed, /*batched=*/true);
+  CheckReconciliation("attr-sim-batched", committed, /*merging=*/true);
 }
 
 TEST(LatencyAttribution, ReconcilesUnbatchedSimEngine) {
   RealClock clock(0.002);
-  SimDynamo engine(clock, InstantDynamoOptions());
-  AftNode node("attr-sim-legacy", engine, clock, FastNodeOptions(false));
+  SimDynamo engine(clock, InstantDynamoOptions());  // Unbounded pool: rounds never merge.
+  AftNode node("attr-sim-unmerged", engine, clock, FastNodeOptions());
   ASSERT_TRUE(node.Start().ok());
-  const uint64_t committed = RunCommits(node, /*threads=*/4, /*txns_per_thread=*/25);
+  const uint64_t committed = RunCommits(node, /*threads=*/8, /*txns_per_thread=*/25);
   node.Kill();
   ASSERT_GT(committed, 0u);
-  CheckReconciliation("attr-sim-legacy", committed, /*batched=*/false);
+  CheckReconciliation("attr-sim-unmerged", committed, /*merging=*/false);
 }
 
 TEST(LatencyAttribution, ReconcilesBatchedLocalEngine) {
@@ -202,25 +202,12 @@ TEST(LatencyAttribution, ReconcilesBatchedLocalEngine) {
   RealClock clock(0.002);
   auto engine = LocalEngine::Open(dir.path());
   ASSERT_TRUE(engine.ok());
-  AftNode node("attr-local-batched", **engine, clock, FastNodeOptions(true));
+  AftNode node("attr-local-batched", **engine, clock, FastNodeOptions());
   ASSERT_TRUE(node.Start().ok());
   const uint64_t committed = RunCommits(node, /*threads=*/8, /*txns_per_thread=*/15);
   node.Kill();
   ASSERT_GT(committed, 0u);
-  CheckReconciliation("attr-local-batched", committed, /*batched=*/true);
-}
-
-TEST(LatencyAttribution, ReconcilesUnbatchedLocalEngine) {
-  TempDir dir;
-  RealClock clock(0.002);
-  auto engine = LocalEngine::Open(dir.path());
-  ASSERT_TRUE(engine.ok());
-  AftNode node("attr-local-legacy", **engine, clock, FastNodeOptions(false));
-  ASSERT_TRUE(node.Start().ok());
-  const uint64_t committed = RunCommits(node, /*threads=*/4, /*txns_per_thread=*/15);
-  node.Kill();
-  ASSERT_GT(committed, 0u);
-  CheckReconciliation("attr-local-legacy", committed, /*batched=*/false);
+  CheckReconciliation("attr-local-batched", committed, /*merging=*/true);
 }
 
 // ---- contention profiler ----------------------------------------------------

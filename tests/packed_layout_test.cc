@@ -195,5 +195,70 @@ TEST_F(PackedLayoutTest, MixedLayoutsInteroperate) {
   EXPECT_EQ(packed_node->Get(*r2, "from-classic")->value(), "c");
 }
 
+// Zero-latency S3-like engine whose PUTs of keys under `failing_prefix`
+// fail while it is set.
+class FailingPutS3 final : public SimEngineBase {
+ public:
+  explicit FailingPutS3(Clock& clock)
+      : SimEngineBase("failing-s3", clock, InstantS3().profile, StalenessModel{}, 16) {}
+  bool SupportsBatchPut() const override { return false; }
+  size_t MaxBatchSize() const override { return 1; }
+  Status Put(std::string key, std::string value) override {
+    if (!failing_prefix.empty() && key.starts_with(failing_prefix)) {
+      return Status::Unavailable("injected put failure");
+    }
+    return SimEngineBase::Put(std::move(key), std::move(value));
+  }
+
+  std::string failing_prefix;
+};
+
+TEST(PackedLayoutRetryTest, FailedCommitLeavesPackedStateForRetry) {
+  SimClock clock;
+  FailingPutS3 storage(clock);
+  AftNodeOptions options = PackedOptions();
+  options.spill_threshold_bytes = 8;
+  AftNode node("n0", storage, clock, options);
+  ASSERT_TRUE(node.Start().ok());
+  auto txid = node.StartTransaction();
+  ASSERT_TRUE(node.Put(*txid, "big", "0123456789").ok());  // Spill -> segment 0.
+  ASSERT_TRUE(node.Put(*txid, "other", "zz").ok());
+  ASSERT_TRUE(node.Put(*txid, "big", "abc").ok());  // Dirty again, below the threshold.
+  ASSERT_EQ(storage.List(kSegmentPrefix)->size(), 1u);
+
+  // The commit's segment write fails: nothing is written.
+  storage.failing_prefix = kSegmentPrefix;
+  EXPECT_FALSE(node.CommitTransaction(*txid).ok());
+  EXPECT_EQ(storage.List(kSegmentPrefix)->size(), 1u);
+  // Segment 1 lands but the record write fails.
+  storage.failing_prefix = kCommitPrefix;
+  EXPECT_FALSE(node.CommitTransaction(*txid).ok());
+  EXPECT_EQ(storage.List(kSegmentPrefix)->size(), 2u);
+  EXPECT_TRUE(storage.List(kCommitPrefix)->empty());
+
+  // The retry rewrites segment 1 from the untouched buffer and locators.
+  storage.failing_prefix.clear();
+  auto commit_id = node.CommitTransaction(*txid);
+  ASSERT_TRUE(commit_id.ok());
+  EXPECT_EQ(storage.List(kSegmentPrefix)->size(), 2u);
+  auto bytes = storage.Get(CommitStorageKey(*commit_id));
+  ASSERT_TRUE(bytes.ok());
+  auto record = CommitRecord::Deserialize(*bytes);
+  ASSERT_TRUE(record.ok());
+  EXPECT_EQ(record->segment_count, 2u);
+  ASSERT_EQ(record->locators.size(), 2u);
+  EXPECT_EQ(record->FindLocator("big")->segment_index, 1u);
+  EXPECT_EQ(record->FindLocator("other")->segment_index, 1u);
+
+  // An uncached node reads both keys by ranged GETs of segment 1.
+  AftNodeOptions uncached = PackedOptions();
+  uncached.data_cache_bytes = 0;
+  AftNode reader_node("n1", storage, clock, uncached);
+  ASSERT_TRUE(reader_node.Start().ok());
+  auto reader = reader_node.StartTransaction();
+  EXPECT_EQ(reader_node.Get(*reader, "big")->value(), "abc");
+  EXPECT_EQ(reader_node.Get(*reader, "other")->value(), "zz");
+}
+
 }  // namespace
 }  // namespace aft

@@ -33,6 +33,11 @@
 # the ceiling holds the line just above the measured value so a single
 # reintroduced per-commit allocation fails visibly.
 #
+# A fifth, paper-shape gate holds the claim the shim is built on — cheap
+# correctness: bench_fig3_end_to_end's "S3 Aft" p50 over its "S3 Plain" p50,
+# both measured in the same run, must stay at or below MAX_S3_OVERHEAD (env,
+# default 1.5; the paper's Fig 3 puts it near 1.2).
+#
 # Usage: tools/bench_gate.sh CURRENT.json [MIN_SPEEDUP] [MIN_CLIENTS] [MAX_ALLOCS]
 #
 #   MIN_SPEEDUP   geomean (pipelined / baseline) ops-per-sec floor,
@@ -198,3 +203,29 @@ for row in "inproc commit" "local commit"; do
     }
   '
 done
+
+# ---- paper shape: Fig 3 AFT-over-S3 overhead ---------------------------------
+# Within-run ratio like gates 1-3: both rows come from one bench_fig3 process
+# on the same machine and the same seeded workload. A commit path that makes
+# S3 commits wait on each other (merged rounds where they share no cost) sat
+# near 2x here; the healthy path sits near 1.2x. tools/bench.sh --smoke runs
+# this bench at a time scale and request count where the ratio is stable.
+MAX_S3_OVERHEAD="${MAX_S3_OVERHEAD:-1.5}"
+sed -nE 's/.*"bench":"fig3_end_to_end","row":"S3 (Plain|Aft)","p50_ms":([0-9.]+).*/\1\t\2/p' "$CURRENT" \
+  | awk -F '\t' -v ceil="$MAX_S3_OVERHEAD" '
+  { if ($1 == "Plain") { plain = $2 + 0 } else { aft = $2 + 0 } }  # last run wins
+  END {
+    if (plain == 0 || aft == 0) {
+      print "bench_gate: no fig3 \"S3 Plain\"/\"S3 Aft\" row pair found" > "/dev/stderr";
+      exit 1;
+    }
+    ratio = aft / plain;
+    if (ratio > ceil) {
+      printf "bench_gate: FAIL — Fig 3 S3 Aft/Plain p50 x%.2f (%.1f / %.1f ms) exceeds x%.2f\n",
+             ratio, aft, plain, ceil > "/dev/stderr";
+      exit 1;
+    }
+    printf "bench_gate: PASS — Fig 3 S3 Aft/Plain p50 x%.2f (%.1f / %.1f ms; ceiling x%.2f)\n",
+           ratio, aft, plain, ceil;
+  }
+'

@@ -83,11 +83,13 @@ if [ "$smoke_ok" = 1 ]; then
   scrape /traces | grep -q '^\[' || smoke_ok=0
   # Health surface: liveness always 200, readiness 200 once the node booted
   # (gossip idle counts as live on a single-node cluster), /varz echoes every
-  # CLI flag as resolved.
+  # CLI flag as resolved and the commit policy the engine implies.
   scrape /healthz | grep -q '^ok' || { echo "  /healthz not ok"; smoke_ok=0; }
   scrape /readyz | grep -q '200 OK' || { echo "  /readyz not ready"; smoke_ok=0; }
   scrape /varz | grep -q '^flag.smoke_traffic: 1000' \
     || { echo "  /varz missing flag echo"; smoke_ok=0; }
+  scrape /varz | grep -q '^commit.rounds_share_cost: \(true\|false\)' \
+    || { echo "  /varz missing commit.rounds_share_cost"; smoke_ok=0; }
   # Monotone under load: the commit counter must strictly increase.
   before="$(committed)"
   after="$before"
