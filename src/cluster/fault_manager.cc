@@ -220,17 +220,18 @@ size_t FaultManager::RunGlobalGcOnce() {
       std::vector<std::string> victim_keys;
       uint64_t version_count = 0;
       for (const auto& record : group) {
-        if (record->packed()) {
-          for (uint32_t i = 0; i < record->segment_count; ++i) {
-            victim_keys.push_back(SegmentStorageKey(record->id.uuid, i));
-          }
-          version_count += record->write_set.size();
-        } else {
-          for (const std::string& key : record->write_set) {
-            victim_keys.push_back(VersionStorageKey(key, record->id.uuid));
-            ++version_count;
-          }
+        for (uint32_t i = 0; i < record->segment_count; ++i) {
+          victim_keys.push_back(SegmentStorageKey(record->id.uuid, i));
         }
+        // Every key may have a version object too, even one the record
+        // locates in a segment: its early version, written before it was
+        // rewritten (or by a failed commit round). The record cannot tell
+        // that apart from the packed layout, whose keys have none; deleting
+        // a missing object is a no-op.
+        for (const std::string& key : record->write_set) {
+          victim_keys.push_back(VersionStorageKey(key, record->id.uuid));
+        }
+        version_count += record->write_set.size();
         victim_keys.push_back(CommitStorageKey(record->id));
       }
       (void)storage_.BatchDelete(victim_keys);

@@ -45,21 +45,28 @@ IoExecutor::IoExecutor(size_t num_threads, const char* name) : pool_(num_threads
 
 void IoExecutor::Shutdown() { pool_.Shutdown(); }
 
-bool IoExecutor::Submit(std::function<void()> task) {
+std::function<void()> IoExecutor::Instrument(std::function<void()> task) {
   // Sampled tasks are rewrapped to clock queue wait and run time; the
   // unsampled path hands the task straight through (no extra allocation,
   // no clock reads).
   if (queue_site_ != nullptr && contention::ShouldSample()) {
     const uint64_t submitted_ns = NowNs();
-    return pool_.Submit(
-        [qs = queue_site_, rs = run_site_, submitted_ns, task = std::move(task)] {
-          const uint64_t started_ns = NowNs();
-          qs->RecordWait(started_ns - submitted_ns);
-          task();
-          rs->RecordWait(NowNs() - started_ns);
-        });
+    return [qs = queue_site_, rs = run_site_, submitted_ns, task = std::move(task)] {
+      const uint64_t started_ns = NowNs();
+      qs->RecordWait(started_ns - submitted_ns);
+      task();
+      rs->RecordWait(NowNs() - started_ns);
+    };
   }
-  return pool_.Submit(std::move(task));
+  return task;
+}
+
+bool IoExecutor::Submit(std::function<void()> task) {
+  return pool_.Submit(Instrument(std::move(task)));
+}
+
+bool IoExecutor::SubmitIfIdle(std::function<void()> task) {
+  return pool_.SubmitIfIdle(Instrument(std::move(task)));
 }
 
 IoExecutor& IoExecutor::Shared() {

@@ -73,6 +73,12 @@ class IoExecutor {
   // server to hand decoded requests to worker lanes.
   bool Submit(std::function<void()> task);
 
+  // Like Submit, but only when a helper is free to start the task at once;
+  // returns false (nothing enqueued) when every helper is busy. For work
+  // that has a fallback and must not queue behind — or starve — the
+  // blocking fan-outs sharing the pool (the node's §3.3 early writes).
+  bool SubmitIfIdle(std::function<void()> task);
+
   // Stops accepting helper work; in-flight items finish, queued helper
   // tasks are dropped. ParallelFor remains correct afterwards (caller-only
   // drain). Exposed for the shutdown-during-flush test.
@@ -94,6 +100,10 @@ class IoExecutor {
   static uint64_t ConsumeLatchWaitNanos();
 
  private:
+  // Wraps a sampled task to clock its queue wait and run time; returns the
+  // task unchanged when unsampled.
+  std::function<void()> Instrument(std::function<void()> task);
+
   ThreadPool pool_;
   contention::ContentionSite* queue_site_ = nullptr;
   contention::ContentionSite* run_site_ = nullptr;

@@ -26,6 +26,18 @@ bool ThreadPool::Submit(std::function<void()> task) {
   return true;
 }
 
+bool ThreadPool::SubmitIfIdle(std::function<void()> task) {
+  {
+    MutexLock lock(mu_);
+    if (shutdown_ || active_ + queue_.size() >= workers_.size()) {
+      return false;
+    }
+    queue_.push_back(std::move(task));
+  }
+  work_cv_.NotifyOne();
+  return true;
+}
+
 void ThreadPool::Wait() {
   MutexLock lock(mu_);
   while (!(queue_.empty() && active_ == 0)) {

@@ -39,6 +39,11 @@ class ThreadPool {
   // Enqueues a task; returns false after Shutdown().
   bool Submit(std::function<void()> task);
 
+  // Enqueues a task only if a worker is free to start it at once (fewer
+  // running plus queued tasks than workers); returns false otherwise or
+  // after Shutdown().
+  bool SubmitIfIdle(std::function<void()> task);
+
   // Blocks until the queue is empty and all workers are idle.
   void Wait();
 

@@ -55,8 +55,8 @@ AftNode::AftNode(std::string node_id, StorageEngine& storage, Clock& clock, AftN
       reg.GetCounter("aft_node_null_reads_total", "Reads observing the NULL version", labels);
   metrics_.read_aborts = reg.GetCounter("aft_node_read_aborts_total",
                                         "Reads aborted with kNoValidVersion (sec. 3.6)", labels);
-  metrics_.spills =
-      reg.GetCounter("aft_node_spills_total", "Atomic Write Buffer spills (sec. 3.3)", labels);
+  metrics_.spills = reg.GetCounter("aft_node_spills_total",
+                                   "Atomic Write Buffer early writes (sec. 3.3)", labels);
   metrics_.gc_records_removed = reg.GetCounter(
       "aft_node_gc_records_removed_total", "Commit records removed by local GC", labels);
   metrics_.remote_commits_applied = reg.GetCounter(
@@ -98,7 +98,7 @@ AftNode::AftNode(std::string node_id, StorageEngine& storage, Clock& clock, AftN
         [this, shard] { return static_cast<double>(commits_.ShardSize(shard)); }));
   }
   metric_callbacks_.push_back(reg.RegisterCallback(
-      "aft_node_write_buffer_bytes", "Dirty (unspilled) bytes buffered across running txns",
+      "aft_node_write_buffer_bytes", "Buffered bytes not yet sent to storage, across running txns",
       obs::CallbackType::kGauge, labels, [this] {
         uint64_t total = 0;
         MutexLock lock(txns_mu_);
@@ -127,6 +127,18 @@ AftNode::~AftNode() {
   stop_background_.store(true);
   if (background_.joinable()) {
     background_.join();
+  }
+  // Early writes still in flight use the engine, which may go away right
+  // after this node.
+  std::vector<TxnPtr> running;
+  {
+    MutexLock lock(txns_mu_);
+    for (const auto& [uuid, txn] : txns_) {
+      running.push_back(txn);
+    }
+  }
+  for (const TxnPtr& txn : running) {
+    (void)txn->early_writes.Wait();
   }
 }
 
@@ -237,8 +249,8 @@ Status AftNode::Put(const Uuid& txid, const std::string& key, std::string value)
   if (txn->status != TxnStatus::kRunning) {
     return Status::FailedPrecondition("transaction is not running");
   }
-  // buffered_bytes counts DIRTY (unspilled) payload only; spilled entries
-  // already live in storage and stop counting against the threshold.
+  // buffered_bytes counts DIRTY payload only; entries already sent to
+  // storage stop counting against the threshold.
   auto it = txn->write_buffer.find(key);
   if (it != txn->write_buffer.end()) {
     if (txn->dirty.contains(key)) {
@@ -252,79 +264,116 @@ Status AftNode::Put(const Uuid& txid, const std::string& key, std::string value)
   txn->dirty.insert(key);
   metrics_.writes->Increment();
 
-  // §3.3: a saturated Atomic Write Buffer proactively writes intermediary
-  // data to storage; it stays invisible until the commit record lands.
-  if (txn->buffered_bytes > options_.spill_threshold_bytes && !txn->dirty.empty()) {
-    metrics_.spills->Increment();
-    AFT_RETURN_IF_ERROR(SpillVersions(*txn));
-    txn->buffered_bytes = 0;  // Spilled payloads no longer count against the threshold.
+  // §3.3: the Atomic Write Buffer may write intermediary versions before
+  // commit; they stay invisible until the commit record lands. Where commit
+  // rounds share no cost, holding data back for the round buys nothing, so
+  // every version starts out now (write-behind). Elsewhere data waits for
+  // the merged round (the packed layout: for its one segment), unless the
+  // buffer saturates.
+  const bool write_behind = !options_.packed_layout && !storage_.CommitRoundsShareCost();
+  if (write_behind || txn->buffered_bytes > options_.spill_threshold_bytes) {
+    StartEarlyWrites(txn);
   }
   return Status::Ok();
 }
 
-void AftNode::PrepareDirtyWrites(const TransactionState& txn, const TxnId& writer_id,
-                                 SmallVector<WriteOp, 8>& ops,
-                                 std::vector<VersionLocator>& locators) {
+bool AftNode::PrepareDirtyWrites(const TransactionState& txn, const TxnId& writer_id,
+                                 bool rewrites, SmallVector<WriteOp, 8>& ops,
+                                 std::vector<VersionLocator>& locators,
+                                 std::vector<std::string>* keys) {
   if (txn.dirty.empty()) {
-    return;
+    return false;
   }
-  if (options_.packed_layout) {
-    // One segment object holds every dirty payload; locators go into the
-    // commit record (§8 data layout). A rewritten key's stale locator from
-    // an earlier spill is replaced.
-    std::string segment;
-    for (const auto& [key, payload] : txn.write_buffer) {
-      if (!txn.dirty.contains(key)) {
-        continue;
+  // Version objects: the cowritten set is the transaction's full write set
+  // so far; for the commit this is the complete, authoritative set. Encode
+  // it straight out of the write buffer's keys — no intermediate write-set
+  // vector, no VersionedValue materialization; each op is exactly two
+  // exact-sized strings (the version key and the serialized value) that
+  // move into the engine.
+  const auto cowritten = std::views::keys(txn.write_buffer);
+  const size_t value_base_bytes =
+      options_.packed_layout
+          ? 0
+          : record_detail::kRecordHeaderBytes + EncodedStringVectorBytes(cowritten) + 4;
+  // The segment (§8 data layout) holds its payloads back to back; their
+  // locators go into the commit record.
+  std::string segment;
+  bool segmented = false;
+  ops.reserve(txn.dirty.size());
+  for (const auto& [key, payload] : txn.write_buffer) {
+    if (!txn.dirty.contains(key)) {
+      continue;
+    }
+    if (options_.packed_layout || txn.early_written.contains(key)) {
+      if (!options_.packed_layout && !rewrites) {
+        continue;  // Its version object exists; it waits for the commit's segment.
       }
       std::erase_if(locators, [&](const VersionLocator& old) { return old.key == key; });
       locators.push_back(VersionLocator{key, txn.next_segment_index,
                                         static_cast<uint32_t>(segment.size()),
                                         static_cast<uint32_t>(payload.size())});
       segment += payload;
+      segmented = true;
+    } else {
+      BinaryWriter w;
+      w.Reserve(value_base_bytes + payload.size());
+      EncodeVersionedValueFields(w, writer_id, cowritten, payload);
+      ops.push_back(WriteOp{VersionStorageKey(key, txn.uuid), std::move(w).TakeData()});
     }
+    if (keys != nullptr) {
+      keys->push_back(key);
+    }
+  }
+  if (segmented) {
     ops.push_back(
         WriteOp{SegmentStorageKey(txn.uuid, txn.next_segment_index), std::move(segment)});
-    return;
   }
-  // Key-per-version layout: the cowritten set is the transaction's full
-  // write set so far; for the commit this is the complete, authoritative
-  // set. Encode it straight out of the write buffer's keys — no
-  // intermediate write-set vector, no VersionedValue materialization; each
-  // op is exactly two exact-sized strings (the version key and the
-  // serialized value) that move into the engine.
-  const auto cowritten = std::views::keys(txn.write_buffer);
-  const size_t value_base_bytes =
-      record_detail::kRecordHeaderBytes + EncodedStringVectorBytes(cowritten) + 4;
-  ops.reserve(txn.dirty.size());
-  for (const auto& [key, payload] : txn.write_buffer) {
-    if (!txn.dirty.contains(key)) {
-      continue;
-    }
-    BinaryWriter w;
-    w.Reserve(value_base_bytes + payload.size());
-    EncodeVersionedValueFields(w, writer_id, cowritten, payload);
-    ops.push_back(WriteOp{VersionStorageKey(key, txn.uuid), std::move(w).TakeData()});
-  }
+  return segmented;
 }
 
-Status AftNode::SpillVersions(TransactionState& txn) {
+void AftNode::StartEarlyWrites(const TxnPtr& txn) {
   SmallVector<WriteOp, 8> ops;
-  std::vector<VersionLocator> locators = txn.packed_locators;
-  // Spilled versions carry a zero timestamp (the commit timestamp is not
-  // yet known); the authoritative metadata is the commit record.
-  PrepareDirtyWrites(txn, TxnId(0, txn.uuid), ops, locators);
-  AFT_RETURN_IF_ERROR(storage_.BatchPutConsume(std::span<WriteOp>(ops.data(), ops.size())));
-  if (options_.packed_layout) {
-    txn.packed_locators = std::move(locators);
-    ++txn.next_segment_index;
+  std::vector<VersionLocator> locators = txn->packed_locators;
+  std::vector<std::string> keys;
+  // Early versions carry a zero timestamp (the commit timestamp is not yet
+  // known); the authoritative metadata is the commit record.
+  const bool segmented =
+      PrepareDirtyWrites(*txn, TxnId(0, txn->uuid), /*rewrites=*/false, ops, locators, &keys);
+  if (ops.empty()) {
+    return;
   }
-  // The spilled set exists so an abort can delete orphaned version objects.
-  for (const std::string& key : txn.dirty) {
-    txn.spilled.insert(key);
+  // Registered before the write can finish, so no barrier misses it. The
+  // task keeps the transaction alive; ~AftNode waits for it, which keeps
+  // the engine alive.
+  txn->early_writes.Begin();
+  const bool started = IoExecutor::Shared().SubmitIfIdle(
+      [&storage = storage_, txn, ops = std::move(ops), keys = std::move(keys)]() mutable {
+        txn->early_writes.Finish(
+            keys, storage.BatchPutConsume(std::span<WriteOp>(ops.data(), ops.size())));
+      });
+  if (!started) {
+    // Every helper is busy with other requests' I/O: the entries stay
+    // dirty and go out in the commit round instead.
+    txn->early_writes.Finish({}, Status::Ok());
+    return;
   }
-  txn.dirty.clear();
-  return Status::Ok();
+  metrics_.spills->Increment();
+  // The keys just sent: every dirty one in the packed layout, else the
+  // dirty ones not written before (the transaction lock is still held).
+  for (auto it = txn->dirty.begin(); it != txn->dirty.end();) {
+    if (!options_.packed_layout && txn->early_written.contains(*it)) {
+      ++it;
+      continue;
+    }
+    txn->buffered_bytes -= txn->write_buffer.find(*it)->second.size();
+    const auto next = std::next(it);
+    txn->early_written.insert(txn->dirty.extract(it));  // Moves the node.
+    it = next;
+  }
+  if (segmented) {
+    txn->packed_locators = std::move(locators);
+    ++txn->next_segment_index;
+  }
 }
 
 Result<std::optional<std::string>> AftNode::Get(const Uuid& txid, const std::string& key) {
@@ -576,13 +625,12 @@ Result<std::string> AftNode::ReadVersionPayload(const std::string& key, const Tx
     return std::move(*cached);
   }
   Status last = Status::Internal("unreachable");
+  // A located key's payload sits in a segment (the packed layout, or a key
+  // rewritten after its early write); any other key's in its version object.
+  const VersionLocator* locator = record != nullptr ? record->FindLocator(key) : nullptr;
   for (int attempt = 0; attempt <= options_.storage_read_retries; ++attempt) {
-    if (record != nullptr && record->packed()) {
-      // Packed layout: ranged GET of the payload slice out of the segment.
-      const VersionLocator* locator = record->FindLocator(key);
-      if (locator == nullptr) {
-        return Status::Internal("packed commit record has no locator for '" + key + "'");
-      }
+    if (locator != nullptr) {
+      // Ranged GET of the payload slice out of the segment.
       auto bytes = storage_.GetRange(SegmentStorageKey(version.uuid, locator->segment_index),
                                      locator->offset, locator->length);
       if (bytes.ok()) {
@@ -616,6 +664,7 @@ Result<std::string> AftNode::ReadVersionPayload(const std::string& key, const Tx
 Status AftNode::AbortTransaction(const Uuid& txid) {
   AFT_RETURN_IF_ERROR(CheckAlive());
   AFT_ASSIGN_OR_RETURN(TxnPtr txn, FindTransaction(txid));
+  std::vector<std::string> orphans;
   {
     MutexLock lock(txn->mu);
     if (txn->status == TxnStatus::kCommitted || txn->status == TxnStatus::kCommitting) {
@@ -623,27 +672,27 @@ Status AftNode::AbortTransaction(const Uuid& txid) {
     }
     txn->status = TxnStatus::kAborted;
     // §3.3: updates are simply deleted from the Atomic Write Buffer; nothing
-    // was visible. Spilled intermediary versions are deleted from storage —
-    // they were never referenced by any commit record.
-    if (!txn->spilled.empty()) {
-      std::vector<std::string> spilled_keys;
-      if (options_.packed_layout) {
-        for (uint32_t i = 0; i < txn->next_segment_index; ++i) {
-          spilled_keys.push_back(SegmentStorageKey(txn->uuid, i));
-        }
-      } else {
-        spilled_keys.reserve(txn->spilled.size());
-        for (const std::string& key : txn->spilled) {
-          spilled_keys.push_back(VersionStorageKey(key, txn->uuid));
-        }
+    // was visible. Objects written before commit (early writes, failed
+    // commit rounds) are deleted from storage — no commit record references
+    // them.
+    if (!options_.packed_layout) {
+      for (const std::string& key : txn->early_written) {
+        orphans.push_back(VersionStorageKey(key, txn->uuid));
       }
-      (void)storage_.BatchDelete(spilled_keys);
+    }
+    for (uint32_t i = 0; i < txn->next_segment_index; ++i) {
+      orphans.push_back(SegmentStorageKey(txn->uuid, i));
     }
     txn->write_buffer.clear();
     txn->dirty.clear();
-    txn->spilled.clear();
+    txn->early_written.clear();
     UnpinReads(*txn);
     txn->reads_from.clear();
+  }
+  if (!orphans.empty()) {
+    // A write still in flight would recreate an object deleted before it.
+    (void)txn->early_writes.Wait();
+    (void)storage_.BatchDelete(orphans);
   }
   {
     MutexLock lock(txns_mu_);
@@ -700,21 +749,16 @@ Result<TxnId> AftNode::CommitTransaction(const Uuid& txid) {
   }
 
   // Write-ordering protocol (§3.3), prepared under the transaction lock as
-  // one commit unit: step 1 persists ALL of the transaction's dirty versions
-  // (one segment object in the packed layout), step 2 the commit record —
-  // only then does the transaction become visible. Nothing here mutates the
-  // transaction: a failed round drops it back to kRunning with its buffer,
-  // dirty set and packed locators intact, and a retry re-prepares the same
-  // unit (version and segment keys are uuid-addressed, so the rewrite is
-  // idempotent).
+  // one commit unit: step 1 persists ALL of the transaction's versions — the
+  // dirty ones now (one segment object in the packed layout), the ones
+  // written early by waiting for them — and step 2 the commit record; only
+  // then does the transaction become visible. Nothing here mutates the
+  // transaction; a failed round is accounted for below.
   SmallVector<WriteOp, 8> ops;
-  std::vector<VersionLocator> locators;
-  uint32_t segment_count = 0;
-  if (options_.packed_layout) {
-    locators = txn->packed_locators;
-    segment_count = txn->next_segment_index + (txn->dirty.empty() ? 0 : 1);
-  }
-  PrepareDirtyWrites(*txn, commit_id, ops, locators);
+  std::vector<VersionLocator> locators = txn->packed_locators;
+  const bool segmented =
+      PrepareDirtyWrites(*txn, commit_id, /*rewrites=*/true, ops, locators, nullptr);
+  const uint32_t segment_count = txn->next_segment_index + (segmented ? 1 : 0);
   std::vector<std::string> write_set_keys;
   write_set_keys.reserve(txn->write_buffer.size());
   for (const auto& [key, payload] : txn->write_buffer) {
@@ -731,10 +775,16 @@ Result<TxnId> AftNode::CommitTransaction(const Uuid& txid) {
   pending.unit.commit_record = WriteOp{CommitStorageKey(commit_id), record->Serialize()};
   pending.record = record;
   pending.trace = txn->trace;
-  if (options_.crash_hook) {
-    // Data is durable but the commit record is not: the transaction is NOT
-    // committed; its versions are invisible orphans the GC will reap.
-    pending.unit.after_data_write = [this] {
+  // The barrier's other half: the record waits for the early writes still in
+  // flight, and a failed one poisons the unit.
+  EarlyWrites* const early = txn->early_written.empty() ? nullptr : &txn->early_writes;
+  if (early != nullptr || options_.crash_hook) {
+    pending.unit.after_data_write = [this, early] {
+      if (early != nullptr) {
+        AFT_RETURN_IF_ERROR(early->Wait());
+      }
+      // Data is durable but the commit record is not: the transaction is NOT
+      // committed; its versions are invisible orphans the GC will reap.
       return MaybeCrash(CrashPoint::kAfterDataWrite) ? Status::Unavailable("node crashed")
                                                      : Status::Ok();
     };
@@ -750,10 +800,31 @@ Result<TxnId> AftNode::CommitTransaction(const Uuid& txid) {
     obs::TraceSpan round_span(txn->trace, "CommitRound", node_id_);
     lock.Unlock();
     committed = batcher_.Commit(pending);
+    if (!committed.ok() && early != nullptr) {
+      // A round that failed before its hook ran did not wait; the failed
+      // keys below must be complete.
+      (void)early->Wait();
+    }
     lock.Lock();
   }
   if (!committed.ok()) {
-    txn->status = TxnStatus::kRunning;  // Let the client retry or abort.
+    // Let the client retry or abort. The round's writes may have landed, so
+    // a retry never reuses their object names for other bytes: its dirty
+    // keys count as written early (a rewrite goes to a segment) and the
+    // next segment gets a fresh index. Keys whose early write failed are
+    // dirty again.
+    txn->status = TxnStatus::kRunning;
+    for (const std::string& key : txn->dirty) {
+      txn->early_written.insert(key);
+    }
+    if (segmented) {
+      ++txn->next_segment_index;
+    }
+    for (const std::string& key : txn->early_writes.TakeFailedKeys()) {
+      if (txn->dirty.insert(key).second) {
+        txn->buffered_bytes += txn->write_buffer.find(key)->second.size();
+      }
+    }
     return committed;
   }
 
@@ -767,10 +838,6 @@ Result<TxnId> AftNode::CommitTransaction(const Uuid& txid) {
   // Step 3: local visibility. The round's publisher already staged the
   // record (and trace) for broadcast.
   txn->dirty.clear();
-  if (options_.packed_layout) {
-    txn->packed_locators = record->locators;
-    txn->next_segment_index = segment_count;
-  }
   if (commits_.Add(record)) {
     index_.AddCommit(*record);
   }

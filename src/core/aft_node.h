@@ -55,7 +55,9 @@ struct AftNodeOptions {
   uint64_t data_cache_bytes = 64ull * 1024 * 1024;
 
   // Write-buffer spill threshold (§3.3: a saturated Atomic Write Buffer
-  // proactively writes intermediary data to storage).
+  // proactively writes intermediary data to storage). Only consulted where
+  // the engine's commit rounds share a cost or the layout is packed;
+  // elsewhere every version is written as soon as it is buffered.
   uint64_t spill_threshold_bytes = 4ull * 1024 * 1024;
 
   // Packed (log-structured) data layout — the §8 "Efficient Data Layout"
@@ -185,9 +187,13 @@ class AftNode {
                                               std::span<const std::string> keys);
 
   // Buffers an update. Keys must be non-empty and must not contain '/'.
+  // Where the engine's commit rounds share no cost (and the layout is not
+  // packed) the version's write to storage starts here, without waiting
+  // (write-behind); the commit then waits only for writes still in flight.
   Status Put(const Uuid& txid, const std::string& key, std::string value);
 
-  // Discards the transaction's buffered updates (and any spilled ones).
+  // Discards the transaction's buffered updates (and deletes any written
+  // before commit, once their writes have landed).
   Status AbortTransaction(const Uuid& txid);
 
   // Atomically persists the transaction's updates (write-ordering protocol,
@@ -254,17 +260,25 @@ class AftNode {
   Status CheckAlive() const;
   Result<TxnPtr> FindTransaction(const Uuid& txid);
   // Appends the writes that persist the buffer's dirty entries under
-  // `writer_id` to `ops`: one version object per dirty key, or in the
-  // packed layout ONE segment object at txn.next_segment_index, whose fresh
-  // locators replace the keys' stale ones in `locators`. Reads `txn` only;
-  // the caller applies the outcome once the write is acknowledged.
-  void PrepareDirtyWrites(const TransactionState& txn, const TxnId& writer_id,
-                          SmallVector<WriteOp, 8>& ops, std::vector<VersionLocator>& locators)
-      REQUIRES(txn.mu);
-  // §3.3 spill: writes the dirty entries as invisible intermediary versions.
-  Status SpillVersions(TransactionState& txn) REQUIRES(txn.mu);
+  // `writer_id` to `ops`: one version object per dirty key not written
+  // before, plus ONE segment object at txn.next_segment_index holding the
+  // rest — every dirty key in the packed layout; otherwise, only with
+  // `rewrites` (at commit), the keys rewritten after an early write, whose
+  // version object must not be overwritten. The segment's fresh locators
+  // replace the keys' stale ones in `locators`; `keys`, if non-null,
+  // receives the keys written. Returns whether a segment was added. Reads
+  // `txn` only; the caller applies the outcome.
+  bool PrepareDirtyWrites(const TransactionState& txn, const TxnId& writer_id, bool rewrites,
+                          SmallVector<WriteOp, 8>& ops, std::vector<VersionLocator>& locators,
+                          std::vector<std::string>* keys) REQUIRES(txn.mu);
+  // §3.3 early write: sends the dirty entries that may go out before
+  // commit as invisible intermediary versions, on an idle shared-executor
+  // helper, without waiting. With no helper idle they stay dirty for the
+  // commit round.
+  void StartEarlyWrites(const TxnPtr& txn) REQUIRES(txn->mu);
   // Fetches a version payload through the data cache with bounded retries.
-  // `record` supplies the locators needed for the packed layout.
+  // A key with a locator in `record` is read from its segment, any other
+  // from its version object.
   Result<std::string> ReadVersionPayload(const std::string& key, const TxnId& version,
                                          const CommitRecordPtr& record);
   // Batcher round publisher: stages every committed member's record (and

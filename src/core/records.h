@@ -12,9 +12,11 @@
 //                     key versions are durable; its presence is what makes
 //                     the transaction's updates visible.
 //
-// The version key uses only the UUID (not the commit timestamp) because
-// saturated write buffers may spill versions to storage *before* the commit
-// timestamp is assigned (§3.3).
+// The version key uses only the UUID (not the commit timestamp) because the
+// write buffer may write versions to storage *before* the commit timestamp
+// is assigned (§3.3). A version object is never overwritten with another
+// payload: a key rewritten after its early write commits through a segment
+// (below) with a locator in the commit record.
 
 #ifndef SRC_CORE_RECORDS_H_
 #define SRC_CORE_RECORDS_H_
@@ -65,13 +67,16 @@ struct VersionLocator {
 // The cowritten set of any version ki equals Ti's write set (§3.2).
 //
 // With the packed layout, the record additionally carries the number of
-// segment objects and a locator per key; `packed()` distinguishes layouts.
+// segment objects and a locator per key. A key-per-version record may
+// carry locators too, for keys rewritten after their early write (a mixed
+// record); a key without a locator lives in its version object.
 struct CommitRecord {
   TxnId id;
   std::vector<std::string> write_set;
   uint32_t segment_count = 0;
   std::vector<VersionLocator> locators;
 
+  // Whether any payload lives in a segment: a packed or a mixed record.
   bool packed() const { return segment_count > 0; }
   const VersionLocator* FindLocator(const std::string& key) const;
 
@@ -81,7 +86,7 @@ struct CommitRecord {
 
 // One stored key version: payload plus the metadata Algorithm 1 needs.
 struct VersionedValue {
-  TxnId writer;                        // Assigned at commit; zero while spilled.
+  TxnId writer;                        // Assigned at commit; zero if written early.
   std::vector<std::string> cowritten;  // == writer's write set.
   std::string payload;
 

@@ -10,12 +10,16 @@
 #define SRC_CORE_TRANSACTION_H_
 
 #include <map>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "src/common/clock.h"
 #include "src/common/mutex.h"
+#include "src/common/status.h"
 #include "src/common/uuid.h"
 #include "src/core/commit_set_cache.h"
 #include "src/core/txn_id.h"
@@ -36,6 +40,65 @@ enum class TxnStatus {
 struct ReadSetEntry {
   TxnId version;
   CommitRecordPtr record;
+};
+
+// A transaction's data writes issued before its commit round — §3.3's
+// intermediary versions, written while the transaction still runs — which
+// the round's barrier waits for before writing the commit record.
+// Thread-safe: the issuer calls Begin() before sending a write and Finish()
+// once storage answered; the commit round Wait()s.
+class EarlyWrites {
+ public:
+  void Begin() {
+    MutexLock lock(mu_);
+    ++in_flight_;
+  }
+
+  // Records the outcome of one write begun earlier; `keys` are the user
+  // keys whose versions it carried.
+  void Finish(std::span<const std::string> keys, const Status& status) {
+    MutexLock lock(mu_);
+    if (!status.ok()) {
+      if (failure_.ok()) {
+        failure_ = status;
+      }
+      failed_keys_.insert(failed_keys_.end(), keys.begin(), keys.end());
+    }
+    if (--in_flight_ == 0) {
+      done_cv_.NotifyAll();
+    }
+  }
+
+  // Blocks until no write is in flight. Returns the first failure recorded
+  // since the last TakeFailedKeys(), or OK.
+  Status Wait() {
+    MutexLock lock(mu_);
+    while (in_flight_ > 0) {
+      done_cv_.Wait(lock);
+    }
+    return failure_;
+  }
+
+  // Returns the keys of failed writes and clears the recorded failure.
+  std::vector<std::string> TakeFailedKeys() {
+    MutexLock lock(mu_);
+    failure_ = Status::Ok();
+    return std::exchange(failed_keys_, {});
+  }
+
+ private:
+  // One site for every transaction's latch (see
+  // TransactionState::ContentionSiteFor).
+  static contention::ContentionSite* ContentionSiteFor() {
+    static contention::ContentionSite* site = contention::LockSite("txn.early_writes");
+    return site;
+  }
+
+  Mutex mu_{ContentionSiteFor()};
+  CondVar done_cv_;
+  size_t in_flight_ GUARDED_BY(mu_) = 0;
+  Status failure_ GUARDED_BY(mu_);
+  std::vector<std::string> failed_keys_ GUARDED_BY(mu_);
 };
 
 struct TransactionState {
@@ -64,17 +127,25 @@ struct TransactionState {
   TxnStatus status GUARDED_BY(mu) = TxnStatus::kRunning;
 
   // ---- Atomic Write Buffer (§3.3) -----------------------------------------
-  // key -> payload. `dirty` tracks entries not yet spilled to storage;
-  // `spilled` keys already have their version object persisted (invisible
-  // until the commit record lands).
+  // key -> payload. `dirty` tracks entries whose current payload has not
+  // been sent to storage; `early_written` keys had a write sent before
+  // commit (an early write, or a failed commit round), so their version
+  // object may exist — invisible until the commit record lands, and never
+  // overwritten: such a key, once dirty again, commits through a segment.
   std::map<std::string, std::string> write_buffer GUARDED_BY(mu);
   std::unordered_set<std::string> dirty GUARDED_BY(mu);
-  std::unordered_set<std::string> spilled GUARDED_BY(mu);
-  uint64_t buffered_bytes GUARDED_BY(mu) = 0;
+  std::unordered_set<std::string> early_written GUARDED_BY(mu);
+  uint64_t buffered_bytes GUARDED_BY(mu) = 0;  // payload bytes of `dirty`
 
-  // Packed layout (§8): segments written so far (spills + commit) and the
-  // locator of each key's payload within them. A key rewritten after a
-  // spill gets a fresh locator in a later segment.
+  // Early writes still in flight, and the failed ones (own lock, a leaf
+  // under `mu`). The commit unit's after_data_write hook waits for them.
+  EarlyWrites early_writes;
+
+  // Segments written so far (early writes, failed commit rounds, the
+  // commit) and the locator of each key's payload within them. In the
+  // packed layout (§8) every payload lives in a segment; otherwise only
+  // the payloads of keys rewritten after their early write do. A key
+  // rewritten after being written gets a fresh locator in a later segment.
   uint32_t next_segment_index GUARDED_BY(mu) = 0;
   std::vector<VersionLocator> packed_locators GUARDED_BY(mu);
 

@@ -111,7 +111,8 @@ class LocalEngine final : public StorageEngine {
   // barrier = 0 (ordering rides batch append order, no separate wait).
   // A round with an after_data_write hook has no point between a unit's
   // data and its record in one append, so it takes the generic two-round
-  // path instead.
+  // path instead (crash-point injection, or a transaction whose buffer
+  // spilled past the threshold and must wait for its early writes).
   void CommitUnits(std::span<CommitUnit> units, std::span<Status> results,
                    CommitStageProfile* profile = nullptr) override;
   // Every round ends in one group-committed fsync, paid once however many

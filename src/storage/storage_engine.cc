@@ -58,6 +58,12 @@ void StorageEngine::CommitUnits(std::span<CommitUnit> units, std::span<Status> r
     }
     if (flushed.ok() && units[0].after_data_write) {
       flushed = units[0].after_data_write();
+      if (timed) {
+        // The hook is part of the barrier; record_write opens where it ends.
+        const auto hook_end = StageClock::now();
+        profile->barrier_s += std::chrono::duration<double>(hook_end - flush_end).count();
+        flush_end = hook_end;
+      }
     }
     if (!flushed.ok()) {
       results[0] = std::move(flushed);
@@ -106,10 +112,17 @@ void StorageEngine::CommitUnits(std::span<CommitUnit> units, std::span<Status> r
       results[owner[i]] = std::move(op_status[i]);
     }
   }
+  bool hooked = false;
   for (size_t u = 0; u < units.size(); ++u) {
     if (results[u].ok() && units[u].after_data_write) {
       results[u] = units[u].after_data_write();
+      hooked = true;
     }
+  }
+  if (hooked && timed) {
+    const auto hooks_end = StageClock::now();
+    profile->barrier_s += std::chrono::duration<double>(hooks_end - flush_end).count();
+    flush_end = hooks_end;
   }
 
   // Round 2: commit records of the surviving units only. BatchPutEach

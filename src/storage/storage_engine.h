@@ -42,8 +42,10 @@ struct CommitUnit {
   std::span<WriteOp> data_ops;  // version/segment objects; may be consumed
   WriteOp commit_record;        // commit-set key + serialized record; may be consumed
   // Optional: runs once this unit's data ops are acknowledged and before its
-  // record is written. A non-OK status poisons the unit like a failed data
-  // op. Null except under crash-point injection (CrashPoint::kAfterDataWrite).
+  // record is written, as part of the barrier. A non-OK status poisons the
+  // unit like a failed data op. The node sets it to wait for the
+  // transaction's writes issued before the round (§3.3 early writes) and
+  // under crash-point injection (CrashPoint::kAfterDataWrite).
   std::function<Status()> after_data_write;
 };
 
@@ -53,8 +55,9 @@ struct CommitUnit {
 //   data_flush:   issuing + writing the merged data-version round, excluding
 //                 straggler wait (WAL engine: AppendBatch + index publish)
 //   barrier:      the §3.3 wait for in-flight data writes to be acknowledged
-//                 before any commit record may be written (WAL engine: 0 —
-//                 ordering rides the single fused append, see local_engine)
+//                 before any commit record may be written, including the
+//                 units' after_data_write hooks (WAL engine: 0 — ordering
+//                 rides the single fused append, see local_engine)
 //   record_write: the commit-record round (WAL engine: the group-committed
 //                 fsync, which is also what makes the data durable)
 // Filled only when a profile is passed AND contention::StageTimingEnabled().

@@ -419,14 +419,22 @@ TEST_F(AftNodeTest, AbortCleansUpSpilledData) {
 }
 
 TEST_F(AftNodeTest, RewriteAfterSpillCommitsLatestValue) {
+  // Every read of an overwritten item is stale and nothing is cached, so a
+  // commit that overwrote the spilled version object would read back the
+  // spilled payload.
+  SimDynamoOptions stale = InstantDynamo();
+  stale.staleness = StalenessModel{1.0, Millis(80)};
+  SimDynamo storage(clock_, stale);
   AftNodeOptions options;
   options.spill_threshold_bytes = 64;
-  auto node = MakeNode("n0", options);
-  auto txid = node->StartTransaction();
-  ASSERT_TRUE(node->Put(*txid, "k", std::string(100, 'a')).ok());  // Spills.
-  ASSERT_TRUE(node->Put(*txid, "k", "final").ok());                // Dirty again.
-  ASSERT_TRUE(node->CommitTransaction(*txid).ok());
-  EXPECT_EQ(ReadOnce(*node, "k").value(), "final");
+  options.data_cache_bytes = 0;
+  AftNode node("n0", storage, clock_, options);
+  ASSERT_TRUE(node.Start().ok());
+  auto txid = node.StartTransaction();
+  ASSERT_TRUE(node.Put(*txid, "k", std::string(100, 'a')).ok());  // Spills.
+  ASSERT_TRUE(node.Put(*txid, "k", "final").ok());                // Dirty again.
+  ASSERT_TRUE(node.CommitTransaction(*txid).ok());
+  EXPECT_EQ(ReadOnce(node, "k").value(), "final");
 }
 
 // ---- Data cache ------------------------------------------------------------------------

@@ -8,6 +8,7 @@
 #include "src/storage/sim_dynamo.h"
 #include "src/workload/dataset.h"
 #include "src/workload/harness.h"
+#include "tests/await_storage.h"
 
 namespace aft {
 namespace {
@@ -168,7 +169,7 @@ TEST(OrphanSweepTest, UncommittedButRecentVersionsSurviveViaGrace) {
 
   auto txid = cluster.node(0)->StartTransaction();
   ASSERT_TRUE(cluster.node(0)->Put(*txid, "slow", "spilled-payload").ok());
-  ASSERT_EQ(storage.List(kVersionPrefix)->size(), 1u);  // Spilled pre-commit.
+  ASSERT_EQ(AwaitObjectCount(storage, kVersionPrefix, 1), 1u);  // Written pre-commit.
   EXPECT_EQ(cluster.fault_manager().RunOrphanSweepOnce(), 0u);
   clock.Advance(Millis(100));
   EXPECT_EQ(cluster.fault_manager().RunOrphanSweepOnce(), 0u);

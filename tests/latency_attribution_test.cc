@@ -5,9 +5,9 @@
 //   * Reconciliation — the per-stage commit decomposition is a set of
 //     DISJOINT, nested slices of the end-to-end commit, so across any run
 //     the stage sums total at most the aft_node_commit_latency_ms sum.
-//     Holds on the solo fast path, under concurrent non-merging rounds and
-//     under merged rounds, on both the simulated-cloud engine and the
-//     durable LocalEngine.
+//     Holds on the solo fast path, under concurrent non-merging rounds,
+//     under merged rounds and with early writes still in flight at commit,
+//     on both the simulated-cloud engine and the durable LocalEngine.
 //   * Coverage — every committed transaction observes every per-commit
 //     stage exactly once, with exactly one queue_wait_{leader,follower}
 //     by batch role (always leader where the engine's rounds do not merge).
@@ -195,6 +195,27 @@ TEST(LatencyAttribution, ReconcilesUnbatchedSimEngine) {
   node.Kill();
   ASSERT_GT(committed, 0u);
   CheckReconciliation("attr-sim-unmerged", committed, /*merging=*/false);
+}
+
+// Write-behind: each transaction's version write starts at Put and is still
+// in flight when the commit begins (a ~4 ms batch call, then an immediate
+// commit). The commit's wait for it must land in the barrier stage, and the
+// stages must still reconcile.
+TEST(LatencyAttribution, ReconcilesInFlightEarlyWrites) {
+  RealClock clock(1.0);
+  SimDynamoOptions options = InstantDynamoOptions();
+  options.profile.batch_base = LatencyModel(4.0, 0.0);
+  SimDynamo engine(clock, options);
+  AftNode node("attr-early-writes", engine, clock, FastNodeOptions());
+  ASSERT_TRUE(node.Start().ok());
+  const uint64_t committed = RunCommits(node, /*threads=*/2, /*txns_per_thread=*/10);
+  node.Kill();
+  ASSERT_GT(committed, 0u);
+  EXPECT_EQ(node.stats().spills.load(), committed);
+  CheckReconciliation("attr-early-writes", committed, /*merging=*/false);
+  const CommitStageHistograms stages = CommitStageHistograms::ForNode("attr-early-writes");
+  EXPECT_GE(stages.barrier->Sum(), static_cast<double>(committed) * 2e-3)
+      << "the wait for in-flight early writes is not in the barrier stage";
 }
 
 TEST(LatencyAttribution, ReconcilesBatchedLocalEngine) {

@@ -7,6 +7,7 @@
 #include "src/cluster/deployment.h"
 #include "src/storage/sim_dynamo.h"
 #include "src/storage/sim_s3.h"
+#include "tests/await_storage.h"
 
 namespace aft {
 namespace {
@@ -118,7 +119,7 @@ TEST_F(PackedLayoutTest, AbortDeletesSpilledSegments) {
   auto node = MakeNode("n0", options);
   auto txid = node->StartTransaction();
   ASSERT_TRUE(node->Put(*txid, "doomed", "0123456789abcdef").ok());
-  ASSERT_EQ(storage_.List(kSegmentPrefix)->size(), 1u);
+  ASSERT_EQ(AwaitObjectCount(storage_, kSegmentPrefix, 1), 1u);
   ASSERT_TRUE(node->AbortTransaction(*txid).ok());
   EXPECT_TRUE(storage_.List(kSegmentPrefix)->empty());
 }
@@ -224,33 +225,35 @@ TEST(PackedLayoutRetryTest, FailedCommitLeavesPackedStateForRetry) {
   ASSERT_TRUE(node.Put(*txid, "big", "0123456789").ok());  // Spill -> segment 0.
   ASSERT_TRUE(node.Put(*txid, "other", "zz").ok());
   ASSERT_TRUE(node.Put(*txid, "big", "abc").ok());  // Dirty again, below the threshold.
-  ASSERT_EQ(storage.List(kSegmentPrefix)->size(), 1u);
+  ASSERT_EQ(AwaitObjectCount(storage, kSegmentPrefix, 1), 1u);
 
-  // The commit's segment write fails: nothing is written.
+  // The commit's segment write (segment 1) fails: nothing is written.
   storage.failing_prefix = kSegmentPrefix;
   EXPECT_FALSE(node.CommitTransaction(*txid).ok());
   EXPECT_EQ(storage.List(kSegmentPrefix)->size(), 1u);
-  // Segment 1 lands but the record write fails.
+  // Segment 2 lands but the record write fails. A failed round's segment
+  // name is never reused, so a retry cannot overwrite it with other bytes.
   storage.failing_prefix = kCommitPrefix;
   EXPECT_FALSE(node.CommitTransaction(*txid).ok());
   EXPECT_EQ(storage.List(kSegmentPrefix)->size(), 2u);
   EXPECT_TRUE(storage.List(kCommitPrefix)->empty());
 
-  // The retry rewrites segment 1 from the untouched buffer and locators.
+  // The retry writes segment 3 from the untouched buffer and locators; the
+  // record's segment count covers the failed rounds' names for the GC.
   storage.failing_prefix.clear();
   auto commit_id = node.CommitTransaction(*txid);
   ASSERT_TRUE(commit_id.ok());
-  EXPECT_EQ(storage.List(kSegmentPrefix)->size(), 2u);
+  EXPECT_EQ(storage.List(kSegmentPrefix)->size(), 3u);
   auto bytes = storage.Get(CommitStorageKey(*commit_id));
   ASSERT_TRUE(bytes.ok());
   auto record = CommitRecord::Deserialize(*bytes);
   ASSERT_TRUE(record.ok());
-  EXPECT_EQ(record->segment_count, 2u);
+  EXPECT_EQ(record->segment_count, 4u);
   ASSERT_EQ(record->locators.size(), 2u);
-  EXPECT_EQ(record->FindLocator("big")->segment_index, 1u);
-  EXPECT_EQ(record->FindLocator("other")->segment_index, 1u);
+  EXPECT_EQ(record->FindLocator("big")->segment_index, 3u);
+  EXPECT_EQ(record->FindLocator("other")->segment_index, 3u);
 
-  // An uncached node reads both keys by ranged GETs of segment 1.
+  // An uncached node reads both keys by ranged GETs of segment 3.
   AftNodeOptions uncached = PackedOptions();
   uncached.data_cache_bytes = 0;
   AftNode reader_node("n1", storage, clock, uncached);

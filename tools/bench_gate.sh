@@ -31,7 +31,11 @@
 # code path allocates what it allocates), so it gates against a checked-in
 # ceiling. The zero-copy commit pipeline (PR 7) brought it from ~39 to ~6;
 # the ceiling holds the line just above the measured value so a single
-# reintroduced per-commit allocation fails visibly.
+# reintroduced per-commit allocation fails visibly. Where commit rounds
+# share no cost the node serializes and sends each version at Put
+# (write-behind), which moves allocations out of the commit row without
+# saving them; the "inproc put+commit" row counts both calls and is held to
+# its own fixed ceiling, 13.0, just above the measured 12.2.
 #
 # A fifth, paper-shape gate holds the claim the shim is built on — cheap
 # correctness: bench_fig3_end_to_end's "S3 Aft" p50 over its "S3 Plain" p50,
@@ -183,10 +187,15 @@ sed -nE 's/.*"row":"commit attribution (off|on)".*"p50_ms":([0-9.]+).*"txn_per_s
 # an error for the same reason as zero throughput pairs above. Two commit
 # paths are held to the same ceiling: "inproc commit" (bench_net, simulated
 # engine) and "local commit" (bench_local_engine, the durable WAL engine —
-# real writev + fdatasync must not cost heap allocations either).
-for row in "inproc commit" "local commit"; do
-  sed -nE 's/.*"row":"'"$row"'".*"allocs_per_txn":([0-9.]+).*/\1/p' "$CURRENT" \
-    | awk -v ceiling="$MAX_ALLOCS" -v row="$row" '
+# real writev + fdatasync must not cost heap allocations either); the
+# "inproc put+commit" row has its own (see the header).
+for gated in "inproc commit=$MAX_ALLOCS" "local commit=$MAX_ALLOCS" \
+             "inproc put+commit=13.0"; do
+  row="${gated%=*}"
+  ceiling="${gated##*=}"
+  row_re="${row//+/\\+}"
+  sed -nE 's/.*"row":"'"$row_re"'".*"allocs_per_txn":([0-9.]+).*/\1/p' "$CURRENT" \
+    | awk -v ceiling="$ceiling" -v row="$row" '
     { last = $1 + 0; n++ }
     END {
       if (n == 0) {
