@@ -47,9 +47,21 @@ void RunSweep(const char* label, size_t clients_per_node, long requests,
       single_node_tput = result.throughput_tps;
     }
     const double ideal = single_node_tput * static_cast<double>(nodes);
-    std::printf("  %zu node%s (%3zu clients)   %8.1f txn/s   ideal %8.1f   (%5.1f%% of ideal)\n",
-                nodes, nodes == 1 ? " " : "s", harness.num_clients, result.throughput_tps,
-                ideal, ideal > 0 ? 100.0 * result.throughput_tps / ideal : 100.0);
+    // Reads whose payload fetch was redone because the read set moved past
+    // the fetched version (a version committed meanwhile does not count).
+    uint64_t reads = 0;
+    uint64_t refetches = 0;
+    for (size_t i = 0; i < env.cluster->node_count(); ++i) {
+      const AftNodeStats stats = env.cluster->node(i)->stats();
+      reads += stats.reads.load();
+      refetches += stats.read_refetches.load();
+    }
+    std::printf(
+        "  %zu node%s (%3zu clients)   %8.1f txn/s   ideal %8.1f   (%5.1f%% of ideal)   "
+        "refetches/read %.3f\n",
+        nodes, nodes == 1 ? " " : "s", harness.num_clients, result.throughput_tps, ideal,
+        ideal > 0 ? 100.0 * result.throughput_tps / ideal : 100.0,
+        reads > 0 ? static_cast<double>(refetches) / static_cast<double>(reads) : 0.0);
   }
 }
 

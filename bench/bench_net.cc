@@ -74,10 +74,10 @@ std::string Key(size_t i) { return "net" + std::to_string(i); }
 // One commit (1 put) per iteration, in-proc. The alloc column counts heap
 // allocations made by the committing thread inside CommitTransaction — the
 // §3.3 commit path itself, the number the bench gate holds a ceiling on.
-// Where the engine's commit rounds share no cost (this unbounded engine) the
-// version is serialized and sent at Put (write-behind), so a second row,
-// "inproc put+commit", counts the allocations of both calls: moving work
-// from commit to Put must not pass for a saving.
+// On this simulated engine the commit writes one object, the record with
+// the payload inside it. A second
+// row, "inproc put+commit", counts the allocations of both calls, so work
+// moved from the commit into Put cannot pass for a saving.
 void RunInProcCommit(AftNode& node, long reps) {
   // Uncounted warmup: segment-freelist growth, version-index rehash and
   // key-interner inserts are one-time costs, not per-commit costs — without

@@ -125,7 +125,8 @@ int main() {
     cluster.fault_manager().RunLivenessScanOnce();
     std::printf("\nscenario 3: node 0 died before the commit record was written\n");
     std::printf("            data object in storage: %s; visible to readers: %s\n",
-                fresh.List(kVersionPrefix)->empty() ? "no" : "yes (orphaned)",
+                fresh.List(kVersionPrefix)->empty() ? "no (it rides in the unwritten record)"
+                                                    : "yes (orphaned)",
                 ReadOnce(*cluster.node(1), "torn").has_value() ? "YES (BUG!)" : "no — atomic");
     cluster.Stop();
   }

@@ -223,15 +223,16 @@ size_t FaultManager::RunGlobalGcOnce() {
         for (uint32_t i = 0; i < record->segment_count; ++i) {
           victim_keys.push_back(SegmentStorageKey(record->id.uuid, i));
         }
-        // Every key may have a version object too, even one the record
-        // locates in a segment: its early version, written before it was
-        // rewritten (or by a failed commit round). The record cannot tell
-        // that apart from the packed layout, whose keys have none; deleting
-        // a missing object is a no-op.
+        // Every key may have a version object, even one whose payload the
+        // record carries itself or locates in a segment: a spilled version
+        // written before the key was rewritten, or one a failed commit
+        // round sent. The record cannot tell those apart from keys that
+        // have none; deleting a missing object is a no-op.
         for (const std::string& key : record->write_set) {
           victim_keys.push_back(VersionStorageKey(key, record->id.uuid));
         }
         version_count += record->write_set.size();
+        // The record object; in-record payloads go with it.
         victim_keys.push_back(CommitStorageKey(record->id));
       }
       (void)storage_.BatchDelete(victim_keys);

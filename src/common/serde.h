@@ -44,6 +44,9 @@ class BinaryWriter {
     buf_.append(s);
   }
 
+  // Appends `s` with no length prefix (a caller-located payload).
+  void PutRaw(std::string_view s) { buf_.append(s); }
+
   // Any sized range of string-view-convertible elements (std::vector,
   // SmallVector, a keys view over a map) encodes identically.
   template <typename Container>

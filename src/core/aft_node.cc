@@ -55,8 +55,11 @@ AftNode::AftNode(std::string node_id, StorageEngine& storage, Clock& clock, AftN
       reg.GetCounter("aft_node_null_reads_total", "Reads observing the NULL version", labels);
   metrics_.read_aborts = reg.GetCounter("aft_node_read_aborts_total",
                                         "Reads aborted with kNoValidVersion (sec. 3.6)", labels);
+  metrics_.read_refetches = reg.GetCounter(
+      "aft_node_read_refetches_total",
+      "Payload fetches redone because the read set moved past the fetched version", labels);
   metrics_.spills = reg.GetCounter("aft_node_spills_total",
-                                   "Atomic Write Buffer early writes (sec. 3.3)", labels);
+                                   "Atomic Write Buffer spills past the threshold (sec. 3.3)", labels);
   metrics_.gc_records_removed = reg.GetCounter(
       "aft_node_gc_records_removed_total", "Commit records removed by local GC", labels);
   metrics_.remote_commits_applied = reg.GetCounter(
@@ -116,6 +119,7 @@ AftNode::AftNode(std::string node_id, StorageEngine& storage, Clock& clock, AftN
   baseline_.writes.value = metrics_.writes->Value();
   baseline_.null_reads.value = metrics_.null_reads->Value();
   baseline_.read_aborts.value = metrics_.read_aborts->Value();
+  baseline_.read_refetches.value = metrics_.read_refetches->Value();
   baseline_.spills.value = metrics_.spills->Value();
   baseline_.gc_records_removed.value = metrics_.gc_records_removed->Value();
   baseline_.remote_commits_applied.value = metrics_.remote_commits_applied->Value();
@@ -128,8 +132,8 @@ AftNode::~AftNode() {
   if (background_.joinable()) {
     background_.join();
   }
-  // Early writes still in flight use the engine, which may go away right
-  // after this node.
+  // Spills still in flight use the engine, which may go away right after
+  // this node.
   std::vector<TxnPtr> running;
   {
     MutexLock lock(txns_mu_);
@@ -264,21 +268,16 @@ Status AftNode::Put(const Uuid& txid, const std::string& key, std::string value)
   txn->dirty.insert(key);
   metrics_.writes->Increment();
 
-  // §3.3: the Atomic Write Buffer may write intermediary versions before
-  // commit; they stay invisible until the commit record lands. Where commit
-  // rounds share no cost, holding data back for the round buys nothing, so
-  // every version starts out now (write-behind). Elsewhere data waits for
-  // the merged round (the packed layout: for its one segment), unless the
-  // buffer saturates.
-  const bool write_behind = !options_.packed_layout && !storage_.CommitRoundsShareCost();
-  if (write_behind || txn->buffered_bytes > options_.spill_threshold_bytes) {
+  // §3.3: a saturated Atomic Write Buffer writes intermediary versions
+  // before commit; they stay invisible until the commit record lands.
+  if (txn->buffered_bytes > options_.spill_threshold_bytes) {
     StartEarlyWrites(txn);
   }
   return Status::Ok();
 }
 
 bool AftNode::PrepareDirtyWrites(const TransactionState& txn, const TxnId& writer_id,
-                                 bool rewrites, SmallVector<WriteOp, 8>& ops,
+                                 DirtyPlacement placement, SmallVector<WriteOp, 8>& ops,
                                  std::vector<VersionLocator>& locators,
                                  std::vector<std::string>* keys) {
   if (txn.dirty.empty()) {
@@ -295,25 +294,29 @@ bool AftNode::PrepareDirtyWrites(const TransactionState& txn, const TxnId& write
       options_.packed_layout
           ? 0
           : record_detail::kRecordHeaderBytes + EncodedStringVectorBytes(cowritten) + 4;
-  // The segment (§8 data layout) holds its payloads back to back; their
-  // locators go into the commit record.
+  // The segment (§8 data layout) holds its payloads back to back, as does
+  // the record object after its fields; their locators go into the record.
   std::string segment;
   bool segmented = false;
+  uint32_t in_record_bytes = 0;
   ops.reserve(txn.dirty.size());
   for (const auto& [key, payload] : txn.write_buffer) {
     if (!txn.dirty.contains(key)) {
       continue;
     }
-    if (options_.packed_layout || txn.early_written.contains(key)) {
-      if (!options_.packed_layout && !rewrites) {
-        continue;  // Its version object exists; it waits for the commit's segment.
-      }
+    const auto length = static_cast<uint32_t>(payload.size());
+    if (options_.packed_layout) {
       std::erase_if(locators, [&](const VersionLocator& old) { return old.key == key; });
       locators.push_back(VersionLocator{key, txn.next_segment_index,
-                                        static_cast<uint32_t>(segment.size()),
-                                        static_cast<uint32_t>(payload.size())});
+                                        static_cast<uint32_t>(segment.size()), length});
       segment += payload;
       segmented = true;
+    } else if (placement == DirtyPlacement::kRecord || txn.early_written.contains(key)) {
+      if (placement == DirtyPlacement::kSpill) {
+        continue;  // Its version object may exist; it waits for the record.
+      }
+      locators.push_back(VersionLocator{key, kInRecordSegment, in_record_bytes, length});
+      in_record_bytes += length;
     } else {
       BinaryWriter w;
       w.Reserve(value_base_bytes + payload.size());
@@ -337,8 +340,8 @@ void AftNode::StartEarlyWrites(const TxnPtr& txn) {
   std::vector<std::string> keys;
   // Early versions carry a zero timestamp (the commit timestamp is not yet
   // known); the authoritative metadata is the commit record.
-  const bool segmented =
-      PrepareDirtyWrites(*txn, TxnId(0, txn->uuid), /*rewrites=*/false, ops, locators, &keys);
+  const bool segmented = PrepareDirtyWrites(*txn, TxnId(0, txn->uuid), DirtyPlacement::kSpill,
+                                            ops, locators, &keys);
   if (ops.empty()) {
     return;
   }
@@ -456,9 +459,15 @@ Result<AftNode::VersionedRead> AftNode::GetVersioned(const Uuid& txid, const std
     // Revalidate: while unlocked, overlapping operations of this
     // transaction (a function retry racing its original, §3.3.1) may have
     // tightened the read set or buffered a write of this key. Install the
-    // entry only if Algorithm 1 still picks the fetched version.
+    // fetched version if it still extends the read set; a newer version
+    // committed meanwhile does not invalidate it (the read is Algorithm 1
+    // as of its selection), so the read does not chase it.
     if (auto it = txn->write_buffer.find(key); it != txn->write_buffer.end()) {
       return VersionedRead{it->second, TxnId(0, txid), nullptr};
+    }
+    if (IsValidAtomicRead(key, target, record.get(), txn->read_set)) {
+      txn->read_set[key] = ReadSetEntry{target, record};
+      return VersionedRead{std::move(payload).value(), target, record};
     }
     const AtomicReadChoice check = SelectAtomicReadVersion(key, txn->read_set, index_, commits_);
     switch (check.kind) {
@@ -469,11 +478,8 @@ Result<AftNode::VersionedRead> AftNode::GetVersioned(const Uuid& txid, const std
         metrics_.read_aborts->Increment();
         return Status::Aborted("no valid version of '" + key + "' for this read set");
       case AtomicReadChoice::Kind::kVersion:
-        if (check.version == target) {
-          txn->read_set[key] = ReadSetEntry{target, record};
-          return VersionedRead{std::move(payload).value(), target, record};
-        }
-        break;  // Selection moved while we fetched; fetch the new choice.
+        metrics_.read_refetches->Increment();
+        break;  // The read set moved past the fetched version; fetch the new choice.
     }
   }
   return Status::Aborted("read of '" + key + "' did not stabilize");
@@ -504,6 +510,7 @@ Result<std::vector<AftNode::VersionedRead>> AftNode::MultiGet(
     std::vector<PlannedFetch> fetches;
     std::vector<std::string> planned_keys;   // Keys going through Algorithm 1.
     std::vector<TxnId> planned_versions;     // Chosen version per planned key (Null = null read).
+    std::vector<CommitRecordPtr> planned_records;  // Its record (null for a null read).
     std::vector<size_t> planned_index;       // Position of each planned key in `keys`.
     uint64_t null_reads = 0;
     {
@@ -536,6 +543,7 @@ Result<std::vector<AftNode::VersionedRead>> AftNode::MultiGet(
           case AtomicReadChoice::Kind::kNullVersion:
             out[planned_index[j]] = VersionedRead{std::nullopt, TxnId::Null(), nullptr};
             planned_versions.push_back(TxnId::Null());
+            planned_records.push_back(nullptr);
             ++null_reads;
             break;
           case AtomicReadChoice::Kind::kNoValidVersion:
@@ -548,6 +556,7 @@ Result<std::vector<AftNode::VersionedRead>> AftNode::MultiGet(
               read_pins_.Pin(choice.version);
             }
             planned_versions.push_back(choice.version);
+            planned_records.push_back(choice.record);
             fetches.push_back(PlannedFetch{planned_index[j], choice.version, choice.record});
             break;
         }
@@ -576,7 +585,10 @@ Result<std::vector<AftNode::VersionedRead>> AftNode::MultiGet(
     }
     // Revalidate the whole plan against the current read set (overlapping
     // operations may have changed it while we fetched) and install
-    // all-or-nothing; on any drift, start the cycle over.
+    // all-or-nothing; on any drift, start the cycle over. As in
+    // GetVersioned, versions committed meanwhile do not count as drift:
+    // the plan stands while each choice still extends the read set and the
+    // choices before it.
     bool stable = true;
     for (const std::string& key : planned_keys) {
       if (txn->write_buffer.contains(key)) {
@@ -585,24 +597,20 @@ Result<std::vector<AftNode::VersionedRead>> AftNode::MultiGet(
       }
     }
     if (stable) {
-      const std::vector<AtomicReadChoice> check =
-          PlanAtomicMultiRead(planned_keys, txn->read_set, index_, commits_);
-      for (size_t j = 0; j < check.size(); ++j) {
-        if (check[j].kind == AtomicReadChoice::Kind::kNoValidVersion) {
-          metrics_.read_aborts->Increment();
-          return Status::Aborted("no valid version of '" + planned_keys[j] +
-                                 "' for this read set");
-        }
-        const TxnId now_chosen = check[j].kind == AtomicReadChoice::Kind::kVersion
-                                     ? check[j].version
-                                     : TxnId::Null();
-        if (now_chosen != planned_versions[j]) {
+      std::unordered_map<std::string, ReadSetEntry> working = txn->read_set;
+      for (size_t j = 0; j < planned_keys.size(); ++j) {
+        if (!IsValidAtomicRead(planned_keys[j], planned_versions[j], planned_records[j].get(),
+                               working)) {
           stable = false;
           break;
+        }
+        if (!planned_versions[j].IsNull()) {
+          working[planned_keys[j]] = ReadSetEntry{planned_versions[j], planned_records[j]};
         }
       }
     }
     if (!stable) {
+      metrics_.read_refetches->Increment();
       continue;
     }
     for (size_t j = 0; j < fetches.size(); ++j) {
@@ -625,14 +633,19 @@ Result<std::string> AftNode::ReadVersionPayload(const std::string& key, const Tx
     return std::move(*cached);
   }
   Status last = Status::Internal("unreachable");
-  // A located key's payload sits in a segment (the packed layout, or a key
-  // rewritten after its early write); any other key's in its version object.
+  // A located key's payload sits inside the record object or, in the packed
+  // layout, in a segment; any other key's in its version object.
   const VersionLocator* locator = record != nullptr ? record->FindLocator(key) : nullptr;
+  std::string located_object;
+  if (locator != nullptr) {
+    located_object = locator->in_record()
+                         ? CommitStorageKey(version)
+                         : SegmentStorageKey(version.uuid, locator->segment_index);
+  }
   for (int attempt = 0; attempt <= options_.storage_read_retries; ++attempt) {
     if (locator != nullptr) {
-      // Ranged GET of the payload slice out of the segment.
-      auto bytes = storage_.GetRange(SegmentStorageKey(version.uuid, locator->segment_index),
-                                     locator->offset, locator->length);
+      // Ranged GET of the payload slice out of the located object.
+      auto bytes = storage_.GetRange(located_object, locator->offset, locator->length);
       if (bytes.ok()) {
         data_cache_.Put(version_key, bytes.value());
         return std::move(bytes).value();
@@ -672,7 +685,7 @@ Status AftNode::AbortTransaction(const Uuid& txid) {
     }
     txn->status = TxnStatus::kAborted;
     // §3.3: updates are simply deleted from the Atomic Write Buffer; nothing
-    // was visible. Objects written before commit (early writes, failed
+    // was visible. Objects written before commit (spills, failed
     // commit rounds) are deleted from storage — no commit record references
     // them.
     if (!options_.packed_layout) {
@@ -750,19 +763,44 @@ Result<TxnId> AftNode::CommitTransaction(const Uuid& txid) {
 
   // Write-ordering protocol (§3.3), prepared under the transaction lock as
   // one commit unit: step 1 persists ALL of the transaction's versions — the
-  // dirty ones now (one segment object in the packed layout), the ones
-  // written early by waiting for them — and step 2 the commit record; only
-  // then does the transaction become visible. Nothing here mutates the
-  // transaction; a failed round is accounted for below.
+  // dirty ones now, the spilled ones by waiting for them — and step 2 the
+  // commit record; only then does the transaction become visible. Unless
+  // the engine fuses a unit's data ops with its record into one write, a
+  // data op is a request the record must wait for, so every dirty payload
+  // rides inside the record object and the two steps are one write (a
+  // merged round then merges the records). On a fusing engine a dirty key
+  // never written before gets its version object in the round's data ops
+  // (the packed layout, on any engine: one segment). A key whose version
+  // object may exist rides in the record on every engine. Nothing here
+  // mutates the transaction; a failed round is accounted for below.
+  const bool record_holds_data =
+      !options_.packed_layout && !storage_.CommitUnitsFuseDataWithRecord();
   SmallVector<WriteOp, 8> ops;
   std::vector<VersionLocator> locators = txn->packed_locators;
-  const bool segmented =
-      PrepareDirtyWrites(*txn, commit_id, /*rewrites=*/true, ops, locators, nullptr);
+  const bool segmented = PrepareDirtyWrites(
+      *txn, commit_id, record_holds_data ? DirtyPlacement::kRecord : DirtyPlacement::kRound, ops,
+      locators, nullptr);
   const uint32_t segment_count = txn->next_segment_index + (segmented ? 1 : 0);
   std::vector<std::string> write_set_keys;
   write_set_keys.reserve(txn->write_buffer.size());
   for (const auto& [key, payload] : txn->write_buffer) {
     write_set_keys.push_back(key);
+  }
+  // The record object is its encoded fields followed by the in-record
+  // payloads; the fields' size is known before encoding, so each locator's
+  // offset becomes absolute in the object.
+  const size_t field_bytes = EncodedCommitRecordBytes(write_set_keys, locators);
+  if (field_bytes + txn->buffered_bytes > UINT32_MAX) {
+    // Locator offsets and lengths are u32; the dirty payloads bound them.
+    txn->status = TxnStatus::kRunning;
+    return Status::InvalidArgument("a commit's unsent payloads must stay under 4 GiB");
+  }
+  size_t object_bytes = field_bytes;
+  for (VersionLocator& locator : locators) {
+    if (locator.in_record()) {
+      locator.offset += static_cast<uint32_t>(field_bytes);
+      object_bytes += locator.length;
+    }
   }
   // allocate_shared puts the record and its control block in one pooled
   // block; the allocator (and thus the pool) lives inside the control block,
@@ -770,12 +808,20 @@ Result<TxnId> AftNode::CommitTransaction(const Uuid& txid) {
   auto record = std::allocate_shared<const CommitRecord>(
       record_alloc_,
       CommitRecord{commit_id, std::move(write_set_keys), segment_count, std::move(locators)});
+  BinaryWriter object;
+  object.Reserve(object_bytes);
+  EncodeCommitRecordFields(object, commit_id, record->write_set, segment_count, record->locators);
+  for (const VersionLocator& locator : record->locators) {
+    if (locator.in_record()) {
+      object.PutRaw(txn->write_buffer.find(locator.key)->second);
+    }
+  }
   CommitBatcher::Pending pending;
   pending.unit.data_ops = std::span<WriteOp>(ops.data(), ops.size());
-  pending.unit.commit_record = WriteOp{CommitStorageKey(commit_id), record->Serialize()};
+  pending.unit.commit_record = WriteOp{CommitStorageKey(commit_id), std::move(object).TakeData()};
   pending.record = record;
   pending.trace = txn->trace;
-  // The barrier's other half: the record waits for the early writes still in
+  // The barrier's other half: the record waits for the spills still in
   // flight, and a failed one poisons the unit.
   EarlyWrites* const early = txn->early_written.empty() ? nullptr : &txn->early_writes;
   if (early != nullptr || options_.crash_hook) {
@@ -808,14 +854,17 @@ Result<TxnId> AftNode::CommitTransaction(const Uuid& txid) {
     lock.Lock();
   }
   if (!committed.ok()) {
-    // Let the client retry or abort. The round's writes may have landed, so
-    // a retry never reuses their object names for other bytes: its dirty
-    // keys count as written early (a rewrite goes to a segment) and the
-    // next segment gets a fresh index. Keys whose early write failed are
-    // dirty again.
+    // Let the client retry or abort. The round's object writes may have
+    // landed, so a retry never reuses their names for other bytes: keys
+    // sent to version objects count as written early (the retry carries
+    // them in its record) and the next segment gets a fresh index. The
+    // retry's record is a new object (a new timestamp). Keys whose spill
+    // failed are dirty again.
     txn->status = TxnStatus::kRunning;
-    for (const std::string& key : txn->dirty) {
-      txn->early_written.insert(key);
+    if (!options_.packed_layout && !record_holds_data) {
+      for (const std::string& key : txn->dirty) {
+        txn->early_written.insert(key);
+      }
     }
     if (segmented) {
       ++txn->next_segment_index;
@@ -1018,6 +1067,7 @@ AftNodeStats AftNode::stats() const {
   s.writes.value = metrics_.writes->Value() - baseline_.writes.value;
   s.null_reads.value = metrics_.null_reads->Value() - baseline_.null_reads.value;
   s.read_aborts.value = metrics_.read_aborts->Value() - baseline_.read_aborts.value;
+  s.read_refetches.value = metrics_.read_refetches->Value() - baseline_.read_refetches.value;
   s.spills.value = metrics_.spills->Value() - baseline_.spills.value;
   s.gc_records_removed.value =
       metrics_.gc_records_removed->Value() - baseline_.gc_records_removed.value;

@@ -55,9 +55,7 @@ struct AftNodeOptions {
   uint64_t data_cache_bytes = 64ull * 1024 * 1024;
 
   // Write-buffer spill threshold (§3.3: a saturated Atomic Write Buffer
-  // proactively writes intermediary data to storage). Only consulted where
-  // the engine's commit rounds share a cost or the layout is packed;
-  // elsewhere every version is written as soon as it is buffered.
+  // proactively writes intermediary data to storage).
   uint64_t spill_threshold_bytes = 4ull * 1024 * 1024;
 
   // Packed (log-structured) data layout — the §8 "Efficient Data Layout"
@@ -122,6 +120,7 @@ struct AftNodeStats {
   Cell writes;
   Cell null_reads;
   Cell read_aborts;   // kNoValidVersion outcomes.
+  Cell read_refetches;  // Fetches redone: the read set moved past the fetched version.
   Cell spills;
   Cell gc_records_removed;
   Cell remote_commits_applied;
@@ -187,9 +186,9 @@ class AftNode {
                                               std::span<const std::string> keys);
 
   // Buffers an update. Keys must be non-empty and must not contain '/'.
-  // Where the engine's commit rounds share no cost (and the layout is not
-  // packed) the version's write to storage starts here, without waiting
-  // (write-behind); the commit then waits only for writes still in flight.
+  // A buffer past spill_threshold_bytes sends its dirty versions to storage
+  // without waiting (§3.3); the commit then waits for writes still in
+  // flight.
   Status Put(const Uuid& txid, const std::string& key, std::string value);
 
   // Discards the transaction's buffered updates (and deletes any written
@@ -259,26 +258,36 @@ class AftNode {
 
   Status CheckAlive() const;
   Result<TxnPtr> FindTransaction(const Uuid& txid);
+  // Where PrepareDirtyWrites puts a dirty key outside the packed layout.
+  enum class DirtyPlacement {
+    kSpill,   // Before commit: a version object for each key never written
+              // before; the others stay dirty for the commit.
+    kRound,   // At commit on an engine fusing data with the record: a
+              // version object for each key never written before, the
+              // others in the record.
+    kRecord,  // At commit on any other engine: every key in the record.
+  };
   // Appends the writes that persist the buffer's dirty entries under
-  // `writer_id` to `ops`: one version object per dirty key not written
-  // before, plus ONE segment object at txn.next_segment_index holding the
-  // rest — every dirty key in the packed layout; otherwise, only with
-  // `rewrites` (at commit), the keys rewritten after an early write, whose
-  // version object must not be overwritten. The segment's fresh locators
-  // replace the keys' stale ones in `locators`; `keys`, if non-null,
-  // receives the keys written. Returns whether a segment was added. Reads
-  // `txn` only; the caller applies the outcome.
-  bool PrepareDirtyWrites(const TransactionState& txn, const TxnId& writer_id, bool rewrites,
-                          SmallVector<WriteOp, 8>& ops, std::vector<VersionLocator>& locators,
-                          std::vector<std::string>* keys) REQUIRES(txn.mu);
-  // §3.3 early write: sends the dirty entries that may go out before
-  // commit as invisible intermediary versions, on an idle shared-executor
-  // helper, without waiting. With no helper idle they stay dirty for the
-  // commit round.
+  // `writer_id` to `ops`. The packed layout writes ONE segment object at
+  // txn.next_segment_index holding every dirty payload; otherwise
+  // `placement` picks, per key, a version object or the commit record
+  // object. Fresh locators (segment, or kInRecordSegment with an offset
+  // relative to the record's first payload) replace the keys' stale ones
+  // in `locators`; `keys`, if non-null, receives the keys written to
+  // objects. Returns whether a segment was added. Reads `txn` only; the
+  // caller applies the outcome.
+  bool PrepareDirtyWrites(const TransactionState& txn, const TxnId& writer_id,
+                          DirtyPlacement placement, SmallVector<WriteOp, 8>& ops,
+                          std::vector<VersionLocator>& locators, std::vector<std::string>* keys)
+      REQUIRES(txn.mu);
+  // §3.3 spill: sends the dirty entries that may go out before commit as
+  // invisible intermediary versions, on an idle shared-executor helper,
+  // without waiting. With no helper idle they stay dirty for the commit
+  // round.
   void StartEarlyWrites(const TxnPtr& txn) REQUIRES(txn->mu);
   // Fetches a version payload through the data cache with bounded retries.
-  // A key with a locator in `record` is read from its segment, any other
-  // from its version object.
+  // A key with a locator in `record` is read with a ranged GET of the
+  // record object or its segment, any other from its version object.
   Result<std::string> ReadVersionPayload(const std::string& key, const TxnId& version,
                                          const CommitRecordPtr& record);
   // Batcher round publisher: stages every committed member's record (and
@@ -358,6 +367,7 @@ class AftNode {
     obs::Counter* writes;
     obs::Counter* null_reads;
     obs::Counter* read_aborts;
+    obs::Counter* read_refetches;
     obs::Counter* spills;
     obs::Counter* gc_records_removed;
     obs::Counter* remote_commits_applied;

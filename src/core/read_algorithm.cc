@@ -3,12 +3,12 @@
 #include <algorithm>
 
 namespace aft {
+namespace {
 
-AtomicReadChoice SelectAtomicReadVersion(
-    const std::string& key, const std::unordered_map<std::string, ReadSetEntry>& read_set,
-    const KeyVersionIndex& index, const CommitSetCache& commits) {
-  // Lines 1-5: compute the transaction-ID lower bound from prior reads whose
-  // cowritten sets include `key`.
+// Lines 1-5: the transaction-ID lower bound from prior reads whose cowritten
+// sets include `key`.
+TxnId ReadLowerBound(const std::string& key,
+                     const std::unordered_map<std::string, ReadSetEntry>& read_set) {
   TxnId lower = TxnId::Null();
   for (const auto& [read_key, entry] : read_set) {
     if (entry.record == nullptr) {
@@ -19,6 +19,29 @@ AtomicReadChoice SelectAtomicReadVersion(
       lower = std::max(lower, entry.version);
     }
   }
+  return lower;
+}
+
+// Lines 14-19: whether T_t cowrote some key l that R read at a version older
+// than t — returning k_t would mean we should have returned l_t earlier
+// (case 2).
+bool CowriteReadOlder(const CommitRecord& record, const TxnId& t,
+                      const std::unordered_map<std::string, ReadSetEntry>& read_set) {
+  for (const std::string& cowritten_key : record.write_set) {
+    auto it = read_set.find(cowritten_key);
+    if (it != read_set.end() && it->second.version < t) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
+AtomicReadChoice SelectAtomicReadVersion(
+    const std::string& key, const std::unordered_map<std::string, ReadSetEntry>& read_set,
+    const KeyVersionIndex& index, const CommitSetCache& commits) {
+  const TxnId lower = ReadLowerBound(key, read_set);
 
   // Lines 6-9: if we know of no version at all and nothing constrains us,
   // the read observes the NULL version.
@@ -41,17 +64,7 @@ AtomicReadChoice SelectAtomicReadVersion(
       // its cowrites, so skip it (reads get staler, never incorrect).
       continue;
     }
-    bool valid = true;
-    for (const std::string& cowritten_key : record->write_set) {
-      auto it = read_set.find(cowritten_key);
-      if (it != read_set.end() && it->second.version < t) {
-        // We already read an older version of a key T_t cowrote; returning
-        // k_t would mean we should have returned l_t earlier (case 2).
-        valid = false;
-        break;
-      }
-    }
-    if (valid) {
+    if (!CowriteReadOlder(*record, t, read_set)) {
       return AtomicReadChoice{AtomicReadChoice::Kind::kVersion, t, std::move(record), examined};
     }
   }
@@ -65,6 +78,16 @@ AtomicReadChoice SelectAtomicReadVersion(
   }
   return AtomicReadChoice{AtomicReadChoice::Kind::kNoValidVersion, TxnId::Null(), nullptr,
                           examined};
+}
+
+bool IsValidAtomicRead(const std::string& key, const TxnId& version,
+                       const CommitRecord* record,
+                       const std::unordered_map<std::string, ReadSetEntry>& read_set) {
+  const TxnId lower = ReadLowerBound(key, read_set);
+  if (version.IsNull()) {
+    return lower.IsNull();
+  }
+  return record != nullptr && version >= lower && !CowriteReadOlder(*record, version, read_set);
 }
 
 std::vector<AtomicReadChoice> PlanAtomicMultiRead(

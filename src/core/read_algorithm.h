@@ -54,6 +54,15 @@ AtomicReadChoice SelectAtomicReadVersion(
     const std::string& key, const std::unordered_map<std::string, ReadSetEntry>& read_set,
     const KeyVersionIndex& index, const CommitSetCache& commits);
 
+// Whether `version` of `key` (the NULL version when null; else written by
+// `record`) still extends `read_set` to an Atomic Readset: it is at least
+// the lower bound of lines 3-5 and passes the case-2 check of lines 14-19.
+// Newer versions committed since it was chosen do not make it invalid, so
+// a read whose fetch overlapped a commit may keep what it fetched.
+bool IsValidAtomicRead(const std::string& key, const TxnId& version,
+                       const CommitRecord* record,
+                       const std::unordered_map<std::string, ReadSetEntry>& read_set);
+
 // Runs Algorithm 1 for each key IN ORDER, folding every kVersion selection
 // into a working copy of the read set before the next key is planned: key
 // i+1 sees key i's choice exactly as if the reads had been issued

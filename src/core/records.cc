@@ -56,12 +56,8 @@ const VersionLocator* CommitRecord::FindLocator(const std::string& key) const {
 }
 
 std::string CommitRecord::Serialize() const {
-  size_t bytes = record_detail::kRecordHeaderBytes + EncodedStringVectorBytes(write_set) + 4 + 4;
-  for (const VersionLocator& locator : locators) {
-    bytes += 4 + locator.key.size() + 12;
-  }
   BinaryWriter w;
-  w.Reserve(bytes);
+  w.Reserve(EncodedCommitRecordBytes(write_set, locators));
   EncodeCommitRecordFields(w, id, write_set, segment_count, locators);
   return std::move(w).TakeData();
 }

@@ -12,15 +12,32 @@
 //                     key versions are durable; its presence is what makes
 //                     the transaction's updates visible.
 //
+// A payload lives in one of three places, named by the record:
+//
+//  * its version object, when the record has no locator for the key — the
+//    layout on an engine that fuses a commit's data ops with its record in
+//    one write (StorageEngine::CommitUnitsFuseDataWithRecord: the local
+//    engine's WAL append), and for a key the write buffer spilled (§3.3);
+//  * inside the commit record's own object, when the key's locator names
+//    `kInRecordSegment`: the stored object is the record's encoded fields
+//    followed by these payloads, so the record and its data become durable
+//    in ONE write and the §3.3 ordering holds by construction. This is the
+//    layout on every other engine, and on every engine the place of a key
+//    whose version object may already exist (rewritten after a spill, or
+//    sent by a failed commit round): a version object is never overwritten;
+//  * a packed segment "s/<uuid>.<index>" (the packed layout, below).
+//
 // The version key uses only the UUID (not the commit timestamp) because the
-// write buffer may write versions to storage *before* the commit timestamp
-// is assigned (§3.3). A version object is never overwritten with another
-// payload: a key rewritten after its early write commits through a segment
-// (below) with a locator in the commit record.
+// write buffer may spill versions to storage *before* the commit timestamp
+// is assigned (§3.3). Readers fetch an in-record or segment payload with a
+// ranged GET; the record's wire form (gossip, the commit-set cache) is its
+// fields only — CommitRecord never holds payloads, and Deserialize ignores
+// the bytes after the fields.
 
 #ifndef SRC_CORE_RECORDS_H_
 #define SRC_CORE_RECORDS_H_
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -54,12 +71,18 @@ std::string CommitStorageKey(const TxnId& id);
 // Extracts the transaction ID back out of a commit storage key.
 TxnId TxnIdFromCommitStorageKey(const std::string& storage_key);
 
-// Where a payload lives inside a packed segment.
+// The segment index of a locator whose payload sits inside the commit
+// record's own object, at an offset absolute in that object.
+inline constexpr uint32_t kInRecordSegment = UINT32_MAX;
+
+// Where a payload lives inside a packed segment or the commit record object.
 struct VersionLocator {
   std::string key;
-  uint32_t segment_index = 0;  // Which of the transaction's segments.
+  uint32_t segment_index = 0;  // Which of the transaction's segments, or kInRecordSegment.
   uint32_t offset = 0;
   uint32_t length = 0;
+
+  bool in_record() const { return segment_index == kInRecordSegment; }
 };
 
 // A committed transaction: its ID and write set (key names; the versions are
@@ -67,16 +90,16 @@ struct VersionLocator {
 // The cowritten set of any version ki equals Ti's write set (§3.2).
 //
 // With the packed layout, the record additionally carries the number of
-// segment objects and a locator per key. A key-per-version record may
-// carry locators too, for keys rewritten after their early write (a mixed
-// record); a key without a locator lives in its version object.
+// segment objects and a locator per key. Otherwise a key with a locator
+// has its payload inside the record object and a key without one lives in
+// its version object.
 struct CommitRecord {
   TxnId id;
   std::vector<std::string> write_set;
   uint32_t segment_count = 0;
   std::vector<VersionLocator> locators;
 
-  // Whether any payload lives in a segment: a packed or a mixed record.
+  // Whether any payload lives in a segment (the packed layout).
   bool packed() const { return segment_count > 0; }
   const VersionLocator* FindLocator(const std::string& key) const;
 
@@ -115,6 +138,20 @@ size_t EncodedStringVectorBytes(const Keys& keys) {
   size_t bytes = 4;
   for (const auto& key : keys) {
     bytes += 4 + std::string_view(key).size();
+  }
+  return bytes;
+}
+
+// Encoded size of a commit record's fields. Every locator field but the key
+// is a fixed-width u32, so the size is known before the offsets are: an
+// in-record payload's absolute offset is this size plus its place among the
+// payloads.
+template <typename Keys>
+size_t EncodedCommitRecordBytes(const Keys& write_set,
+                                const std::vector<VersionLocator>& locators) {
+  size_t bytes = record_detail::kRecordHeaderBytes + EncodedStringVectorBytes(write_set) + 4 + 4;
+  for (const VersionLocator& locator : locators) {
+    bytes += 4 + locator.key.size() + 12;
   }
   return bytes;
 }

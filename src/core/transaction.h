@@ -43,8 +43,9 @@ struct ReadSetEntry {
 };
 
 // A transaction's data writes issued before its commit round — §3.3's
-// intermediary versions, written while the transaction still runs — which
-// the round's barrier waits for before writing the commit record.
+// intermediary versions, which a saturated write buffer spills while the
+// transaction still runs — which the round's barrier waits for before
+// writing the commit record.
 // Thread-safe: the issuer calls Begin() before sending a write and Finish()
 // once storage answered; the commit round Wait()s.
 class EarlyWrites {
@@ -128,24 +129,24 @@ struct TransactionState {
 
   // ---- Atomic Write Buffer (§3.3) -----------------------------------------
   // key -> payload. `dirty` tracks entries whose current payload has not
-  // been sent to storage; `early_written` keys had a write sent before
-  // commit (an early write, or a failed commit round), so their version
+  // been sent to storage; `early_written` keys had a version write sent
+  // before commit (a spill, or a failed commit round), so their version
   // object may exist — invisible until the commit record lands, and never
-  // overwritten: such a key, once dirty again, commits through a segment.
+  // overwritten: such a key, once dirty again, commits inside the record
+  // object (the packed layout: in a later segment).
   std::map<std::string, std::string> write_buffer GUARDED_BY(mu);
   std::unordered_set<std::string> dirty GUARDED_BY(mu);
   std::unordered_set<std::string> early_written GUARDED_BY(mu);
   uint64_t buffered_bytes GUARDED_BY(mu) = 0;  // payload bytes of `dirty`
 
-  // Early writes still in flight, and the failed ones (own lock, a leaf
-  // under `mu`). The commit unit's after_data_write hook waits for them.
+  // Spills still in flight, and the failed ones (own lock, a leaf under
+  // `mu`). The commit unit's after_data_write hook waits for them.
   EarlyWrites early_writes;
 
-  // Segments written so far (early writes, failed commit rounds, the
-  // commit) and the locator of each key's payload within them. In the
-  // packed layout (§8) every payload lives in a segment; otherwise only
-  // the payloads of keys rewritten after their early write do. A key
-  // rewritten after being written gets a fresh locator in a later segment.
+  // Packed layout (§8) only: segments written so far (spills, failed
+  // commit rounds, the commit) and the locator of each key's payload
+  // within them. A key rewritten after being written gets a fresh locator
+  // in a later segment.
   uint32_t next_segment_index GUARDED_BY(mu) = 0;
   std::vector<VersionLocator> packed_locators GUARDED_BY(mu);
 

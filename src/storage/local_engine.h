@@ -118,6 +118,8 @@ class LocalEngine final : public StorageEngine {
   // Every round ends in one group-committed fsync, paid once however many
   // units ride it.
   bool CommitRoundsShareCost() const override { return true; }
+  // A unit's data ops and record ride the same append (see CommitUnits).
+  bool CommitUnitsFuseDataWithRecord() const override { return true; }
   Status Delete(const std::string& key) override;
   Status BatchDelete(std::span<const std::string> keys) override;
   Result<std::vector<std::string>> List(const std::string& prefix) override;

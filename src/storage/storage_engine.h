@@ -171,6 +171,13 @@ class StorageEngine {
   // own round. May change at runtime (SimEngineBase's pool bound).
   virtual bool CommitRoundsShareCost() const { return false; }
 
+  // Whether CommitUnits persists a unit's data ops and its commit record in
+  // ONE durable write (the local engine's single WAL append and fsync), so a
+  // data op costs no write of its own. Where it is false, every data op is
+  // a request the record must wait for, and AftNode puts a commit's
+  // payloads inside the record object instead.
+  virtual bool CommitUnitsFuseDataWithRecord() const { return false; }
+
   // Deletes `key`. Deleting a missing key is OK (idempotent).
   virtual Status Delete(const std::string& key) = 0;
 

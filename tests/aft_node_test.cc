@@ -3,10 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <functional>
+#include <mutex>
 #include <optional>
+#include <thread>
 
 #include "src/core/aft_node.h"
 #include "src/storage/sim_dynamo.h"
+#include "src/storage/sim_engine_base.h"
 
 namespace aft {
 namespace {
@@ -185,8 +190,11 @@ TEST_F(AftNodeTest, AdoptTransactionAllowsContinuation) {
 
 // ---- Write-ordering protocol / crash injection --------------------------------------
 
+// A spilled write buffer sends the data before the commit, so a data write
+// lands before the record.
 TEST_F(AftNodeTest, CrashAfterDataWriteLeavesNoVisibleState) {
   AftNodeOptions options;
+  options.spill_threshold_bytes = 0;
   bool crash_armed = true;
   options.crash_hook = [&crash_armed](CrashPoint point) {
     return crash_armed && point == CrashPoint::kAfterDataWrite;
@@ -203,6 +211,28 @@ TEST_F(AftNodeTest, CrashAfterDataWriteLeavesNoVisibleState) {
   ASSERT_TRUE(keys.ok());
   EXPECT_EQ(keys->size(), 1u);
   // ...but no commit record exists, so a recovering node sees nothing.
+  EXPECT_TRUE(storage_.List(kCommitPrefix)->empty());
+  auto recovered = MakeNode("recovered");
+  EXPECT_FALSE(ReadOnce(*recovered, "k").has_value());
+}
+
+// Unspilled, the payload rides inside the record object: a crash before the
+// record write leaves no object at all.
+TEST_F(AftNodeTest, CrashAfterDataWriteOfInlineRecordLeavesNoObject) {
+  AftNodeOptions options;
+  bool crash_armed = true;
+  options.crash_hook = [&crash_armed](CrashPoint point) {
+    return crash_armed && point == CrashPoint::kAfterDataWrite;
+  };
+  auto node = MakeNode("crashy", options);
+  auto txid = node->StartTransaction();
+  ASSERT_TRUE(node->Put(*txid, "k", "half-done").ok());
+  EXPECT_TRUE(node->CommitTransaction(*txid).status().IsUnavailable());
+  EXPECT_FALSE(node->alive());
+
+  crash_armed = false;
+  EXPECT_TRUE(storage_.List(kVersionPrefix)->empty());
+  EXPECT_TRUE(storage_.List(kCommitPrefix)->empty());
   auto recovered = MakeNode("recovered");
   EXPECT_FALSE(ReadOnce(*recovered, "k").has_value());
 }
@@ -458,6 +488,139 @@ TEST_F(AftNodeTest, CachingDisabledFallsBackToStorage) {
   const uint64_t gets_before = storage_.counters().gets.load();
   EXPECT_EQ(ReadOnce(*node, "k").value(), "uncached");
   EXPECT_GT(storage_.counters().gets.load(), gets_before);
+}
+
+// Zero-latency engine whose next ranged GET, once armed, blocks until
+// released, so a test can commit while a read's fetch is in flight.
+class GatedReadEngine final : public SimEngineBase {
+ public:
+  explicit GatedReadEngine(Clock& clock)
+      : SimEngineBase("gated-read", clock, InstantDynamo().profile, StalenessModel{}, 16) {}
+  bool SupportsBatchPut() const override { return false; }
+  size_t MaxBatchSize() const override { return 1; }
+
+  Result<std::string> GetRange(const std::string& key, uint64_t offset,
+                               uint64_t length) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (armed_) {
+      armed_ = false;
+      entered_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return released_; });
+    }
+    lock.unlock();
+    return SimEngineBase::GetRange(key, offset, length);
+  }
+
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+  }
+  void AwaitEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return entered_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+class FetchRaceTest : public ::testing::Test {
+ protected:
+  FetchRaceTest() : storage_(clock_), node_("n0", storage_, clock_, Uncached()) {
+    EXPECT_TRUE(node_.Start().ok());
+  }
+
+  static AftNodeOptions Uncached() {
+    AftNodeOptions options;
+    options.data_cache_bytes = 0;
+    return options;
+  }
+
+  void Commit(const std::vector<std::pair<std::string, std::string>>& kvs) {
+    auto txid = node_.StartTransaction();
+    ASSERT_TRUE(txid.ok());
+    for (const auto& [key, value] : kvs) {
+      ASSERT_TRUE(node_.Put(*txid, key, value).ok());
+    }
+    ASSERT_TRUE(node_.CommitTransaction(*txid).ok());
+  }
+
+  // Reads "k" in `reader` on another thread (one Get, or a MultiGet of "k"
+  // alone), runs `meanwhile` while that read's fetch of the version it chose
+  // is held, and returns what it read.
+  std::optional<std::string> ReadKAcross(const Uuid& reader, const std::function<void()>& meanwhile,
+                                         bool multi = false) {
+    storage_.Arm();
+    std::optional<std::string> read;
+    std::thread fetch([&] {
+      if (multi) {
+        const std::vector<std::string> keys = {"k"};
+        auto values = node_.MultiGet(reader, keys);
+        EXPECT_TRUE(values.ok()) << values.status().ToString();
+        read = values.ok() ? (*values)[0].value : std::nullopt;
+        return;
+      }
+      auto value = node_.Get(reader, "k");
+      EXPECT_TRUE(value.ok()) << value.status().ToString();
+      read = value.ok() ? *value : std::nullopt;
+    });
+    storage_.AwaitEntered();
+    meanwhile();
+    storage_.Release();
+    fetch.join();
+    return read;
+  }
+
+  SimClock clock_;
+  GatedReadEngine storage_;
+  AftNode node_;
+};
+
+// A commit landing while a read's fetch is in flight leaves the fetched
+// version valid: the read keeps it rather than chasing the newer one.
+TEST_F(FetchRaceTest, CommitDuringFetchKeepsTheFetchedVersion) {
+  Commit({{"k", "old"}});
+  auto reader = node_.StartTransaction();
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(ReadKAcross(*reader, [&] { Commit({{"k", "new"}}); }),
+            std::optional<std::string>("old"));
+  EXPECT_EQ(node_.stats().read_refetches.load(), 0u);
+}
+
+TEST_F(FetchRaceTest, CommitDuringMultiGetFetchKeepsThePlan) {
+  Commit({{"k", "old"}});
+  auto reader = node_.StartTransaction();
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(ReadKAcross(*reader, [&] { Commit({{"k", "new"}}); }, /*multi=*/true),
+            std::optional<std::string>("old"));
+  EXPECT_EQ(node_.stats().read_refetches.load(), 0u);
+}
+
+// An overlapping read of the same transaction that tightens the read set
+// past the fetched version (it read "m" from a transaction that cowrote a
+// newer "k") makes the read fetch again, and the refetch is counted.
+TEST_F(FetchRaceTest, ReadSetTightenedDuringFetchRefetches) {
+  Commit({{"k", "old"}});
+  auto reader = node_.StartTransaction();
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(ReadKAcross(*reader,
+                        [&] {
+                          Commit({{"k", "new"}, {"m", "new"}});
+                          EXPECT_EQ(node_.Get(*reader, "m").value(),
+                                    std::optional<std::string>("new"));
+                        }),
+            std::optional<std::string>("new"));
+  EXPECT_EQ(node_.stats().read_refetches.load(), 1u);
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Test helper: the node's early writes (§3.3) land on a shared-executor
+// Test helper: the node's spills (§3.3) land on a shared-executor
 // helper after Put returns, so a test that asserts on storage contents
 // before commit first waits for them to land.
 

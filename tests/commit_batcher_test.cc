@@ -301,13 +301,18 @@ TEST(CommitBatcherPolicy, EnginesReportWhetherRoundsShareCost) {
   EXPECT_FALSE(s3.CommitRoundsShareCost());
   s3.SetMaxConcurrentRequests(4);
   EXPECT_TRUE(s3.CommitRoundsShareCost());
+  // A bounded pool shares slots, but every data op is still a request of
+  // its own: payloads ride inside the record.
+  EXPECT_FALSE(s3.CommitUnitsFuseDataWithRecord());
   s3.SetMaxConcurrentRequests(0);
   EXPECT_FALSE(s3.CommitRoundsShareCost());
+  EXPECT_FALSE(s3.CommitUnitsFuseDataWithRecord());
 
   TempDir dir;
   auto local = LocalEngine::Open(dir.path());
   ASSERT_TRUE(local.ok());
   EXPECT_TRUE((*local)->CommitRoundsShareCost());
+  EXPECT_TRUE((*local)->CommitUnitsFuseDataWithRecord());
 }
 
 TEST(CommitBatcherPolicy, UnboundedS3CommittersNeverQueue) {

@@ -108,12 +108,15 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CrashRecoveryPropertyTest, ::testing::Range(0, 6
 
 // ---- Orphan collection ------------------------------------------------------------
 
+// The version objects below are spilled at Put (threshold 0): unspilled, a
+// payload rides inside the record.
 TEST(OrphanSweepTest, OrphanedVersionsAreReapedAfterGrace) {
   SimClock clock;
   SimDynamo storage(clock, InstantDynamo());
   ClusterOptions options;
   options.num_nodes = 1;
   options.start_background_threads = false;
+  options.node_options.spill_threshold_bytes = 0;
   options.fault_manager.orphan_grace = Millis(500);
   // The dying node: crashes after writing data, before the commit record.
   options.node_options.crash_hook = [](CrashPoint point) {
@@ -142,6 +145,7 @@ TEST(OrphanSweepTest, CommittedVersionsAreNeverReaped) {
   ClusterOptions options;
   options.num_nodes = 1;
   options.start_background_threads = false;
+  options.node_options.spill_threshold_bytes = 0;
   options.fault_manager.orphan_grace = Millis(1);
   ClusterDeployment cluster(storage, clock, options);
   ASSERT_TRUE(cluster.Start().ok());
@@ -153,6 +157,46 @@ TEST(OrphanSweepTest, CommittedVersionsAreNeverReaped) {
   clock.Advance(Millis(100));
   EXPECT_EQ(cluster.fault_manager().RunOrphanSweepOnce(), 0u);
   EXPECT_EQ(storage.List(kVersionPrefix)->size(), 1u);
+}
+
+// Unspilled, a commit torn before its record write leaves no object to reap, and a committed payload lives in its record object,
+// which the sweep never touches.
+TEST(OrphanSweepTest, InlineRecordsLeaveNothingToReap) {
+  SimClock clock;
+  SimDynamo storage(clock, InstantDynamo());
+  ClusterOptions options;
+  options.num_nodes = 1;
+  options.start_background_threads = false;
+  options.fault_manager.orphan_grace = Millis(1);
+  bool crash_armed = true;
+  options.node_options.crash_hook = [&crash_armed](CrashPoint point) {
+    return crash_armed && point == CrashPoint::kAfterDataWrite;
+  };
+  ClusterDeployment cluster(storage, clock, options);
+  ASSERT_TRUE(cluster.Start().ok());
+
+  auto torn = cluster.node(0)->StartTransaction();
+  ASSERT_TRUE(cluster.node(0)->Put(*torn, "torn", "x").ok());
+  EXPECT_TRUE(cluster.node(0)->CommitTransaction(*torn).status().IsUnavailable());
+  EXPECT_TRUE(storage.List(kVersionPrefix)->empty());
+  EXPECT_TRUE(storage.List(kCommitPrefix)->empty());
+
+  crash_armed = false;
+  AftNodeOptions uncached;
+  uncached.data_cache_bytes = 0;
+  uncached.service_cores = 0;
+  AftNode writer("writer", storage, clock, uncached);
+  ASSERT_TRUE(writer.Start().ok());
+  auto txid = writer.StartTransaction();
+  ASSERT_TRUE(writer.Put(*txid, "safe", "x").ok());
+  ASSERT_TRUE(writer.CommitTransaction(*txid).ok());
+  clock.Advance(Millis(100));
+  EXPECT_EQ(cluster.fault_manager().RunOrphanSweepOnce(), 0u);
+  clock.Advance(Millis(100));
+  EXPECT_EQ(cluster.fault_manager().RunOrphanSweepOnce(), 0u);
+  EXPECT_EQ(storage.List(kCommitPrefix)->size(), 1u);
+  auto reader_txid = writer.StartTransaction();
+  EXPECT_EQ(writer.Get(*reader_txid, "safe").value(), std::optional<std::string>("x"));
 }
 
 TEST(OrphanSweepTest, UncommittedButRecentVersionsSurviveViaGrace) {

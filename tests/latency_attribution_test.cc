@@ -6,8 +6,9 @@
 //     DISJOINT, nested slices of the end-to-end commit, so across any run
 //     the stage sums total at most the aft_node_commit_latency_ms sum.
 //     Holds on the solo fast path, under concurrent non-merging rounds,
-//     under merged rounds and with early writes still in flight at commit,
-//     on both the simulated-cloud engine and the durable LocalEngine.
+//     under merged rounds, with spills still in flight at commit and for
+//     inline records, on both the simulated-cloud engine and the durable
+//     LocalEngine.
 //   * Coverage — every committed transaction observes every per-commit
 //     stage exactly once, with exactly one queue_wait_{leader,follower}
 //     by batch role (always leader where the engine's rounds do not merge).
@@ -197,16 +198,18 @@ TEST(LatencyAttribution, ReconcilesUnbatchedSimEngine) {
   CheckReconciliation("attr-sim-unmerged", committed, /*merging=*/false);
 }
 
-// Write-behind: each transaction's version write starts at Put and is still
-// in flight when the commit begins (a ~4 ms batch call, then an immediate
-// commit). The commit's wait for it must land in the barrier stage, and the
-// stages must still reconcile.
+// Every Put spills past the threshold, so each transaction's version write
+// is still in flight when the commit begins (a ~4 ms batch call, then an
+// immediate commit). The commit's wait for it must land in the barrier
+// stage, and the stages must still reconcile.
 TEST(LatencyAttribution, ReconcilesInFlightEarlyWrites) {
   RealClock clock(1.0);
   SimDynamoOptions options = InstantDynamoOptions();
   options.profile.batch_base = LatencyModel(4.0, 0.0);
   SimDynamo engine(clock, options);
-  AftNode node("attr-early-writes", engine, clock, FastNodeOptions());
+  AftNodeOptions node_options = FastNodeOptions();
+  node_options.spill_threshold_bytes = 1;
+  AftNode node("attr-early-writes", engine, clock, node_options);
   ASSERT_TRUE(node.Start().ok());
   const uint64_t committed = RunCommits(node, /*threads=*/2, /*txns_per_thread=*/10);
   node.Kill();
@@ -216,6 +219,27 @@ TEST(LatencyAttribution, ReconcilesInFlightEarlyWrites) {
   const CommitStageHistograms stages = CommitStageHistograms::ForNode("attr-early-writes");
   EXPECT_GE(stages.barrier->Sum(), static_cast<double>(committed) * 2e-3)
       << "the wait for in-flight early writes is not in the barrier stage";
+}
+
+// On a simulated engine the payloads ride inside the record object: one
+// write, so there is no barrier, the data round is (close to) zero and
+// the record write carries the commit's storage time.
+TEST(LatencyAttribution, ReconcilesInlineRecords) {
+  RealClock clock(1.0);
+  SimDynamoOptions options = InstantDynamoOptions();
+  options.profile.put = LatencyModel(5.0, 0.0);
+  SimDynamo engine(clock, options);
+  AftNode node("attr-inline", engine, clock, FastNodeOptions());
+  ASSERT_TRUE(node.Start().ok());
+  const uint64_t committed = RunCommits(node, /*threads=*/2, /*txns_per_thread=*/10);
+  node.Kill();
+  ASSERT_GT(committed, 0u);
+  EXPECT_EQ(node.stats().spills.load(), 0u);
+  CheckReconciliation("attr-inline", committed, /*merging=*/false);
+  const CommitStageHistograms stages = CommitStageHistograms::ForNode("attr-inline");
+  EXPECT_EQ(stages.barrier->Sum(), 0.0);
+  EXPECT_GE(stages.record_write->Sum(), static_cast<double>(committed) * 4e-3);
+  EXPECT_LT(stages.data_flush->Sum(), 0.1 * stages.record_write->Sum());
 }
 
 TEST(LatencyAttribution, ReconcilesBatchedLocalEngine) {

@@ -503,12 +503,28 @@ TEST_F(NetServiceTest, ClientReconnectsAfterServerRestart) {
 // commit record, so a node that dies between the two must leave NO visible
 // dirty data — a second client reading after the crash sees nothing.
 
-TEST(NetFaultTest, ServerKilledMidCommitLeavesNoDirtyData) {
-  SimClock clock;
-  SimDynamo storage(clock, InstantDynamo());
+// Polls until `node` is down or 5 s pass: the client can see the torn
+// connection before the crash hook's Kill() lands on the server's thread.
+void AwaitDown(const AftNode& node) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (node.alive() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
 
+// Kills the server after the commit's data write, before its record write,
+// and stores the transaction's ID in `txid`. Then a recovered node over the
+// same storage must serve NO value for "k": without a commit record the
+// write never happened (write-ordering step 2 was not reached). With
+// `spill` the write buffer sends "k" to its version object at Put, so a data
+// write lands before the record; otherwise the payload rides in the record.
+void KillServerMidCommitAndCheckRecovery(SimDynamo& storage, SimClock& clock, bool spill,
+                                         Uuid* txid) {
   AftServiceServer* server_hook = nullptr;
   AftNodeOptions node_options;
+  if (spill) {
+    node_options.spill_threshold_bytes = 0;
+  }
   // Crash AFTER the data write, BEFORE the commit record: the worst case for
   // dirty reads. The hook also tears the TCP connection, exactly as a kill -9
   // of the server process would.
@@ -532,20 +548,17 @@ TEST(NetFaultTest, ServerKilledMidCommitLeavesNoDirtyData) {
 
   auto session = client.StartTransaction();
   ASSERT_TRUE(session.ok());
+  *txid = session->txid;
   ASSERT_TRUE(client.Put(*session, "k", "dirty").ok());
   auto committed = client.Commit(*session);
   // The client observes a failure — torn connection or the dying node's
   // kUnavailable — NEVER a successful commit.
   ASSERT_FALSE(committed.ok());
+  AwaitDown(node);
   EXPECT_FALSE(node.alive());
   server_hook = nullptr;
   server.Stop();
 
-  // The data version reached storage (write-ordering step 1)...
-  EXPECT_TRUE(storage.Get(VersionStorageKey("k", session->txid)).ok());
-
-  // ...but a recovered node over the same storage serves NO value for "k":
-  // without a commit record the write never happened (step 2 was not reached).
   AftNode recovered("aft-1", storage, clock);
   ASSERT_TRUE(recovered.Start().ok());
   AftServiceServer recovered_server(recovered);
@@ -558,6 +571,31 @@ TEST(NetFaultTest, ServerKilledMidCommitLeavesNoDirtyData) {
   EXPECT_FALSE(read->has_value());
   EXPECT_TRUE(reader.Abort(*reader_session).ok());
   recovered_server.Stop();
+}
+
+// A spilled write buffer sends the data before the commit; the commit's
+// barrier waits for it, and the kill lands before the record.
+TEST(NetFaultTest, ServerKilledMidCommitLeavesNoDirtyData) {
+  SimClock clock;
+  SimDynamo storage(clock, InstantDynamo());
+  Uuid txid;
+  ASSERT_NO_FATAL_FAILURE(
+      KillServerMidCommitAndCheckRecovery(storage, clock, /*spill=*/true, &txid));
+  // The data version reached storage (write-ordering step 1), and no record.
+  EXPECT_TRUE(storage.Get(VersionStorageKey("k", txid)).ok());
+  EXPECT_TRUE(storage.List(kCommitPrefix)->empty());
+}
+
+// Unspilled, the payload rides inside the record object, so the kill leaves
+// no object at all.
+TEST(NetFaultTest, ServerKilledMidInlineCommitLeavesNoObject) {
+  SimClock clock;
+  SimDynamo storage(clock, InstantDynamo());
+  Uuid txid;
+  ASSERT_NO_FATAL_FAILURE(
+      KillServerMidCommitAndCheckRecovery(storage, clock, /*spill=*/false, &txid));
+  EXPECT_TRUE(storage.List(kVersionPrefix)->empty());
+  EXPECT_TRUE(storage.List(kCommitPrefix)->empty());
 }
 
 // ---- Threading matrix: both server models, explicitly ------------------------

@@ -187,10 +187,14 @@ class RendezvousEngine final : public PerKeyEngine {
   size_t rendezvous_ = 0;
 };
 
-TEST(ParallelCommitTest, CommitFlushDispatchesWritesConcurrently) {
+// Version objects go out before the record when the write buffer spills:
+// here the fourth Put passes the threshold and sends all four at once.
+TEST(ParallelCommitTest, SpillFlushDispatchesWritesConcurrently) {
   SimClock clock;
   RendezvousEngine storage(clock, 4);
-  AftNode node("n0", storage, clock);
+  AftNodeOptions options;
+  options.spill_threshold_bytes = 3 * 3;  // Three "v-?" payloads fit.
+  AftNode node("n0", storage, clock, options);
   ASSERT_TRUE(node.Start().ok());
 
   auto txid = node.StartTransaction();
@@ -201,6 +205,23 @@ TEST(ParallelCommitTest, CommitFlushDispatchesWritesConcurrently) {
   ASSERT_TRUE(node.CommitTransaction(*txid).ok());
   // All four version writes were in flight at once.
   EXPECT_EQ(storage.rendezvous(), 4u);
+}
+
+TEST(ParallelCommitTest, InlineCommitIsOnePut) {
+  SimClock clock;
+  PerKeyEngine storage(clock);
+  AftNode node("n0", storage, clock);
+  ASSERT_TRUE(node.Start().ok());
+
+  auto txid = node.StartTransaction();
+  ASSERT_TRUE(txid.ok());
+  for (const std::string key : {"a", "b", "c", "d"}) {
+    ASSERT_TRUE(node.Put(*txid, key, "v-" + key).ok());
+  }
+  const uint64_t puts_before = storage.counters().puts.load();
+  ASSERT_TRUE(node.CommitTransaction(*txid).ok());
+  EXPECT_EQ(storage.counters().puts.load() - puts_before, 1u);
+  EXPECT_TRUE(storage.List(kVersionPrefix)->empty());
 }
 
 // Engine that fails the PUT of any storage key containing `marker`.
@@ -227,12 +248,15 @@ class PoisonedEngine final : public PerKeyEngine {
 // The §3.3 commit barrier under partial flush failure: one of six parallel
 // data writes fails, so the commit record must never be written and NO
 // partial state may be visible to any reader — the five versions that did
-// land are invisible orphans.
+// land are invisible orphans. The sixth Put passes the spill threshold and
+// sends all six versions at once.
 TEST(ParallelCommitTest, PartialFlushFailureWritesNoCommitRecord) {
   SimClock clock;
   PoisonedEngine storage(clock);
   storage.Poison("/k3/");  // Fails the version object of user key "k3".
-  AftNode node("n0", storage, clock);
+  AftNodeOptions options;
+  options.spill_threshold_bytes = 5 * 10;  // Five "payload-k?" payloads fit.
+  AftNode node("n0", storage, clock, options);
   ASSERT_TRUE(node.Start().ok());
 
   auto txid = node.StartTransaction();
@@ -258,6 +282,37 @@ TEST(ParallelCommitTest, PartialFlushFailureWritesNoCommitRecord) {
 
   // No partial reads: a fresh node bootstrapping from the same storage sees
   // none of the transaction's keys.
+  AftNode fresh("n1", storage, clock);
+  ASSERT_TRUE(fresh.Start().ok());
+  auto reader = fresh.StartTransaction();
+  ASSERT_TRUE(reader.ok());
+  for (const std::string& key : keys) {
+    auto read = fresh.Get(*reader, key);
+    ASSERT_TRUE(read.ok()) << key;
+    EXPECT_FALSE(read->has_value()) << "partial commit visible at " << key;
+  }
+}
+
+// The inline counterpart: the one write carrying record and payloads fails,
+// so nothing at all is left in storage.
+TEST(ParallelCommitTest, FailedInlineRecordLeavesNoObject) {
+  SimClock clock;
+  PoisonedEngine storage(clock);
+  storage.Poison(kCommitPrefix);
+  AftNode node("n0", storage, clock);
+  ASSERT_TRUE(node.Start().ok());
+
+  auto txid = node.StartTransaction();
+  ASSERT_TRUE(txid.ok());
+  const std::vector<std::string> keys = {"k0", "k1", "k2"};
+  for (const std::string& key : keys) {
+    ASSERT_TRUE(node.Put(*txid, key, "payload-" + key).ok());
+  }
+  ASSERT_FALSE(node.CommitTransaction(*txid).ok());
+  EXPECT_EQ(storage.attempted_poison_puts(), 1u);
+  EXPECT_TRUE(storage.List(kCommitPrefix)->empty());
+  EXPECT_TRUE(storage.List(kVersionPrefix)->empty());
+
   AftNode fresh("n1", storage, clock);
   ASSERT_TRUE(fresh.Start().ok());
   auto reader = fresh.StartTransaction();
@@ -502,6 +557,7 @@ TEST_F(MultiGetTest, PackedLayoutBatchReadsRangedSlices) {
 
 TEST_F(MultiGetTest, UnreadablePinnedVersionAbortsBatch) {
   AftNodeOptions options;
+  options.spill_threshold_bytes = 0;  // Every Put spills: version objects.
   options.data_cache_bytes = 0;
   options.storage_read_retries = 0;
   options.storage_read_backoff = Duration::zero();
@@ -510,6 +566,26 @@ TEST_F(MultiGetTest, UnreadablePinnedVersionAbortsBatch) {
 
   // Delete one version's data behind the node's back (a GC race, §5.2.1).
   ASSERT_TRUE(storage_.Delete(VersionStorageKey("k", id.uuid)).ok());
+
+  auto txid = node->StartTransaction();
+  ASSERT_TRUE(txid.ok());
+  const std::vector<std::string> keys = {"m", "k"};
+  auto reads = node->MultiGet(*txid, keys);
+  ASSERT_FALSE(reads.ok());
+  EXPECT_EQ(reads.status().code(), StatusCode::kAborted);
+}
+
+TEST_F(MultiGetTest, UnreadableInlineRecordAbortsBatch) {
+  AftNodeOptions options;
+  options.data_cache_bytes = 0;
+  options.storage_read_retries = 0;
+  options.storage_read_backoff = Duration::zero();
+  auto node = MakeNode("n0", options);
+  const TxnId id = CommitSimple(*node, {{"k", "v"}, {"m", "w"}});
+
+  // The record object, and with it both payloads, is deleted behind the
+  // node's back while its metadata is cached.
+  ASSERT_TRUE(storage_.Delete(CommitStorageKey(id)).ok());
 
   auto txid = node->StartTransaction();
   ASSERT_TRUE(txid.ok());

@@ -74,8 +74,9 @@ for bench in "${BENCHES[@]}"; do
     args+=(--benchmark_min_time=0.05)
   fi
   if [[ $SMOKE -eq 1 && "$bench" == bench_fig3_end_to_end ]]; then
-    # Its S3 Aft/Plain p50 ratio feeds bench_gate's paper-shape stage
-    # (ceiling 1.5). At the smoke settings above that ratio is mostly noise:
+    # Its Aft/Plain p50 ratios (S3, DynamoDB, Redis) feed bench_gate's
+    # paper-shape stage (ceiling 1.5). At the smoke settings above the S3
+    # ratio is mostly noise:
     # three runs of one build on a 4-vCPU host gave 1.24-1.49. At 20
     # requests and scale 0.1 the same build gave 1.15-1.29, and a build
     # that merges S3 commit rounds gave 2.15-2.48. The cost is a few seconds.

@@ -31,16 +31,16 @@
 # code path allocates what it allocates), so it gates against a checked-in
 # ceiling. The zero-copy commit pipeline (PR 7) brought it from ~39 to ~6;
 # the ceiling holds the line just above the measured value so a single
-# reintroduced per-commit allocation fails visibly. Where commit rounds
-# share no cost the node serializes and sends each version at Put
-# (write-behind), which moves allocations out of the commit row without
-# saving them; the "inproc put+commit" row counts both calls and is held to
-# its own fixed ceiling, 13.0, just above the measured 12.2.
+# reintroduced per-commit allocation fails visibly. The "inproc put+commit"
+# row counts the allocations of Put and Commit together, so work moved from
+# the commit into Put cannot pass for a saving; it is held to its own fixed
+# ceiling, MAX_PUT_COMMIT_ALLOCS below.
 #
 # A fifth, paper-shape gate holds the claim the shim is built on — cheap
-# correctness: bench_fig3_end_to_end's "S3 Aft" p50 over its "S3 Plain" p50,
-# both measured in the same run, must stay at or below MAX_S3_OVERHEAD (env,
-# default 1.5; the paper's Fig 3 puts it near 1.2).
+# correctness: for each engine of bench_fig3_end_to_end (S3, DynamoDB,
+# Redis), the "Aft" p50 over the "Plain" p50, both measured in the same
+# run, must stay at or below MAX_FIG3_OVERHEAD (1.5; the paper's Fig 3
+# puts S3 and Redis near 1.2 and DynamoDB near 1.0).
 #
 # Usage: tools/bench_gate.sh CURRENT.json [MIN_SPEEDUP] [MIN_CLIENTS] [MAX_ALLOCS]
 #
@@ -61,6 +61,13 @@ CURRENT="$1"
 MIN_SPEEDUP="${2:-1.5}"
 MIN_CLIENTS="${3:-16}"
 MAX_ALLOCS="${4:-8.0}"
+# Fixed ceilings (constants, not knobs): "inproc put+commit" allocations
+# per transaction, and the Fig 3 Aft/Plain p50 ratio. Smoke measures the
+# allocation rows over 3 transactions, so they move in steps of 1/3: 32
+# smoke-setting runs of bench_net read 8.0-10.0 (mostly 8.7), against
+# 12.0-12.7 before Put stopped allocating a version write.
+MAX_PUT_COMMIT_ALLOCS=11.0
+MAX_FIG3_OVERHEAD=1.5
 
 if [[ ! -f "$CURRENT" ]]; then
   echo "bench_gate: no such file: $CURRENT" >&2
@@ -190,7 +197,7 @@ sed -nE 's/.*"row":"commit attribution (off|on)".*"p50_ms":([0-9.]+).*"txn_per_s
 # real writev + fdatasync must not cost heap allocations either); the
 # "inproc put+commit" row has its own (see the header).
 for gated in "inproc commit=$MAX_ALLOCS" "local commit=$MAX_ALLOCS" \
-             "inproc put+commit=13.0"; do
+             "inproc put+commit=$MAX_PUT_COMMIT_ALLOCS"; do
   row="${gated%=*}"
   ceiling="${gated##*=}"
   row_re="${row//+/\\+}"
@@ -213,28 +220,31 @@ for gated in "inproc commit=$MAX_ALLOCS" "local commit=$MAX_ALLOCS" \
   '
 done
 
-# ---- paper shape: Fig 3 AFT-over-S3 overhead ---------------------------------
-# Within-run ratio like gates 1-3: both rows come from one bench_fig3 process
-# on the same machine and the same seeded workload. A commit path that makes
-# S3 commits wait on each other (merged rounds where they share no cost) sat
-# near 2x here; the healthy path sits near 1.2x. tools/bench.sh --smoke runs
-# this bench at a time scale and request count where the ratio is stable.
-MAX_S3_OVERHEAD="${MAX_S3_OVERHEAD:-1.5}"
-sed -nE 's/.*"bench":"fig3_end_to_end","row":"S3 (Plain|Aft)","p50_ms":([0-9.]+).*/\1\t\2/p' "$CURRENT" \
-  | awk -F '\t' -v ceil="$MAX_S3_OVERHEAD" '
-  { if ($1 == "Plain") { plain = $2 + 0 } else { aft = $2 + 0 } }  # last run wins
-  END {
-    if (plain == 0 || aft == 0) {
-      print "bench_gate: no fig3 \"S3 Plain\"/\"S3 Aft\" row pair found" > "/dev/stderr";
-      exit 1;
+# ---- paper shape: Fig 3 AFT-over-Plain overhead ------------------------------
+# Within-run ratios like gates 1-3: each engine's two rows come from one
+# bench_fig3 process on the same machine and the same seeded workload. A
+# commit path that makes S3 commits wait on each other (merged rounds where
+# they share no cost) sat near 2x on S3; the healthy path sits near 1.0-1.3x
+# on every engine. tools/bench.sh --smoke runs this bench at a time scale
+# and request count where the ratios are stable.
+for engine in S3 DynamoDB Redis; do
+  sed -nE 's/.*"bench":"fig3_end_to_end","row":"'"$engine"' (Plain|Aft)","p50_ms":([0-9.]+).*/\1\t\2/p' "$CURRENT" \
+    | awk -F '\t' -v ceil="$MAX_FIG3_OVERHEAD" -v engine="$engine" '
+    { if ($1 == "Plain") { plain = $2 + 0 } else { aft = $2 + 0 } }  # last run wins
+    END {
+      if (plain == 0 || aft == 0) {
+        printf "bench_gate: no fig3 \"%s Plain\"/\"%s Aft\" row pair found\n",
+               engine, engine > "/dev/stderr";
+        exit 1;
+      }
+      ratio = aft / plain;
+      if (ratio > ceil) {
+        printf "bench_gate: FAIL — Fig 3 %s Aft/Plain p50 x%.2f (%.1f / %.1f ms) exceeds x%.2f\n",
+               engine, ratio, aft, plain, ceil > "/dev/stderr";
+        exit 1;
+      }
+      printf "bench_gate: PASS — Fig 3 %s Aft/Plain p50 x%.2f (%.1f / %.1f ms; ceiling x%.2f)\n",
+             engine, ratio, aft, plain, ceil;
     }
-    ratio = aft / plain;
-    if (ratio > ceil) {
-      printf "bench_gate: FAIL — Fig 3 S3 Aft/Plain p50 x%.2f (%.1f / %.1f ms) exceeds x%.2f\n",
-             ratio, aft, plain, ceil > "/dev/stderr";
-      exit 1;
-    }
-    printf "bench_gate: PASS — Fig 3 S3 Aft/Plain p50 x%.2f (%.1f / %.1f ms; ceiling x%.2f)\n",
-           ratio, aft, plain, ceil;
-  }
-'
+  '
+done
