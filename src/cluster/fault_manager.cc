@@ -220,14 +220,11 @@ size_t FaultManager::RunGlobalGcOnce() {
       std::vector<std::string> victim_keys;
       uint64_t version_count = 0;
       for (const auto& record : group) {
-        for (uint32_t i = 0; i < record->segment_count; ++i) {
-          victim_keys.push_back(SegmentStorageKey(record->id.uuid, i));
-        }
         // Every key may have a version object, even one whose payload the
-        // record carries itself or locates in a segment: a spilled version
-        // written before the key was rewritten, or one a failed commit
-        // round sent. The record cannot tell those apart from keys that
-        // have none; deleting a missing object is a no-op.
+        // record carries itself: a spilled version written before the key
+        // was rewritten, or one a failed commit round sent. The record
+        // cannot tell those apart from keys that have none; deleting a
+        // missing object is a no-op.
         for (const std::string& key : record->write_set) {
           victim_keys.push_back(VersionStorageKey(key, record->id.uuid));
         }
@@ -265,10 +262,6 @@ size_t FaultManager::RunOrphanSweepOnce() {
   if (!version_keys.ok()) {
     return 0;
   }
-  // Packed-layout segments are orphan candidates too.
-  if (auto segment_keys = storage_.List(kSegmentPrefix); segment_keys.ok()) {
-    version_keys->insert(version_keys->end(), segment_keys->begin(), segment_keys->end());
-  }
   const TimePoint now = clock_.Now();
   // Snapshot the whitelist AND the candidate table under a short lock:
   // holding known_writers_mu_ for the whole sweep would block commit
@@ -284,17 +277,12 @@ size_t FaultManager::RunOrphanSweepOnce() {
   std::unordered_map<std::string, TimePoint> still_present;
   std::vector<std::string> victims;
   for (const std::string& storage_key : *version_keys) {
-    Uuid writer;
-    if (storage_key.compare(0, 2, kSegmentPrefix) == 0) {
-      writer = WriterFromSegmentStorageKey(storage_key);
-    } else {
-      // "v/<key>/<uuid>" — the writer UUID is the final path segment.
-      const size_t slash = storage_key.rfind('/');
-      if (slash == std::string::npos) {
-        continue;
-      }
-      writer = Uuid::Parse(storage_key.substr(slash + 1));
+    // "v/<key>/<uuid>" — the writer UUID is the final path segment.
+    const size_t slash = storage_key.rfind('/');
+    if (slash == std::string::npos) {
+      continue;
     }
+    const Uuid writer = Uuid::Parse(storage_key.substr(slash + 1));
     if (writer.IsNil() || known.contains(writer)) {
       continue;  // Committed (or commit seen at some point): not an orphan.
     }

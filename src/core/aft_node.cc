@@ -276,12 +276,12 @@ Status AftNode::Put(const Uuid& txid, const std::string& key, std::string value)
   return Status::Ok();
 }
 
-bool AftNode::PrepareDirtyWrites(const TransactionState& txn, const TxnId& writer_id,
+void AftNode::PrepareDirtyWrites(const TransactionState& txn, const TxnId& writer_id,
                                  DirtyPlacement placement, SmallVector<WriteOp, 8>& ops,
-                                 std::vector<VersionLocator>& locators,
+                                 std::vector<VersionLocator>* locators,
                                  std::vector<std::string>* keys) {
   if (txn.dirty.empty()) {
-    return false;
+    return;
   }
   // Version objects: the cowritten set is the transaction's full write set
   // so far; for the commit this is the complete, authoritative set. Encode
@@ -291,57 +291,40 @@ bool AftNode::PrepareDirtyWrites(const TransactionState& txn, const TxnId& write
   // move into the engine.
   const auto cowritten = std::views::keys(txn.write_buffer);
   const size_t value_base_bytes =
-      options_.packed_layout
-          ? 0
-          : record_detail::kRecordHeaderBytes + EncodedStringVectorBytes(cowritten) + 4;
-  // The segment (§8 data layout) holds its payloads back to back, as does
-  // the record object after its fields; their locators go into the record.
-  std::string segment;
-  bool segmented = false;
+      record_detail::kRecordHeaderBytes + EncodedStringVectorBytes(cowritten) + 4;
+  // The record object holds its payloads back to back after its fields;
+  // their locators go into the record.
   uint32_t in_record_bytes = 0;
   ops.reserve(txn.dirty.size());
   for (const auto& [key, payload] : txn.write_buffer) {
     if (!txn.dirty.contains(key)) {
       continue;
     }
-    const auto length = static_cast<uint32_t>(payload.size());
-    if (options_.packed_layout) {
-      std::erase_if(locators, [&](const VersionLocator& old) { return old.key == key; });
-      locators.push_back(VersionLocator{key, txn.next_segment_index,
-                                        static_cast<uint32_t>(segment.size()), length});
-      segment += payload;
-      segmented = true;
-    } else if (placement == DirtyPlacement::kRecord || txn.early_written.contains(key)) {
+    if (placement == DirtyPlacement::kRecord || txn.early_written.contains(key)) {
       if (placement == DirtyPlacement::kSpill) {
         continue;  // Its version object may exist; it waits for the record.
       }
-      locators.push_back(VersionLocator{key, kInRecordSegment, in_record_bytes, length});
+      const auto length = static_cast<uint32_t>(payload.size());
+      locators->push_back(VersionLocator{key, in_record_bytes, length});
       in_record_bytes += length;
-    } else {
-      BinaryWriter w;
-      w.Reserve(value_base_bytes + payload.size());
-      EncodeVersionedValueFields(w, writer_id, cowritten, payload);
-      ops.push_back(WriteOp{VersionStorageKey(key, txn.uuid), std::move(w).TakeData()});
+      continue;
     }
+    BinaryWriter w;
+    w.Reserve(value_base_bytes + payload.size());
+    EncodeVersionedValueFields(w, writer_id, cowritten, payload);
+    ops.push_back(WriteOp{VersionStorageKey(key, txn.uuid), std::move(w).TakeData()});
     if (keys != nullptr) {
       keys->push_back(key);
     }
   }
-  if (segmented) {
-    ops.push_back(
-        WriteOp{SegmentStorageKey(txn.uuid, txn.next_segment_index), std::move(segment)});
-  }
-  return segmented;
 }
 
 void AftNode::StartEarlyWrites(const TxnPtr& txn) {
   SmallVector<WriteOp, 8> ops;
-  std::vector<VersionLocator> locators = txn->packed_locators;
   std::vector<std::string> keys;
   // Early versions carry a zero timestamp (the commit timestamp is not yet
   // known); the authoritative metadata is the commit record.
-  const bool segmented = PrepareDirtyWrites(*txn, TxnId(0, txn->uuid), DirtyPlacement::kSpill,
-                                            ops, locators, &keys);
+  PrepareDirtyWrites(*txn, TxnId(0, txn->uuid), DirtyPlacement::kSpill, ops, nullptr, &keys);
   if (ops.empty()) {
     return;
   }
@@ -361,10 +344,10 @@ void AftNode::StartEarlyWrites(const TxnPtr& txn) {
     return;
   }
   metrics_.spills->Increment();
-  // The keys just sent: every dirty one in the packed layout, else the
-  // dirty ones not written before (the transaction lock is still held).
+  // The keys just sent: the dirty ones not written before (the transaction
+  // lock is still held).
   for (auto it = txn->dirty.begin(); it != txn->dirty.end();) {
-    if (!options_.packed_layout && txn->early_written.contains(*it)) {
+    if (txn->early_written.contains(*it)) {
       ++it;
       continue;
     }
@@ -372,10 +355,6 @@ void AftNode::StartEarlyWrites(const TxnPtr& txn) {
     const auto next = std::next(it);
     txn->early_written.insert(txn->dirty.extract(it));  // Moves the node.
     it = next;
-  }
-  if (segmented) {
-    txn->packed_locators = std::move(locators);
-    ++txn->next_segment_index;
   }
 }
 
@@ -627,25 +606,20 @@ Result<std::vector<AftNode::VersionedRead>> AftNode::MultiGet(
 
 Result<std::string> AftNode::ReadVersionPayload(const std::string& key, const TxnId& version,
                                                 const CommitRecordPtr& record) {
-  // The cache key identifies the (key, writer) version in either layout.
+  // The cache key identifies the (key, writer) version wherever it lives.
   const std::string version_key = VersionStorageKey(key, version.uuid);
   if (auto cached = data_cache_.Get(version_key); cached.has_value()) {
     return std::move(*cached);
   }
   Status last = Status::Internal("unreachable");
-  // A located key's payload sits inside the record object or, in the packed
-  // layout, in a segment; any other key's in its version object.
+  // A located key's payload sits inside the record object; any other key's
+  // in its version object.
   const VersionLocator* locator = record != nullptr ? record->FindLocator(key) : nullptr;
-  std::string located_object;
-  if (locator != nullptr) {
-    located_object = locator->in_record()
-                         ? CommitStorageKey(version)
-                         : SegmentStorageKey(version.uuid, locator->segment_index);
-  }
+  const std::string record_key = locator != nullptr ? CommitStorageKey(version) : std::string();
   for (int attempt = 0; attempt <= options_.storage_read_retries; ++attempt) {
     if (locator != nullptr) {
-      // Ranged GET of the payload slice out of the located object.
-      auto bytes = storage_.GetRange(located_object, locator->offset, locator->length);
+      // Ranged GET of the payload slice out of the record object.
+      auto bytes = storage_.GetRange(record_key, locator->offset, locator->length);
       if (bytes.ok()) {
         data_cache_.Put(version_key, bytes.value());
         return std::move(bytes).value();
@@ -688,13 +662,8 @@ Status AftNode::AbortTransaction(const Uuid& txid) {
     // was visible. Objects written before commit (spills, failed
     // commit rounds) are deleted from storage — no commit record references
     // them.
-    if (!options_.packed_layout) {
-      for (const std::string& key : txn->early_written) {
-        orphans.push_back(VersionStorageKey(key, txn->uuid));
-      }
-    }
-    for (uint32_t i = 0; i < txn->next_segment_index; ++i) {
-      orphans.push_back(SegmentStorageKey(txn->uuid, i));
+    for (const std::string& key : txn->early_written) {
+      orphans.push_back(VersionStorageKey(key, txn->uuid));
     }
     txn->write_buffer.clear();
     txn->dirty.clear();
@@ -769,18 +738,16 @@ Result<TxnId> AftNode::CommitTransaction(const Uuid& txid) {
   // data op is a request the record must wait for, so every dirty payload
   // rides inside the record object and the two steps are one write (a
   // merged round then merges the records). On a fusing engine a dirty key
-  // never written before gets its version object in the round's data ops
-  // (the packed layout, on any engine: one segment). A key whose version
-  // object may exist rides in the record on every engine. Nothing here
-  // mutates the transaction; a failed round is accounted for below.
-  const bool record_holds_data =
-      !options_.packed_layout && !storage_.CommitUnitsFuseDataWithRecord();
+  // never written before gets its version object in the round's data ops.
+  // A key whose version object may exist rides in the record on every
+  // engine. Nothing here mutates the transaction; a failed round is
+  // accounted for below.
+  const bool record_holds_data = !storage_.CommitUnitsFuseDataWithRecord();
   SmallVector<WriteOp, 8> ops;
-  std::vector<VersionLocator> locators = txn->packed_locators;
-  const bool segmented = PrepareDirtyWrites(
-      *txn, commit_id, record_holds_data ? DirtyPlacement::kRecord : DirtyPlacement::kRound, ops,
-      locators, nullptr);
-  const uint32_t segment_count = txn->next_segment_index + (segmented ? 1 : 0);
+  std::vector<VersionLocator> locators;
+  PrepareDirtyWrites(*txn, commit_id,
+                     record_holds_data ? DirtyPlacement::kRecord : DirtyPlacement::kRound, ops,
+                     &locators, nullptr);
   std::vector<std::string> write_set_keys;
   write_set_keys.reserve(txn->write_buffer.size());
   for (const auto& [key, payload] : txn->write_buffer) {
@@ -797,24 +764,20 @@ Result<TxnId> AftNode::CommitTransaction(const Uuid& txid) {
   }
   size_t object_bytes = field_bytes;
   for (VersionLocator& locator : locators) {
-    if (locator.in_record()) {
-      locator.offset += static_cast<uint32_t>(field_bytes);
-      object_bytes += locator.length;
-    }
+    locator.offset += static_cast<uint32_t>(field_bytes);
+    object_bytes += locator.length;
   }
   // allocate_shared puts the record and its control block in one pooled
   // block; the allocator (and thus the pool) lives inside the control block,
   // so records released on gossip / fault-manager threads free safely.
   auto record = std::allocate_shared<const CommitRecord>(
       record_alloc_,
-      CommitRecord{commit_id, std::move(write_set_keys), segment_count, std::move(locators)});
+      CommitRecord{commit_id, std::move(write_set_keys), std::move(locators)});
   BinaryWriter object;
   object.Reserve(object_bytes);
-  EncodeCommitRecordFields(object, commit_id, record->write_set, segment_count, record->locators);
+  EncodeCommitRecordFields(object, commit_id, record->write_set, record->locators);
   for (const VersionLocator& locator : record->locators) {
-    if (locator.in_record()) {
-      object.PutRaw(txn->write_buffer.find(locator.key)->second);
-    }
+    object.PutRaw(txn->write_buffer.find(locator.key)->second);
   }
   CommitBatcher::Pending pending;
   pending.unit.data_ops = std::span<WriteOp>(ops.data(), ops.size());
@@ -857,17 +820,13 @@ Result<TxnId> AftNode::CommitTransaction(const Uuid& txid) {
     // Let the client retry or abort. The round's object writes may have
     // landed, so a retry never reuses their names for other bytes: keys
     // sent to version objects count as written early (the retry carries
-    // them in its record) and the next segment gets a fresh index. The
-    // retry's record is a new object (a new timestamp). Keys whose spill
-    // failed are dirty again.
+    // them in its record). The retry's record is a new object (a new
+    // timestamp). Keys whose spill failed are dirty again.
     txn->status = TxnStatus::kRunning;
-    if (!options_.packed_layout && !record_holds_data) {
+    if (!record_holds_data) {
       for (const std::string& key : txn->dirty) {
         txn->early_written.insert(key);
       }
-    }
-    if (segmented) {
-      ++txn->next_segment_index;
     }
     for (const std::string& key : txn->early_writes.TakeFailedKeys()) {
       if (txn->dirty.insert(key).second) {

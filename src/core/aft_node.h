@@ -58,13 +58,6 @@ struct AftNodeOptions {
   // proactively writes intermediary data to storage).
   uint64_t spill_threshold_bytes = 4ull * 1024 * 1024;
 
-  // Packed (log-structured) data layout — the §8 "Efficient Data Layout"
-  // future work: a commit writes ONE segment object holding all payloads
-  // plus per-key locators in the commit record; readers use ranged GETs.
-  // Built for S3, whose per-object costs dominate the key-per-version
-  // layout; works over any engine.
-  bool packed_layout = false;
-
   // Running transactions older than this are aborted by the sweeper
   // ("its transaction will be aborted after a timeout", §3.3.1).
   Duration txn_timeout = std::chrono::seconds(60);
@@ -258,7 +251,7 @@ class AftNode {
 
   Status CheckAlive() const;
   Result<TxnPtr> FindTransaction(const Uuid& txid);
-  // Where PrepareDirtyWrites puts a dirty key outside the packed layout.
+  // Where PrepareDirtyWrites puts a dirty key.
   enum class DirtyPlacement {
     kSpill,   // Before commit: a version object for each key never written
               // before; the others stay dirty for the commit.
@@ -268,17 +261,15 @@ class AftNode {
     kRecord,  // At commit on any other engine: every key in the record.
   };
   // Appends the writes that persist the buffer's dirty entries under
-  // `writer_id` to `ops`. The packed layout writes ONE segment object at
-  // txn.next_segment_index holding every dirty payload; otherwise
-  // `placement` picks, per key, a version object or the commit record
-  // object. Fresh locators (segment, or kInRecordSegment with an offset
-  // relative to the record's first payload) replace the keys' stale ones
-  // in `locators`; `keys`, if non-null, receives the keys written to
-  // objects. Returns whether a segment was added. Reads `txn` only; the
-  // caller applies the outcome.
-  bool PrepareDirtyWrites(const TransactionState& txn, const TxnId& writer_id,
+  // `writer_id` to `ops`: `placement` picks, per key, a version object or
+  // the commit record object. A key placed in the record gets a locator in
+  // `locators` (null for kSpill, which places none), its offset relative to
+  // the record's first payload; `keys`, if non-null, receives the keys
+  // written to version objects. Reads `txn` only; the caller applies the
+  // outcome.
+  void PrepareDirtyWrites(const TransactionState& txn, const TxnId& writer_id,
                           DirtyPlacement placement, SmallVector<WriteOp, 8>& ops,
-                          std::vector<VersionLocator>& locators, std::vector<std::string>* keys)
+                          std::vector<VersionLocator>* locators, std::vector<std::string>* keys)
       REQUIRES(txn.mu);
   // §3.3 spill: sends the dirty entries that may go out before commit as
   // invisible intermediary versions, on an idle shared-executor helper,
@@ -287,7 +278,7 @@ class AftNode {
   void StartEarlyWrites(const TxnPtr& txn) REQUIRES(txn->mu);
   // Fetches a version payload through the data cache with bounded retries.
   // A key with a locator in `record` is read with a ranged GET of the
-  // record object or its segment, any other from its version object.
+  // record object, any other from its version object.
   Result<std::string> ReadVersionPayload(const std::string& key, const TxnId& version,
                                          const CommitRecordPtr& record);
   // Batcher round publisher: stages every committed member's record (and

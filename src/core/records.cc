@@ -33,19 +33,6 @@ TxnId TxnIdFromCommitStorageKey(const std::string& storage_key) {
   return TxnId::Decode(storage_key.substr(prefix_len));
 }
 
-std::string SegmentStorageKey(const Uuid& writer, uint32_t index) {
-  return std::string(kSegmentPrefix) + writer.ToString() + "." + std::to_string(index);
-}
-
-Uuid WriterFromSegmentStorageKey(const std::string& storage_key) {
-  const size_t prefix_len = sizeof(kSegmentPrefix) - 1;
-  const size_t dot = storage_key.rfind('.');
-  if (storage_key.compare(0, prefix_len, kSegmentPrefix) != 0 || dot == std::string::npos) {
-    return Uuid();
-  }
-  return Uuid::Parse(storage_key.substr(prefix_len, dot - prefix_len));
-}
-
 const VersionLocator* CommitRecord::FindLocator(const std::string& key) const {
   for (const VersionLocator& locator : locators) {
     if (locator.key == key) {
@@ -58,7 +45,7 @@ const VersionLocator* CommitRecord::FindLocator(const std::string& key) const {
 std::string CommitRecord::Serialize() const {
   BinaryWriter w;
   w.Reserve(EncodedCommitRecordBytes(write_set, locators));
-  EncodeCommitRecordFields(w, id, write_set, segment_count, locators);
+  EncodeCommitRecordFields(w, id, write_set, locators);
   return std::move(w).TakeData();
 }
 
@@ -68,11 +55,17 @@ Result<CommitRecord> CommitRecord::Deserialize(std::string_view bytes) {
   CommitRecord record;
   uint64_t hi = 0;
   uint64_t lo = 0;
+  uint32_t segment_count = 0;
   uint32_t locator_count = 0;
   if (!r.GetU8(&tag) || tag != kCommitRecordTag || !r.GetI64(&record.id.timestamp) ||
       !r.GetU64(&hi) || !r.GetU64(&lo) || !r.GetStringVector(&record.write_set) ||
-      !r.GetU32(&record.segment_count) || !r.GetU32(&locator_count)) {
+      !r.GetU32(&segment_count) || !r.GetU32(&locator_count)) {
     return Status::Internal("corrupt commit record");
+  }
+  // The reserved slots name a payload outside the record object, which no
+  // reader can fetch: reject the record rather than read the wrong bytes.
+  if (segment_count != 0) {
+    return Status::Internal("corrupt commit record segment count");
   }
   // A locator is a length-prefixed key plus three u32s (>= 16 bytes); records
   // arrive over the gossip wire, so bound the reserve by what the remaining
@@ -83,9 +76,13 @@ Result<CommitRecord> CommitRecord::Deserialize(std::string_view bytes) {
   record.locators.reserve(locator_count);
   for (uint32_t i = 0; i < locator_count; ++i) {
     VersionLocator locator;
-    if (!r.GetString(&locator.key) || !r.GetU32(&locator.segment_index) ||
-        !r.GetU32(&locator.offset) || !r.GetU32(&locator.length)) {
+    uint32_t segment_index = 0;
+    if (!r.GetString(&locator.key) || !r.GetU32(&segment_index) || !r.GetU32(&locator.offset) ||
+        !r.GetU32(&locator.length)) {
       return Status::Internal("corrupt commit record locator");
+    }
+    if (segment_index != kInRecordSegment) {
+      return Status::Internal("corrupt commit record locator segment");
     }
     record.locators.push_back(std::move(locator));
   }

@@ -12,27 +12,26 @@
 //                     key versions are durable; its presence is what makes
 //                     the transaction's updates visible.
 //
-// A payload lives in one of three places, named by the record:
+// A payload lives in one of two places, named by the record:
 //
 //  * its version object, when the record has no locator for the key — the
 //    layout on an engine that fuses a commit's data ops with its record in
 //    one write (StorageEngine::CommitUnitsFuseDataWithRecord: the local
 //    engine's WAL append), and for a key the write buffer spilled (§3.3);
-//  * inside the commit record's own object, when the key's locator names
-//    `kInRecordSegment`: the stored object is the record's encoded fields
-//    followed by these payloads, so the record and its data become durable
-//    in ONE write and the §3.3 ordering holds by construction. This is the
-//    layout on every other engine, and on every engine the place of a key
-//    whose version object may already exist (rewritten after a spill, or
-//    sent by a failed commit round): a version object is never overwritten;
-//  * a packed segment "s/<uuid>.<index>" (the packed layout, below).
+//  * inside the commit record's own object, when the record has a locator
+//    for the key: the stored object is the record's encoded fields followed
+//    by these payloads, so the record and its data become durable in ONE
+//    write and the §3.3 ordering holds by construction. This is the layout
+//    on every other engine, and on every engine the place of a key whose
+//    version object may already exist (rewritten after a spill, or sent by
+//    a failed commit round): a version object is never overwritten.
 //
 // The version key uses only the UUID (not the commit timestamp) because the
 // write buffer may spill versions to storage *before* the commit timestamp
-// is assigned (§3.3). Readers fetch an in-record or segment payload with a
-// ranged GET; the record's wire form (gossip, the commit-set cache) is its
-// fields only — CommitRecord never holds payloads, and Deserialize ignores
-// the bytes after the fields.
+// is assigned (§3.3). Readers fetch an in-record payload with a ranged GET;
+// the record's wire form (gossip, the commit-set cache) is its fields only
+// — CommitRecord never holds payloads, and Deserialize ignores the bytes
+// after the fields.
 
 #ifndef SRC_CORE_RECORDS_H_
 #define SRC_CORE_RECORDS_H_
@@ -51,19 +50,9 @@ namespace aft {
 // Storage key prefixes.
 inline constexpr char kVersionPrefix[] = "v/";
 inline constexpr char kCommitPrefix[] = "c/";
-inline constexpr char kSegmentPrefix[] = "s/";
 
 // "v/<key>/<uuid>".
 std::string VersionStorageKey(const std::string& key, const Uuid& writer);
-
-// "s/<uuid>.<index>" — one PACKED SEGMENT holding many payloads of one
-// transaction (the log-structured layout of §8: S3 is slow for many small
-// objects, so a commit can write a single segment object plus locators in
-// the commit record; readers use ranged GETs).
-std::string SegmentStorageKey(const Uuid& writer, uint32_t index);
-
-// Extracts the writer UUID from a segment storage key (nil on mismatch).
-Uuid WriterFromSegmentStorageKey(const std::string& storage_key);
 
 // "c/<encoded txn id>".
 std::string CommitStorageKey(const TxnId& id);
@@ -71,36 +60,30 @@ std::string CommitStorageKey(const TxnId& id);
 // Extracts the transaction ID back out of a commit storage key.
 TxnId TxnIdFromCommitStorageKey(const std::string& storage_key);
 
-// The segment index of a locator whose payload sits inside the commit
-// record's own object, at an offset absolute in that object.
+// The value of each locator's reserved segment slot in the encoded record
+// (protocol v1, docs/PROTOCOLS.md): the payload sits inside the commit
+// record's own object. The record's reserved segment-count slot is 0.
 inline constexpr uint32_t kInRecordSegment = UINT32_MAX;
 
-// Where a payload lives inside a packed segment or the commit record object.
+// Where a payload lives inside the commit record object: `offset` is
+// absolute in that object.
 struct VersionLocator {
   std::string key;
-  uint32_t segment_index = 0;  // Which of the transaction's segments, or kInRecordSegment.
   uint32_t offset = 0;
   uint32_t length = 0;
-
-  bool in_record() const { return segment_index == kInRecordSegment; }
 };
 
 // A committed transaction: its ID and write set (key names; the versions are
 // implied — every version in a transaction carries the transaction's ID).
 // The cowritten set of any version ki equals Ti's write set (§3.2).
 //
-// With the packed layout, the record additionally carries the number of
-// segment objects and a locator per key. Otherwise a key with a locator
-// has its payload inside the record object and a key without one lives in
-// its version object.
+// A key with a locator has its payload inside the record object and a key
+// without one lives in its version object.
 struct CommitRecord {
   TxnId id;
   std::vector<std::string> write_set;
-  uint32_t segment_count = 0;
   std::vector<VersionLocator> locators;
 
-  // Whether any payload lives in a segment (the packed layout).
-  bool packed() const { return segment_count > 0; }
   const VersionLocator* FindLocator(const std::string& key) const;
 
   std::string Serialize() const;
@@ -162,17 +145,17 @@ size_t EncodedCommitRecordBytes(const Keys& write_set,
 // the buffer without building an intermediate vector).
 template <typename W, typename Keys>
 void EncodeCommitRecordFields(W& w, const TxnId& id, const Keys& write_set,
-                              uint32_t segment_count, const std::vector<VersionLocator>& locators) {
+                              const std::vector<VersionLocator>& locators) {
   w.PutU8(record_detail::kCommitRecordTag);
   w.PutI64(id.timestamp);
   w.PutU64(id.uuid.hi());
   w.PutU64(id.uuid.lo());
   w.PutStringVector(write_set);
-  w.PutU32(segment_count);
+  w.PutU32(0);  // Reserved segment count.
   w.PutU32(static_cast<uint32_t>(locators.size()));
   for (const VersionLocator& locator : locators) {
     w.PutString(locator.key);
-    w.PutU32(locator.segment_index);
+    w.PutU32(kInRecordSegment);
     w.PutU32(locator.offset);
     w.PutU32(locator.length);
   }

@@ -133,7 +133,7 @@ struct TransactionState {
   // before commit (a spill, or a failed commit round), so their version
   // object may exist — invisible until the commit record lands, and never
   // overwritten: such a key, once dirty again, commits inside the record
-  // object (the packed layout: in a later segment).
+  // object.
   std::map<std::string, std::string> write_buffer GUARDED_BY(mu);
   std::unordered_set<std::string> dirty GUARDED_BY(mu);
   std::unordered_set<std::string> early_written GUARDED_BY(mu);
@@ -142,13 +142,6 @@ struct TransactionState {
   // Spills still in flight, and the failed ones (own lock, a leaf under
   // `mu`). The commit unit's after_data_write hook waits for them.
   EarlyWrites early_writes;
-
-  // Packed layout (§8) only: segments written so far (spills, failed
-  // commit rounds, the commit) and the locator of each key's payload
-  // within them. A key rewritten after being written gets a fresh locator
-  // in a later segment.
-  uint32_t next_segment_index GUARDED_BY(mu) = 0;
-  std::vector<VersionLocator> packed_locators GUARDED_BY(mu);
 
   // ---- Atomic read set R (§3.4) --------------------------------------------
   // Only non-NULL reads enter R, exactly as in Algorithm 1.

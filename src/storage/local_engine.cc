@@ -263,9 +263,9 @@ Status LocalEngine::ApplyWrites(std::span<const Wal::AppendOp> ops) {
   accepted.clear();
   Status first_error = Status::Ok();
   if (has_injector_.load(std::memory_order_acquire)) {
-    MutexLock lock(injector_mu_);
+    const auto injector = InjectorSnapshot();
     for (const Wal::AppendOp& op : ops) {
-      const Status verdict = injector_ ? injector_(op.key) : Status::Ok();
+      const Status verdict = injector ? (*injector)(op.key) : Status::Ok();
       if (verdict.ok()) {
         accepted.push_back(op);
       } else if (first_error.ok()) {
@@ -469,17 +469,14 @@ void LocalEngine::CommitUnits(std::span<CommitUnit> units, std::span<Status> res
   }
   fused.reserve(max_ops);
   uint64_t bytes = 0;
-  const bool injecting = has_injector_.load(std::memory_order_acquire);
+  const auto injector =
+      has_injector_.load(std::memory_order_acquire) ? InjectorSnapshot() : nullptr;
   // aftlint: hot
   for (size_t u = 0; u < units.size(); ++u) {
     CommitUnit& unit = units[u];
     for (const WriteOp& op : unit.data_ops) {
-      if (injecting) {
-        Status verdict;
-        {
-          MutexLock lock(injector_mu_);
-          verdict = injector_ ? injector_(op.key) : Status::Ok();
-        }
+      if (injector) {
+        Status verdict = (*injector)(op.key);
         if (!verdict.ok()) {
           // Poison THIS unit only. Its already-accepted data ops still
           // append (non-atomic batch semantics — in-flight writes cannot be
@@ -497,12 +494,8 @@ void LocalEngine::CommitUnits(std::span<CommitUnit> units, std::span<Status> res
     if (!results[u].ok()) {
       continue;
     }
-    if (injecting) {
-      Status verdict;
-      {
-        MutexLock lock(injector_mu_);
-        verdict = injector_ ? injector_(unit.commit_record.key) : Status::Ok();
-      }
+    if (injector) {
+      Status verdict = (*injector)(unit.commit_record.key);
       if (!verdict.ok()) {
         results[u] = std::move(verdict);
         continue;
@@ -584,8 +577,13 @@ Result<std::vector<std::string>> LocalEngine::List(const std::string& prefix) {
 
 void LocalEngine::SetWriteFailureInjector(std::function<Status(std::string_view)> fn) {
   MutexLock lock(injector_mu_);
-  injector_ = std::move(fn);
+  injector_ = fn ? std::make_shared<const WriteFailureInjector>(std::move(fn)) : nullptr;
   has_injector_.store(injector_ != nullptr, std::memory_order_release);
+}
+
+std::shared_ptr<const LocalEngine::WriteFailureInjector> LocalEngine::InjectorSnapshot() {
+  MutexLock lock(injector_mu_);
+  return injector_;
 }
 
 LocalEngine::FileStats LocalEngine::file_stats() const {

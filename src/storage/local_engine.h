@@ -242,9 +242,13 @@ class LocalEngine final : public StorageEngine {
       IndexKeyLess{}, PoolAllocator<std::pair<const IndexKey, Locator>>(index_pool_)};
   std::map<uint64_t, FileState> files_ GUARDED_BY(index_mu_);
 
+  // The injector runs outside injector_mu_ (callers take a snapshot), so a
+  // slow verdict stalls only the write it judges.
+  using WriteFailureInjector = std::function<Status(std::string_view)>;
+  std::shared_ptr<const WriteFailureInjector> InjectorSnapshot();
   std::atomic<bool> has_injector_{false};
   Mutex injector_mu_;
-  std::function<Status(std::string_view)> injector_ GUARDED_BY(injector_mu_);
+  std::shared_ptr<const WriteFailureInjector> injector_ GUARDED_BY(injector_mu_);
 
   // Compaction control + guard: at most one pass runs at a time.
   Mutex compact_mu_;

@@ -39,7 +39,7 @@ struct WriteOp {
 // persists many units in shared storage rounds while preserving the §3.3
 // write-ordering guarantee PER UNIT (see below).
 struct CommitUnit {
-  std::span<WriteOp> data_ops;  // version/segment objects; may be consumed
+  std::span<WriteOp> data_ops;  // version objects; may be consumed
   WriteOp commit_record;        // commit-set key + serialized record; may be consumed
   // Optional: runs once this unit's data ops are acknowledged and before its
   // record is written, as part of the barrier. A non-OK status poisons the

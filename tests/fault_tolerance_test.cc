@@ -139,6 +139,26 @@ TEST(OrphanSweepTest, OrphanedVersionsAreReapedAfterGrace) {
   EXPECT_EQ(cluster.fault_manager().stats().orphans_deleted.load(), 1u);
 }
 
+// Version objects are the only orphan candidates, so a sweep lists storage
+// once.
+TEST(OrphanSweepTest, OneSweepListsStorageOnce) {
+  SimClock clock;
+  SimDynamo storage(clock, InstantDynamo());
+  ClusterOptions options;
+  options.num_nodes = 1;
+  options.start_background_threads = false;
+  options.node_options.spill_threshold_bytes = 0;
+  ClusterDeployment cluster(storage, clock, options);
+  ASSERT_TRUE(cluster.Start().ok());
+
+  auto txid = cluster.node(0)->StartTransaction();
+  ASSERT_TRUE(cluster.node(0)->Put(*txid, "spilled", "x").ok());
+  ASSERT_EQ(AwaitObjectCount(storage, kVersionPrefix, 1), 1u);
+  const uint64_t lists_before = storage.counters().lists.load();
+  EXPECT_EQ(cluster.fault_manager().RunOrphanSweepOnce(), 0u);
+  EXPECT_EQ(storage.counters().lists.load() - lists_before, 1u);
+}
+
 TEST(OrphanSweepTest, CommittedVersionsAreNeverReaped) {
   SimClock clock;
   SimDynamo storage(clock, InstantDynamo());
@@ -225,12 +245,19 @@ TEST(OrphanSweepTest, UncommittedButRecentVersionsSurviveViaGrace) {
 
 // ---- End-to-end exactly-once under randomized failures -----------------------------
 
-class CrashyFaasStressTest : public ::testing::TestWithParam<bool> {};
+// Parameterized over the engine's connection-pool bound: unbounded (0),
+// every commit round is solo; bounded, concurrent commits merge. Writes
+// take long enough, and enough clients share each node, for commits on one
+// node to queue behind a round in flight.
+class CrashyFaasStressTest : public ::testing::TestWithParam<size_t> {};
 
 TEST_P(CrashyFaasStressTest, StillYieldsZeroAnomalies) {
-  const bool packed_layout = GetParam();
-  RealClock clock(0.002);  // 500x real time; everything below is zero-latency.
-  SimDynamo storage(clock, InstantDynamo());
+  RealClock clock(0.002);  // 500x real time; everything else is zero-latency.
+  SimDynamoOptions dynamo = InstantDynamo();
+  dynamo.profile.put = LatencyModel(1000.0, 0.0);
+  dynamo.profile.batch_base = LatencyModel(1000.0, 0.0);
+  SimDynamo storage(clock, dynamo);
+  storage.SetMaxConcurrentRequests(GetParam());
   WorkloadSpec spec;
   spec.num_keys = 40;
   spec.zipf_theta = 1.2;
@@ -244,7 +271,6 @@ TEST_P(CrashyFaasStressTest, StillYieldsZeroAnomalies) {
   cluster_options.node_options.service_cores = 0;
   cluster_options.node_options.enable_background_threads = true;
   cluster_options.node_options.local_gc_interval = Millis(50);
-  cluster_options.node_options.packed_layout = packed_layout;
   cluster_options.fault_manager.gc_interval = Millis(50);
   cluster_options.fault_manager.scan_interval = Millis(100);
   ClusterDeployment cluster(storage, clock, cluster_options);
@@ -263,8 +289,9 @@ TEST_P(CrashyFaasStressTest, StillYieldsZeroAnomalies) {
   AftRequestRunner runner(faas, client, clock, plans);
 
   HarnessOptions harness;
-  harness.num_clients = 6;
-  harness.requests_per_client = 40;
+  harness.num_clients = 12;
+  harness.requests_per_client = 20;
+  const uint64_t batch_calls_before = storage.counters().batch_puts.load();
   const HarnessResult result = RunClients(clock, runner, harness);
   cluster.Stop();
 
@@ -272,13 +299,21 @@ TEST_P(CrashyFaasStressTest, StillYieldsZeroAnomalies) {
   EXPECT_EQ(result.ryw_anomalies, 0u);
   EXPECT_EQ(result.fr_anomalies, 0u);
   EXPECT_GT(faas.stats().crashes_injected.load(), 0u);
+  // A merged round sends its records in one batch call; a solo round PUTs.
+  if (GetParam() == 0) {
+    EXPECT_EQ(storage.counters().batch_puts.load(), batch_calls_before);
+  } else {
+    EXPECT_GT(storage.counters().batch_puts.load(), batch_calls_before) << "no round merged";
+  }
   // Gossip + GC actually ran.
   EXPECT_GT(cluster.bus().stats().rounds.load(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Layouts, CrashyFaasStressTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& param_info) {
-                           return param_info.param ? "PackedLayout" : "KeyPerVersion";
+INSTANTIATE_TEST_SUITE_P(PoolBounds, CrashyFaasStressTest, ::testing::Values(size_t{0}, size_t{4}),
+                         [](const ::testing::TestParamInfo<size_t>& param_info) {
+                           return param_info.param == 0
+                                      ? std::string("Unbounded")
+                                      : "PoolOf" + std::to_string(param_info.param);
                          });
 
 // Flaky STORAGE: every engine op can fail transiently (throttling / 500s).

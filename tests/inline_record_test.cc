@@ -123,17 +123,25 @@ void SupersedeAndCollect(ClusterDeployment& cluster, std::initializer_list<std::
   cluster.fault_manager().Stop();
 }
 
-// No object of the transaction `id` — version, segment or record — remains.
+// No object of the transaction `id` — version or record — remains.
 void ExpectCollected(StorageEngine& storage, const TxnId& id) {
   EXPECT_EQ(ObjectsOf(storage, kVersionPrefix, id.uuid), 0u);
-  EXPECT_EQ(ObjectsOf(storage, kSegmentPrefix, id.uuid), 0u);
   EXPECT_FALSE(storage.Get(CommitStorageKey(id)).ok());
 }
 
-// Zero-latency engine without a batch API whose PUTs of keys under any of
-// `failing_prefixes` fail; a failing PUT whose key contains `slow_marker`
-// answers only after `slow_delay`. Set the fields while no write is in
-// flight.
+// `record` (stored as `id`) locates `key`'s payload, `payload`, inside its
+// own object.
+void ExpectInRecord(StorageEngine& storage, const TxnId& id, const CommitRecord& record,
+                    const std::string& key, const std::string& payload) {
+  const VersionLocator* locator = record.FindLocator(key);
+  ASSERT_NE(locator, nullptr) << key;
+  auto slice = storage.GetRange(CommitStorageKey(id), locator->offset, locator->length);
+  ASSERT_TRUE(slice.ok()) << slice.status().ToString();
+  EXPECT_EQ(*slice, payload);
+}
+
+// Zero-latency engine without a batch API whose PUTs of keys under
+// `failing_prefix` fail while it is set. Set it while no write is in flight.
 class FailingPutEngine final : public SimEngineBase {
  public:
   explicit FailingPutEngine(Clock& clock)
@@ -141,20 +149,13 @@ class FailingPutEngine final : public SimEngineBase {
   bool SupportsBatchPut() const override { return false; }
   size_t MaxBatchSize() const override { return 1; }
   Status Put(std::string key, std::string value) override {
-    for (const std::string& prefix : failing_prefixes) {
-      if (key.starts_with(prefix)) {
-        if (!slow_marker.empty() && key.find(slow_marker) != std::string::npos) {
-          std::this_thread::sleep_for(slow_delay);
-        }
-        return Status::Unavailable("injected put failure");
-      }
+    if (!failing_prefix.empty() && key.starts_with(failing_prefix)) {
+      return Status::Unavailable("injected put failure");
     }
     return SimEngineBase::Put(std::move(key), std::move(value));
   }
 
-  std::vector<std::string> failing_prefixes;
-  std::string slow_marker;
-  std::chrono::milliseconds slow_delay{0};
+  std::string failing_prefix;
 };
 
 class TempDir {
@@ -198,19 +199,14 @@ TEST(InlineRecordTest, PutMakesNoStorageCallAndCommitIsOnePut) {
   EXPECT_EQ(storage.counters().puts.load(), 1u);
   EXPECT_EQ(node.stats().spills.load(), 0u);
   EXPECT_EQ(ObjectCount(storage, kVersionPrefix), 0u);
-  EXPECT_EQ(ObjectCount(storage, kSegmentPrefix), 0u);
 
   // The stored object is the record's fields followed by the payloads, at
   // the absolute offsets its locators name.
   const CommitRecord record = StoredRecord(storage, *commit_id);
-  EXPECT_EQ(record.segment_count, 0u);
   ASSERT_EQ(record.locators.size(), 2u);
-  for (const VersionLocator& locator : record.locators) {
-    EXPECT_TRUE(locator.in_record());
-    auto slice = storage.GetRange(CommitStorageKey(*commit_id), locator.offset, locator.length);
-    ASSERT_TRUE(slice.ok());
-    EXPECT_EQ(*slice, locator.key == "a" ? "alpha" : "bravo");
-  }
+  ExpectInRecord(storage, *commit_id, record, "a", "alpha");
+  ExpectInRecord(storage, *commit_id, record, "b", "bravo");
+  EXPECT_EQ(record.FindLocator("c"), nullptr);
   // The record's wire form carries no payload.
   EXPECT_EQ(storage.PeekLatest(CommitStorageKey(*commit_id))->size(),
             record.Serialize().size() + std::string("alphabravo").size());
@@ -260,7 +256,6 @@ TEST(InlineRecordTest, SupersededRecordIsCollectedWhole) {
   SupersedeAndCollect(cluster, {"a", "k"});
   ExpectCollected(storage, *commit_id);
   EXPECT_EQ(ObjectCount(storage, kVersionPrefix), 0u);
-  EXPECT_EQ(ObjectCount(storage, kSegmentPrefix), 0u);
   EXPECT_EQ(ObjectCount(storage, kCommitPrefix), 1u);  // The superseding record.
   EXPECT_EQ(ReadOnce(node, "k").value(), "k-newer");
 }
@@ -279,7 +274,6 @@ TEST(InlineRecordTest, CrashBeforeTheRecordLeavesNoObject) {
   EXPECT_FALSE(node.alive());
   EXPECT_EQ(storage.counters().puts.load(), 0u);
   EXPECT_EQ(ObjectCount(storage, kVersionPrefix), 0u);
-  EXPECT_EQ(ObjectCount(storage, kSegmentPrefix), 0u);
   EXPECT_EQ(ObjectCount(storage, kCommitPrefix), 0u);
 
   AftNode recovered("recovered", storage, clock, UncachedOptions());
@@ -297,9 +291,9 @@ TEST(InlineRecordTest, FailedRecordPutThenRetryReadsTheRetrysBytes) {
 
   auto txid = node.StartTransaction();
   ASSERT_TRUE(node.Put(*txid, "k", "first").ok());
-  storage.failing_prefixes = {kCommitPrefix};
+  storage.failing_prefix = kCommitPrefix;
   EXPECT_FALSE(node.CommitTransaction(*txid).ok());
-  storage.failing_prefixes.clear();
+  storage.failing_prefix.clear();
   EXPECT_EQ(ObjectCount(storage, kCommitPrefix), 0u);
   EXPECT_EQ(ObjectCount(storage, kVersionPrefix), 0u);
 
@@ -422,8 +416,7 @@ TEST(InlineRecordTest, LocalEngineRewriteAfterSpillCommitsInlineAndSurvivesReope
   ASSERT_TRUE(engine.ok());
   const CommitRecord record = StoredRecord(**engine, commit_id);
   ASSERT_EQ(record.locators.size(), 1u);
-  EXPECT_EQ(record.locators[0].key, "k");
-  EXPECT_TRUE(record.locators[0].in_record());
+  ExpectInRecord(**engine, commit_id, record, "k", "k1");
   EXPECT_EQ(ObjectsOf(**engine, kVersionPrefix, txid), 2u);  // "a" and k's spill.
   AftNode reader("reader", **engine, clock, UncachedOptions());
   ASSERT_TRUE(reader.Start().ok());
@@ -480,11 +473,8 @@ TEST(InlineRecordTest, SpilledAndInlineKeysReadBackAndAreCollectedWhole) {
 
   const CommitRecord record = StoredRecord(storage, *commit_id);
   EXPECT_EQ(record.write_set.size(), 2u);
-  EXPECT_EQ(record.segment_count, 0u);
   ASSERT_EQ(record.locators.size(), 1u);
-  EXPECT_EQ(record.locators[0].key, "k");
-  EXPECT_TRUE(record.locators[0].in_record());
-  EXPECT_EQ(ObjectCount(storage, kSegmentPrefix), 0u);
+  ExpectInRecord(storage, *commit_id, record, "k", "k1");
 
   AftNode reader("reader", storage, clock, UncachedOptions());
   ASSERT_TRUE(reader.Start().ok());
@@ -524,7 +514,8 @@ TEST(InlineRecordTest, RetriedCommitIsCollectedWhole) {
   ASSERT_TRUE(commit_id.ok());
   const CommitRecord record = StoredRecord(storage, *commit_id);
   ASSERT_EQ(record.locators.size(), 2u);
-  EXPECT_TRUE(record.locators[0].in_record() && record.locators[1].in_record());
+  ExpectInRecord(storage, *commit_id, record, "a", "a1");
+  ExpectInRecord(storage, *commit_id, record, "b", "b1");
   AftNode reader("reader", storage, clock, UncachedOptions());
   ASSERT_TRUE(reader.Start().ok());
   EXPECT_EQ(ReadOnce(reader, "a").value(), "a1");
@@ -544,7 +535,6 @@ TEST(InlineRecordTest, AbortDeletesSpilledVersions) {
   ASSERT_TRUE(node.AbortTransaction(*txid).ok());
   // Abort waited for the spill before deleting what it wrote.
   EXPECT_EQ(ObjectCount(storage, kVersionPrefix), 0u);
-  EXPECT_EQ(ObjectCount(storage, kSegmentPrefix), 0u);
   EXPECT_EQ(ObjectCount(storage, kCommitPrefix), 0u);
 }
 
@@ -580,29 +570,36 @@ TEST(InlineRecordTest, FailedSpillWithholdsTheRecordUntilRetry) {
 
 // A round whose own data write fails never reaches its barrier, yet the
 // failed keys it reports must include a spill that fails later: otherwise
-// that key is not dirty for the retry, which fails once more. A round has
-// a data write of its own in the packed layout (its segment).
+// that key is not dirty for the retry, which fails once more. On the local
+// engine a round has a data write of its own (a fresh key's version).
 TEST(InlineRecordTest, FailedRoundWaitsForSpillsStillInFlight) {
+  TempDir dir;
   SimClock clock;
-  FailingPutEngine storage(clock);
-  AftNodeOptions options = SpillingOptions();
-  options.packed_layout = true;
-  AftNode node("n0", storage, clock, options);
+  auto engine = LocalEngine::Open(dir.path());
+  ASSERT_TRUE(engine.ok());
+  LocalEngine& storage = **engine;
+  AftNode node("n0", storage, clock, SpillingOptions());
   ASSERT_TRUE(node.Start().ok());
 
   auto txid = node.StartTransaction();
-  ASSERT_TRUE(node.Put(*txid, "k", "k-early").ok());  // Spills segment 0, which lands.
-  ASSERT_EQ(AwaitObjectCount(storage, kSegmentPrefix, 1), 1u);
-  storage.failing_prefixes = {kSegmentPrefix};
-  storage.slow_marker = ".1";
-  storage.slow_delay = std::chrono::milliseconds(30);
-  ASSERT_TRUE(node.Put(*txid, "k", "k1").ok());
-  ASSERT_TRUE(node.Put(*txid, "a", "a-slow").ok());  // Spills "k" and "a" (segment 1);
-                                                     // fails after 30 ms.
-  ASSERT_TRUE(node.Put(*txid, "b", "b1").ok());      // Waits for the round's segment 2.
-  // The round's segment write fails at once.
+  ASSERT_TRUE(txid.ok());
+  ASSERT_TRUE(node.Put(*txid, "k", "k-early").ok());  // Spills, and lands.
+  ASSERT_EQ(AwaitObjectCount(storage, kVersionPrefix, 1), 1u);
+  const std::string slow_spill = VersionStorageKey("a", *txid);
+  const std::string round_op = VersionStorageKey("b", *txid);
+  storage.SetWriteFailureInjector([slow_spill, round_op](std::string_view key) {
+    if (key == slow_spill) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(30));
+      return Status::Unavailable("injected slow spill failure");
+    }
+    return key == round_op ? Status::Unavailable("injected round failure") : Status::Ok();
+  });
+  ASSERT_TRUE(node.Put(*txid, "k", "k1").ok());      // Rewritten: waits for the record.
+  ASSERT_TRUE(node.Put(*txid, "a", "a-slow").ok());  // Spills "a"; fails after 30 ms.
+  ASSERT_TRUE(node.Put(*txid, "b", "b1").ok());      // Fresh: the round's version object.
+  // The round's write of "b" fails at once.
   EXPECT_FALSE(node.CommitTransaction(*txid).ok());
-  storage.failing_prefixes.clear();
+  storage.SetWriteFailureInjector(nullptr);
 
   ASSERT_TRUE(node.CommitTransaction(*txid).ok());
   AftNode reader("reader", storage, clock, UncachedOptions());

@@ -194,8 +194,7 @@ TEST(MessageTest, CommitRecordsRoundTripThroughApplyCommits) {
   auto record = std::make_shared<CommitRecord>();
   record->id = TxnId{1234567, Uuid(7, 9)};
   record->write_set = {"alpha", "beta"};
-  record->segment_count = 1;
-  record->locators = {{"alpha", 0, 0, 5}, {"beta", 0, 5, 7}};
+  record->locators = {{"alpha", 0, 5}, {"beta", 5, 7}};
 
   net::ApplyCommitsRequest request;
   request.records = {record};
@@ -207,6 +206,7 @@ TEST(MessageTest, CommitRecordsRoundTripThroughApplyCommits) {
   EXPECT_EQ(out.write_set, record->write_set);
   ASSERT_EQ(out.locators.size(), 2u);
   EXPECT_EQ(out.locators[1].key, "beta");
+  EXPECT_EQ(out.locators[1].offset, 5u);
   EXPECT_EQ(out.locators[1].length, 7u);
 }
 

@@ -537,13 +537,20 @@ TEST_F(MultiGetTest, CacheHitsSkipStorageEntirely) {
   EXPECT_EQ(storage_.counters().gets.load(), gets_before);
 }
 
-TEST_F(MultiGetTest, PackedLayoutBatchReadsRangedSlices) {
+// On an engine whose commit rounds share no cost (unbounded SimDynamo) the
+// three payloads ride inside one record object; a batch reads each with a
+// ranged GET of that object.
+TEST_F(MultiGetTest, InlineRecordBatchReadsRangedSlices) {
+  ASSERT_FALSE(storage_.CommitRoundsShareCost());
   AftNodeOptions options;
-  options.packed_layout = true;
   options.data_cache_bytes = 0;  // Force ranged GETs on every read.
   auto node = MakeNode("n0", options);
-  CommitSimple(*node, {{"a", "alpha"}, {"b", "bravo"}, {"c", "charlie"}});
+  const TxnId id = CommitSimple(*node, {{"a", "alpha"}, {"b", "bravo"}, {"c", "charlie"}});
+  ASSERT_TRUE(storage_.List(kVersionPrefix)->empty());
+  ASSERT_EQ(storage_.List(kCommitPrefix)->size(), 1u);
 
+  const uint64_t gets_before = storage_.counters().gets.load();
+  const uint64_t bytes_before = storage_.counters().bytes_read.load();
   auto txid = node->StartTransaction();
   ASSERT_TRUE(txid.ok());
   const std::vector<std::string> keys = {"c", "a", "b"};
@@ -552,7 +559,13 @@ TEST_F(MultiGetTest, PackedLayoutBatchReadsRangedSlices) {
   EXPECT_EQ((*reads)[0].value.value(), "charlie");
   EXPECT_EQ((*reads)[1].value.value(), "alpha");
   EXPECT_EQ((*reads)[2].value.value(), "bravo");
-  EXPECT_EQ((*reads)[0].version, (*reads)[1].version);
+  for (const AftNode::VersionedRead& read : *reads) {
+    EXPECT_EQ(read.version, id);
+  }
+  // One ranged GET per key, each transferring only its payload's bytes.
+  EXPECT_EQ(storage_.counters().gets.load() - gets_before, 3u);
+  EXPECT_EQ(storage_.counters().bytes_read.load() - bytes_before,
+            std::string("charliealphabravo").size());
 }
 
 TEST_F(MultiGetTest, UnreadablePinnedVersionAbortsBatch) {

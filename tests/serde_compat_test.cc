@@ -12,7 +12,8 @@
 //   * `SealFrame` produces exactly `EncodeFrame`'s bytes, with and without a
 //     trace-context prefix;
 //   * the direct-field record encoders emit exactly the struct Serialize()
-//     bytes through BOTH writers;
+//     bytes through BOTH writers, and a commit record's bytes are pinned in
+//     hex (the decoder rejects the reserved segment slots set);
 //   * `BinaryReader`'s view getters parse IN PLACE: returned views alias the
 //     caller's buffer, never a copy.
 
@@ -75,8 +76,7 @@ TEST(SerdeCompatTest, RequestsEncodeIdenticallyThroughBothWriters) {
   auto record = std::make_shared<CommitRecord>();
   record->id = TxnId{1234567, Uuid(7, 9)};
   record->write_set = {"alpha", BigValue('w')};
-  record->segment_count = 1;
-  record->locators = {{"alpha", 0, 0, 5}, {"beta", 0, 5, 7}};
+  record->locators = {{"alpha", 0, 5}, {"beta", 5, 7}};
   ExpectRequestCompat(net::ApplyCommitsRequest{{record, record}});
 }
 
@@ -145,15 +145,12 @@ TEST(SerdeCompatTest, RecordFieldEncodersMatchStructSerialize) {
   CommitRecord record;
   record.id = TxnId{987654321, Uuid(0xaa, 0xbb)};
   record.write_set = {"alpha", "", BigValue('w')};
-  record.segment_count = 2;
-  record.locators = {{"alpha", 0, 0, 10}, {BigValue('l'), 1, 10, 20}};
+  record.locators = {{"alpha", 0, 10}, {BigValue('l'), 10, 20}};
 
   BinaryWriter flat;
-  EncodeCommitRecordFields(flat, record.id, record.write_set, record.segment_count,
-                           record.locators);
+  EncodeCommitRecordFields(flat, record.id, record.write_set, record.locators);
   ArenaWriter arena;
-  EncodeCommitRecordFields(arena, record.id, record.write_set, record.segment_count,
-                           record.locators);
+  EncodeCommitRecordFields(arena, record.id, record.write_set, record.locators);
   EXPECT_EQ(flat.data(), record.Serialize());
   EXPECT_EQ(arena.buffer().ToString(), record.Serialize());
 
@@ -168,6 +165,95 @@ TEST(SerdeCompatTest, RecordFieldEncodersMatchStructSerialize) {
   EncodeVersionedValueFields(arena_value, value.writer, value.cowritten, value.payload);
   EXPECT_EQ(flat_value.data(), value.Serialize());
   EXPECT_EQ(arena_value.buffer().ToString(), value.Serialize());
+}
+
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 0xf];
+  }
+  return out;
+}
+
+// A record with one in-record locator: write set {"k"}, its 2-byte payload
+// right after the 59 bytes of fields. The layout, little-endian:
+//   c1 | ts i64 | uuid hi u64 | uuid lo u64 | write set (u32 count, u32 len,
+//   "k") | segment count u32 = 0 (reserved) | u32 locator count | key (u32
+//   len, "k") | segment u32 = kInRecordSegment (reserved) | offset u32 |
+//   length u32.
+constexpr char kPinnedRecordHex[] =
+    "c1"
+    "87d6120000000000"
+    "0700000000000000"
+    "0900000000000000"
+    "01000000"
+    "01000000"
+    "6b"
+    "00000000"
+    "01000000"
+    "01000000"
+    "6b"
+    "ffffffff"
+    "3b000000"
+    "02000000";
+constexpr size_t kPinnedSegmentCountAt = 34;
+constexpr size_t kPinnedLocatorSegmentAt = 47;
+
+CommitRecord PinnedRecord() {
+  CommitRecord record;
+  record.id = TxnId{1234567, Uuid(7, 9)};
+  record.write_set = {"k"};
+  record.locators = {{"k", 59, 2}};
+  return record;
+}
+
+TEST(SerdeCompatTest, CommitRecordBytesArePinned) {
+  const CommitRecord record = PinnedRecord();
+  const std::string bytes = record.Serialize();
+  EXPECT_EQ(Hex(bytes), kPinnedRecordHex);
+  EXPECT_EQ(bytes.size(), EncodedCommitRecordBytes(record.write_set, record.locators));
+
+  // Payload bytes after the fields are not part of the record.
+  auto decoded = CommitRecord::Deserialize(bytes + "v!");
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  EXPECT_EQ(decoded->id, record.id);
+  EXPECT_EQ(decoded->write_set, record.write_set);
+  ASSERT_EQ(decoded->locators.size(), 1u);
+  EXPECT_EQ(decoded->locators[0].key, "k");
+  EXPECT_EQ(decoded->locators[0].offset, 59u);
+  EXPECT_EQ(decoded->locators[0].length, 2u);
+}
+
+// A record naming a payload outside its own object — a non-zero segment
+// count, or a locator whose segment is not kInRecordSegment — has nothing
+// that can read it; records arrive over gossip and from storage, so the
+// decoder refuses them.
+TEST(SerdeCompatTest, CommitRecordDecoderRejectsSegmentSlots) {
+  const std::string bytes = PinnedRecord().Serialize();
+  auto patched = [&bytes](size_t at, uint32_t value) {
+    std::string out = bytes;
+    for (int i = 0; i < 4; ++i) {
+      out[at + i] = static_cast<char>((value >> (8 * i)) & 0xff);
+    }
+    return out;
+  };
+  ASSERT_TRUE(CommitRecord::Deserialize(patched(kPinnedSegmentCountAt, 0)).ok());
+  ASSERT_TRUE(CommitRecord::Deserialize(patched(kPinnedLocatorSegmentAt, kInRecordSegment)).ok());
+
+  for (const uint32_t count : {1u, 4u, kInRecordSegment}) {
+    auto decoded = CommitRecord::Deserialize(patched(kPinnedSegmentCountAt, count));
+    ASSERT_FALSE(decoded.ok()) << count;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInternal);
+    EXPECT_NE(decoded.status().message().find("corrupt commit record"), std::string::npos);
+  }
+  for (const uint32_t segment : {0u, 1u, kInRecordSegment - 1}) {
+    auto decoded = CommitRecord::Deserialize(patched(kPinnedLocatorSegmentAt, segment));
+    ASSERT_FALSE(decoded.ok()) << segment;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInternal);
+    EXPECT_NE(decoded.status().message().find("corrupt commit record"), std::string::npos);
+  }
 }
 
 TEST(SerdeCompatTest, ReaderViewsAliasTheDecodedBuffer) {
