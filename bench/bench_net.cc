@@ -342,6 +342,9 @@ class SoloRoundEngine final : public StorageEngine {
   Status Put(std::string key, std::string value) override {
     return inner_.Put(std::move(key), std::move(value));
   }
+  Status PutIfAbsent(std::string key, std::string value) override {
+    return inner_.PutIfAbsent(std::move(key), std::move(value));
+  }
   Status BatchPut(std::span<const WriteOp> ops) override { return inner_.BatchPut(ops); }
   Status BatchPutConsume(std::span<WriteOp> ops) override { return inner_.BatchPutConsume(ops); }
   void BatchPutEach(std::span<WriteOp> ops, std::span<Status> statuses) override {

@@ -4,6 +4,7 @@
 #include <sys/prctl.h>
 #endif
 
+#include <algorithm>
 #include <cstdlib>
 #include <thread>
 
@@ -33,12 +34,16 @@ TimePoint RealClock::Now() {
       std::chrono::duration<double, std::nano>(wall.count() / scale_));
 }
 
+std::chrono::nanoseconds RealClock::ToWall(Duration d) const {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+      std::chrono::duration<double, std::nano>(static_cast<double>(d.count()) * scale_));
+}
+
 void RealClock::SleepFor(Duration d) {
   if (d <= Duration::zero()) {
     return;
   }
-  const auto wall = std::chrono::duration_cast<Duration>(
-      std::chrono::duration<double, std::nano>(static_cast<double>(d.count()) * scale_));
+  const auto wall = ToWall(d);
   // Linux timer slack makes very short sleeps unreliable (~50-100us jitter),
   // which would distort sub-millisecond simulated latencies. Sleep the bulk
   // and spin the final stretch (unless spinning is disabled).
@@ -53,6 +58,26 @@ void RealClock::SleepFor(Duration d) {
   while (std::chrono::steady_clock::now() < deadline) {
     std::this_thread::yield();
   }
+}
+
+bool RealClock::WaitFor(const std::atomic<bool>& flag, Duration d) {
+  const auto deadline = std::chrono::steady_clock::now() + ToWall(d);
+  MutexLock lock(wait_mu_);
+  while (!flag.load(std::memory_order_acquire)) {
+    const auto left = deadline - std::chrono::steady_clock::now();
+    if (left <= std::chrono::steady_clock::duration::zero()) {
+      break;
+    }
+    wait_cv_.WaitFor(lock, left);
+  }
+  return flag.load(std::memory_order_acquire);
+}
+
+void RealClock::Notify() {
+  // Under the lock, so a waiter between its flag check and its wait cannot
+  // miss the wake-up.
+  MutexLock lock(wait_mu_);
+  wait_cv_.NotifyAll();
 }
 
 int64_t RealClock::WallTimeMicros() {
@@ -84,10 +109,15 @@ void SimClock::SleepFor(Duration d) {
   if (d <= Duration::zero()) {
     return;
   }
+  static const std::atomic<bool> kNever{false};
+  WaitFor(kNever, d);
+}
+
+bool SimClock::WaitFor(const std::atomic<bool>& flag, Duration d) {
   MutexLock lock(mu_);
-  const TimePoint deadline = now_ + d;
+  const TimePoint deadline = now_ + std::max(d, Duration::zero());
   auto it = sleepers_.insert(deadline);
-  while (now_ < deadline) {
+  while (!flag.load(std::memory_order_acquire) && now_ < deadline) {
     if (auto_advance_.load() && *sleepers_.begin() == deadline) {
       // We are the earliest sleeper: virtual time jumps to our deadline.
       now_ = deadline;
@@ -99,6 +129,17 @@ void SimClock::SleepFor(Duration d) {
   sleepers_.erase(it);
   // Our wakeup may have made another thread the earliest sleeper.
   cv_.NotifyAll();
+  return flag.load(std::memory_order_acquire);
+}
+
+void SimClock::Notify() {
+  MutexLock lock(mu_);
+  cv_.NotifyAll();
+}
+
+size_t SimClock::sleepers() {
+  MutexLock lock(mu_);
+  return sleepers_.size();
 }
 
 int64_t SimClock::WallTimeMicros() {

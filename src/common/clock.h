@@ -41,6 +41,14 @@ class Clock {
   // Blocks for `d` of simulated time.
   virtual void SleepFor(Duration d) = 0;
 
+  // Blocks until `flag` is true or `d` of simulated time has passed,
+  // whichever comes first, and returns the flag. A thread that sets the flag
+  // calls Notify() afterwards so a waiter re-checks it.
+  virtual bool WaitFor(const std::atomic<bool>& flag, Duration d) = 0;
+
+  // Wakes every WaitFor caller to re-check its flag.
+  virtual void Notify() = 0;
+
   // Wall-clock microseconds since the Unix epoch, used only for commit
   // timestamps (the paper: "each transaction is given a commit timestamp
   // based on the machine's local system clock"; correctness never depends on
@@ -67,6 +75,8 @@ class RealClock : public Clock {
 
   TimePoint Now() override;
   void SleepFor(Duration d) override;
+  bool WaitFor(const std::atomic<bool>& flag, Duration d) override;
+  void Notify() override;
   int64_t WallTimeMicros() override;
 
   double scale() const { return scale_; }
@@ -76,9 +86,15 @@ class RealClock : public Clock {
   static RealClock& Default();
 
  private:
+  // Wall time for `d` of simulated time.
+  std::chrono::nanoseconds ToWall(Duration d) const;
+
   const double scale_;
   const Duration spin_threshold_;
   const std::chrono::steady_clock::time_point epoch_;
+  // WaitFor callers park here; Notify wakes them all.
+  Mutex wait_mu_;
+  CondVar wait_cv_;
 };
 
 // Virtual time. `SleepFor` blocks the caller until some other thread (or the
@@ -89,14 +105,22 @@ class RealClock : public Clock {
 // Thread-safe. When multiple threads sleep, `Advance` wakes all those whose
 // deadlines have passed; `AutoAdvance(true)` (the default) makes `SleepFor`
 // by the *only* sleeper advance time itself, which keeps single-threaded
-// tests trivial while still supporting explicit-advance tests.
+// tests trivial while still supporting explicit-advance tests. A WaitFor
+// caller is a sleeper like any other until its flag is set.
 class SimClock : public Clock {
  public:
   SimClock() = default;
 
   TimePoint Now() override;
   void SleepFor(Duration d) override;
+  bool WaitFor(const std::atomic<bool>& flag, Duration d) override;
+  void Notify() override;
   int64_t WallTimeMicros() override;
+
+  // Threads blocked in SleepFor or WaitFor right now. With auto-advance off,
+  // a test polls this to know every thread it expects has gone to sleep
+  // before it calls Advance.
+  size_t sleepers();
 
   // Moves time forward by `d`, waking sleepers whose deadlines pass.
   void Advance(Duration d);

@@ -22,6 +22,8 @@ std::string_view StatusCodeName(StatusCode code) {
       return "RESOURCE_EXHAUSTED";
     case StatusCode::kInternal:
       return "INTERNAL";
+    case StatusCode::kAlreadyExists:
+      return "ALREADY_EXISTS";
   }
   return "UNKNOWN";
 }

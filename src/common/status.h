@@ -38,6 +38,9 @@ enum class StatusCode {
   kResourceExhausted,
   // Catch-all for internal invariant violations.
   kInternal,
+  // A conditional create found its key already present (S3 If-None-Match,
+  // DynamoDB attribute_not_exists, Redis SET NX).
+  kAlreadyExists,
 };
 
 // Returns a short stable name for a status code ("OK", "NOT_FOUND", ...).
@@ -68,6 +71,9 @@ class Status {
     return Status(StatusCode::kResourceExhausted, std::move(msg));
   }
   static Status Internal(std::string msg) { return Status(StatusCode::kInternal, std::move(msg)); }
+  static Status AlreadyExists(std::string msg) {
+    return Status(StatusCode::kAlreadyExists, std::move(msg));
+  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }

@@ -144,6 +144,29 @@ AftNode::~AftNode() {
   for (const TxnPtr& txn : running) {
     (void)txn->early_writes.Wait();
   }
+  // So do the losing attempts of hedged record writes, which also call back
+  // into this node.
+  in_flight_records_.AwaitSettled();
+}
+
+void AftNode::InFlightRecords::RecordWriteStarted(const std::string& record_key) {
+  pins_.Pin(TxnIdFromCommitStorageKey(record_key));
+  MutexLock lock(mu_);
+  ++in_flight_;
+}
+
+void AftNode::InFlightRecords::RecordWriteSettled(const std::string& record_key) {
+  pins_.Unpin(TxnIdFromCommitStorageKey(record_key));
+  MutexLock lock(mu_);
+  --in_flight_;
+  settled_cv_.NotifyAll();
+}
+
+void AftNode::InFlightRecords::AwaitSettled() {
+  MutexLock lock(mu_);
+  while (in_flight_ > 0) {
+    settled_cv_.Wait(lock);
+  }
 }
 
 Status AftNode::Start() {
@@ -782,6 +805,7 @@ Result<TxnId> AftNode::CommitTransaction(const Uuid& txid) {
   CommitBatcher::Pending pending;
   pending.unit.data_ops = std::span<WriteOp>(ops.data(), ops.size());
   pending.unit.commit_record = WriteOp{CommitStorageKey(commit_id), std::move(object).TakeData()};
+  pending.unit.record_listener = &in_flight_records_;
   pending.record = record;
   pending.trace = txn->trace;
   // The barrier's other half: the record waits for the spills still in

@@ -330,6 +330,28 @@ class AftNode {
   ServiceThrottle throttle_;
   ReadPinTable read_pins_;
 
+  // A write of a commit record can outlive the commit: a hedged create
+  // returns at its first success while the losing attempt is in flight
+  // (src/storage/record_writer.h). Until that attempt returns, the commit
+  // id stays pinned in read_pins_, so neither local GC nor
+  // CanGloballyDelete lets the record go while a write of it may still
+  // land. ~AftNode waits for every such write.
+  class InFlightRecords final : public RecordWriteListener {
+   public:
+    explicit InFlightRecords(ReadPinTable& pins) : pins_(pins) {}
+    void RecordWriteStarted(const std::string& record_key) override;
+    void RecordWriteSettled(const std::string& record_key) override;
+    // Blocks until every started write has settled.
+    void AwaitSettled();
+
+   private:
+    ReadPinTable& pins_;
+    Mutex mu_;
+    CondVar settled_cv_;
+    size_t in_flight_ GUARDED_BY(mu_) = 0;
+  };
+  InFlightRecords in_flight_records_{read_pins_};
+
   // Recently committed records not yet drained for broadcast; guarded by
   // broadcast_mu_. Local GC will not drop records still pending broadcast.
   // pending_broadcast_traces_ carries each record's trace context (parallel

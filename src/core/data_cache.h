@@ -2,8 +2,11 @@
 //
 // Caches the *payloads* of a subset of the key versions present in the
 // metadata cache, keyed by version storage key. Since key versions are
-// immutable (AFT never overwrites), cache entries can never be stale — the
-// only policy question is eviction, which is LRU by byte budget.
+// immutable (AFT never overwrites an object: version objects have unique
+// keys, and commit records, which may carry payloads, are created with a
+// conditional PutIfAbsent even when a hedge writes one twice), cache
+// entries can never be stale — the only policy question is eviction, which
+// is LRU by byte budget.
 
 #ifndef SRC_CORE_DATA_CACHE_H_
 #define SRC_CORE_DATA_CACHE_H_

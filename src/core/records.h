@@ -10,7 +10,15 @@
 //  * commit records — "c/<zero-padded ts>_<uuid>" in the Transaction Commit
 //                     Set. Written strictly AFTER all of the transaction's
 //                     key versions are durable; its presence is what makes
-//                     the transaction's updates visible.
+//                     the transaction's updates visible. A record is
+//                     CREATED, never overwritten: the commit writes it with
+//                     a conditional PutIfAbsent, which an engine may hedge
+//                     with a second identical create
+//                     (src/storage/record_writer.h). At most one attempt
+//                     lands, and the key is unique per commit attempt, so
+//                     "already exists" means created. The committing node
+//                     pins the record against GC while a losing attempt is
+//                     still in flight.
 //
 // A payload lives in one of two places, named by the record:
 //

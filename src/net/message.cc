@@ -160,7 +160,7 @@ bool DecodeStatus(BinaryReader& reader, Status* out) {
   if (!reader.GetU8(&code) || !reader.GetString(&message)) {
     return false;
   }
-  if (code > static_cast<uint8_t>(StatusCode::kInternal)) {
+  if (code > static_cast<uint8_t>(StatusCode::kAlreadyExists)) {
     return false;
   }
   *out = Status(static_cast<StatusCode>(code), std::move(message));

@@ -421,6 +421,21 @@ Status LocalEngine::Put(std::string key, std::string value) {
   return ApplyWrites(std::span<const Wal::AppendOp>(&op, 1));
 }
 
+Status LocalEngine::PutIfAbsent(std::string key, std::string value) {
+  MutexLock create(create_mu_);
+  bool exists = false;
+  {
+    ReaderMutexLock lock(index_mu_);
+    exists = index_.find(std::string_view(key)) != index_.end();
+  }
+  if (exists) {
+    counters_.puts.fetch_add(1, std::memory_order_relaxed);
+    counters_.api_calls.fetch_add(1, std::memory_order_relaxed);
+    return Status::AlreadyExists("conditional create found the object");
+  }
+  return Put(std::move(key), std::move(value));
+}
+
 Status LocalEngine::BatchPut(std::span<const WriteOp> ops) {
   if (ops.empty()) {
     return Status::Ok();

@@ -91,6 +91,9 @@ class LocalEngine final : public StorageEngine {
   // Concurrent preads on the shared IoExecutor for large key sets.
   std::vector<Result<std::string>> MultiGet(std::span<const std::string> keys) override;
   Status Put(std::string key, std::string value) override;
+  // Atomic against other conditional creates, the only writers of a record
+  // key: creates take turns between the existence check and the append.
+  Status PutIfAbsent(std::string key, std::string value) override;
   Status BatchPut(std::span<const WriteOp> ops) override;
   // Truly consuming is trivially true here: value bytes stream from the
   // caller's buffers into the kernel via writev and are never copied into
@@ -249,6 +252,9 @@ class LocalEngine final : public StorageEngine {
   std::atomic<bool> has_injector_{false};
   Mutex injector_mu_;
   std::shared_ptr<const WriteFailureInjector> injector_ GUARDED_BY(injector_mu_);
+
+  // Serializes PutIfAbsent calls; acquired before inflight_mu_.
+  Mutex create_mu_{"engine.create"};
 
   // Compaction control + guard: at most one pass runs at a time.
   Mutex compact_mu_;

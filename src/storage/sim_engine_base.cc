@@ -34,7 +34,8 @@ SimEngineBase::SimEngineBase(std::string name, Clock& clock, EngineLatencyProfil
       profile_(profile),
       staleness_(staleness),
       map_(map_shards),
-      name_(std::move(name)) {
+      name_(std::move(name)),
+      record_writer_(clock) {
   auto& reg = obs::MetricsRegistry::Global();
   const obs::MetricLabels labels = {{"engine", name_}};
   auto latency = [&](const char* op, const char* help) {
@@ -66,6 +67,19 @@ SimEngineBase::SimEngineBase(std::string name, Clock& clock, EngineLatencyProfil
        counters_.stale_reads);
   wrap("aft_storage_transient_faults_total", "Injected transient storage faults",
        counters_.transient_faults);
+  metric_callbacks_.push_back(reg.RegisterCallback(
+      "aft_storage_hedged_writes_total", "Commit-record creates that issued a second attempt",
+      obs::CallbackType::kCounter, labels,
+      [this] { return static_cast<double>(record_writer_.hedged_writes()); }));
+  metric_callbacks_.push_back(reg.RegisterCallback(
+      "aft_storage_hedge_wins_total", "Second commit-record attempts that created the record",
+      obs::CallbackType::kCounter, labels,
+      [this] { return static_cast<double>(record_writer_.hedge_wins()); }));
+  metric_callbacks_.push_back(reg.RegisterCallback(
+      "aft_storage_hedge_delay_ms",
+      "Wait before a commit-record create is hedged: the observed p90 (0 until observed)",
+      obs::CallbackType::kGauge, labels,
+      [this] { return ToMillis(record_writer_.hedge_delay()); }));
 }
 
 void SimEngineBase::SetMaxConcurrentRequests(size_t n) {
@@ -101,7 +115,10 @@ SimEngineBase::ConnectionSlot::~ConnectionSlot() {
 }
 
 void SimEngineBase::Charge(const LatencyModel& model, uint64_t bytes, obs::Histogram* latency) {
-  const Duration d = model.Sample(ThreadLocalRng(), bytes);
+  ChargeDuration(model.Sample(ThreadLocalRng(), bytes), latency);
+}
+
+void SimEngineBase::ChargeDuration(Duration d, obs::Histogram* latency) {
   if (latency != nullptr) {
     // Observe the charged (simulated) latency: in a simulation this IS the
     // engine's per-op service time.
@@ -195,6 +212,28 @@ Status SimEngineBase::Put(std::string key, std::string value) {
   return Status::Ok();
 }
 
+Status SimEngineBase::PutIfAbsent(std::string key, std::string value) {
+  ConnectionSlot slot(*this);
+  counters_.puts.fetch_add(1, std::memory_order_relaxed);
+  counters_.api_calls.fetch_add(1, std::memory_order_relaxed);
+  counters_.bytes_written.fetch_add(value.size(), std::memory_order_relaxed);
+  Charge(profile_.put, value.size(), op_latency_put_);
+  if (ShouldFail()) {
+    return Status::Unavailable("transient storage error (injected)");
+  }
+  if (!map_.PutIfAbsent(std::move(key), std::move(value), clock_.Now())) {
+    return Status::AlreadyExists("conditional create found the object");
+  }
+  return Status::Ok();
+}
+
+Status SimEngineBase::CreateCommitRecord(WriteOp& record, RecordWriteListener* listener) {
+  if (CommitRoundsShareCost()) {
+    return StorageEngine::CreateCommitRecord(record, listener);
+  }
+  return record_writer_.Create(*this, record, listener);
+}
+
 std::vector<Result<std::string>> SimEngineBase::MultiGet(std::span<const std::string> keys) {
   if (keys.size() <= 1) {
     return StorageEngine::MultiGet(keys);
@@ -210,8 +249,7 @@ std::vector<Result<std::string>> SimEngineBase::MultiGet(std::span<const std::st
   return results;
 }
 
-Status SimEngineBase::PutBatchChunk(std::span<const WriteOp> chunk) {
-  ConnectionSlot slot(*this);
+void SimEngineBase::ChargeBatchWrite(std::span<const WriteOp> chunk) {
   counters_.batch_puts.fetch_add(1, std::memory_order_relaxed);
   counters_.api_calls.fetch_add(1, std::memory_order_relaxed);
   uint64_t bytes = 0;
@@ -219,10 +257,19 @@ Status SimEngineBase::PutBatchChunk(std::span<const WriteOp> chunk) {
     bytes += op.value.size();
   }
   counters_.bytes_written.fetch_add(bytes, std::memory_order_relaxed);
-  Charge(profile_.batch_base, bytes, op_latency_batch_);
+  // One call, one sleep: the base sample plus a sample per item, observed
+  // as the call's latency.
+  Rng& rng = ThreadLocalRng();
+  Duration d = profile_.batch_base.Sample(rng, bytes);
   for (size_t i = 0; i < chunk.size(); ++i) {
-    Charge(profile_.batch_per_item);
+    d += profile_.batch_per_item.Sample(rng);
   }
+  ChargeDuration(d, op_latency_batch_);
+}
+
+Status SimEngineBase::PutBatchChunk(std::span<const WriteOp> chunk) {
+  ConnectionSlot slot(*this);
+  ChargeBatchWrite(chunk);
   if (ShouldFail()) {
     return Status::Unavailable("transient storage error (injected)");
   }
@@ -257,17 +304,7 @@ Status SimEngineBase::BatchPut(std::span<const WriteOp> ops) {
 
 Status SimEngineBase::PutBatchChunkConsume(std::span<WriteOp> chunk) {
   ConnectionSlot slot(*this);
-  counters_.batch_puts.fetch_add(1, std::memory_order_relaxed);
-  counters_.api_calls.fetch_add(1, std::memory_order_relaxed);
-  uint64_t bytes = 0;
-  for (const WriteOp& op : chunk) {
-    bytes += op.value.size();
-  }
-  counters_.bytes_written.fetch_add(bytes, std::memory_order_relaxed);
-  Charge(profile_.batch_base, bytes, op_latency_batch_);
-  for (size_t i = 0; i < chunk.size(); ++i) {
-    Charge(profile_.batch_per_item);
-  }
+  ChargeBatchWrite(chunk);
   if (ShouldFail()) {
     return Status::Unavailable("transient storage error (injected)");
   }

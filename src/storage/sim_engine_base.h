@@ -13,13 +13,14 @@
 #include "src/common/mutex.h"
 #include "src/common/rng.h"
 #include "src/obs/metrics.h"
+#include "src/storage/record_writer.h"
 #include "src/storage/storage_engine.h"
 #include "src/storage/versioned_map.h"
 
 namespace aft {
 
-// Latency models per operation class. Batched writes cost
-// `batch_base + batch_per_item * n` (sampled jointly).
+// Latency models per operation class. A batched write of n items costs one
+// sample of `batch_base` plus n samples of `batch_per_item`, slept as one.
 struct EngineLatencyProfile {
   LatencyModel get;
   LatencyModel put;
@@ -76,6 +77,8 @@ class SimEngineBase : public StorageEngine {
   // out parallel requests); k keys cost ~one get-latency sample, not k.
   std::vector<Result<std::string>> MultiGet(std::span<const std::string> keys) override;
   Status Put(std::string key, std::string value) override;
+  // Charges exactly what Put does; lands only if the key holds no object.
+  Status PutIfAbsent(std::string key, std::string value) override;
   // Multi-op writes dispatch concurrently on the shared IoExecutor: engines
   // without a batch API issue per-key Puts in parallel, batch engines issue
   // their MaxBatchSize() chunks in parallel. Like the real APIs, the batch
@@ -114,12 +117,27 @@ class SimEngineBase : public StorageEngine {
 
   Clock& clock() { return clock_; }
 
+  // Hedges the solo round's record write (see record_writer.h).
+  const RecordWriter& record_writer() const { return record_writer_; }
+
  protected:
+  // Where rounds share no cost, the record write goes through the hedging
+  // RecordWriter; otherwise it is the default single create.
+  Status CreateCommitRecord(WriteOp& record, RecordWriteListener* listener) override;
+
+  // Blocks until no commit-record write is in flight. The record writer
+  // waits too, but only once the subclass part of the engine is gone, so a
+  // subclass whose own PutIfAbsent code may still be running in a losing
+  // attempt calls this from its destructor.
+  void AwaitRecordWrites() { record_writer_.AwaitSettled(); }
+
   // Sleeps for one sample of `model` with the given payload size. When
   // `latency` is given, the sampled duration is also observed into that
   // per-op histogram (aft_storage_op_latency_ms{engine=,op=}).
   void Charge(const LatencyModel& model, uint64_t bytes = 0,
               obs::Histogram* latency = nullptr);
+  // Sleeps for `d`, observing it into `latency` when given.
+  void ChargeDuration(Duration d, obs::Histogram* latency);
 
   // Per-op latency instruments (get/put/delete/list/batch), shared by every
   // engine instance with the same name.
@@ -131,6 +149,8 @@ class SimEngineBase : public StorageEngine {
 
   // One batched API call covering `chunk` (size <= MaxBatchSize()).
   Status PutBatchChunk(std::span<const WriteOp> chunk);
+  // The counters and the one sleep of a batched write of `chunk`.
+  void ChargeBatchWrite(std::span<const WriteOp> chunk);
   // Same charging, but moves each op's key/value into the backing map.
   Status PutBatchChunkConsume(std::span<WriteOp> chunk);
   Status DeleteBatchChunk(std::span<const std::string> chunk);
@@ -174,6 +194,9 @@ class SimEngineBase : public StorageEngine {
   CondVar pool_cv_;
   size_t pool_limit_ GUARDED_BY(pool_mu_) = 0;
   size_t pool_in_use_ GUARDED_BY(pool_mu_) = 0;
+  // After the state its attempts use, so its destructor waits for losing
+  // attempts before that state goes away.
+  RecordWriter record_writer_;
   // Callback metrics wrapping `counters_` ({engine=name_} labels); values
   // are read from this instance's atomics at exposition time.
   std::vector<obs::ScopedMetricCallback> metric_callbacks_;

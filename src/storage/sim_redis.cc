@@ -12,17 +12,7 @@ Status SimRedis::MSet(std::span<const WriteOp> ops) {
       return Status::InvalidArgument("CROSSSLOT keys in request don't hash to the same slot");
     }
   }
-  counters_.batch_puts.fetch_add(1, std::memory_order_relaxed);
-  counters_.api_calls.fetch_add(1, std::memory_order_relaxed);
-  uint64_t bytes = 0;
-  for (const WriteOp& op : ops) {
-    bytes += op.value.size();
-  }
-  counters_.bytes_written.fetch_add(bytes, std::memory_order_relaxed);
-  Charge(profile_.batch_base, bytes);
-  for (size_t i = 0; i < ops.size(); ++i) {
-    Charge(profile_.batch_per_item);
-  }
+  ChargeBatchWrite(ops);
   const TimePoint now = clock_.Now();
   for (const WriteOp& op : ops) {
     map_.Put(op.key, op.value, now);

@@ -15,6 +15,12 @@ using StageClock = std::chrono::steady_clock;
 
 }  // namespace
 
+Status StorageEngine::CreateCommitRecord(WriteOp& record, RecordWriteListener* /*listener*/) {
+  // No write outlives this call, so there is nothing to tell the listener.
+  Status created = PutIfAbsent(std::move(record.key), std::move(record.value));
+  return created.code() == StatusCode::kAlreadyExists ? Status::Ok() : created;
+}
+
 void StorageEngine::BatchPutEach(std::span<WriteOp> ops, std::span<Status> statuses) {
   for (size_t i = 0; i < ops.size(); ++i) {
     statuses[i] = Put(std::move(ops[i].key), std::move(ops[i].value));
@@ -69,8 +75,7 @@ void StorageEngine::CommitUnits(std::span<CommitUnit> units, std::span<Status> r
       results[0] = std::move(flushed);
       return;
     }
-    results[0] = Put(std::move(units[0].commit_record.key),
-                     std::move(units[0].commit_record.value));
+    results[0] = CreateCommitRecord(units[0].commit_record, units[0].record_listener);
     if (timed) {
       profile->end = StageClock::now();
       profile->record_write_s = std::chrono::duration<double>(profile->end - flush_end).count();

@@ -34,6 +34,21 @@ struct WriteOp {
   std::string value;
 };
 
+// Follows a commit record write that may outlive CommitUnits. A hedged
+// record write (see CommitUnits) returns at its first success while the
+// other attempt of it may still be in flight. Started runs on the calling
+// thread before the write leaves it, and only for a write that may outlive
+// the call; Settled runs once every attempt of that write has returned, on
+// the thread of the last one. Both receive the record's storage key.
+class RecordWriteListener {
+ public:
+  virtual void RecordWriteStarted(const std::string& record_key) = 0;
+  virtual void RecordWriteSettled(const std::string& record_key) = 0;
+
+ protected:
+  ~RecordWriteListener() = default;
+};
+
 // One transaction's contribution to a fused commit round: its data-version
 // writes plus the commit record that makes them visible. CommitUnits()
 // persists many units in shared storage rounds while preserving the §3.3
@@ -47,6 +62,9 @@ struct CommitUnit {
   // transaction's writes issued before the round (§3.3 early writes) and
   // under crash-point injection (CrashPoint::kAfterDataWrite).
   std::function<Status()> after_data_write;
+  // Optional: told about a record write that outlives the call (see
+  // RecordWriteListener). Must outlive every write it is told about.
+  RecordWriteListener* record_listener = nullptr;
 };
 
 // Wall-clock decomposition of one CommitUnits call, in seconds. Stages are
@@ -121,6 +139,13 @@ class StorageEngine {
   // instead of handing it strings to copy.
   virtual Status Put(std::string key, std::string value) = 0;
 
+  // Conditional create (S3 `If-None-Match: *`, DynamoDB
+  // `attribute_not_exists`, Redis `SET NX`): writes `key = value` only if
+  // `key` holds no object when the write lands, atomically with that check,
+  // and returns kAlreadyExists otherwise. Costs one PUT either way. Commit
+  // records are written this way, so a record is created, never overwritten.
+  virtual Status PutIfAbsent(std::string key, std::string value) = 0;
+
   // Writes a set of keys. Engines with native batch support (DynamoDB)
   // charge one batched API call per MaxBatchSize() chunk; engines without
   // (S3, cluster-mode Redis across shards) degrade to sequential puts.
@@ -159,6 +184,14 @@ class StorageEngine {
   // one WAL append and one group-committed fsync. A unit's after_data_write
   // hook runs between the two rounds. A non-null `profile` receives the
   // per-stage wall-clock split documented on CommitStageProfile.
+  //
+  // The solo path writes the record with CreateCommitRecord: a conditional
+  // create, which an engine may hedge. A hedged write returns at the first
+  // attempt that created the record (or found it created by the other
+  // attempt: record keys are unique per commit attempt), and fails only
+  // once every attempt has returned, so a failed unit never leaves a write
+  // of its record in flight. A losing attempt still in flight when the call
+  // returns is reported to the unit's record_listener.
   virtual void CommitUnits(std::span<CommitUnit> units, std::span<Status> results,
                            CommitStageProfile* profile = nullptr);
 
@@ -200,6 +233,12 @@ class StorageEngine {
   virtual double client_cpu_factor() const { return 1.0; }
 
   virtual const StorageCounters& counters() const = 0;
+
+ protected:
+  // The solo round's record write: one PutIfAbsent, where finding the
+  // record already created counts as success. SimEngineBase hedges it (see
+  // src/storage/record_writer.h). `record` may be consumed.
+  virtual Status CreateCommitRecord(WriteOp& record, RecordWriteListener* listener);
 };
 
 inline Result<std::string> StorageEngine::GetRange(const std::string& key, uint64_t offset,

@@ -32,6 +32,21 @@ void VersionedMap::Put(std::string key, std::string value, TimePoint now) {
   }
 }
 
+bool VersionedMap::PutIfAbsent(std::string key, std::string value, TimePoint now) {
+  Shard& shard = ShardFor(key);
+  MutexLock lock(shard.mu);
+  // try_emplace leaves `key` untouched when it is already present.
+  auto& history = shard.data.try_emplace(std::move(key)).first->second;
+  if (!history.empty() && history.back().value.has_value()) {
+    return false;
+  }
+  history.push_back(Entry{std::move(value), now});
+  while (history.size() > history_depth_) {
+    history.erase(history.begin());
+  }
+  return true;
+}
+
 std::optional<std::string> VersionedMap::Get(const std::string& key, TimePoint as_of,
                                              bool* was_stale) const {
   const Shard& shard = ShardFor(key);

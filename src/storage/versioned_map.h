@@ -6,7 +6,9 @@
 // at `now - staleness` for a sampled staleness. AFT itself never overwrites
 // keys, so its own data is immune to staleness by construction — exactly the
 // property the paper's protocols rely on (each key version maps to a unique
-// storage key, §3.3).
+// storage key, §3.3). Commit records are covered too: each is written with
+// PutIfAbsent, so a second attempt at the same record (a hedge) lands no
+// second entry.
 
 #ifndef SRC_STORAGE_VERSIONED_MAP_H_
 #define SRC_STORAGE_VERSIONED_MAP_H_
@@ -46,6 +48,11 @@ class VersionedMap {
   // sized buffers straight into the map (a fresh key's string and first
   // history entry land inline / pooled without a copy).
   void Put(std::string key, std::string value, TimePoint now);
+
+  // Writes `key = value` at time `now` only if the key holds no live value
+  // (absent, or deleted); returns whether it wrote. The check and the write
+  // are one step under the shard lock.
+  bool PutIfAbsent(std::string key, std::string value, TimePoint now);
 
   // Returns the value visible at time `as_of` (the newest entry written at
   // or before `as_of`); nullopt if the key did not exist then. `was_stale`

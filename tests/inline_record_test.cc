@@ -149,10 +149,19 @@ class FailingPutEngine final : public SimEngineBase {
   bool SupportsBatchPut() const override { return false; }
   size_t MaxBatchSize() const override { return 1; }
   Status Put(std::string key, std::string value) override {
-    if (!failing_prefix.empty() && key.starts_with(failing_prefix)) {
+    if (Fails(key)) {
       return Status::Unavailable("injected put failure");
     }
     return SimEngineBase::Put(std::move(key), std::move(value));
+  }
+  Status PutIfAbsent(std::string key, std::string value) override {
+    if (Fails(key)) {
+      return Status::Unavailable("injected put failure");
+    }
+    return SimEngineBase::PutIfAbsent(std::move(key), std::move(value));
+  }
+  bool Fails(const std::string& key) const {
+    return !failing_prefix.empty() && key.starts_with(failing_prefix);
   }
 
   std::string failing_prefix;

@@ -230,17 +230,30 @@ class PoisonedEngine final : public PerKeyEngine {
   using PerKeyEngine::PerKeyEngine;
 
   Status Put(std::string key, std::string value) override {
-    if (!poison_.empty() && key.find(poison_) != std::string::npos) {
-      attempted_poison_puts_.fetch_add(1);
+    if (Poisoned(key)) {
       return Status::Unavailable("injected write failure for " + key);
     }
     return PerKeyEngine::Put(std::move(key), std::move(value));
+  }
+  Status PutIfAbsent(std::string key, std::string value) override {
+    if (Poisoned(key)) {
+      return Status::Unavailable("injected write failure for " + key);
+    }
+    return PerKeyEngine::PutIfAbsent(std::move(key), std::move(value));
   }
 
   void Poison(std::string marker) { poison_ = std::move(marker); }
   uint64_t attempted_poison_puts() const { return attempted_poison_puts_.load(); }
 
  private:
+  bool Poisoned(const std::string& key) {
+    if (poison_.empty() || key.find(poison_) == std::string::npos) {
+      return false;
+    }
+    attempted_poison_puts_.fetch_add(1);
+    return true;
+  }
+
   std::string poison_;  // Set before the commit under test; read-only after.
   std::atomic<uint64_t> attempted_poison_puts_{0};
 };

@@ -8,8 +8,10 @@
 #include <vector>
 
 #include "src/common/clock.h"
+#include "src/common/histogram.h"
 #include "src/core/aft_node.h"
 #include "src/core/records.h"
+#include "src/obs/metrics.h"
 #include "src/storage/local_engine.h"
 #include "src/storage/sim_dynamo.h"
 #include "src/storage/sim_engine_base.h"
@@ -108,6 +110,14 @@ TEST(VersionedMapTest, FullyTombstonedKeysDisappear) {
   EXPECT_EQ(map.ApproximateKeyCount(), 0u);
 }
 
+TEST(VersionedMapTest, PutIfAbsentLandsOneEntryOnly) {
+  VersionedMap map(4);
+  EXPECT_TRUE(map.PutIfAbsent("a", "1", TimePoint(Millis(1))));
+  EXPECT_FALSE(map.PutIfAbsent("a", "2", TimePoint(Millis(2))));
+  EXPECT_EQ(map.GetLatest("a").value(), "1");
+  EXPECT_FALSE(map.HasHistory("a"));
+}
+
 // ---- Engine basics (parameterized over all three engines) -------------------------
 
 enum class EngineKind { kS3, kDynamo, kRedis, kLocal };
@@ -174,6 +184,18 @@ TEST_P(EngineTest, DeleteRemovesKeyAndIsIdempotent) {
   ASSERT_TRUE(engine_->Delete("k").ok());
   EXPECT_TRUE(engine_->Get("k").status().IsNotFound());
   EXPECT_TRUE(engine_->Delete("k").ok());
+}
+
+TEST_P(EngineTest, PutIfAbsentCreatesButNeverOverwrites) {
+  const uint64_t puts_before = engine_->counters().puts.load();
+  ASSERT_TRUE(engine_->PutIfAbsent("c/a", "first").ok());
+  EXPECT_EQ(engine_->PutIfAbsent("c/a", "second").code(), StatusCode::kAlreadyExists);
+  EXPECT_EQ(engine_->Get("c/a").value(), "first");
+  EXPECT_EQ(engine_->counters().puts.load() - puts_before, 2u);
+  // A deleted key is absent again.
+  ASSERT_TRUE(engine_->Delete("c/a").ok());
+  ASSERT_TRUE(engine_->PutIfAbsent("c/a", "third").ok());
+  EXPECT_EQ(engine_->Get("c/a").value(), "third");
 }
 
 TEST_P(EngineTest, BatchPutWritesAllKeys) {
@@ -330,6 +352,29 @@ TEST(SimDynamoTest, BatchRespectsChunkLimit) {
   ASSERT_TRUE(dynamo.BatchPut(ops).ok());
   EXPECT_EQ(dynamo.counters().batch_puts.load(), 3u);  // 25 + 25 + 10.
   EXPECT_EQ(dynamo.counters().puts.load(), 0u);
+}
+
+// A batched write is one API call: one sleep of the base sample plus a
+// sample per item, and the op=batch histogram observes exactly that sleep.
+TEST(SimDynamoTest, BatchChargeIsOneSleepObservedWhole) {
+  SimClock clock;
+  SimDynamo dynamo(clock);  // Default latency models: a non-zero per-item cost.
+  obs::Histogram* batch = obs::MetricsRegistry::Global().GetHistogram(
+      "aft_storage_op_latency_ms", "Charged storage latency per operation (ms)",
+      DefaultLatencyBoundariesMs(), {{"engine", "dynamodb"}, {"op", "batch"}});
+  std::vector<WriteOp> ops;
+  for (int i = 0; i < 20; ++i) {
+    ops.push_back(WriteOp{"k" + std::to_string(i), "v"});
+  }
+  for (const bool consume : {false, true}) {
+    const uint64_t count_before = batch->Count();
+    const double sum_before = batch->Sum();
+    const TimePoint start = clock.Now();
+    std::vector<WriteOp> copy = ops;
+    ASSERT_TRUE((consume ? dynamo.BatchPutConsume(copy) : dynamo.BatchPut(copy)).ok());
+    EXPECT_EQ(batch->Count() - count_before, 1u) << consume;
+    EXPECT_NEAR(batch->Sum() - sum_before, ToMillis(clock.Now() - start), 1e-6) << consume;
+  }
 }
 
 TEST(SimDynamoTest, TransactWriteThenTransactGet) {

@@ -1,11 +1,7 @@
 #!/usr/bin/env bash
 # Benchmark runner: builds the headline paper benches, runs them with
 # machine-readable row output (AFT_BENCH_JSON), and assembles the rows into
-# BENCH_results.json — txn/s + p50/p99 per engine/config. Committed snapshots
-# of this file give the repo a perf trajectory across PRs:
-#
-#   BENCH_baseline.json   recorded BEFORE the parallel storage I/O layer
-#   BENCH_results.json    the current tree
+# BENCH_results.json — txn/s + p50/p99 per engine/config.
 #
 # Usage: tools/bench.sh [--smoke] [--out FILE]
 #

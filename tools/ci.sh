@@ -143,6 +143,16 @@ else
   rc=1
 fi
 
+# perfbench: unit tests of the benchmark's metric and check code (mirrors
+# the perfbench-self-test CI job; stdlib only, no build).
+printf '\n==== CI leg: perfbench self-test ====\n'
+if python3 perfbench/run.py --self-test; then
+  echo "[PASS] perfbench self-test"
+else
+  echo "[FAIL] perfbench self-test"
+  rc=1
+fi
+
 # clang-format gate; format.sh exits 0 with a notice when absent.
 printf '\n==== CI leg: clang-format ====\n'
 if tools/format.sh --check; then
