@@ -34,6 +34,9 @@
 //                   Results surface on /debug/contention and as the
 //                   aft_lock_* metric families.
 //
+// Numeric flags take a plain decimal number (ports 0-65535, counts >= 0);
+// anything else prints the usage line and exits 2.
+//
 // Every flag (and the env defaults it consulted) is echoed to /varz on the
 // metrics exporter, as is the commit policy the engine implies
 // (commit.rounds_share_cost: true|false), so scrape-side tooling can tell
@@ -43,12 +46,17 @@
 // SIGINT / SIGTERM trigger a clean shutdown: stop accepting, drain handler
 // threads, stop the node's background sweeps, exit 0.
 
+#include <charconv>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
+#include <system_error>
 #include <thread>
 
 #include "src/common/clock.h"
@@ -78,6 +86,18 @@ void Usage(const char* argv0) {
                argv0);
 }
 
+// The whole of `text` as a decimal number in [0, max]; nullopt for anything
+// else (empty, a sign, trailing characters, overflow).
+std::optional<uint64_t> ParseNumber(const char* text, uint64_t max) {
+  const char* end = text + std::strlen(text);
+  uint64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (ec != std::errc() || ptr != end || value > max) {
+    return std::nullopt;
+  }
+  return value;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -94,13 +114,18 @@ int main(int argc, char** argv) {
   // Cheap enough to leave on by default (1/64 sampling; see bench_obs).
   uint32_t contention_sample = 64;
 
+  constexpr uint64_t kMaxPort = std::numeric_limits<uint16_t>::max();
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto next = [&]() -> const char* { return (i + 1 < argc) ? argv[++i] : nullptr; };
-    if (arg == "--port") {
+    auto next_number = [&](uint64_t max) -> std::optional<uint64_t> {
       const char* v = next();
-      if (v == nullptr) { Usage(argv[0]); return 2; }
-      port = static_cast<uint16_t>(std::atoi(v));
+      return v == nullptr ? std::nullopt : ParseNumber(v, max);
+    };
+    if (arg == "--port") {
+      const auto v = next_number(kMaxPort);
+      if (!v) { Usage(argv[0]); return 2; }
+      port = static_cast<uint16_t>(*v);
     } else if (arg == "--engine") {
       const char* v = next();
       if (v == nullptr) { Usage(argv[0]); return 2; }
@@ -124,21 +149,21 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (arg == "--metrics-port") {
-      const char* v = next();
-      if (v == nullptr) { Usage(argv[0]); return 2; }
-      metrics_port = std::atoi(v);
+      const auto v = next_number(kMaxPort);
+      if (!v) { Usage(argv[0]); return 2; }
+      metrics_port = static_cast<int>(*v);
     } else if (arg == "--trace-sample") {
-      const char* v = next();
-      if (v == nullptr) { Usage(argv[0]); return 2; }
-      trace_sample = static_cast<uint64_t>(std::atoll(v));
+      const auto v = next_number(std::numeric_limits<uint64_t>::max());
+      if (!v) { Usage(argv[0]); return 2; }
+      trace_sample = *v;
     } else if (arg == "--smoke-traffic") {
-      const char* v = next();
-      if (v == nullptr) { Usage(argv[0]); return 2; }
-      smoke_traffic = static_cast<uint64_t>(std::atoll(v));
+      const auto v = next_number(std::numeric_limits<uint64_t>::max());
+      if (!v) { Usage(argv[0]); return 2; }
+      smoke_traffic = *v;
     } else if (arg == "--contention-sample") {
-      const char* v = next();
-      if (v == nullptr) { Usage(argv[0]); return 2; }
-      contention_sample = static_cast<uint32_t>(std::atoll(v));
+      const auto v = next_number(std::numeric_limits<uint32_t>::max());
+      if (!v) { Usage(argv[0]); return 2; }
+      contention_sample = static_cast<uint32_t>(*v);
     } else {
       Usage(argv[0]);
       return arg == "--help" ? 0 : 2;

@@ -71,6 +71,10 @@ Status RecordWriter::Create(StorageEngine& engine, WriteOp& record,
       }
       ++write->in_flight;
     }
+    {
+      MutexLock lock(mu_);
+      ++unsettled_;
+    }
     hedged_writes_.fetch_add(1, std::memory_order_relaxed);
     if (!IoExecutor::Shared().SubmitIfIdle([this, write] { Attempt(*write, true); })) {
       Attempt(*write, true);
@@ -107,15 +111,15 @@ void RecordWriter::Attempt(Write& write, bool hedge) {
     write.answered.store(true, std::memory_order_release);
     clock_.Notify();
   }
-  if (settled) {
-    if (write.listener != nullptr) {
-      write.listener->RecordWriteSettled(write.record.key);
-    }
-    // Last touch of this writer: its destructor may run once this unlocks.
-    MutexLock lock(mu_);
-    --unsettled_;
-    settled_cv_.NotifyAll();
+  if (settled && write.listener != nullptr) {
+    write.listener->RecordWriteSettled(write.record.key);
   }
+  // Last touch of this writer: its destructor may run once this unlocks.
+  // Every attempt counts itself out here, not only the settling one: an
+  // answering attempt may still be in Notify when the other one settles.
+  MutexLock lock(mu_);
+  --unsettled_;
+  settled_cv_.NotifyAll();
 }
 
 void RecordWriter::Observe(Duration latency) {

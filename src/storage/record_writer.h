@@ -76,7 +76,7 @@ class RecordWriter {
   CondVar settled_cv_;
   std::array<Duration, kWindow> window_ GUARDED_BY(mu_){};
   uint64_t observed_ GUARDED_BY(mu_) = 0;
-  // Writes with an attempt still in flight; the destructor waits for zero.
+  // Attempts still in flight; the destructor waits for zero.
   size_t unsettled_ GUARDED_BY(mu_) = 0;
   std::atomic<int64_t> delay_ns_{0};
   std::atomic<uint64_t> hedged_writes_{0};

@@ -168,6 +168,21 @@ TEST_F(AftNodeTest, FracturedReadsArePrevented) {
   EXPECT_EQ(node->Get(*txid, "l")->value(), "l2") << "must not read l1 after k2";
 }
 
+// §3.6: an interactive reader that read l before a {k, l} commit cannot read
+// that commit's k (it would fracture against l@v1) and no older k exists, so
+// it reads NULL: staler than a pre-declared read set, but atomic.
+TEST_F(AftNodeTest, InteractiveReaderOverlappingCommitReadsNull) {
+  auto node = MakeNode("n0");
+  CommitSimple(*node, {{"l", "v1"}});
+  auto reader = node->StartTransaction();
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(node->Get(*reader, "l")->value(), "v1");
+  CommitSimple(*node, {{"k", "v2"}, {"l", "v2"}});
+  auto k = node->Get(*reader, "k");
+  ASSERT_TRUE(k.ok());
+  EXPECT_FALSE(k->has_value());
+}
+
 TEST_F(AftNodeTest, ReadOnlyTransactionCommits) {
   auto node = MakeNode("n0");
   CommitSimple(*node, {{"k", "v"}});

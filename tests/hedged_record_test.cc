@@ -4,7 +4,7 @@
 // fails only once both attempts returned, no record gains a second entry,
 // and a record whose losing write is in flight stays pinned against both
 // garbage collectors until that write returns. Node and engine teardown
-// wait for it. Time is a SimClock: the hedge tests turn auto-advance off and
+// wait for it, and for a winning attempt still waking the caller. Time is a SimClock: the hedge tests turn auto-advance off and
 // move time by hand once every expected thread sleeps on the clock.
 
 #include <gtest/gtest.h>
@@ -415,6 +415,63 @@ TEST(HedgedRecordTest, EngineTeardownWaitsForTheLosingWrite) {
   clock.Advance(std::chrono::milliseconds(1000));
   teardown.join();
   EXPECT_EQ(script.returned.load(), RecordWriter::kWindow + 2);
+}
+
+// A SimClock whose Notify, while held, parks its caller until released.
+class GatedClock final : public SimClock {
+ public:
+  void Notify() override {
+    if (hold_.load()) {
+      parked_.store(true);
+      while (hold_.load()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+    }
+    SimClock::Notify();
+  }
+  void Hold() { hold_.store(true); }
+  void Release() { hold_.store(false); }
+  bool parked() const { return parked_.load(); }
+
+ private:
+  std::atomic<bool> hold_{false};
+  std::atomic<bool> parked_{false};
+};
+
+// The winning attempt wakes the caller through the writer's clock after it
+// has answered. If the losing attempt settles meanwhile, teardown must still
+// wait for the winner to leave the writer.
+TEST(HedgedRecordTest, EngineTeardownWaitsForTheAnsweringAttempt) {
+  GatedClock clock;
+  Script script;
+  auto engine = std::make_unique<ScriptedEngine>(clock, script);
+  WarmUp(*engine);
+
+  clock.set_auto_advance(false);
+  clock.Hold();
+  script.Push(Step{std::chrono::milliseconds(1000)});  // Primary: loses.
+  script.Push(Step{std::chrono::milliseconds(5)});     // Hedge: wins, parks in Notify.
+  AsyncCreate create(*engine, "c/slow", "record-bytes");
+  AwaitSleepers(clock, 2);
+  clock.Advance(kWarmLatency);
+  AwaitSleepers(clock, 3);
+  clock.Advance(std::chrono::milliseconds(5));
+  AwaitTrue([&] { return clock.parked(); }, "the winning hedge never notified");
+  // The primary returns and settles; the caller wakes and sees the answer.
+  clock.Advance(std::chrono::milliseconds(1000));
+  ASSERT_TRUE(create.Join().ok());
+  AwaitTrue([&] { return script.returned.load() == RecordWriter::kWindow + 2; },
+            "the losing primary never returned");
+
+  std::atomic<bool> destroyed{false};
+  std::thread teardown([&] {
+    engine.reset();
+    destroyed.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(destroyed.load()) << "the writer went while an attempt was still inside it";
+  clock.Release();
+  teardown.join();
 }
 
 }  // namespace
