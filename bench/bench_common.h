@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <optional>
 #include <string>
 
 #include "src/common/clock.h"
@@ -105,12 +106,25 @@ inline void PrintTitle(const std::string& title) {
 
 inline void PrintNote(const std::string& note) { std::printf("  %s\n", note.c_str()); }
 
+// An extra numeric field appended to a JSON row, printed with `decimals`
+// digits after the point.
+struct JsonField {
+  const char* name;
+  double value;
+  int decimals;
+};
+
+// Heap allocations per operation (consumed by the tools/bench_gate.sh
+// ceilings) and fsyncs per transaction (the local-engine batch-fusion figure).
+inline JsonField AllocsPerTxn(double value) { return {"allocs_per_txn", value, 1}; }
+inline JsonField FsyncsPerTxn(double value) { return {"fsyncs_per_txn", value, 3}; }
+
 // Machine-readable row sink. When AFT_BENCH_JSON names a file, every measured
 // row is appended to it as one JSON object per line; tools/bench.sh collects
 // the lines into BENCH_results.json. No-op when the variable is unset.
 inline void EmitJsonRow(const std::string& bench, const std::string& row,
                         double p50_ms, double p99_ms, double throughput_tps,
-                        uint64_t completed) {
+                        uint64_t completed, std::optional<JsonField> extra = std::nullopt) {
   static std::FILE* sink = []() -> std::FILE* {
     const char* path = std::getenv("AFT_BENCH_JSON");
     if (path == nullptr || path[0] == '\0') {
@@ -121,59 +135,16 @@ inline void EmitJsonRow(const std::string& bench, const std::string& row,
   if (sink == nullptr) {
     return;
   }
-  std::fprintf(sink,
-               "{\"bench\":\"%s\",\"row\":\"%s\",\"p50_ms\":%.4f,"
-               "\"p99_ms\":%.4f,\"txn_per_s\":%.2f,\"completed\":%llu}\n",
-               bench.c_str(), row.c_str(), p50_ms, p99_ms, throughput_tps,
-               static_cast<unsigned long long>(completed));
-  std::fflush(sink);
-}
-
-// Like EmitJsonRow, with the measured allocations-per-operation attached as an
-// extra "allocs_per_txn" field (consumed by the tools/bench_gate.sh ceiling).
-inline void EmitJsonRowAllocs(const std::string& bench, const std::string& row,
-                              double p50_ms, double p99_ms, double throughput_tps,
-                              uint64_t completed, double allocs_per_txn) {
-  static std::FILE* sink = []() -> std::FILE* {
-    const char* path = std::getenv("AFT_BENCH_JSON");
-    if (path == nullptr || path[0] == '\0') {
-      return nullptr;
-    }
-    return std::fopen(path, "a");
-  }();
-  if (sink == nullptr) {
-    return;
+  char extra_text[64] = "";
+  if (extra.has_value()) {
+    std::snprintf(extra_text, sizeof(extra_text), ",\"%s\":%.*f", extra->name,
+                  extra->decimals, extra->value);
   }
   std::fprintf(sink,
                "{\"bench\":\"%s\",\"row\":\"%s\",\"p50_ms\":%.4f,"
-               "\"p99_ms\":%.4f,\"txn_per_s\":%.2f,\"completed\":%llu,"
-               "\"allocs_per_txn\":%.1f}\n",
+               "\"p99_ms\":%.4f,\"txn_per_s\":%.2f,\"completed\":%llu%s}\n",
                bench.c_str(), row.c_str(), p50_ms, p99_ms, throughput_tps,
-               static_cast<unsigned long long>(completed), allocs_per_txn);
-  std::fflush(sink);
-}
-
-// Like EmitJsonRow, with the measured fsyncs-per-transaction attached as an
-// extra "fsyncs_per_txn" field (the local-engine batch-fusion figure).
-inline void EmitJsonRowFsyncs(const std::string& bench, const std::string& row,
-                              double p50_ms, double p99_ms, double throughput_tps,
-                              uint64_t completed, double fsyncs_per_txn) {
-  static std::FILE* sink = []() -> std::FILE* {
-    const char* path = std::getenv("AFT_BENCH_JSON");
-    if (path == nullptr || path[0] == '\0') {
-      return nullptr;
-    }
-    return std::fopen(path, "a");
-  }();
-  if (sink == nullptr) {
-    return;
-  }
-  std::fprintf(sink,
-               "{\"bench\":\"%s\",\"row\":\"%s\",\"p50_ms\":%.4f,"
-               "\"p99_ms\":%.4f,\"txn_per_s\":%.2f,\"completed\":%llu,"
-               "\"fsyncs_per_txn\":%.3f}\n",
-               bench.c_str(), row.c_str(), p50_ms, p99_ms, throughput_tps,
-               static_cast<unsigned long long>(completed), fsyncs_per_txn);
+               static_cast<unsigned long long>(completed), extra_text);
   std::fflush(sink);
 }
 

@@ -17,8 +17,9 @@
 #include "bench/bench_common.h"
 #include "src/cluster/aft_client.h"
 #include "src/cluster/load_balancer.h"
-#include "src/common/stats.h"
+#include "src/common/histogram.h"
 #include "src/core/aft_node.h"
+#include "src/obs/metrics.h"
 #include "src/storage/sim_dynamo.h"
 #include "src/workload/workload.h"
 
@@ -29,14 +30,14 @@ using bench::BenchClock;
 
 constexpr size_t kValueBytes = 4096;
 
-struct PaperRow {
+struct LatencyRow {
   double median;
   double p99;
 };
 
 // Reference numbers read off Figure 2 (medians / 99th percentiles, ms).
 struct PaperFig2 {
-  PaperRow aft_seq, aft_batch, ddb_seq, ddb_batch;
+  LatencyRow aft_seq, aft_batch, ddb_seq, ddb_batch;
 };
 const PaperFig2 kPaper[] = {
     {{10.2, 17.2}, {9.9, 15.3}, {3.03, 5.45}, {3.08, 7.49}},   // 1 write
@@ -44,20 +45,21 @@ const PaperFig2 kPaper[] = {
     {{17.6, 56.9}, {12.3, 25.5}, {35.6, 696}, {6.82, 15.2}},   // 10 writes
 };
 
-LatencySummary Measure(long requests, const std::function<void(size_t)>& one_request) {
-  LatencyRecorder recorder;
+// Measured median and p99 of one configuration, in simulated ms.
+LatencyRow Measure(long requests, const std::function<void(size_t)>& one_request) {
+  obs::Histogram latency(FineLatencyBoundariesMs());
   Clock& clock = BenchClock();
   for (long i = 0; i < requests; ++i) {
     const TimePoint begin = clock.Now();
     one_request(static_cast<size_t>(i));
-    recorder.Record(clock.Now() - begin);
+    latency.Observe(ToMillis(clock.Now() - begin));
   }
-  return recorder.Summarize();
+  return {latency.Quantile(0.50), latency.Quantile(0.99)};
 }
 
-void PrintRow(const char* name, const LatencySummary& s, const PaperRow& paper) {
+void PrintRow(const char* name, const LatencyRow& measured, const LatencyRow& paper) {
   std::printf("  %-22s median %7.2f ms   p99 %8.2f ms   (paper: %6.2f / %6.2f)\n", name,
-              s.median_ms, s.p99_ms, paper.median, paper.p99);
+              measured.median, measured.p99, paper.median, paper.p99);
 }
 
 }  // namespace

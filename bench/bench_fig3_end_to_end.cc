@@ -41,12 +41,11 @@ void PrintRow(const char* name, const HarnessResult& r, const PaperRef& paper,
   std::printf(
       "  %-28s p50 %7.2f ms  p99 %8.2f ms  RYW %5llu  FR %5llu   "
       "(paper: %5.1f / %5.1f ms, RYW~%.0f, FR~%.0f) [%s]\n",
-      name, r.latency.median_ms, r.latency.p99_ms,
-      static_cast<unsigned long long>(r.ryw_anomalies),
+      name, r.p50_ms, r.p99_ms, static_cast<unsigned long long>(r.ryw_anomalies),
       static_cast<unsigned long long>(r.fr_anomalies), paper.median, paper.p99,
       paper.ryw * scale, paper.fr * scale, consistency);
-  bench::EmitJsonRow("fig3_end_to_end", name, r.latency.median_ms, r.latency.p99_ms,
-                     r.throughput_tps, r.completed);
+  bench::EmitJsonRow("fig3_end_to_end", name, r.p50_ms, r.p99_ms, r.throughput_tps,
+                     r.completed);
 }
 
 WorkloadSpec CanonicalSpec() {

@@ -40,7 +40,7 @@ WorkloadSpec Fig4Spec(uint64_t keys, double theta) {
 
 void PrintRow(const char* name, const HarnessResult& r, const PaperRow& paper) {
   std::printf("  %-18s p50 %7.2f ms   p99 %8.2f ms   (paper: %6.1f / %6.1f)\n", name,
-              r.latency.median_ms, r.latency.p99_ms, paper.median, paper.p99);
+              r.p50_ms, r.p99_ms, paper.median, paper.p99);
 }
 
 template <typename EngineT>

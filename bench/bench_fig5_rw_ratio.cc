@@ -49,7 +49,7 @@ void RunSweep(const char* label, const PaperRow* paper, const HarnessOptions& ha
     const HarnessResult result = env.Run(harness);
     std::printf("  %3d%% reads   p50 %7.2f ms   p99 %8.2f ms   retries %4llu   "
                 "(paper: %5.1f / %5.1f)\n",
-                reads * 20, result.latency.median_ms, result.latency.p99_ms,
+                reads * 20, result.p50_ms, result.p99_ms,
                 static_cast<unsigned long long>(env.runner->counters().request_retries.load()),
                 paper[reads].median, paper[reads].p99);
   }

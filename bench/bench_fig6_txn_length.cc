@@ -49,12 +49,12 @@ std::vector<HarnessResult> RunSweep(const char* label, const PaperRow* paper,
     AftEnv<EngineT> env(BenchClock(), spec, cluster_options);
     results.push_back(env.Run(harness));
     std::printf("  %2zu function%s  p50 %7.2f ms   p99 %8.2f ms   (paper: %5.1f / %5.1f)\n",
-                kLengths[i], kLengths[i] == 1 ? " " : "s", results.back().latency.median_ms,
-                results.back().latency.p99_ms, paper[i].median, paper[i].p99);
+                kLengths[i], kLengths[i] == 1 ? " " : "s", results.back().p50_ms,
+                results.back().p99_ms, paper[i].median, paper[i].p99);
     bench::EmitJsonRow("fig6_txn_length",
                        std::string(label) + " " + std::to_string(kLengths[i]) + "f",
-                       results.back().latency.median_ms, results.back().latency.p99_ms,
-                       results.back().throughput_tps, results.back().completed);
+                       results.back().p50_ms, results.back().p99_ms, results.back().throughput_tps,
+                       results.back().completed);
   }
   return results;
 }
@@ -79,13 +79,13 @@ int main() {
   auto redis = RunSweep<SimRedis>("Redis", kPaperRedis, harness);
 
   PrintTitle("Shape checks");
-  const double d_ratio = dynamo.back().latency.median_ms / dynamo.front().latency.median_ms;
-  const double r_ratio = redis.back().latency.median_ms / redis.front().latency.median_ms;
+  const double d_ratio = dynamo.back().p50_ms / dynamo.front().p50_ms;
+  const double r_ratio = redis.back().p50_ms / redis.front().p50_ms;
   std::printf("  10f/1f growth: DynamoDB %.1fx (paper 6.2x), Redis %.1fx (paper 8.9x)\n",
               d_ratio, r_ratio);
   std::printf("  DynamoDB vs Redis gap: %.0f%% at 1 function (paper 59%%), %.0f%% at 10 "
               "(paper 13%%)\n",
-              100 * (dynamo.front().latency.median_ms / redis.front().latency.median_ms - 1),
-              100 * (dynamo.back().latency.median_ms / redis.back().latency.median_ms - 1));
+              100 * (dynamo.front().p50_ms / redis.front().p50_ms - 1),
+              100 * (dynamo.back().p50_ms / redis.back().p50_ms - 1));
   return 0;
 }

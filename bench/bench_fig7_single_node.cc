@@ -42,11 +42,10 @@ void RunSweep(const char* label, double paper_peak) {
     harness.check_anomalies = false;
     const HarnessResult result = env.Run(harness);
     std::printf("  %2zu clients   %7.1f txn/s   p50 %6.1f ms   p99 %7.1f ms\n", clients,
-                result.throughput_tps, result.latency.median_ms, result.latency.p99_ms);
+                result.throughput_tps, result.p50_ms, result.p99_ms);
     bench::EmitJsonRow("fig7_single_node",
                        std::string(label) + " " + std::to_string(clients) + "c",
-                       result.latency.median_ms, result.latency.p99_ms,
-                       result.throughput_tps, result.completed);
+                       result.p50_ms, result.p99_ms, result.throughput_tps, result.completed);
     last_tput = result.throughput_tps;
   }
   std::printf("  peak measured: %.0f txn/s\n", last_tput);
@@ -103,11 +102,10 @@ void RunLocalSweep() {
         result.completed > 0 ? static_cast<double>(fsyncs) / result.completed : 0;
     std::printf(
         "  %2zu clients   %7.1f txn/s   p50 %6.1f ms   p99 %7.1f ms   %.3f fsyncs/txn\n",
-        clients, result.throughput_tps, result.latency.median_ms, result.latency.p99_ms,
-        fsyncs_per_txn);
-    bench::EmitJsonRowFsyncs("fig7_single_node", "local " + std::to_string(clients) + "c",
-                             result.latency.median_ms, result.latency.p99_ms,
-                             result.throughput_tps, result.completed, fsyncs_per_txn);
+        clients, result.throughput_tps, result.p50_ms, result.p99_ms, fsyncs_per_txn);
+    bench::EmitJsonRow("fig7_single_node", "local " + std::to_string(clients) + "c",
+                       result.p50_ms, result.p99_ms, result.throughput_tps, result.completed,
+                       bench::FsyncsPerTxn(fsyncs_per_txn));
   }
   cluster.Stop();
 }

@@ -41,8 +41,9 @@
 #include "bench/bench_common.h"
 #include "bench/stage_breakdown.h"
 #include "src/common/clock.h"
-#include "src/common/stats.h"
+#include "src/common/histogram.h"
 #include "src/core/aft_node.h"
+#include "src/obs/metrics.h"
 #include "src/storage/local_engine.h"
 
 namespace aft {
@@ -63,27 +64,25 @@ double WallMs(std::chrono::steady_clock::time_point start) {
 // Raw engine ops: one durable put / one pread get per iteration.
 void RunRawOps(LocalEngine& engine, long reps) {
   const std::string value(128, 'v');
-  LatencyRecorder put_lat;
+  obs::Histogram put_lat(FineLatencyBoundariesMs());
   for (long r = 0; r < reps; ++r) {
     const auto start = std::chrono::steady_clock::now();
     Check(engine.Put("raw" + std::to_string(r % 64), value), "Put");
-    put_lat.RecordMillis(WallMs(start));
+    put_lat.Observe(WallMs(start));
   }
-  LatencyRecorder get_lat;
+  obs::Histogram get_lat(FineLatencyBoundariesMs());
   for (long r = 0; r < reps; ++r) {
     const auto start = std::chrono::steady_clock::now();
     Check(engine.Get("raw" + std::to_string(r % 64)).status(), "Get");
-    get_lat.RecordMillis(WallMs(start));
+    get_lat.Observe(WallMs(start));
   }
-  const LatencySummary put_s = put_lat.Summarize();
-  const LatencySummary get_s = get_lat.Summarize();
-  std::printf("  put (128 B, durable)  p50 %7.3f ms   p99 %7.3f ms\n", put_s.median_ms,
-              put_s.p99_ms);
-  std::printf("  get (pread)           p50 %7.3f ms   p99 %7.3f ms\n", get_s.median_ms,
-              get_s.p99_ms);
-  bench::EmitJsonRow("local_engine", "put", put_s.median_ms, put_s.p99_ms, 0.0,
+  std::printf("  put (128 B, durable)  p50 %7.3f ms   p99 %7.3f ms\n", put_lat.Quantile(0.50),
+              put_lat.Quantile(0.99));
+  std::printf("  get (pread)           p50 %7.3f ms   p99 %7.3f ms\n", get_lat.Quantile(0.50),
+              get_lat.Quantile(0.99));
+  bench::EmitJsonRow("local_engine", "put", put_lat.Quantile(0.50), put_lat.Quantile(0.99), 0.0,
                      static_cast<uint64_t>(reps));
-  bench::EmitJsonRow("local_engine", "get", get_s.median_ms, get_s.p99_ms, 0.0,
+  bench::EmitJsonRow("local_engine", "get", get_lat.Quantile(0.50), get_lat.Quantile(0.99), 0.0,
                      static_cast<uint64_t>(reps));
 }
 
@@ -99,7 +98,7 @@ double RunCommit(AftNode& node, long reps) {
     Check(node.Put(*txid, "commit-key", "v"), "Put");
     Check(node.CommitTransaction(*txid).status(), "Commit");
   }
-  LatencyRecorder lat;
+  obs::Histogram lat(FineLatencyBoundariesMs());
   uint64_t commit_allocs = 0;
   for (long r = 0; r < reps; ++r) {
     auto txid = node.StartTransaction();
@@ -111,14 +110,15 @@ double RunCommit(AftNode& node, long reps) {
       Check(node.CommitTransaction(*txid).status(), "Commit");
       commit_allocs += allocs.count();
     }
-    lat.RecordMillis(WallMs(start));
+    lat.Observe(WallMs(start));
   }
-  const LatencySummary s = lat.Summarize();
+  const double p50 = lat.Quantile(0.50);
+  const double p99 = lat.Quantile(0.99);
   const double allocs_per_txn = static_cast<double>(commit_allocs) / reps;
-  std::printf("  local commit          p50 %7.3f ms   p99 %7.3f ms   %6.1f allocs/txn\n",
-              s.median_ms, s.p99_ms, allocs_per_txn);
-  bench::EmitJsonRowAllocs("local_engine", "local commit", s.median_ms, s.p99_ms, 0.0,
-                           static_cast<uint64_t>(reps), allocs_per_txn);
+  std::printf("  local commit          p50 %7.3f ms   p99 %7.3f ms   %6.1f allocs/txn\n", p50,
+              p99, allocs_per_txn);
+  bench::EmitJsonRow("local_engine", "local commit", p50, p99, 0.0, static_cast<uint64_t>(reps),
+                     bench::AllocsPerTxn(allocs_per_txn));
   return allocs_per_txn;
 }
 
@@ -129,19 +129,15 @@ void RunGroupCommitSweep(LocalEngine& engine, long ops_per_writer) {
     const Wal::Stats before = engine.wal_stats();
     const auto start = std::chrono::steady_clock::now();
     std::vector<std::thread> threads;
-    LatencyRecorder lat;
-    Mutex lat_mu;
+    obs::Histogram lat(FineLatencyBoundariesMs());
     for (int w = 0; w < writers; ++w) {
       threads.emplace_back([&, w] {
-        LatencyRecorder local;
         const std::string value(128, 'g');
         for (long i = 0; i < ops_per_writer; ++i) {
           const auto op_start = std::chrono::steady_clock::now();
           Check(engine.Put("w" + std::to_string(w) + "-" + std::to_string(i), value), "Put");
-          local.RecordMillis(WallMs(op_start));
+          lat.Observe(WallMs(op_start));
         }
-        MutexLock lock(lat_mu);
-        lat.Merge(local);
       });
     }
     for (std::thread& t : threads) {
@@ -152,12 +148,12 @@ void RunGroupCommitSweep(LocalEngine& engine, long ops_per_writer) {
     const uint64_t ops = static_cast<uint64_t>(writers) * ops_per_writer;
     const uint64_t fsyncs = after.fsyncs - before.fsyncs;
     const double tput = elapsed_ms > 0 ? 1000.0 * ops / elapsed_ms : 0;
-    const LatencySummary s = lat.Summarize();
+    const double p50 = lat.Quantile(0.50);
+    const double p99 = lat.Quantile(0.99);
     std::printf("  group commit %2dw      p50 %7.3f ms   p99 %7.3f ms   %8.0f put/s   %.2f fsyncs/txn\n",
-                writers, s.median_ms, s.p99_ms, tput,
-                ops > 0 ? static_cast<double>(fsyncs) / ops : 0);
-    bench::EmitJsonRow("local_engine", "group commit " + std::to_string(writers) + "w",
-                       s.median_ms, s.p99_ms, tput, ops);
+                writers, p50, p99, tput, ops > 0 ? static_cast<double>(fsyncs) / ops : 0);
+    bench::EmitJsonRow("local_engine", "group commit " + std::to_string(writers) + "w", p50, p99,
+                       tput, ops);
   }
 }
 
@@ -179,11 +175,9 @@ void RunAftCommitSweep(LocalEngine& engine, long ops_per_writer) {
     const Wal::Stats before = engine.wal_stats();
     const auto start = std::chrono::steady_clock::now();
     std::vector<std::thread> threads;
-    LatencyRecorder lat;
-    Mutex lat_mu;
+    obs::Histogram lat(FineLatencyBoundariesMs());
     for (int w = 0; w < writers; ++w) {
       threads.emplace_back([&, w] {
-        LatencyRecorder local;
         const std::string value(128, 'a');
         for (long i = 0; i < ops_per_writer; ++i) {
           const auto op_start = std::chrono::steady_clock::now();
@@ -191,10 +185,8 @@ void RunAftCommitSweep(LocalEngine& engine, long ops_per_writer) {
           Check(txid.status(), "sweep StartTransaction");
           Check(node.Put(*txid, "aft-w" + std::to_string(w), value), "sweep Put");
           Check(node.CommitTransaction(*txid).status(), "sweep Commit");
-          local.RecordMillis(WallMs(op_start));
+          lat.Observe(WallMs(op_start));
         }
-        MutexLock lock(lat_mu);
-        lat.Merge(local);
       });
     }
     for (std::thread& t : threads) {
@@ -206,12 +198,13 @@ void RunAftCommitSweep(LocalEngine& engine, long ops_per_writer) {
     const uint64_t fsyncs = after.fsyncs - before.fsyncs;
     const double tput = elapsed_ms > 0 ? 1000.0 * ops / elapsed_ms : 0;
     const double fsyncs_per_txn = ops > 0 ? static_cast<double>(fsyncs) / ops : 0;
-    const LatencySummary s = lat.Summarize();
+    const double p50 = lat.Quantile(0.50);
+    const double p99 = lat.Quantile(0.99);
     std::printf(
         "  aft commit %2dw        p50 %7.3f ms   p99 %7.3f ms   %8.0f txn/s   %.3f fsyncs/txn\n",
-        writers, s.median_ms, s.p99_ms, tput, fsyncs_per_txn);
-    bench::EmitJsonRowFsyncs("local_engine", "aft commit " + std::to_string(writers) + "w",
-                             s.median_ms, s.p99_ms, tput, ops, fsyncs_per_txn);
+        writers, p50, p99, tput, fsyncs_per_txn);
+    bench::EmitJsonRow("local_engine", "aft commit " + std::to_string(writers) + "w", p50, p99,
+                       tput, ops, bench::FsyncsPerTxn(fsyncs_per_txn));
     breakdown.Report("aft commit " + std::to_string(writers) + "w");
   }
 }

@@ -33,10 +33,11 @@
 #define AFT_BENCH_COUNT_ALLOCS
 #include "bench/bench_common.h"
 #include "bench/stage_breakdown.h"
-#include "src/common/stats.h"
+#include "src/common/histogram.h"
 #include "src/core/aft_node.h"
 #include "src/net/client.h"
 #include "src/net/server.h"
+#include "src/obs/metrics.h"
 #include "src/storage/sim_dynamo.h"
 
 namespace aft {
@@ -89,8 +90,8 @@ void RunInProcCommit(AftNode& node, long reps) {
     Check(node.Put(*txid, Key(0), "v"), "Put");
     Check(node.CommitTransaction(*txid).status(), "Commit");
   }
-  LatencyRecorder lat;
-  LatencyRecorder put_commit_lat;
+  obs::Histogram lat(FineLatencyBoundariesMs());
+  obs::Histogram put_commit_lat(FineLatencyBoundariesMs());
   uint64_t commit_allocs = 0;
   uint64_t put_allocs = 0;
   for (long r = 0; r < reps; ++r) {
@@ -108,22 +109,22 @@ void RunInProcCommit(AftNode& node, long reps) {
       Check(node.CommitTransaction(*txid).status(), "Commit");
       commit_allocs += allocs.count();
     }
-    lat.RecordMillis(WallMs(start));
-    put_commit_lat.RecordMillis(WallMs(put_start));
+    lat.Observe(WallMs(start));
+    put_commit_lat.Observe(WallMs(put_start));
   }
-  const LatencySummary s = lat.Summarize();
   const double allocs_per_txn = static_cast<double>(commit_allocs) / reps;
   std::printf("  in-proc commit        p50 %7.3f ms   p99 %7.3f ms   %6.1f allocs/txn\n",
-              s.median_ms, s.p99_ms, allocs_per_txn);
-  bench::EmitJsonRowAllocs("net", "inproc commit", s.median_ms, s.p99_ms, 0.0,
-                           static_cast<uint64_t>(reps), allocs_per_txn);
-  const LatencySummary pc = put_commit_lat.Summarize();
+              lat.Quantile(0.50), lat.Quantile(0.99), allocs_per_txn);
+  EmitJsonRow("net", "inproc commit", lat.Quantile(0.50), lat.Quantile(0.99), 0.0,
+              static_cast<uint64_t>(reps), bench::AllocsPerTxn(allocs_per_txn));
   const double put_commit_allocs_per_txn =
       static_cast<double>(put_allocs + commit_allocs) / reps;
   std::printf("  in-proc put+commit    p50 %7.3f ms   p99 %7.3f ms   %6.1f allocs/txn\n",
-              pc.median_ms, pc.p99_ms, put_commit_allocs_per_txn);
-  bench::EmitJsonRowAllocs("net", "inproc put+commit", pc.median_ms, pc.p99_ms, 0.0,
-                           static_cast<uint64_t>(reps), put_commit_allocs_per_txn);
+              put_commit_lat.Quantile(0.50), put_commit_lat.Quantile(0.99),
+              put_commit_allocs_per_txn);
+  EmitJsonRow("net", "inproc put+commit", put_commit_lat.Quantile(0.50),
+              put_commit_lat.Quantile(0.99), 0.0, static_cast<uint64_t>(reps),
+              bench::AllocsPerTxn(put_commit_allocs_per_txn));
 }
 
 // Same workload over loopback TCP. The alloc column here is the CLIENT-side
@@ -138,7 +139,7 @@ void RunTcpCommit(net::RemoteAftClient& client, long reps) {
     Check(client.Put(*session, Key(0), "v"), "Put");
     Check(client.Commit(*session).status(), "Commit");
   }
-  LatencyRecorder lat;
+  obs::Histogram lat(FineLatencyBoundariesMs());
   uint64_t commit_allocs = 0;
   for (long r = 0; r < reps; ++r) {
     auto session = client.StartTransaction();
@@ -150,14 +151,13 @@ void RunTcpCommit(net::RemoteAftClient& client, long reps) {
       Check(client.Commit(*session).status(), "Commit");
       commit_allocs += allocs.count();
     }
-    lat.RecordMillis(WallMs(start));
+    lat.Observe(WallMs(start));
   }
-  const LatencySummary s = lat.Summarize();
   const double allocs_per_txn = static_cast<double>(commit_allocs) / reps;
   std::printf("  loopback-TCP commit   p50 %7.3f ms   p99 %7.3f ms   %6.1f allocs/txn\n",
-              s.median_ms, s.p99_ms, allocs_per_txn);
-  bench::EmitJsonRowAllocs("net", "tcp commit", s.median_ms, s.p99_ms, 0.0,
-                           static_cast<uint64_t>(reps), allocs_per_txn);
+              lat.Quantile(0.50), lat.Quantile(0.99), allocs_per_txn);
+  EmitJsonRow("net", "tcp commit", lat.Quantile(0.50), lat.Quantile(0.99), 0.0,
+              static_cast<uint64_t>(reps), bench::AllocsPerTxn(allocs_per_txn));
 }
 
 // MultiGet fan-out: one request, `keys` keys, both paths.
@@ -166,32 +166,30 @@ void RunMultiGet(AftNode& node, net::RemoteAftClient& client, size_t keys, long 
   for (size_t i = 0; i < keys; ++i) {
     names.push_back(Key(i));
   }
-  LatencyRecorder inproc;
+  obs::Histogram inproc(FineLatencyBoundariesMs());
   for (long r = 0; r < reps; ++r) {
     auto txid = node.StartTransaction();
     Check(txid.status(), "StartTransaction");
     const auto start = std::chrono::steady_clock::now();
     Check(node.MultiGet(*txid, names).status(), "MultiGet");
-    inproc.RecordMillis(WallMs(start));
+    inproc.Observe(WallMs(start));
     Check(node.AbortTransaction(*txid), "Abort");
   }
-  LatencyRecorder tcp;
+  obs::Histogram tcp(FineLatencyBoundariesMs());
   for (long r = 0; r < reps; ++r) {
     auto session = client.StartTransaction();
     Check(session.status(), "StartTransaction");
     const auto start = std::chrono::steady_clock::now();
     Check(client.MultiGet(*session, names).status(), "MultiGet");
-    tcp.RecordMillis(WallMs(start));
+    tcp.Observe(WallMs(start));
     Check(client.Abort(*session), "Abort");
   }
-  const LatencySummary si = inproc.Summarize();
-  const LatencySummary st = tcp.Summarize();
   std::printf("  multiget %2zu keys      in-proc p50 %7.3f ms   tcp p50 %7.3f ms   tcp p99 %7.3f ms\n",
-              keys, si.median_ms, st.median_ms, st.p99_ms);
-  EmitJsonRow("net", "inproc multiget " + std::to_string(keys) + "k", si.median_ms, si.p99_ms,
-              0.0, static_cast<uint64_t>(reps));
-  EmitJsonRow("net", "tcp multiget " + std::to_string(keys) + "k", st.median_ms, st.p99_ms, 0.0,
-              static_cast<uint64_t>(reps));
+              keys, inproc.Quantile(0.50), tcp.Quantile(0.50), tcp.Quantile(0.99));
+  EmitJsonRow("net", "inproc multiget " + std::to_string(keys) + "k", inproc.Quantile(0.50),
+              inproc.Quantile(0.99), 0.0, static_cast<uint64_t>(reps));
+  EmitJsonRow("net", "tcp multiget " + std::to_string(keys) + "k", tcp.Quantile(0.50),
+              tcp.Quantile(0.99), 0.0, static_cast<uint64_t>(reps));
 }
 
 // ---------------------------------------------------------------------------
@@ -205,15 +203,16 @@ struct TputConfig {
 };
 
 // One closed-loop run: `clients` threads, each issuing `ops_per_client`
-// operations back-to-back. Per-op latencies land in `lat`; *elapsed_ms gets
-// the wall clock of the whole run (threads started to threads joined).
+// operations back-to-back (`fn(c)` runs client c and observes each op's
+// latency into the row's shared histogram); *elapsed_ms gets the wall clock
+// of the whole run (threads started to threads joined).
 template <typename PerThreadFn>
-void RunClosedLoop(size_t clients, LatencyRecorder& lat, double* elapsed_ms, PerThreadFn fn) {
+void RunClosedLoop(size_t clients, double* elapsed_ms, PerThreadFn fn) {
   std::vector<std::thread> threads;
   threads.reserve(clients);
   const auto start = std::chrono::steady_clock::now();
   for (size_t c = 0; c < clients; ++c) {
-    threads.emplace_back([&lat, c, &fn] { fn(c, lat); });
+    threads.emplace_back([c, &fn] { fn(c); });
   }
   for (auto& t : threads) {
     t.join();
@@ -243,44 +242,43 @@ void RunThroughputConfig(AftNode& node, const TputConfig& cfg, long ops_per_clie
 
     // Commit workload: each op is one full transaction (start / put / commit).
     double commit_ms = 0;
-    LatencyRecorder commit_lat;
-    RunClosedLoop(clients, commit_lat, &commit_ms, [&](size_t c, LatencyRecorder& lat) {
+    obs::Histogram commit_lat(FineLatencyBoundariesMs());
+    RunClosedLoop(clients, &commit_ms, [&](size_t c) {
       for (long r = 0; r < ops_per_client; ++r) {
         const auto op_start = std::chrono::steady_clock::now();
         auto session = client.StartTransaction();
         Check(session.status(), "tput StartTransaction");
         Check(client.Put(*session, Key(c % keys.size()), "v"), "tput Put");
         Check(client.Commit(*session).status(), "tput Commit");
-        lat.RecordMillis(WallMs(op_start));
+        commit_lat.Observe(WallMs(op_start));
       }
     });
     const double commit_ops_sec = total_ops / (commit_ms / 1000.0);
-    const LatencySummary cs = commit_lat.Summarize();
     std::printf("  %-8s %2zu clients  commit   %9.0f ops/s   p50 %7.3f ms   p99 %7.3f ms\n",
-                cfg.name, clients, commit_ops_sec, cs.median_ms, cs.p99_ms);
+                cfg.name, clients, commit_ops_sec, commit_lat.Quantile(0.50),
+                commit_lat.Quantile(0.99));
     EmitJsonRow("net", std::string("tput commit ") + cfg.name + " " + std::to_string(clients) + "c",
-                cs.median_ms, cs.p99_ms, commit_ops_sec, total_ops);
+                commit_lat.Quantile(0.50), commit_lat.Quantile(0.99), commit_ops_sec, total_ops);
 
     // MultiGet workload: one long-lived txn per client, MultiGet per op.
     double mget_ms = 0;
-    LatencyRecorder mget_lat;
-    RunClosedLoop(clients, mget_lat, &mget_ms, [&](size_t, LatencyRecorder& lat) {
+    obs::Histogram mget_lat(FineLatencyBoundariesMs());
+    RunClosedLoop(clients, &mget_ms, [&](size_t) {
       auto session = client.StartTransaction();
       Check(session.status(), "tput mget StartTransaction");
       for (long r = 0; r < ops_per_client; ++r) {
         const auto op_start = std::chrono::steady_clock::now();
         Check(client.MultiGet(*session, keys).status(), "tput MultiGet");
-        lat.RecordMillis(WallMs(op_start));
+        mget_lat.Observe(WallMs(op_start));
       }
       Check(client.Abort(*session), "tput mget Abort");
     });
     const double mget_ops_sec = total_ops / (mget_ms / 1000.0);
-    const LatencySummary ms = mget_lat.Summarize();
     std::printf("  %-8s %2zu clients  multiget %9.0f ops/s   p50 %7.3f ms   p99 %7.3f ms\n",
-                cfg.name, clients, mget_ops_sec, ms.median_ms, ms.p99_ms);
+                cfg.name, clients, mget_ops_sec, mget_lat.Quantile(0.50), mget_lat.Quantile(0.99));
     EmitJsonRow("net",
                 std::string("tput multiget ") + cfg.name + " " + std::to_string(clients) + "c",
-                ms.median_ms, ms.p99_ms, mget_ops_sec, total_ops);
+                mget_lat.Quantile(0.50), mget_lat.Quantile(0.99), mget_ops_sec, total_ops);
   }
 
   server.Stop();
@@ -397,8 +395,8 @@ void RunCommitBatchingConfig(bool batching, size_t clients, long ops_per_client,
 
   const uint64_t total_ops = static_cast<uint64_t>(clients) * ops_per_client;
   double elapsed_ms = 0;
-  LatencyRecorder lat;
-  RunClosedLoop(clients, lat, &elapsed_ms, [&](size_t c, LatencyRecorder& rec) {
+  obs::Histogram lat(FineLatencyBoundariesMs());
+  RunClosedLoop(clients, &elapsed_ms, [&](size_t c) {
     std::mt19937_64 rng(0x5eed0000 + c);
     for (long r = 0; r < ops_per_client; ++r) {
       const auto op_start = std::chrono::steady_clock::now();
@@ -410,17 +408,16 @@ void RunCommitBatchingConfig(bool batching, size_t clients, long ops_per_client,
       (void)node.Get(*txid, key);
       Check(node.Put(*txid, key, std::to_string(c) + ":" + std::to_string(r)), "batch Put");
       Check(node.CommitTransaction(*txid).status(), "batch Commit");
-      rec.RecordMillis(WallMs(op_start));
+      lat.Observe(WallMs(op_start));
     }
   });
   const double ops_sec = total_ops / (elapsed_ms / 1000.0);
-  const LatencySummary s = lat.Summarize();
   const char* label = batching ? "batched" : "unbatched";
   std::printf("  %-9s %2zu clients  rmw-commit %9.0f ops/s   p50 %7.3f ms   p99 %7.3f ms\n",
-              label, clients, ops_sec, s.median_ms, s.p99_ms);
+              label, clients, ops_sec, lat.Quantile(0.50), lat.Quantile(0.99));
   EmitJsonRow("net",
               std::string("tput zipf ") + label + " " + std::to_string(clients) + "c",
-              s.median_ms, s.p99_ms, ops_sec, total_ops);
+              lat.Quantile(0.50), lat.Quantile(0.99), ops_sec, total_ops);
 }
 
 void RunCommitBatchingSweep(long ops_per_client) {

@@ -193,9 +193,11 @@ void ReportObsAllocRows() {
   tracer.Clear();
   std::printf("obs allocs/op: counter %.2f, span unsampled %.2f, span sampled %.2f\n",
               counter_allocs, unsampled_allocs, sampled_allocs);
-  bench::EmitJsonRowAllocs("obs", "counter increment", 0, 0, 0, kOps, counter_allocs);
-  bench::EmitJsonRowAllocs("obs", "span unsampled", 0, 0, 0, kOps, unsampled_allocs);
-  bench::EmitJsonRowAllocs("obs", "span sampled", 0, 0, 0, kOps, sampled_allocs);
+  bench::EmitJsonRow("obs", "counter increment", 0, 0, 0, kOps,
+                     bench::AllocsPerTxn(counter_allocs));
+  bench::EmitJsonRow("obs", "span unsampled", 0, 0, 0, kOps,
+                     bench::AllocsPerTxn(unsampled_allocs));
+  bench::EmitJsonRow("obs", "span sampled", 0, 0, 0, kOps, bench::AllocsPerTxn(sampled_allocs));
 }
 
 // ---- attribution A/B --------------------------------------------------------
@@ -224,14 +226,6 @@ struct AbResult {
   uint64_t committed = 0;
 };
 
-double SortedPercentile(std::vector<double>& values, double q) {
-  if (values.empty()) {
-    return 0;
-  }
-  const size_t idx = static_cast<size_t>(q * (values.size() - 1));
-  return values[idx];
-}
-
 AbResult MeasureAttributionRun(const char* node_id, bool stage_timing) {
   // 4-op transactions (the paper's workloads write several keys per txn);
   // thread count stays at or below the core count so the A/B measures the
@@ -251,15 +245,13 @@ AbResult MeasureAttributionRun(const char* node_id, bool stage_timing) {
     return result;
   }
   std::atomic<uint64_t> committed{0};
-  std::vector<std::vector<double>> latencies_ms(kThreads);
+  obs::Histogram latency_ms(FineLatencyBoundariesMs());
   const auto wall_start = std::chrono::steady_clock::now();
   {
     std::vector<std::thread> workers;
     workers.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-      workers.emplace_back([&, t] {
-        auto& lat = latencies_ms[t];
-        lat.reserve(per_thread);
+      workers.emplace_back([&] {
         for (long i = 0; i < per_thread; ++i) {
           auto txid = node.StartTransaction();
           if (!txid.ok()) {
@@ -275,9 +267,9 @@ AbResult MeasureAttributionRun(const char* node_id, bool stage_timing) {
           const auto commit_start = std::chrono::steady_clock::now();
           if (node.CommitTransaction(*txid).ok()) {
             committed.fetch_add(1, std::memory_order_relaxed);
-            lat.push_back(std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - commit_start)
-                              .count());
+            latency_ms.Observe(std::chrono::duration<double, std::milli>(
+                                   std::chrono::steady_clock::now() - commit_start)
+                                   .count());
           }
         }
       });
@@ -289,14 +281,9 @@ AbResult MeasureAttributionRun(const char* node_id, bool stage_timing) {
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_start).count();
   node.Kill();
-  std::vector<double> merged;
-  for (auto& lat : latencies_ms) {
-    merged.insert(merged.end(), lat.begin(), lat.end());
-  }
-  std::sort(merged.begin(), merged.end());
   result.committed = committed.load();
-  result.p50_ms = SortedPercentile(merged, 0.50);
-  result.p99_ms = SortedPercentile(merged, 0.99);
+  result.p50_ms = latency_ms.Quantile(0.50);
+  result.p99_ms = latency_ms.Quantile(0.99);
   result.txn_per_s = wall_s > 0 ? result.committed / wall_s : 0;
   return result;
 }

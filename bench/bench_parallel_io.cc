@@ -11,8 +11,9 @@
 #include <string>
 
 #include "bench/bench_common.h"
-#include "src/common/stats.h"
+#include "src/common/histogram.h"
 #include "src/core/aft_node.h"
+#include "src/obs/metrics.h"
 #include "src/storage/sim_s3.h"
 
 namespace aft {
@@ -43,7 +44,7 @@ void RunCommitSweep(Clock& clock, long reps) {
   Check(node.Start(), "Start");
   const std::string value(4096, 'x');
   for (size_t writes : {1, 2, 5, 10, 20}) {
-    LatencyRecorder lat;
+    obs::Histogram lat(FineLatencyBoundariesMs());
     for (long r = 0; r < reps; ++r) {
       Result<Uuid> txid = node.StartTransaction();
       Check(txid.status(), "StartTransaction");
@@ -52,14 +53,14 @@ void RunCommitSweep(Clock& clock, long reps) {
       }
       const TimePoint start = clock.Now();
       Result<TxnId> commit = node.CommitTransaction(txid.value());
-      lat.Record(clock.Now() - start);
+      lat.Observe(ToMillis(clock.Now() - start));
       Check(commit.status(), "CommitTransaction");
     }
-    const LatencySummary s = lat.Summarize();
-    std::printf("  %2zu writes   commit p50 %7.2f ms   p99 %8.2f ms\n", writes,
-                s.median_ms, s.p99_ms);
-    EmitJsonRow("parallel_io", "S3 commit " + std::to_string(writes) + "w",
-                s.median_ms, s.p99_ms, 0.0, static_cast<uint64_t>(reps));
+    const double p50 = lat.Quantile(0.50);
+    const double p99 = lat.Quantile(0.99);
+    std::printf("  %2zu writes   commit p50 %7.2f ms   p99 %8.2f ms\n", writes, p50, p99);
+    EmitJsonRow("parallel_io", "S3 commit " + std::to_string(writes) + "w", p50, p99, 0.0,
+                static_cast<uint64_t>(reps));
   }
 }
 
@@ -79,7 +80,7 @@ void RunReadSweep(Clock& clock, long reps) {
     }
     Check(node.CommitTransaction(txid.value()).status(), "seed commit");
   }
-  LatencyRecorder lat;
+  obs::Histogram lat(FineLatencyBoundariesMs());
   for (long r = 0; r < reps; ++r) {
     Result<Uuid> txid = node.StartTransaction();
     Check(txid.status(), "StartTransaction");
@@ -88,14 +89,13 @@ void RunReadSweep(Clock& clock, long reps) {
       Result<AftNode::VersionedRead> read = node.GetVersioned(txid.value(), Key(k));
       Check(read.status(), "GetVersioned");
     }
-    lat.Record(clock.Now() - start);
+    lat.Observe(ToMillis(clock.Now() - start));
     Check(node.AbortTransaction(txid.value()), "AbortTransaction");
   }
-  const LatencySummary s = lat.Summarize();
-  std::printf("  seq get x%zu  p50 %7.2f ms   p99 %8.2f ms\n", kReadKeys,
-              s.median_ms, s.p99_ms);
+  std::printf("  seq get x%zu  p50 %7.2f ms   p99 %8.2f ms\n", kReadKeys, lat.Quantile(0.50),
+              lat.Quantile(0.99));
   EmitJsonRow("parallel_io", "S3 seq-get " + std::to_string(kReadKeys) + "k",
-              s.median_ms, s.p99_ms, 0.0, static_cast<uint64_t>(reps));
+              lat.Quantile(0.50), lat.Quantile(0.99), 0.0, static_cast<uint64_t>(reps));
 
   // Same keys through the batched read API: one MultiGet per transaction,
   // payload fetches fanned out on the IoExecutor.
@@ -103,21 +103,20 @@ void RunReadSweep(Clock& clock, long reps) {
   for (size_t k = 0; k < kReadKeys; ++k) {
     keys.push_back(Key(k));
   }
-  LatencyRecorder multi;
+  obs::Histogram multi(FineLatencyBoundariesMs());
   for (long r = 0; r < reps; ++r) {
     Result<Uuid> txid = node.StartTransaction();
     Check(txid.status(), "StartTransaction");
     const TimePoint start = clock.Now();
     Result<std::vector<AftNode::VersionedRead>> reads = node.MultiGet(txid.value(), keys);
-    multi.Record(clock.Now() - start);
+    multi.Observe(ToMillis(clock.Now() - start));
     Check(reads.status(), "MultiGet");
     Check(node.AbortTransaction(txid.value()), "AbortTransaction");
   }
-  const LatencySummary m = multi.Summarize();
   std::printf("  multiget x%zu p50 %7.2f ms   p99 %8.2f ms\n", kReadKeys,
-              m.median_ms, m.p99_ms);
+              multi.Quantile(0.50), multi.Quantile(0.99));
   EmitJsonRow("parallel_io", "S3 multiget " + std::to_string(kReadKeys) + "k",
-              m.median_ms, m.p99_ms, 0.0, static_cast<uint64_t>(reps));
+              multi.Quantile(0.50), multi.Quantile(0.99), 0.0, static_cast<uint64_t>(reps));
 }
 
 }  // namespace

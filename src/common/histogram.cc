@@ -1,7 +1,6 @@
 #include "src/common/histogram.h"
 
 #include <algorithm>
-#include <cmath>
 
 namespace aft {
 
@@ -22,7 +21,7 @@ const std::vector<double>& DefaultLatencyBoundariesMs() {
 }
 
 const std::vector<double>& FineLatencyBoundariesMs() {
-  static const std::vector<double> kBounds = ExponentialBoundaries(0.01, 1.08, 232);
+  static const std::vector<double> kBounds = ExponentialBoundaries(0.001, 1.01, 2033);
   return kBounds;
 }
 
@@ -30,76 +29,6 @@ size_t BucketIndex(std::span<const double> boundaries, double value) {
   // First boundary >= value (le semantics: value <= boundary).
   const auto it = std::lower_bound(boundaries.begin(), boundaries.end(), value);
   return static_cast<size_t>(it - boundaries.begin());
-}
-
-FixedHistogram::FixedHistogram(std::vector<double> boundaries)
-    : boundaries_(std::move(boundaries)), counts_(boundaries_.size() + 1, 0) {}
-
-void FixedHistogram::Observe(double value) {
-  ++counts_[BucketIndex(boundaries_, value)];
-  if (count_ == 0) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  ++count_;
-  sum_ += value;
-}
-
-void FixedHistogram::Merge(const FixedHistogram& other) {
-  if (other.count_ == 0) {
-    return;
-  }
-  for (size_t i = 0; i < counts_.size() && i < other.counts_.size(); ++i) {
-    counts_[i] += other.counts_[i];
-  }
-  if (count_ == 0) {
-    min_ = other.min_;
-    max_ = other.max_;
-  } else {
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-  count_ += other.count_;
-  sum_ += other.sum_;
-}
-
-void FixedHistogram::Clear() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  count_ = 0;
-  sum_ = 0;
-  min_ = 0;
-  max_ = 0;
-}
-
-double FixedHistogram::Quantile(double q) const {
-  if (count_ == 0) {
-    return 0;
-  }
-  q = std::clamp(q, 0.0, 1.0);
-  // Nearest-rank target among `count_` samples (1-based).
-  const uint64_t rank = std::max<uint64_t>(
-      1, static_cast<uint64_t>(std::ceil(q * static_cast<double>(count_))));
-  uint64_t cumulative = 0;
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    if (counts_[i] == 0) {
-      continue;
-    }
-    const uint64_t before = cumulative;
-    cumulative += counts_[i];
-    if (cumulative < rank) {
-      continue;
-    }
-    // The rank lands in bucket i: interpolate between the bucket's bounds.
-    const double lo = i == 0 ? 0.0 : boundaries_[i - 1];
-    const double hi = i < boundaries_.size() ? boundaries_[i] : max_;
-    const double frac =
-        static_cast<double>(rank - before) / static_cast<double>(counts_[i]);
-    const double estimate = lo + (hi - lo) * frac;
-    return std::clamp(estimate, min_, max_);
-  }
-  return max_;
 }
 
 }  // namespace aft

@@ -1,22 +1,18 @@
-// Fixed-boundary histogram math shared by the bench-harness recorders
-// (src/common/stats.h) and the runtime metrics subsystem (src/obs/metrics.h).
+// Bucket boundaries for obs::Histogram (src/obs/metrics.h), the one latency
+// histogram in the shim, its benches and its tests.
 //
 // A histogram is defined by a sorted vector of inclusive upper bucket
 // boundaries; one implicit +Inf bucket catches everything beyond the last
-// boundary. `FixedHistogram` is the plain (externally synchronized) variant:
-// `LatencyRecorder` updates it under its own mutex, the obs::Histogram keeps
-// its own atomic lanes and only borrows the boundary/quantile helpers here.
-//
-// Quantiles are estimated by locating the target rank's bucket and linearly
-// interpolating within it, so the error of a quantile estimate is bounded by
-// the relative width of its bucket — with the default log-spaced boundaries
-// (8% growth per bucket) that is a worst-case ~8% relative error, in exchange
-// for O(1) memory regardless of sample count.
+// boundary. Quantiles are estimated by locating the target rank's bucket and
+// interpolating linearly within it, so an estimate's error is bounded by the
+// relative width of its bucket. Node metrics use the coarse doubling
+// boundaries (few buckets, cheap to export); bench and workload-harness
+// latencies use the fine 1%-growth boundaries, whose estimates are within 1%.
 
 #ifndef SRC_COMMON_HISTOGRAM_H_
 #define SRC_COMMON_HISTOGRAM_H_
 
-#include <cstdint>
+#include <cstddef>
 #include <span>
 #include <vector>
 
@@ -29,43 +25,15 @@ std::vector<double> ExponentialBoundaries(double start, double factor, size_t co
 // exposition): 0.25ms .. ~16s, doubling. 17 buckets + the implicit +Inf.
 const std::vector<double>& DefaultLatencyBoundariesMs();
 
-// Fine boundaries for percentile estimation in the bench harness: 10us ..
-// ~10min, 8% growth (~230 buckets, worst-case ~8% relative quantile error).
+// Fine boundaries for bench and harness percentiles: 1us .. ~10min, 1% growth
+// (2033 boundaries, 16 KB of counters per histogram; worst-case 1% relative
+// quantile error).
 const std::vector<double>& FineLatencyBoundariesMs();
 
 // Index of the bucket `value` falls into: the first boundary with
 // value <= boundary (Prometheus `le` semantics), or boundaries.size() for
 // the +Inf bucket.
 size_t BucketIndex(std::span<const double> boundaries, double value);
-
-// Plain fixed-boundary histogram. NOT thread-safe; callers synchronize.
-class FixedHistogram {
- public:
-  explicit FixedHistogram(std::vector<double> boundaries);
-
-  void Observe(double value);
-  void Merge(const FixedHistogram& other);  // Boundaries must match.
-  void Clear();
-
-  uint64_t count() const { return count_; }
-  double sum() const { return sum_; }
-
-  // Quantile estimate for q in [0, 1] by within-bucket linear interpolation.
-  // Returns 0 on an empty histogram. Estimates are clamped to the observed
-  // [min, max] so extreme quantiles never exceed real samples.
-  double Quantile(double q) const;
-
-  const std::vector<double>& boundaries() const { return boundaries_; }
-  const std::vector<uint64_t>& bucket_counts() const { return counts_; }
-
- private:
-  std::vector<double> boundaries_;
-  std::vector<uint64_t> counts_;  // boundaries_.size() + 1 buckets (last = +Inf).
-  uint64_t count_ = 0;
-  double sum_ = 0;
-  double min_ = 0;
-  double max_ = 0;
-};
 
 }  // namespace aft
 

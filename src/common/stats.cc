@@ -1,109 +1,6 @@
 #include "src/common/stats.h"
 
-#include <algorithm>
-#include <cmath>
-#include <cstdio>
-#include <numeric>
-
 namespace aft {
-
-std::string LatencySummary::ToString() const {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf),
-                "n=%zu mean=%.2fms min=%.2fms p50=%.2fms p95=%.2fms p99=%.2fms max=%.2fms", count,
-                mean_ms, min_ms, median_ms, p95_ms, p99_ms, max_ms);
-  return std::string(buf);
-}
-
-LatencyRecorder::LatencyRecorder() : histogram_(FineLatencyBoundariesMs()) {}
-
-void LatencyRecorder::Record(Duration d) { RecordMillis(ToMillis(d)); }
-
-void LatencyRecorder::RecordMillis(double ms) {
-  MutexLock lock(mu_);
-  if (samples_ms_.size() < kMaxExactSamples) {
-    samples_ms_.push_back(ms);
-  }
-  histogram_.Observe(ms);
-}
-
-void LatencyRecorder::Merge(const LatencyRecorder& other) {
-  std::vector<double> theirs;
-  FixedHistogram their_histogram(FineLatencyBoundariesMs());
-  {
-    MutexLock lock(other.mu_);
-    theirs = other.samples_ms_;
-    their_histogram = other.histogram_;
-  }
-  MutexLock lock(mu_);
-  const size_t room = kMaxExactSamples - std::min(kMaxExactSamples, samples_ms_.size());
-  const size_t take = std::min(room, theirs.size());
-  samples_ms_.insert(samples_ms_.end(), theirs.begin(), theirs.begin() + take);
-  histogram_.Merge(their_histogram);
-}
-
-size_t LatencyRecorder::count() const {
-  MutexLock lock(mu_);
-  return static_cast<size_t>(histogram_.count());
-}
-
-void LatencyRecorder::Clear() {
-  MutexLock lock(mu_);
-  samples_ms_.clear();
-  histogram_.Clear();
-}
-
-bool LatencyRecorder::overflowed() const {
-  MutexLock lock(mu_);
-  return histogram_.count() > samples_ms_.size();
-}
-
-double Percentile(std::vector<double> samples, double p) {
-  if (samples.empty()) {
-    return 0.0;
-  }
-  std::sort(samples.begin(), samples.end());
-  const double rank = (p / 100.0) * static_cast<double>(samples.size() - 1);
-  const size_t lo = static_cast<size_t>(std::floor(rank));
-  const size_t hi = static_cast<size_t>(std::ceil(rank));
-  const double frac = rank - static_cast<double>(lo);
-  return samples[lo] * (1.0 - frac) + samples[hi] * frac;
-}
-
-LatencySummary LatencyRecorder::Summarize() const {
-  std::vector<double> samples;
-  FixedHistogram histogram(FineLatencyBoundariesMs());
-  {
-    MutexLock lock(mu_);
-    samples = samples_ms_;
-    histogram = histogram_;
-  }
-  LatencySummary s;
-  s.count = static_cast<size_t>(histogram.count());
-  if (s.count == 0) {
-    return s;
-  }
-  if (samples.size() == histogram.count()) {
-    // Under the cap: exact order statistics from the raw samples.
-    s.mean_ms = std::accumulate(samples.begin(), samples.end(), 0.0) /
-                static_cast<double>(samples.size());
-    s.min_ms = *std::min_element(samples.begin(), samples.end());
-    s.max_ms = *std::max_element(samples.begin(), samples.end());
-    s.median_ms = Percentile(samples, 50);
-    s.p95_ms = Percentile(samples, 95);
-    s.p99_ms = Percentile(samples, 99);
-    return s;
-  }
-  // Overflowed: histogram estimates (worst-case ~8% relative error per
-  // bucket width; min/max/mean stay exact — the histogram tracks them).
-  s.mean_ms = histogram.sum() / static_cast<double>(histogram.count());
-  s.min_ms = histogram.Quantile(0.0);
-  s.max_ms = histogram.Quantile(1.0);
-  s.median_ms = histogram.Quantile(0.50);
-  s.p95_ms = histogram.Quantile(0.95);
-  s.p99_ms = histogram.Quantile(0.99);
-  return s;
-}
 
 ThroughputTimeline::ThroughputTimeline(Clock& clock, Duration window)
     : clock_(clock), window_(window) {}

@@ -1,77 +1,19 @@
 // Measurement utilities for the benchmark harness.
 //
-// `LatencyRecorder` collects latency samples (thread-safe) and reports the
-// percentiles the paper plots (median / p99). `ThroughputTimeline` buckets
-// completion events into fixed windows for the time-series figures (Fig 9,
-// Fig 10).
-//
-// Memory bound: the recorder keeps at most `kMaxExactSamples` raw samples.
-// Every sample is ALSO folded into a fine-grained fixed-boundary histogram
-// (~230 log-spaced buckets, 8% growth); once the exact buffer overflows,
-// Summarize() switches from exact order statistics to histogram quantile
-// estimates (worst-case ~8% relative error — see src/common/histogram.h).
-// Long benchmark runs therefore use O(1) memory instead of growing without
-// bound, at the cost of slightly approximate tail percentiles.
+// `ThroughputTimeline` buckets completion events into fixed windows for the
+// time-series figures (Fig 9, Fig 10). Latency percentiles come from an
+// obs::Histogram over FineLatencyBoundariesMs() (src/obs/metrics.h).
 
 #ifndef SRC_COMMON_STATS_H_
 #define SRC_COMMON_STATS_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "src/common/clock.h"
-#include "src/common/histogram.h"
 #include "src/common/mutex.h"
 
 namespace aft {
-
-// Summary statistics over a set of latency samples, in simulated ms.
-struct LatencySummary {
-  size_t count = 0;
-  double mean_ms = 0;
-  double min_ms = 0;
-  double median_ms = 0;
-  double p95_ms = 0;
-  double p99_ms = 0;
-  double max_ms = 0;
-
-  std::string ToString() const;
-};
-
-// Thread-safe sample sink.
-class LatencyRecorder {
- public:
-  // Raw samples kept for exact percentiles before the histogram takes over
-  // (64Ki doubles = 512 KiB per recorder, the worst case).
-  static constexpr size_t kMaxExactSamples = 65536;
-
-  LatencyRecorder();
-
-  void Record(Duration d);
-  void RecordMillis(double ms);
-
-  // Merges another recorder's samples into this one.
-  void Merge(const LatencyRecorder& other);
-
-  LatencySummary Summarize() const;
-  size_t count() const;
-
-  void Clear();
-
-  // True once the exact buffer overflowed and percentiles come from the
-  // histogram estimate.
-  bool overflowed() const;
-
- private:
-  mutable Mutex mu_;
-  std::vector<double> samples_ms_ GUARDED_BY(mu_);
-  // Every sample lands here too; the authority once samples_ms_ is full.
-  FixedHistogram histogram_ GUARDED_BY(mu_);
-};
-
-// Computes the p-th percentile (0 <= p <= 100) by nearest-rank on a copy.
-double Percentile(std::vector<double> samples, double p);
 
 // Buckets events into fixed-width windows of simulated time; `Report`
 // produces (window start sec, events/sec) rows.

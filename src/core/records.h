@@ -10,15 +10,20 @@
 //  * commit records — "c/<zero-padded ts>_<uuid>" in the Transaction Commit
 //                     Set. Written strictly AFTER all of the transaction's
 //                     key versions are durable; its presence is what makes
-//                     the transaction's updates visible. A record is
-//                     CREATED, never overwritten: the commit writes it with
-//                     a conditional PutIfAbsent, which an engine may hedge
-//                     with a second identical create
-//                     (src/storage/record_writer.h). At most one attempt
-//                     lands, and the key is unique per commit attempt, so
-//                     "already exists" means created. The committing node
-//                     pins the record against GC while a losing attempt is
-//                     still in flight.
+//                     the transaction's updates visible. The key is unique
+//                     per commit attempt, so no other commit overwrites a
+//                     record. A solo round (StorageEngine::CommitUnits with
+//                     one unit) CREATES it with a conditional PutIfAbsent,
+//                     which an engine may hedge with a second identical
+//                     create (src/storage/record_writer.h). At most one
+//                     attempt lands, so "already exists" means created. The
+//                     committing node pins the record against GC while a
+//                     losing attempt is still in flight. Merged rounds write
+//                     records with plain puts: LocalEngine's fused WAL
+//                     append, and the second round of the default path on a
+//                     bounded pool (BatchPutEach -> Put). That is safe
+//                     because merged rounds never hedge, so each record key
+//                     sees exactly one write.
 //
 // A payload lives in one of two places, named by the record:
 //

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <thread>
 
@@ -155,6 +156,32 @@ std::vector<uint64_t> Histogram::CumulativeCounts() const {
     out[i] = running;
   }
   return out;
+}
+
+double Histogram::Quantile(double q) const {
+  std::vector<uint64_t> snapshot(buckets_.size());
+  uint64_t count = 0;
+  for (size_t i = 0; i < buckets_.size(); ++i) {
+    snapshot[i] = buckets_[i].load(std::memory_order_relaxed);
+    count += snapshot[i];
+  }
+  if (count == 0 || boundaries_.empty()) {
+    return 0;
+  }
+  // Nearest-rank target among `count` samples (1-based).
+  const uint64_t rank = std::max<uint64_t>(
+      1, static_cast<uint64_t>(std::ceil(std::clamp(q, 0.0, 1.0) * static_cast<double>(count))));
+  uint64_t before = 0;
+  for (size_t i = 0; i < boundaries_.size(); ++i) {
+    if (before + snapshot[i] >= rank) {
+      const double lo = i == 0 ? 0.0 : boundaries_[i - 1];
+      const double frac =
+          static_cast<double>(rank - before) / static_cast<double>(snapshot[i]);
+      return lo + (boundaries_[i] - lo) * frac;
+    }
+    before += snapshot[i];
+  }
+  return boundaries_.back();  // The rank is in the +Inf bucket.
 }
 
 // ---- ScopedMetricCallback --------------------------------------------------

@@ -136,6 +136,14 @@ class Histogram {
   // Per-bucket cumulative counts, one per boundary plus the +Inf bucket —
   // the shape the Prometheus `le` series wants.
   std::vector<uint64_t> CumulativeCounts() const;
+  // Estimate of the q-quantile (q in [0, 1]) of the observed values: the
+  // nearest-rank bucket, linearly interpolated within its bounds (the first
+  // bucket's lower bound is 0). The +Inf bucket answers the last boundary; an
+  // empty histogram answers 0. The error is bounded by the width of the
+  // bucket holding the rank — 1% with FineLatencyBoundariesMs(). Reads one
+  // relaxed snapshot, so it is safe, if approximate, under concurrent
+  // Observe calls.
+  double Quantile(double q) const;
   const std::vector<double>& boundaries() const { return boundaries_; }
 
  private:

@@ -142,8 +142,12 @@ class StorageEngine {
   // Conditional create (S3 `If-None-Match: *`, DynamoDB
   // `attribute_not_exists`, Redis `SET NX`): writes `key = value` only if
   // `key` holds no object when the write lands, atomically with that check,
-  // and returns kAlreadyExists otherwise. Costs one PUT either way. Commit
-  // records are written this way, so a record is created, never overwritten.
+  // and returns kAlreadyExists otherwise. Costs one PUT either way. A solo
+  // round's commit record is written this way (CreateCommitRecord), so its
+  // hedged second attempt cannot overwrite it. Merged rounds write records
+  // with plain puts (LocalEngine's fused append, BatchPutEach on a bounded
+  // pool); the record key is unique per commit attempt and merged rounds
+  // never hedge, so such a record is written once and never overwritten.
   virtual Status PutIfAbsent(std::string key, std::string value) = 0;
 
   // Writes a set of keys. Engines with native batch support (DynamoDB)

@@ -4,6 +4,9 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/histogram.h"
+#include "src/obs/metrics.h"
+
 namespace aft {
 
 std::string HarnessResult::ToString() const {
@@ -12,15 +15,15 @@ std::string HarnessResult::ToString() const {
                 "completed=%llu failed=%llu tput=%.1f txn/s p50=%.2fms p99=%.2fms "
                 "ryw=%llu fr=%llu",
                 static_cast<unsigned long long>(completed),
-                static_cast<unsigned long long>(failed), throughput_tps, latency.median_ms,
-                latency.p99_ms, static_cast<unsigned long long>(ryw_anomalies),
+                static_cast<unsigned long long>(failed), throughput_tps, p50_ms, p99_ms,
+                static_cast<unsigned long long>(ryw_anomalies),
                 static_cast<unsigned long long>(fr_anomalies));
   return std::string(buf);
 }
 
 HarnessResult RunClients(Clock& clock, RequestRunner& runner, const HarnessOptions& options,
                          ThroughputTimeline* timeline) {
-  LatencyRecorder latency;
+  obs::Histogram latency(FineLatencyBoundariesMs());
   AnomalyCounters anomalies;
   std::atomic<uint64_t> completed{0};
   std::atomic<uint64_t> failed{0};
@@ -45,7 +48,7 @@ HarnessResult RunClients(Clock& clock, RequestRunner& runner, const HarnessOptio
         failed.fetch_add(1, std::memory_order_relaxed);
         continue;
       }
-      latency.Record(end - begin);
+      latency.Observe(ToMillis(end - begin));
       completed.fetch_add(1, std::memory_order_relaxed);
       if (timeline != nullptr) {
         timeline->RecordEvent();
@@ -66,7 +69,8 @@ HarnessResult RunClients(Clock& clock, RequestRunner& runner, const HarnessOptio
   }
 
   HarnessResult result;
-  result.latency = latency.Summarize();
+  result.p50_ms = latency.Quantile(0.50);
+  result.p99_ms = latency.Quantile(0.99);
   result.completed = completed.load();
   result.failed = failed.load();
   result.ryw_anomalies = anomalies.ryw_anomalies.load();

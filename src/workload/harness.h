@@ -31,7 +31,9 @@ struct HarnessOptions {
 };
 
 struct HarnessResult {
-  LatencySummary latency;
+  // Per-request latency of the completed requests, in simulated ms.
+  double p50_ms = 0;
+  double p99_ms = 0;
   uint64_t completed = 0;
   uint64_t failed = 0;
   uint64_t ryw_anomalies = 0;

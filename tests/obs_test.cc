@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -13,7 +16,6 @@
 #include "src/common/histogram.h"
 #include "src/common/logging.h"
 #include "src/common/mutex.h"
-#include "src/common/stats.h"
 #include "src/net/client.h"
 #include "src/net/server.h"
 #include "src/net/socket.h"
@@ -109,9 +111,10 @@ TEST(MetricsTest, HistogramBucketsFollowLeSemantics) {
 }
 
 TEST(MetricsTest, ConcurrentHistogramObservationsAreExact) {
-  Histogram hist(DefaultLatencyBoundariesMs());
+  // A long bench run: 80k samples from 8 threads, no per-thread merging.
+  Histogram hist(FineLatencyBoundariesMs());
   constexpr int kThreads = 8;
-  constexpr uint64_t kPerThread = 5000;
+  constexpr uint64_t kPerThread = 10000;
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&hist, t] {
@@ -124,8 +127,11 @@ TEST(MetricsTest, ConcurrentHistogramObservationsAreExact) {
     thread.join();
   }
   EXPECT_EQ(hist.Count(), kThreads * kPerThread);
-  // Sum of (1 + 2 + ... + 8) * 5000.
+  // Sum of (1 + 2 + ... + 8) * kPerThread.
   EXPECT_DOUBLE_EQ(hist.Sum(), 36.0 * kPerThread);
+  // Values 1..8 ms in equal numbers: the median is 4 ms and the maximum 8 ms.
+  EXPECT_NEAR(hist.Quantile(0.5), 4.0, 0.04);
+  EXPECT_NEAR(hist.Quantile(1.0), 8.0, 0.08);
 }
 
 // ---- Registry + exposition --------------------------------------------------
@@ -281,48 +287,62 @@ TEST(TraceTest, JsonEscapesArgValues) {
   EXPECT_NE(json.find("line\\nbreak"), std::string::npos) << json;
 }
 
-// ---- LatencyRecorder cap (satellite) ----------------------------------------
+// ---- Histogram::Quantile ----------------------------------------------------
 
-TEST(LatencyRecorderTest, StaysExactUnderTheCap) {
-  LatencyRecorder recorder;
-  for (int i = 1; i <= 100; ++i) {
-    recorder.RecordMillis(static_cast<double>(i));
-  }
-  EXPECT_FALSE(recorder.overflowed());
-  const LatencySummary summary = recorder.Summarize();
-  EXPECT_EQ(summary.count, 100u);
-  EXPECT_DOUBLE_EQ(summary.min_ms, 1.0);
-  EXPECT_DOUBLE_EQ(summary.max_ms, 100.0);
-  EXPECT_DOUBLE_EQ(summary.median_ms, 50.5);
+// Exact nearest-rank q-quantile of `samples`: the order statistic Quantile
+// estimates.
+double SortedQuantile(std::vector<double> samples, double q) {
+  std::sort(samples.begin(), samples.end());
+  const size_t rank =
+      std::max<size_t>(1, static_cast<size_t>(std::ceil(q * static_cast<double>(samples.size()))));
+  return samples[rank - 1];
 }
 
-TEST(LatencyRecorderTest, OverflowSwitchesToBoundedHistogramEstimates) {
-  LatencyRecorder recorder;
-  const size_t total = LatencyRecorder::kMaxExactSamples + 20000;
-  for (size_t i = 0; i < total; ++i) {
-    // Uniform over (0, 100] ms.
-    recorder.RecordMillis(static_cast<double>(i % 1000) / 10.0 + 0.1);
+TEST(HistogramQuantileTest, FineBoundariesEstimateWithinOnePercent) {
+  const std::vector<double>& bounds = FineLatencyBoundariesMs();
+  EXPECT_DOUBLE_EQ(bounds.front(), 0.001);  // 1 us
+  EXPECT_GE(bounds.back(), 600000.0);       // 10 min
+  Histogram hist(bounds);
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> exponent(0.0, 7.0);
+  std::vector<double> samples;
+  for (int i = 0; i < 20000; ++i) {
+    // Log-uniform over [1 us, 10 s).
+    samples.push_back(0.001 * std::pow(10.0, exponent(rng)));
+    hist.Observe(samples.back());
   }
-  EXPECT_TRUE(recorder.overflowed());
-  const LatencySummary summary = recorder.Summarize();
-  EXPECT_EQ(summary.count, total);
-  // Histogram estimates: within the documented ~8% relative bucket error.
-  EXPECT_NEAR(summary.median_ms, 50.0, 5.0);
-  EXPECT_NEAR(summary.p99_ms, 99.0, 9.0);
-  EXPECT_GT(summary.mean_ms, 45.0);
-  EXPECT_LT(summary.mean_ms, 55.0);
+  for (double q : {0.0, 0.5, 0.95, 0.99, 1.0}) {
+    const double exact = SortedQuantile(samples, q);
+    EXPECT_NEAR(hist.Quantile(q), exact, 0.01 * exact) << "q=" << q;
+  }
 }
 
-TEST(LatencyRecorderTest, MergePreservesTotalCountPastTheCap) {
-  LatencyRecorder a;
-  LatencyRecorder b;
-  for (int i = 0; i < 100; ++i) {
-    a.RecordMillis(1.0);
-    b.RecordMillis(2.0);
+TEST(HistogramQuantileTest, EmptySingleSampleAndInfBucket) {
+  Histogram empty(FineLatencyBoundariesMs());
+  EXPECT_EQ(empty.Quantile(0.0), 0.0);
+  EXPECT_EQ(empty.Quantile(0.5), 0.0);
+  EXPECT_EQ(empty.Quantile(1.0), 0.0);
+
+  Histogram single(FineLatencyBoundariesMs());
+  single.Observe(5.0);
+  for (double q : {0.0, 0.5, 1.0}) {
+    EXPECT_NEAR(single.Quantile(q), 5.0, 0.05) << "q=" << q;
   }
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 200u);
-  EXPECT_NEAR(a.Summarize().mean_ms, 1.5, 0.1);
+
+  // Interpolation inside one bucket: four values in (10, 20].
+  Histogram linear({10.0, 20.0});
+  for (int i = 0; i < 4; ++i) {
+    linear.Observe(12.0);
+  }
+  EXPECT_DOUBLE_EQ(linear.Quantile(0.5), 15.0);
+  EXPECT_DOUBLE_EQ(linear.Quantile(1.0), 20.0);
+
+  // A rank in the +Inf bucket answers the last boundary.
+  Histogram tail({1.0, 2.0, 4.0});
+  tail.Observe(1.5);
+  tail.Observe(100.0);
+  EXPECT_DOUBLE_EQ(tail.Quantile(0.5), 2.0);
+  EXPECT_DOUBLE_EQ(tail.Quantile(1.0), 4.0);
 }
 
 // ---- LogScope (satellite) ---------------------------------------------------

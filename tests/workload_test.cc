@@ -245,7 +245,7 @@ TEST(HarnessTest, MultiClientRunAggregates) {
   const HarnessResult result = RunClients(stack.clock, *stack.runner, options);
   EXPECT_EQ(result.completed, 40u);
   EXPECT_EQ(result.failed, 0u);
-  EXPECT_EQ(result.latency.count, 40u);
+  EXPECT_GE(result.p99_ms, result.p50_ms);
   EXPECT_EQ(result.ryw_anomalies, 0u);
   EXPECT_EQ(result.fr_anomalies, 0u);
 }

@@ -5,9 +5,11 @@
 #
 # Usage: tools/bench.sh [--smoke] [--out FILE]
 #
-#   --smoke   tiny op counts + aggressive time scale; finishes in well under a
+#   --smoke   tiny op counts + aggressive time scale; finishes in about a
 #             minute and exists to catch parallel-I/O regressions that
 #             deadlock, crash, or serialize (each bench runs under `timeout`).
+#             Also runs the paper benches that emit no JSON rows yet
+#             (SMOKE_ONLY below), each failing the script on a non-zero exit.
 #   --out     output path (default BENCH_results.json).
 #
 # Environment:
@@ -32,11 +34,18 @@ done
 BUILD_DIR="${AFT_BENCH_BUILD_DIR:-build}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 BENCHES=(bench_fig3_end_to_end bench_fig6_txn_length bench_fig7_single_node bench_parallel_io bench_net bench_local_engine bench_obs)
+# Paper benches on the same workload harness that emit no JSON rows yet:
+# smoke runs them only to prove they still terminate cleanly.
+SMOKE_ONLY=(bench_fig2_io_latency bench_fig4_caching_skew bench_fig5_rw_ratio bench_fig8_distributed bench_fig9_gc bench_fig10_fault bench_ablation_pruning)
+TARGETS=("${BENCHES[@]}")
+if [[ $SMOKE -eq 1 ]]; then
+  TARGETS+=("${SMOKE_ONLY[@]}")
+fi
 
 if [[ ! -f "$BUILD_DIR/CMakeCache.txt" ]]; then
   cmake -B "$BUILD_DIR" -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
 fi
-cmake --build "$BUILD_DIR" -j "$JOBS" --target "${BENCHES[@]}"
+cmake --build "$BUILD_DIR" -j "$JOBS" --target "${TARGETS[@]}"
 
 ROWS="$(mktemp)"
 trap 'rm -f "$ROWS"' EXIT
@@ -59,7 +68,7 @@ else
   MODE=full
 fi
 
-for bench in "${BENCHES[@]}"; do
+for bench in "${TARGETS[@]}"; do
   echo
   echo "==== running $bench (timeout ${TIMEOUT}s) ===="
   args=()
@@ -86,6 +95,13 @@ for bench in "${BENCHES[@]}"; do
     # geomeans of 1.17-1.77; at 0.1 three runs per build gave 2.09-2.65,
     # in under 10 s each.
     envs+=(AFT_TIME_SCALE=0.1)
+  fi
+  if [[ " ${SMOKE_ONLY[*]} " == *" $bench "* ]]; then
+    # Short timeline runs (Figs 9, 10), few clients (Figs 8-10) and a small
+    # key space (Fig 4 loads 100k keys by default, ~30 s): each bench takes
+    # 0.02-1 s at these settings.
+    envs+=(AFT_BENCH_DURATION_SEC=3 AFT_BENCH_CLIENTS=8 AFT_BENCH_CLIENTS_PER_NODE=4
+           AFT_BENCH_KEYS=2000)
   fi
   env AFT_BENCH_JSON="$ROWS" ${envs[@]+"${envs[@]}"} \
     timeout "$TIMEOUT" "$BUILD_DIR/bench/$bench" ${args[@]+"${args[@]}"}
