@@ -37,7 +37,7 @@ FaultManager::FaultManager(Clock& clock, StorageEngine& storage, LoadBalancer& b
   wrap("aft_fm_records_ingested_total", "Unpruned commit records ingested from gossip",
        stats_.records_ingested);
   wrap("aft_fm_missed_commits_recovered_total",
-       "Commits recovered by the storage scan that gossip never delivered",
+       "Commit records the storage scan found that some live node lacked",
        stats_.missed_commits_recovered);
   wrap("aft_fm_txns_deleted_total", "Transactions garbage-collected globally",
        stats_.txns_deleted);
@@ -153,13 +153,21 @@ size_t FaultManager::RunLivenessScanOnce() {
   }
   if (!discovered.empty()) {
     // §4.2: data committed by a node that died before broadcasting must
-    // still become visible everywhere.
-    for (AftNode* node : ManagedNodes()) {
-      if (node->alive()) {
-        node->ApplyRemoteCommits(discovered);
-      }
+    // still become visible everywhere. A record every live node already
+    // knows (the dataset a fresh fault manager has not seen yet) is applied
+    // all the same, but it was never missed.
+    std::vector<AftNode*> live = ManagedNodes();
+    std::erase_if(live, [](AftNode* node) { return !node->alive(); });
+    const auto missed = std::count_if(
+        discovered.begin(), discovered.end(), [&](const CommitRecordPtr& record) {
+          return std::any_of(live.begin(), live.end(),
+                             [&](AftNode* node) { return !node->KnowsCommit(record->id); });
+        });
+    for (AftNode* node : live) {
+      node->ApplyRemoteCommits(discovered);
     }
-    stats_.missed_commits_recovered.fetch_add(discovered.size(), std::memory_order_relaxed);
+    stats_.missed_commits_recovered.fetch_add(static_cast<uint64_t>(missed),
+                                              std::memory_order_relaxed);
   }
   return recovered;
 }

@@ -80,6 +80,7 @@ struct FaultManagerOptions {
 
 struct FaultManagerStats {
   std::atomic<uint64_t> records_ingested{0};
+  // Records the liveness scan found in storage that some live node lacked.
   std::atomic<uint64_t> missed_commits_recovered{0};
   std::atomic<uint64_t> txns_deleted{0};
   std::atomic<uint64_t> versions_deleted{0};
@@ -115,7 +116,8 @@ class FaultManager {
   void IngestCommits(const std::vector<CommitRecordPtr>& records);
 
   // One storage scan for commit records nobody broadcast; notifies nodes.
-  // Returns the number of missed commits recovered.
+  // Returns the number of records new to the fault manager's own view;
+  // stats().missed_commits_recovered counts those some live node lacked.
   size_t RunLivenessScanOnce();
 
   // One global GC round; returns the number of transactions whose data was

@@ -387,104 +387,9 @@ Result<std::optional<std::string>> AftNode::Get(const Uuid& txid, const std::str
 }
 
 Result<AftNode::VersionedRead> AftNode::GetVersioned(const Uuid& txid, const std::string& key) {
-  AFT_RETURN_IF_ERROR(CheckAlive());
-  throttle_.Charge(ThreadLocalRng());
-  AFT_ASSIGN_OR_RETURN(TxnPtr txn, FindTransaction(txid));
-  obs::ScopedHistogramTimer read_timer(metrics_.read_latency_ms);
-  obs::TraceSpan span(txn->trace, "AtomicRead", node_id_);
-
-  bool counted = false;
-  for (int attempt = 0; attempt < kReadStabilizeAttempts; ++attempt) {
-    TxnId target;
-    CommitRecordPtr record;
-    {
-      MutexLock lock(txn->mu);
-      if (txn->status != TxnStatus::kRunning) {
-        return Status::FailedPrecondition("transaction is not running");
-      }
-      if (!counted) {
-        metrics_.reads->Increment();
-        counted = true;
-      }
-
-      // Read-your-writes (§3.5): data in the transaction's own write buffer
-      // is returned immediately and bypasses Algorithm 1 (buffered data has
-      // no commit timestamp yet, so it cannot participate).
-      if (auto it = txn->write_buffer.find(key); it != txn->write_buffer.end()) {
-        return VersionedRead{it->second, TxnId(0, txid), nullptr};
-      }
-
-      const AtomicReadChoice choice =
-          SelectAtomicReadVersion(key, txn->read_set, index_, commits_);
-      if (attempt == 0) {
-        metrics_.read_walk_depth->Observe(static_cast<double>(choice.candidates_examined));
-        span.AddArg("walk_depth", std::to_string(choice.candidates_examined));
-      }
-      switch (choice.kind) {
-        case AtomicReadChoice::Kind::kNullVersion:
-          metrics_.null_reads->Increment();
-          return VersionedRead{std::nullopt, TxnId::Null(), nullptr};
-        case AtomicReadChoice::Kind::kNoValidVersion:
-          // §3.6: no version of `key` is compatible with what the
-          // transaction already read; the client must abort and retry.
-          metrics_.read_aborts->Increment();
-          return Status::Aborted("no valid version of '" + key + "' for this read set");
-        case AtomicReadChoice::Kind::kVersion:
-          break;
-      }
-      // Pin the chosen version BEFORE releasing the lock: the local GC
-      // skips pinned transactions, so the version's metadata (and its
-      // record's cowritten set) stays valid across the unlocked fetch. A
-      // pin for a version that never gets installed is harmless — the
-      // commit/abort epilogue releases everything in reads_from.
-      if (txn->reads_from.insert(choice.version).second) {
-        read_pins_.Pin(choice.version);
-      }
-      target = choice.version;
-      record = choice.record;
-    }
-
-    // The storage fetch — retry backoff included — runs OUTSIDE txn->mu.
-    // Holding the transaction lock across blocking I/O stalled every other
-    // operation of the transaction (including the timeout sweeper's abort)
-    // for up to retries x backoff; with reads now fanned out concurrently
-    // it would also have been a lock-ordering hazard.
-    Result<std::string> payload = ReadVersionPayload(key, target, record);
-
-    MutexLock lock(txn->mu);
-    if (txn->status != TxnStatus::kRunning) {
-      return Status::FailedPrecondition("transaction is not running");
-    }
-    if (!payload.ok()) {
-      return payload.status();
-    }
-    // Revalidate: while unlocked, overlapping operations of this
-    // transaction (a function retry racing its original, §3.3.1) may have
-    // tightened the read set or buffered a write of this key. Install the
-    // fetched version if it still extends the read set; a newer version
-    // committed meanwhile does not invalidate it (the read is Algorithm 1
-    // as of its selection), so the read does not chase it.
-    if (auto it = txn->write_buffer.find(key); it != txn->write_buffer.end()) {
-      return VersionedRead{it->second, TxnId(0, txid), nullptr};
-    }
-    if (IsValidAtomicRead(key, target, record.get(), txn->read_set)) {
-      txn->read_set[key] = ReadSetEntry{target, record};
-      return VersionedRead{std::move(payload).value(), target, record};
-    }
-    const AtomicReadChoice check = SelectAtomicReadVersion(key, txn->read_set, index_, commits_);
-    switch (check.kind) {
-      case AtomicReadChoice::Kind::kNullVersion:
-        metrics_.null_reads->Increment();
-        return VersionedRead{std::nullopt, TxnId::Null(), nullptr};
-      case AtomicReadChoice::Kind::kNoValidVersion:
-        metrics_.read_aborts->Increment();
-        return Status::Aborted("no valid version of '" + key + "' for this read set");
-      case AtomicReadChoice::Kind::kVersion:
-        metrics_.read_refetches->Increment();
-        break;  // The read set moved past the fetched version; fetch the new choice.
-    }
-  }
-  return Status::Aborted("read of '" + key + "' did not stabilize");
+  AFT_ASSIGN_OR_RETURN(std::vector<VersionedRead> reads,
+                       MultiGet(txid, std::span<const std::string>(&key, 1)));
+  return std::move(reads.front());
 }
 
 Result<std::vector<AftNode::VersionedRead>> AftNode::MultiGet(
@@ -498,81 +403,84 @@ Result<std::vector<AftNode::VersionedRead>> AftNode::MultiGet(
   throttle_.Charge(ThreadLocalRng(), 1.0 + 0.25 * static_cast<double>(keys.size() - 1));
   AFT_ASSIGN_OR_RETURN(TxnPtr txn, FindTransaction(txid));
   obs::ScopedHistogramTimer read_timer(metrics_.read_latency_ms);
-  obs::TraceSpan span(txn->trace, "AtomicMultiRead", node_id_);
+  obs::TraceSpan span(txn->trace, "AtomicRead", node_id_);
 
-  struct PlannedFetch {
-    size_t key_index;
-    TxnId version;
-    CommitRecordPtr record;
+  // One key that goes through Algorithm 1 (it missed the write buffer).
+  struct KeyRead {
+    size_t index;             // Position in `keys`.
+    AtomicReadChoice choice;  // kVersion or kNullVersion.
+    Result<std::string> payload = std::string();  // Fetched for kVersion.
   };
 
-  bool counted = false;
   for (int attempt = 0; attempt < kReadStabilizeAttempts; ++attempt) {
     std::vector<VersionedRead> out(keys.size());
-    std::vector<PlannedFetch> fetches;
-    std::vector<std::string> planned_keys;   // Keys going through Algorithm 1.
-    std::vector<TxnId> planned_versions;     // Chosen version per planned key (Null = null read).
-    std::vector<CommitRecordPtr> planned_records;  // Its record (null for a null read).
-    std::vector<size_t> planned_index;       // Position of each planned key in `keys`.
-    uint64_t null_reads = 0;
+    std::vector<KeyRead> plan;
+    plan.reserve(keys.size());
     {
       MutexLock lock(txn->mu);
       if (txn->status != TxnStatus::kRunning) {
         return Status::FailedPrecondition("transaction is not running");
       }
-      if (!counted) {
+      if (attempt == 0) {
         metrics_.reads->Increment(keys.size());
-        counted = true;
       }
-      // Read-your-writes hits bypass Algorithm 1 (§3.5).
+      uint32_t walk_depth = 0;
+      ReadSetFold read_set(txn->read_set);
       for (size_t i = 0; i < keys.size(); ++i) {
+        // Read-your-writes (§3.5): data in the transaction's own write buffer
+        // is returned immediately and bypasses Algorithm 1 (buffered data has
+        // no commit timestamp yet, so it cannot participate).
         if (auto it = txn->write_buffer.find(keys[i]); it != txn->write_buffer.end()) {
           out[i] = VersionedRead{it->second, TxnId(0, txid), nullptr};
-        } else {
-          planned_keys.push_back(keys[i]);
-          planned_index.push_back(i);
+          continue;
         }
-      }
-      const std::vector<AtomicReadChoice> plan =
-          PlanAtomicMultiRead(planned_keys, txn->read_set, index_, commits_);
-      planned_versions.reserve(plan.size());
-      for (size_t j = 0; j < plan.size(); ++j) {
-        const AtomicReadChoice& choice = plan[j];
+        AtomicReadChoice choice =
+            SelectAtomicReadVersion(keys[i], read_set.get(), index_, commits_);
         if (attempt == 0) {
           metrics_.read_walk_depth->Observe(static_cast<double>(choice.candidates_examined));
+          walk_depth += choice.candidates_examined;
         }
         switch (choice.kind) {
           case AtomicReadChoice::Kind::kNullVersion:
-            out[planned_index[j]] = VersionedRead{std::nullopt, TxnId::Null(), nullptr};
-            planned_versions.push_back(TxnId::Null());
-            planned_records.push_back(nullptr);
-            ++null_reads;
             break;
           case AtomicReadChoice::Kind::kNoValidVersion:
+            // §3.6: no version of the key is compatible with what the
+            // transaction already read; the client must abort and retry.
             metrics_.read_aborts->Increment();
-            return Status::Aborted("no valid version of '" + planned_keys[j] +
-                                   "' for this read set");
+            return Status::Aborted("no valid version of '" + keys[i] + "' for this read set");
           case AtomicReadChoice::Kind::kVersion:
-            // Pin before unlocking — see GetVersioned.
+            // Pin the chosen version BEFORE releasing the lock: the local
+            // GC skips pinned transactions, so the version's metadata (and
+            // its record's cowritten set) stays valid across the unlocked
+            // fetch. A pin for a version that never gets installed is
+            // harmless — the commit/abort epilogue releases everything in
+            // reads_from.
             if (txn->reads_from.insert(choice.version).second) {
               read_pins_.Pin(choice.version);
             }
-            planned_versions.push_back(choice.version);
-            planned_records.push_back(choice.record);
-            fetches.push_back(PlannedFetch{planned_index[j], choice.version, choice.record});
+            if (i + 1 < keys.size()) {
+              read_set.Add(keys[i], ReadSetEntry{choice.version, choice.record});
+            }
             break;
         }
+        plan.push_back(KeyRead{i, std::move(choice)});
+      }
+      if (attempt == 0) {
+        span.AddArg("walk_depth", std::to_string(walk_depth));
       }
     }
 
-    // Fetch every selected payload concurrently, outside txn->mu. Cache
-    // hits return immediately inside their lane; the misses together cost
-    // ~one storage-get latency sample instead of one per key.
-    std::vector<Result<std::string>> payloads(
-        fetches.size(), Result<std::string>(Status::Internal("fetch slot never filled")));
-    (void)IoExecutor::Shared().ParallelFor(fetches.size(), [&](size_t j) {
-      payloads[j] =
-          ReadVersionPayload(keys[fetches[j].key_index], fetches[j].version, fetches[j].record);
+    // The storage fetches — retry backoff included — run concurrently,
+    // OUTSIDE txn->mu: holding the transaction lock across blocking I/O
+    // would stall every other operation of the transaction (the timeout
+    // sweeper's abort included). Cache hits return at once; the misses
+    // together cost ~one storage-get latency sample instead of one per key.
+    (void)IoExecutor::Shared().ParallelFor(plan.size(), [&](size_t j) {
+      KeyRead& read = plan[j];
+      if (read.choice.kind == AtomicReadChoice::Kind::kVersion) {
+        read.payload =
+            ReadVersionPayload(keys[read.index], read.choice.version, read.choice.record);
+      }
       return Status::Ok();
     });
 
@@ -580,51 +488,54 @@ Result<std::vector<AftNode::VersionedRead>> AftNode::MultiGet(
     if (txn->status != TxnStatus::kRunning) {
       return Status::FailedPrecondition("transaction is not running");
     }
-    for (const Result<std::string>& payload : payloads) {
-      if (!payload.ok()) {
-        return payload.status();
+    for (const KeyRead& read : plan) {
+      if (!read.payload.ok()) {
+        return read.payload.status();
       }
     }
-    // Revalidate the whole plan against the current read set (overlapping
-    // operations may have changed it while we fetched) and install
-    // all-or-nothing; on any drift, start the cycle over. As in
-    // GetVersioned, versions committed meanwhile do not count as drift:
-    // the plan stands while each choice still extends the read set and the
-    // choices before it.
+    // Revalidate: while unlocked, overlapping operations of this
+    // transaction (a function retry racing its original, §3.3.1) may have
+    // buffered a write of a planned key, which the read then returns, or
+    // tightened the read set. Each other choice stands while it still
+    // extends the read set and the choices before it; a version committed
+    // meanwhile does not invalidate it (the read is Algorithm 1 as of its
+    // selection), so the read does not chase it. Install all-or-nothing; on
+    // drift, plan and fetch again.
     bool stable = true;
-    for (const std::string& key : planned_keys) {
+    ReadSetFold read_set(txn->read_set);
+    for (size_t j = 0; j < plan.size() && stable; ++j) {
+      const KeyRead& read = plan[j];
+      const std::string& key = keys[read.index];
       if (txn->write_buffer.contains(key)) {
-        stable = false;  // A concurrent Put buffered this key; replan.
-        break;
+        continue;
       }
-    }
-    if (stable) {
-      std::unordered_map<std::string, ReadSetEntry> working = txn->read_set;
-      for (size_t j = 0; j < planned_keys.size(); ++j) {
-        if (!IsValidAtomicRead(planned_keys[j], planned_versions[j], planned_records[j].get(),
-                               working)) {
-          stable = false;
-          break;
-        }
-        if (!planned_versions[j].IsNull()) {
-          working[planned_keys[j]] = ReadSetEntry{planned_versions[j], planned_records[j]};
-        }
+      stable = IsValidAtomicRead(key, read.choice.version, read.choice.record.get(),
+                                 read_set.get());
+      if (stable && !read.choice.version.IsNull() && j + 1 < plan.size()) {
+        read_set.Add(key, ReadSetEntry{read.choice.version, read.choice.record});
       }
     }
     if (!stable) {
       metrics_.read_refetches->Increment();
       continue;
     }
-    for (size_t j = 0; j < fetches.size(); ++j) {
-      const PlannedFetch& fetch = fetches[j];
-      txn->read_set[keys[fetch.key_index]] = ReadSetEntry{fetch.version, fetch.record};
-      out[fetch.key_index] =
-          VersionedRead{std::move(payloads[j]).value(), fetch.version, fetch.record};
+    uint64_t null_reads = 0;
+    for (KeyRead& read : plan) {
+      const std::string& key = keys[read.index];
+      if (auto it = txn->write_buffer.find(key); it != txn->write_buffer.end()) {
+        out[read.index] = VersionedRead{it->second, TxnId(0, txid), nullptr};
+      } else if (read.choice.version.IsNull()) {
+        ++null_reads;
+      } else {
+        txn->read_set[key] = ReadSetEntry{read.choice.version, read.choice.record};
+        out[read.index] = VersionedRead{std::move(read.payload).value(), read.choice.version,
+                                        std::move(read.choice.record)};
+      }
     }
     metrics_.null_reads->Increment(null_reads);
     return out;
   }
-  return Status::Aborted("multi-key read did not stabilize");
+  return Status::Aborted("read did not stabilize");
 }
 
 Result<std::string> AftNode::ReadVersionPayload(const std::string& key, const TxnId& version,

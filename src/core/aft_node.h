@@ -159,7 +159,7 @@ class AftNode {
 
   // Like Get, but also reports WHICH version was read — used by the
   // evaluation harness to validate read atomicity with the same anomaly
-  // checker that audits the baselines (Table 2).
+  // checker that audits the baselines (Table 2). The one-key MultiGet.
   struct VersionedRead {
     std::optional<std::string> value;
     // Null for NULL-version reads; TxnId(0, txid) for reads served from the
@@ -169,10 +169,13 @@ class AftNode {
   };
   Result<VersionedRead> GetVersioned(const Uuid& txid, const std::string& key);
 
-  // Table-1-style multi-key read: plans Algorithm 1 for every key in one
-  // pass (each selection folded into the read set the next key sees, so the
-  // batch equals the sequential composition), then fetches all cache-missing
-  // payloads concurrently on the shared IoExecutor. Results are positional.
+  // Table-1-style multi-key read, and the node's one Algorithm-1 read loop:
+  // selects a version for every key in one pass under the transaction lock
+  // (each selection folded into the read set the next key sees, so the
+  // batch equals the sequential composition) and pins it, fetches the
+  // payloads concurrently on the shared IoExecutor outside the lock, then
+  // revalidates and installs all-or-nothing, planning again if an
+  // overlapping operation moved the read set. Results are positional.
   // kNoValidVersion on ANY key aborts the whole call (kAborted), exactly
   // like the sequential read (§3.6).
   Result<std::vector<VersionedRead>> MultiGet(const Uuid& txid,
@@ -240,6 +243,11 @@ class AftNode {
   size_t RunningTransactionCount() const;
   const DataCache& data_cache() const { return data_cache_; }
   size_t CommitSetSize() const { return commits_.size(); }
+  // Whether this node holds `id`'s commit record or has dropped it in a
+  // local GC sweep: a record it knows is no missed commit (§4.2).
+  bool KnowsCommit(const TxnId& id) const {
+    return commits_.Contains(id) || commits_.HasLocallyDeleted(id);
+  }
   size_t KeyVersionCount() const { return index_.TotalVersionCount(); }
   StorageEngine& storage() { return storage_; }
   bool IsSuperseded(const CommitRecord& record) const {

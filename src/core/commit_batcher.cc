@@ -172,33 +172,6 @@ void CommitBatcher::ExecuteRound(std::span<Pending* const> members, const Pendin
     // and the engine's last reading (profile.end) doubles as publish start.
     profile.start = StageClock::time_point(std::chrono::nanoseconds(round_start_ns));
   }
-  bool round_ok = false;
-  if (members.size() == 1) {
-    // The member's own unit and verdict, in place; no publisher list to build.
-    Pending& p = *members[0];
-    storage_.CommitUnits(std::span<CommitUnit>(&p.unit, 1), std::span<Status>(&p.result, 1),
-                         profile_ptr);
-    if (sampled) {
-      RecordRoundSpans(members, span_start, obs::Tracer::NowMicros());
-    }
-    round_ok = p.result.ok();
-    double publish_s = 0;
-    if (publisher_ && round_ok) {
-      const uint64_t publish_start_ns =
-          !attrib ? 0
-          : profile.end != StageClock::time_point{} ? NsOf(profile.end)
-                                                    : StageNowNs();
-      publisher_(members);
-      if (attrib) {
-        publish_s = static_cast<double>(StageNowNs() - publish_start_ns) * 1e-9;
-      }
-    }
-    if (attrib) {
-      ObserveRoundStages(members, profile, publish_s, round_start_ns, span_start);
-    }
-    return;
-  }
-
   SmallVector<CommitUnit, 16> units;
   SmallVector<Status, 16> results;
   units.reserve(members.size());

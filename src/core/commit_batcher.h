@@ -97,11 +97,11 @@ class CommitBatcher {
   Status Commit(Pending& pending);
 
  private:
-  // Executes one merged storage round for `members`; `leader` is the member
-  // whose thread runs the round (it observes the queue_wait_leader stage,
-  // the rest queue_wait_follower). No batcher lock held: the engine call is
-  // the slow part, and running it unlatched is what lets the next batch
-  // form meanwhile.
+  // Executes one storage round for `members` (a solo commit is a round of
+  // one); `leader` is the member whose thread runs the round (it observes
+  // the queue_wait_leader stage, the rest queue_wait_follower). No batcher
+  // lock held: the engine call is the slow part, and running it unlatched
+  // is what lets the next batch form meanwhile.
   void ExecuteRound(std::span<Pending* const> members, const Pending* leader);
 
   // Stamps the per-phase lifecycle spans ("CommitFlush",

@@ -1,6 +1,7 @@
 #include "src/core/read_algorithm.h"
 
 #include <algorithm>
+#include <vector>
 
 namespace aft {
 namespace {
@@ -88,23 +89,6 @@ bool IsValidAtomicRead(const std::string& key, const TxnId& version,
     return lower.IsNull();
   }
   return record != nullptr && version >= lower && !CowriteReadOlder(*record, version, read_set);
-}
-
-std::vector<AtomicReadChoice> PlanAtomicMultiRead(
-    std::span<const std::string> keys,
-    const std::unordered_map<std::string, ReadSetEntry>& read_set,
-    const KeyVersionIndex& index, const CommitSetCache& commits) {
-  std::vector<AtomicReadChoice> choices;
-  choices.reserve(keys.size());
-  std::unordered_map<std::string, ReadSetEntry> working = read_set;
-  for (const std::string& key : keys) {
-    AtomicReadChoice choice = SelectAtomicReadVersion(key, working, index, commits);
-    if (choice.kind == AtomicReadChoice::Kind::kVersion) {
-      working[key] = ReadSetEntry{choice.version, choice.record};
-    }
-    choices.push_back(std::move(choice));
-  }
-  return choices;
 }
 
 bool IsTransactionSuperseded(const CommitRecord& record, const KeyVersionIndex& index) {

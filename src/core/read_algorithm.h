@@ -4,10 +4,10 @@
 #ifndef SRC_CORE_READ_ALGORITHM_H_
 #define SRC_CORE_READ_ALGORITHM_H_
 
-#include <span>
+#include <optional>
 #include <string>
 #include <unordered_map>
-#include <vector>
+#include <utility>
 
 #include "src/core/commit_set_cache.h"
 #include "src/core/key_version_index.h"
@@ -63,18 +63,32 @@ bool IsValidAtomicRead(const std::string& key, const TxnId& version,
                        const CommitRecord* record,
                        const std::unordered_map<std::string, ReadSetEntry>& read_set);
 
-// Runs Algorithm 1 for each key IN ORDER, folding every kVersion selection
-// into a working copy of the read set before the next key is planned: key
-// i+1 sees key i's choice exactly as if the reads had been issued
-// sequentially, so the whole batch is one valid Atomic Readset extension
-// (the multi-key read of Table 1). Returns one choice per key,
-// positionally; a kNoValidVersion entry means the batch — like its
-// sequential equivalent — must abort. The caller's `read_set` is not
-// modified (entries are installed only after the payloads are fetched).
-std::vector<AtomicReadChoice> PlanAtomicMultiRead(
-    std::span<const std::string> keys,
-    const std::unordered_map<std::string, ReadSetEntry>& read_set,
-    const KeyVersionIndex& index, const CommitSetCache& commits);
+// The read set a multi-key read selects and revalidates each key against:
+// the transaction's read set plus the versions chosen for the batch's
+// earlier keys, so key i+1 sees key i's choice exactly as if the reads had
+// been issued sequentially and the whole batch is one valid Atomic Readset
+// extension (the multi-key read of Table 1). The transaction's map is never
+// modified; it is copied when the first choice is folded in, so a read that
+// folds nothing (one key) copies nothing.
+class ReadSetFold {
+ public:
+  using Map = std::unordered_map<std::string, ReadSetEntry>;
+
+  explicit ReadSetFold(const Map& read_set) : read_set_(read_set) {}
+
+  const Map& get() const { return working_.has_value() ? *working_ : read_set_; }
+
+  void Add(const std::string& key, ReadSetEntry entry) {
+    if (!working_.has_value()) {
+      working_.emplace(read_set_);
+    }
+    (*working_)[key] = std::move(entry);
+  }
+
+ private:
+  const Map& read_set_;
+  std::optional<Map> working_;
+};
 
 // Algorithm 2, generalized: T is superseded iff every key in its write set
 // has a committed version strictly newer than T. (The paper's formulation

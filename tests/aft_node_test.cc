@@ -549,7 +549,11 @@ class GatedReadEngine final : public SimEngineBase {
   bool released_ = false;
 };
 
-class FetchRaceTest : public ::testing::Test {
+// The node's two read entry points, which share one read loop: Get, and
+// MultiGet of one key.
+enum class ReadEntry { kGet, kMultiGet };
+
+class FetchRaceTest : public ::testing::TestWithParam<ReadEntry> {
  protected:
   FetchRaceTest() : storage_(clock_), node_("n0", storage_, clock_, Uncached()) {
     EXPECT_TRUE(node_.Start().ok());
@@ -570,15 +574,15 @@ class FetchRaceTest : public ::testing::Test {
     ASSERT_TRUE(node_.CommitTransaction(*txid).ok());
   }
 
-  // Reads "k" in `reader` on another thread (one Get, or a MultiGet of "k"
-  // alone), runs `meanwhile` while that read's fetch of the version it chose
+  // Reads "k" in `reader` on another thread through the entry point under
+  // test, runs `meanwhile` while that read's fetch of the version it chose
   // is held, and returns what it read.
-  std::optional<std::string> ReadKAcross(const Uuid& reader, const std::function<void()>& meanwhile,
-                                         bool multi = false) {
+  std::optional<std::string> ReadKAcross(const Uuid& reader,
+                                         const std::function<void()>& meanwhile) {
     storage_.Arm();
     std::optional<std::string> read;
     std::thread fetch([&] {
-      if (multi) {
+      if (GetParam() == ReadEntry::kMultiGet) {
         const std::vector<std::string> keys = {"k"};
         auto values = node_.MultiGet(reader, keys);
         EXPECT_TRUE(values.ok()) << values.status().ToString();
@@ -603,7 +607,7 @@ class FetchRaceTest : public ::testing::Test {
 
 // A commit landing while a read's fetch is in flight leaves the fetched
 // version valid: the read keeps it rather than chasing the newer one.
-TEST_F(FetchRaceTest, CommitDuringFetchKeepsTheFetchedVersion) {
+TEST_P(FetchRaceTest, CommitDuringFetchKeepsTheFetchedVersion) {
   Commit({{"k", "old"}});
   auto reader = node_.StartTransaction();
   ASSERT_TRUE(reader.ok());
@@ -612,19 +616,10 @@ TEST_F(FetchRaceTest, CommitDuringFetchKeepsTheFetchedVersion) {
   EXPECT_EQ(node_.stats().read_refetches.load(), 0u);
 }
 
-TEST_F(FetchRaceTest, CommitDuringMultiGetFetchKeepsThePlan) {
-  Commit({{"k", "old"}});
-  auto reader = node_.StartTransaction();
-  ASSERT_TRUE(reader.ok());
-  EXPECT_EQ(ReadKAcross(*reader, [&] { Commit({{"k", "new"}}); }, /*multi=*/true),
-            std::optional<std::string>("old"));
-  EXPECT_EQ(node_.stats().read_refetches.load(), 0u);
-}
-
 // An overlapping read of the same transaction that tightens the read set
 // past the fetched version (it read "m" from a transaction that cowrote a
-// newer "k") makes the read fetch again, and the refetch is counted.
-TEST_F(FetchRaceTest, ReadSetTightenedDuringFetchRefetches) {
+// newer "k") makes the read fetch again, and the refetch is counted once.
+TEST_P(FetchRaceTest, ReadSetTightenedDuringFetchRefetches) {
   Commit({{"k", "old"}});
   auto reader = node_.StartTransaction();
   ASSERT_TRUE(reader.ok());
@@ -637,6 +632,24 @@ TEST_F(FetchRaceTest, ReadSetTightenedDuringFetchRefetches) {
             std::optional<std::string>("new"));
   EXPECT_EQ(node_.stats().read_refetches.load(), 1u);
 }
+
+// The transaction's own Put of the key while the fetch is held wins: the
+// read returns the buffered value (read-your-writes) and fetches nothing
+// again.
+TEST_P(FetchRaceTest, PutDuringFetchReturnsTheBufferedValue) {
+  Commit({{"k", "old"}});
+  auto reader = node_.StartTransaction();
+  ASSERT_TRUE(reader.ok());
+  EXPECT_EQ(ReadKAcross(*reader, [&] { ASSERT_TRUE(node_.Put(*reader, "k", "mine").ok()); }),
+            std::optional<std::string>("mine"));
+  EXPECT_EQ(node_.stats().read_refetches.load(), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Entry, FetchRaceTest,
+                         ::testing::Values(ReadEntry::kGet, ReadEntry::kMultiGet),
+                         [](const ::testing::TestParamInfo<ReadEntry>& info) {
+                           return info.param == ReadEntry::kGet ? "Get" : "MultiGet";
+                         });
 
 }  // namespace
 }  // namespace aft

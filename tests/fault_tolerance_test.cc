@@ -243,6 +243,47 @@ TEST(OrphanSweepTest, UncommittedButRecentVersionsSurviveViaGrace) {
   EXPECT_EQ(cluster.node(0)->Get(*reader, "slow")->value(), "spilled-payload");
 }
 
+// ---- Liveness scan -----------------------------------------------------------------
+
+// A fresh fault manager has seen none of the records the dataset loader
+// wrote, but every node bootstrapped them: the scan applies them and counts
+// no missed commit. A record that reached storage while no node heard of it
+// (its writer died before gossip) counts once, and becomes readable.
+TEST(LivenessScanTest, OnlyRecordsSomeLiveNodeLackedCountAsMissed) {
+  SimClock clock;
+  SimDynamo storage(clock, InstantDynamo());
+  WorkloadSpec spec;
+  spec.num_keys = 50;
+  spec.value_bytes = 16;
+  ASSERT_TRUE(LoadAftDataset(storage, spec).ok());
+  ClusterOptions options;
+  options.num_nodes = 2;
+  options.start_background_threads = false;
+  ClusterDeployment cluster(storage, clock, options);
+  ASSERT_TRUE(cluster.Start().ok());
+  clock.Advance(std::chrono::seconds(5));  // Past the liveness grace.
+
+  FaultManager& fm = cluster.fault_manager();
+  EXPECT_EQ(fm.RunLivenessScanOnce(), 50u);  // New to the fault manager...
+  EXPECT_EQ(fm.stats().missed_commits_recovered.load(), 0u);  // ...but to no node.
+
+  Rng rng(7);
+  const TxnId writer(1, Uuid::Random(rng));
+  const std::vector<std::string> write_set{"lost"};
+  ASSERT_TRUE(storage
+                  .Put(VersionStorageKey("lost", writer.uuid),
+                       VersionedValue{writer, write_set, "acked"}.Serialize())
+                  .ok());
+  ASSERT_TRUE(storage.Put(CommitStorageKey(writer), CommitRecord{writer, write_set}.Serialize())
+                  .ok());
+  EXPECT_EQ(fm.RunLivenessScanOnce(), 1u);
+  EXPECT_EQ(fm.stats().missed_commits_recovered.load(), 1u);
+
+  auto txid = cluster.node(1)->StartTransaction();
+  ASSERT_TRUE(txid.ok());
+  EXPECT_EQ(cluster.node(1)->Get(*txid, "lost").value(), std::optional<std::string>("acked"));
+}
+
 // ---- End-to-end exactly-once under randomized failures -----------------------------
 
 // Parameterized over the engine's connection-pool bound: unbounded (0),

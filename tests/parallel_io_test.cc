@@ -1,6 +1,6 @@
 // Tests for the parallel storage I/O layer: the shared IoExecutor, the
 // concurrent commit flush and its §3.3 write-ordering barrier under partial
-// failure, the multi-key read path (PlanAtomicMultiRead + AftNode::MultiGet),
+// failure, the multi-key read path (ReadSetFold + AftNode::MultiGet),
 // and the parallelized fault-manager maintenance passes.
 
 #include <gtest/gtest.h>
@@ -376,9 +376,9 @@ TEST(ParallelCommitTest, TransientFaultStormPreservesAtomicity) {
   }
 }
 
-// ---- PlanAtomicMultiRead ----------------------------------------------------------
+// ---- ReadSetFold -----------------------------------------------------------------
 
-class PlanAtomicMultiReadTest : public ::testing::Test {
+class ReadSetFoldTest : public ::testing::Test {
  protected:
   TxnId Commit(int64_t ts, std::vector<std::string> keys) {
     auto record = std::make_shared<const CommitRecord>(
@@ -388,51 +388,54 @@ class PlanAtomicMultiReadTest : public ::testing::Test {
     return record->id;
   }
 
+  ReadSetEntry EntryOf(const TxnId& id) { return ReadSetEntry{id, commits_.Lookup(id)}; }
+
   Rng rng_{42};
   KeyVersionIndex index_;
   CommitSetCache commits_;
   std::unordered_map<std::string, ReadSetEntry> read_set_;
 };
 
-// The §3.2 example as ONE batch: after the plan picks k@T2, the l entry of
-// the same batch must also come from T2 (never l@T1 — a fractured batch).
-TEST_F(PlanAtomicMultiReadTest, EarlierChoicesConstrainLaterKeysInBatch) {
-  Commit(10, {"l"});                        // T1
-  const TxnId t2 = Commit(20, {"k", "l"});  // T2
+// A batch chose k@T2 (before T3 landed); the batch's l must then come from
+// T2 too, never l@T3 — T3 cowrote k, so l@T3 with k@T2 is a fractured batch.
+TEST_F(ReadSetFoldTest, EarlierChoicesConstrainLaterKeysInBatch) {
+  const TxnId t2 = Commit(20, {"k", "l"});
+  const TxnId t3 = Commit(30, {"k", "l"});
 
-  const std::vector<std::string> keys = {"k", "l"};
-  const auto plan = PlanAtomicMultiRead(keys, read_set_, index_, commits_);
-  ASSERT_EQ(plan.size(), 2u);
-  ASSERT_EQ(plan[0].kind, AtomicReadChoice::Kind::kVersion);
-  ASSERT_EQ(plan[1].kind, AtomicReadChoice::Kind::kVersion);
-  EXPECT_EQ(plan[0].version, t2);
-  EXPECT_EQ(plan[1].version, t2) << "fractured batch: l@T1 with k@T2";
+  ReadSetFold fold(read_set_);
+  EXPECT_EQ(SelectAtomicReadVersion("l", fold.get(), index_, commits_).version, t3);
+  fold.Add("k", EntryOf(t2));
+  const AtomicReadChoice choice = SelectAtomicReadVersion("l", fold.get(), index_, commits_);
+  ASSERT_EQ(choice.kind, AtomicReadChoice::Kind::kVersion);
+  EXPECT_EQ(choice.version, t2) << "fractured batch: l@T3 with k@T2";
 }
 
-// A batch equals its sequential composition, and the CALLER's read set is
-// never modified — only the plan's working copy folds choices in.
-TEST_F(PlanAtomicMultiReadTest, CallerReadSetIsUntouched) {
-  Commit(10, {"k"});
-  const std::vector<std::string> keys = {"k"};
-  (void)PlanAtomicMultiRead(keys, read_set_, index_, commits_);
+// The CALLER's read set is never modified, and it is copied only once a
+// choice is folded in: a one-key read copies nothing.
+TEST_F(ReadSetFoldTest, CallerReadSetIsUntouched) {
+  const TxnId t1 = Commit(10, {"k"});
+  ReadSetFold fold(read_set_);
+  EXPECT_EQ(&fold.get(), &read_set_);
+  fold.Add("k", EntryOf(t1));
+  EXPECT_NE(&fold.get(), &read_set_);
+  EXPECT_TRUE(fold.get().contains("k"));
   EXPECT_TRUE(read_set_.empty());
 }
 
-// The §5.2.1 forced abort inside a batch: a lower bound exists for a key but
-// every candidate version is gone (GC'd), so the batch must report
-// kNoValidVersion for that key.
-TEST_F(PlanAtomicMultiReadTest, GcedLowerBoundYieldsNoValidVersion) {
+// The §5.2.1 forced abort inside a batch: the batch's earlier choice sets a
+// lower bound for a key whose every candidate version is gone (GC'd), so
+// the key must report kNoValidVersion.
+TEST_F(ReadSetFoldTest, GcedLowerBoundYieldsNoValidVersion) {
   const TxnId t2 = Commit(20, {"k", "l"});
-  read_set_["l"] = ReadSetEntry{t2, commits_.Lookup(t2)};
+  ReadSetFold fold(read_set_);
+  fold.Add("l", EntryOf(t2));
 
   auto t2_record = commits_.Lookup(t2);
   index_.RemoveCommit(*t2_record);
   commits_.Remove(t2);
 
-  const std::vector<std::string> keys = {"k"};
-  const auto plan = PlanAtomicMultiRead(keys, read_set_, index_, commits_);
-  ASSERT_EQ(plan.size(), 1u);
-  EXPECT_EQ(plan[0].kind, AtomicReadChoice::Kind::kNoValidVersion);
+  EXPECT_EQ(SelectAtomicReadVersion("k", fold.get(), index_, commits_).kind,
+            AtomicReadChoice::Kind::kNoValidVersion);
 }
 
 // ---- AftNode::MultiGet ------------------------------------------------------------
