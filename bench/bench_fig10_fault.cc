@@ -76,7 +76,10 @@ int main() {
     env.cluster->KillNode(0);
   });
 
-  ThroughputTimeline timeline(clock, Millis(1000));
+  // 1 s windows at the default 90 s; a shorter run shrinks them with the
+  // timeline, so the dip and the recovery still span several windows.
+  const Duration window = scaled(1.0);
+  ThroughputTimeline timeline(clock, window);
   HarnessOptions harness;
   harness.num_clients = num_clients;
   harness.requests_per_client = 1000000;
@@ -98,12 +101,15 @@ int main() {
               result.throughput_tps, static_cast<unsigned long long>(result.failed));
 
   std::printf("\n  t(s)   txn/s\n");
+  // Whole seconds while windows are at least 1 s (the default run prints what
+  // it always has), milliseconds below that.
+  const int decimals = window >= Millis(1000) ? 0 : 3;
   const auto rows = timeline.Report();
   for (size_t i = 0; i + 1 < rows.size(); ++i) {
     const bool kill_row = rows[i].window_start_sec <= kill_at_sec &&
                           kill_at_sec < rows[i + 1].window_start_sec;
-    std::printf("  %-6.0f %8.1f%s\n", rows[i].window_start_sec, rows[i].events_per_sec,
-                kill_row ? "   << node fails" : "");
+    std::printf("  %-6.*f %8.1f%s\n", decimals, rows[i].window_start_sec,
+                rows[i].events_per_sec, kill_row ? "   << node fails" : "");
   }
 
   PrintTitle("Shape checks");

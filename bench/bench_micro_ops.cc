@@ -1,10 +1,11 @@
 // Microbenchmarks (google-benchmark) for AFT's hot-path primitives: the
 // Algorithm 1 version-selection loop, supersedence checks, record codecs,
-// the key version index and the Zipf sampler. These quantify the per-op CPU
-// cost that underlies the node service-time model.
+// the key version index, the CRC-32 kernel and the Zipf sampler. These
+// quantify the per-op CPU cost that underlies the node service-time model.
 
 #include <benchmark/benchmark.h>
 
+#include "src/common/crc32.h"
 #include "src/common/zipf.h"
 #include "src/core/read_algorithm.h"
 
@@ -84,6 +85,20 @@ void BM_VersionedValueRoundTrip(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VersionedValueRoundTrip)->Arg(256)->Arg(4096)->Arg(65536);
+
+// The one CRC-32 kernel every WAL record and wire frame goes through.
+void BM_Crc32(benchmark::State& state) {
+  std::string data(static_cast<size_t>(state.range(0)), '\0');
+  Rng rng(7);
+  for (char& c : data) {
+    c = static_cast<char>(rng.Below(256));
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(1 << 20);
 
 void BM_KeyVersionIndexAdd(benchmark::State& state) {
   Rng rng(5);

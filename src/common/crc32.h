@@ -3,6 +3,12 @@
 // WAL (src/storage/wal.h). One implementation so a frame CRC and a log-record
 // CRC can never drift; the net layer re-exports these under aft::net for
 // source compatibility.
+//
+// The kernel is portable slicing-by-8: eight 256-entry tables derived from
+// the polynomial, one step per 8 bytes (two little-endian u32 loads) and a
+// bytewise tail. Its value for every input and every split into Crc32Feed
+// calls equals the bytewise definition `crc = (crc >> 8) ^ T[(crc ^ b) & 0xFF]`
+// (pinned against that loop by Crc32Test in tests/common_test.cc).
 
 #ifndef SRC_COMMON_CRC32_H_
 #define SRC_COMMON_CRC32_H_

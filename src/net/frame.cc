@@ -1,9 +1,6 @@
 #include "src/net/frame.h"
 
-#include <array>
 #include <cstring>
-
-#include "src/common/serde.h"
 
 namespace aft {
 namespace net {
@@ -64,6 +61,28 @@ Status StripTracePrefix(Frame* frame) {
   return Status::Ok();
 }
 
+// CRC state after the optional 8-byte trace-id prefix: the frame's length
+// and CRC cover that prefix followed by the payload.
+uint32_t TraceCrcState(uint64_t trace_id) {
+  const uint32_t state = Crc32Begin();
+  return trace_id != 0 ? Crc32Feed(state, &trace_id, sizeof(uint64_t)) : state;
+}
+
+// Writes the 16-byte v1 header; the one header writer behind EncodeFrame and
+// SealFrame. `wire_payload_len` and `crc` include the trace prefix, if any.
+void WriteFrameHeader(char* out, MessageType type, uint64_t trace_id, size_t wire_payload_len,
+                      uint32_t crc) {
+  const uint32_t magic = kFrameMagic;
+  const uint32_t len32 = static_cast<uint32_t>(wire_payload_len);
+  std::memcpy(out, &magic, 4);
+  out[4] = static_cast<char>(kWireVersion);
+  out[5] = static_cast<char>(type);
+  out[6] = static_cast<char>(trace_id != 0 ? kFrameFlagTraceContext : 0);
+  out[7] = 0;  // reserved
+  std::memcpy(out + 8, &len32, 4);
+  std::memcpy(out + 12, &crc, 4);
+}
+
 }  // namespace
 
 bool IsKnownMessageType(MessageType type) {
@@ -102,22 +121,13 @@ std::string_view MessageTypeName(MessageType type) {
 }
 
 std::string EncodeFrame(MessageType type, std::string_view payload, uint64_t trace_id) {
-  std::string traced_payload;
-  if (trace_id != 0) {
-    traced_payload.reserve(sizeof(uint64_t) + payload.size());
-    traced_payload.append(reinterpret_cast<const char*>(&trace_id), sizeof(uint64_t));
-    traced_payload.append(payload);
-    payload = traced_payload;
-  }
-  BinaryWriter writer;
-  writer.PutU32(kFrameMagic);
-  writer.PutU8(kWireVersion);
-  writer.PutU8(static_cast<uint8_t>(type));
-  writer.PutU8(trace_id != 0 ? kFrameFlagTraceContext : 0);  // flags
-  writer.PutU8(0);                                           // reserved
-  writer.PutU32(static_cast<uint32_t>(payload.size()));
-  writer.PutU32(Crc32(payload));
-  std::string bytes = std::move(writer).TakeData();
+  const size_t trace_len = trace_id != 0 ? sizeof(uint64_t) : 0;
+  std::string bytes;
+  bytes.reserve(kFrameHeaderSize + trace_len + payload.size());
+  bytes.resize(kFrameHeaderSize);
+  WriteFrameHeader(bytes.data(), type, trace_id, trace_len + payload.size(),
+                   Crc32End(Crc32Feed(TraceCrcState(trace_id), payload.data(), payload.size())));
+  bytes.append(reinterpret_cast<const char*>(&trace_id), trace_len);
   bytes.append(payload);
   return bytes;
 }
@@ -170,27 +180,14 @@ Result<FrameBytes> SealFrame(MessageType type, SegmentBuffer payload, uint64_t t
                                    " bytes exceeds the " + std::to_string(kMaxFramePayload) +
                                    "-byte limit");
   }
-  // Length and CRC cover the trace prefix + payload, exactly as EncodeFrame.
-  uint32_t crc_state = Crc32Begin();
-  if (trace_len != 0) {
-    crc_state = Crc32Feed(crc_state, &trace_id, trace_len);
-  }
+  uint32_t crc_state = TraceCrcState(trace_id);
   payload.ForEachSpan([&crc_state](const char* data, size_t len) {
     crc_state = Crc32Feed(crc_state, data, len);
   });
-  const uint32_t crc = Crc32End(crc_state);
 
   FrameBytes frame;
   frame.type = type;
-  const uint32_t magic = kFrameMagic;
-  std::memcpy(frame.head, &magic, 4);
-  frame.head[4] = static_cast<char>(kWireVersion);
-  frame.head[5] = static_cast<char>(type);
-  frame.head[6] = static_cast<char>(trace_len != 0 ? kFrameFlagTraceContext : 0);
-  frame.head[7] = 0;  // reserved
-  const uint32_t len32 = static_cast<uint32_t>(wire_payload_len);
-  std::memcpy(frame.head + 8, &len32, 4);
-  std::memcpy(frame.head + 12, &crc, 4);
+  WriteFrameHeader(frame.head, type, trace_id, wire_payload_len, Crc32End(crc_state));
   frame.head_len = kFrameHeaderSize;
   if (trace_len != 0) {
     std::memcpy(frame.head + kFrameHeaderSize, &trace_id, trace_len);

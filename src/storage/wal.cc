@@ -12,6 +12,7 @@
 
 #include "src/common/crc32.h"
 #include "src/common/logging.h"
+#include "src/common/small_vector.h"
 
 namespace aft {
 namespace wal {
@@ -256,6 +257,14 @@ Result<uint64_t> Wal::AppendBatch(std::span<const AppendOp> ops, AppendedLoc* lo
     MutexLock lock(flush_mu_);
     return appended_lsn_;
   }
+  // Each record's CRC depends only on its op, key and value, so it is computed
+  // before taking append_mu_: concurrent appenders never wait on each other's
+  // checksums.
+  SmallVector<uint32_t, 16> crcs;
+  crcs.reserve(ops.size());
+  for (const AppendOp& op : ops) {
+    crcs.push_back(wal::RecordPayloadCrc(op.op, op.key, op.value));
+  }
   MutexLock lock(append_mu_);
   if (poisoned_) {
     return Status::Unavailable("wal poisoned by an earlier write or fsync error");
@@ -279,10 +288,9 @@ Result<uint64_t> Wal::AppendBatch(std::span<const AppendOp> ops, AppendedLoc* lo
                                      std::to_string(wal::kMaxRecordPayload) + "-byte limit");
     }
     const uint32_t payload_len32 = static_cast<uint32_t>(payload_len);
-    const uint32_t crc = wal::RecordPayloadCrc(op.op, op.key, op.value);
     char* header = headers_.data() + i * wal::kRecordHeaderSize;
     std::memcpy(header, &payload_len32, 4);
-    std::memcpy(header + 4, &crc, 4);
+    std::memcpy(header + 4, &crcs[i], 4);
 
     const uint8_t opb = static_cast<uint8_t>(op.op);
     const uint32_t klen = static_cast<uint32_t>(op.key.size());

@@ -3,13 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "src/common/clock.h"
+#include "src/common/crc32.h"
 #include "src/common/latency.h"
 #include "src/common/rng.h"
 #include "src/common/serde.h"
@@ -386,6 +391,85 @@ TEST(ThreadPoolTest, WaitReturnsWhenIdle) {
   pool.Submit([&ran] { ran.store(true); });
   pool.Wait();
   EXPECT_TRUE(ran.load());
+}
+
+// ---- CRC-32 ------------------------------------------------------------------
+
+// The bytewise definition of CRC-32 (reflected 0xEDB88320, one table lookup
+// per byte): the oracle the slicing-by-8 kernel must match on every input.
+uint32_t BytewiseCrc32Feed(uint32_t state, std::string_view data) {
+  static const auto kTable = [] {
+    std::array<uint32_t, 256> table{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t crc = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+      }
+      table[i] = crc;
+    }
+    return table;
+  }();
+  for (const char c : data) {
+    state = (state >> 8) ^ kTable[(state ^ static_cast<uint8_t>(c)) & 0xFFu];
+  }
+  return state;
+}
+
+uint32_t BytewiseCrc32(std::string_view data) {
+  return BytewiseCrc32Feed(0xFFFFFFFFu, data) ^ 0xFFFFFFFFu;
+}
+
+// Seeded pseudo-random bytes from a test-local LCG, so pinned values do not
+// depend on any generator in src/.
+std::string PseudoRandomBytes(size_t n, uint64_t seed) {
+  std::string out(n, '\0');
+  uint64_t x = seed;
+  for (char& c : out) {
+    x = x * 6364136223846793005ull + 1442695040888963407ull;
+    c = static_cast<char>(x >> 56);
+  }
+  return out;
+}
+
+// FrameTest.Crc32MatchesKnownVector (net_test) holds "123456789" and "".
+TEST(Crc32Test, KnownVector) {
+  EXPECT_EQ(Crc32("The quick brown fox jumps over the lazy dog"), 0x414FA339u);
+}
+
+// Every length 0-300 at every start offset 0-7: covers the 8-byte step, the
+// bytewise tail and unaligned loads.
+TEST(Crc32Test, MatchesBytewiseAtEveryLengthAndAlignment) {
+  const std::string buffer = PseudoRandomBytes(300 + 8, 11);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 300; ++len) {
+      const std::string_view data(buffer.data() + offset, len);
+      ASSERT_EQ(Crc32(data), BytewiseCrc32(data)) << "offset " << offset << " len " << len;
+    }
+  }
+}
+
+TEST(Crc32Test, FeedSplitAtEveryOffsetEqualsOneShot) {
+  const std::string buffer = PseudoRandomBytes(1024, 12);
+  const uint32_t one_shot = Crc32(buffer);
+  ASSERT_EQ(one_shot, BytewiseCrc32(buffer));
+  for (size_t split = 0; split <= buffer.size(); ++split) {
+    uint32_t state = Crc32Begin();
+    state = Crc32Feed(state, buffer.data(), split);
+    state = Crc32Feed(state, buffer.data() + split, buffer.size() - split);
+    ASSERT_EQ(Crc32End(state), one_shot) << "split at " << split;
+  }
+}
+
+// The value the bytewise kernel computed for 1 MiB of seeded bytes, one-shot
+// and streamed in 4099-byte pieces (a segment chain whose spans end mid-step).
+TEST(Crc32Test, OneMebibyteIsPinned) {
+  const std::string buffer = PseudoRandomBytes(1 << 20, 13);
+  EXPECT_EQ(Crc32(buffer), 0x80EF1813u);
+  uint32_t state = Crc32Begin();
+  for (size_t at = 0; at < buffer.size(); at += 4099) {
+    state = Crc32Feed(state, buffer.data() + at, std::min<size_t>(4099, buffer.size() - at));
+  }
+  EXPECT_EQ(Crc32End(state), 0x80EF1813u);
 }
 
 }  // namespace

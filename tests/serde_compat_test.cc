@@ -141,6 +141,37 @@ TEST(SerdeCompatTest, SealFrameMatchesEncodeFrameByteForByte) {
   }
 }
 
+// Wire protocol v1's CRC field, pinned: a Put frame carrying a 4 KiB value,
+// untraced and traced, has the CRC-32 that the bytewise CRC loop computed,
+// through both frame encoders.
+TEST(SerdeCompatTest, FourKiBPutFrameCrcIsPinned) {
+  std::string value(4096, '\0');
+  for (size_t i = 0; i < value.size(); ++i) {
+    value[i] = static_cast<char>((i * 131 + 7) & 0xFF);
+  }
+  const std::string payload = net::PutRequest{Uuid(7, 9), "pinned-key", value}.Serialize();
+  const struct {
+    uint64_t trace_id;
+    uint32_t crc;
+  } cases[] = {{0, 0x8A44F5C4u}, {0x1122334455667788ull, 0xDFCAA173u}};
+  for (const auto& c : cases) {
+    const std::string wire = EncodeFrame(MessageType::kPut, payload, c.trace_id);
+    uint32_t payload_len = 0;
+    uint32_t crc = 0;
+    std::memcpy(&payload_len, wire.data() + 8, 4);
+    std::memcpy(&crc, wire.data() + 12, 4);
+    EXPECT_EQ(payload_len, payload.size() + (c.trace_id != 0 ? sizeof(uint64_t) : 0));
+    EXPECT_EQ(crc, c.crc) << "trace id " << c.trace_id;
+
+    SegmentBuffer buffer;
+    buffer.Append(payload.data(), payload.size());
+    auto sealed = SealFrame(MessageType::kPut, std::move(buffer), c.trace_id);
+    ASSERT_TRUE(sealed.ok()) << sealed.status().ToString();
+    std::memcpy(&crc, sealed->head + 12, 4);
+    EXPECT_EQ(crc, c.crc) << "trace id " << c.trace_id;
+  }
+}
+
 TEST(SerdeCompatTest, RecordFieldEncodersMatchStructSerialize) {
   CommitRecord record;
   record.id = TxnId{987654321, Uuid(0xaa, 0xbb)};

@@ -162,6 +162,46 @@ TEST(WalRecoveryTest, RoundTripAndLocatorPread) {
   EXPECT_TRUE(replayed[2].second.empty());
 }
 
+// The on-disk record format, pinned: the header of a put with a 4 KiB value
+// carries the payload length and the CRC-32 that the bytewise CRC loop wrote,
+// so a faster kernel cannot move the bytes of an existing log.
+TEST(WalRecoveryTest, FourKiBPutRecordHeaderIsPinned) {
+  TempDir dir;
+  auto wal = Wal::Open(dir.path(), 1);
+  ASSERT_TRUE(wal.ok());
+  std::string value(4096, '\0');
+  for (size_t i = 0; i < value.size(); ++i) {
+    value[i] = static_cast<char>((i * 131 + 7) & 0xFF);
+  }
+  const std::vector<Wal::AppendOp> ops = {{wal::RecordOp::kPut, "pinned-key", value}};
+  std::vector<Wal::AppendedLoc> locs(ops.size());
+  auto lsn = (*wal)->AppendBatch(ops, locs.data());
+  ASSERT_TRUE(lsn.ok());
+  ASSERT_TRUE((*wal)->Sync(*lsn).ok());
+  wal->reset();
+
+  const std::string path = OnlyWalFilePath(dir.path());
+  ASSERT_EQ(FileSize(path), locs[0].record_bytes);
+  int fd = ::open(path.c_str(), O_RDONLY);
+  ASSERT_GE(fd, 0);
+  char header[wal::kRecordHeaderSize];
+  ASSERT_EQ(::pread(fd, header, sizeof(header), 0), static_cast<ssize_t>(sizeof(header)));
+  ::close(fd);
+  uint32_t payload_len = 0;
+  uint32_t crc = 0;
+  std::memcpy(&payload_len, header, 4);
+  std::memcpy(&crc, header + 4, 4);
+  EXPECT_EQ(payload_len, 1u + 4 + 10 + 4 + 4096);
+  EXPECT_EQ(crc, 0xD00307C0u);
+
+  std::vector<std::pair<std::string, std::string>> replayed;
+  auto stats = ReplayCollect(dir.path(), &replayed);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_FALSE(stats->truncated);
+  ASSERT_EQ(replayed.size(), 1u);
+  EXPECT_EQ(replayed[0].second, value);
+}
+
 TEST(WalRecoveryTest, TornTailIsTruncatedAtFirstBadRecord) {
   TempDir dir;
   auto wal = Wal::Open(dir.path(), 1);

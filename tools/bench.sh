@@ -8,7 +8,7 @@
 #   --smoke   tiny op counts + aggressive time scale; finishes in about a
 #             minute and exists to catch parallel-I/O regressions that
 #             deadlock, crash, or serialize (each bench runs under `timeout`).
-#             Also runs the paper benches that emit no JSON rows yet
+#             Also runs the benches that emit no JSON rows yet
 #             (SMOKE_ONLY below), each failing the script on a non-zero exit.
 #   --out     output path (default BENCH_results.json).
 #
@@ -34,9 +34,10 @@ done
 BUILD_DIR="${AFT_BENCH_BUILD_DIR:-build}"
 JOBS="$(nproc 2>/dev/null || echo 4)"
 BENCHES=(bench_fig3_end_to_end bench_fig6_txn_length bench_fig7_single_node bench_parallel_io bench_net bench_local_engine bench_obs)
-# Paper benches on the same workload harness that emit no JSON rows yet:
-# smoke runs them only to prove they still terminate cleanly.
-SMOKE_ONLY=(bench_fig2_io_latency bench_fig4_caching_skew bench_fig5_rw_ratio bench_fig8_distributed bench_fig9_gc bench_fig10_fault bench_ablation_pruning)
+# Benches that emit no JSON rows yet (the paper benches on the workload
+# harness, and the google-benchmark micro-ops suite): smoke runs them only
+# to prove they still terminate cleanly.
+SMOKE_ONLY=(bench_fig2_io_latency bench_fig4_caching_skew bench_fig5_rw_ratio bench_fig8_distributed bench_fig9_gc bench_fig10_fault bench_ablation_pruning bench_micro_ops)
 TARGETS=("${BENCHES[@]}")
 if [[ $SMOKE -eq 1 ]]; then
   TARGETS+=("${SMOKE_ONLY[@]}")
@@ -77,6 +78,11 @@ for bench in "${TARGETS[@]}"; do
     # The google-benchmark microbench suite honors CLI flags, not the env
     # knobs above; cut per-config time so smoke stays well inside the timeout.
     args+=(--benchmark_min_time=0.05)
+  fi
+  if [[ $SMOKE -eq 1 && "$bench" == bench_micro_ops ]]; then
+    # Run to terminate only: min time 0 runs each benchmark for one
+    # iteration (google-benchmark 1.7), about 10 ms for the whole suite.
+    args+=(--benchmark_min_time=0)
   fi
   if [[ $SMOKE -eq 1 && "$bench" == bench_fig3_end_to_end ]]; then
     # Its Aft/Plain p50 ratios (S3, DynamoDB, Redis) feed bench_gate's
