@@ -77,7 +77,7 @@ int main() {
   });
 
   // 1 s windows at the default 90 s; a shorter run shrinks them with the
-  // timeline, so the dip and the recovery still span several windows.
+  // timeline (and the report merges them if they come out too thin).
   const Duration window = scaled(1.0);
   ThroughputTimeline timeline(clock, window);
   HarnessOptions harness;
@@ -101,10 +101,16 @@ int main() {
               result.throughput_tps, static_cast<unsigned long long>(result.failed));
 
   std::printf("\n  t(s)   txn/s\n");
-  // Whole seconds while windows are at least 1 s (the default run prints what
-  // it always has), milliseconds below that.
-  const int decimals = window >= Millis(1000) ? 0 : 3;
-  const auto rows = timeline.Report();
+  // Rows start at the first commit. A short run whose windows hold a few
+  // commits each merges neighbours until a row averages kMinCommitsPerRow;
+  // the default run fills its 1 s windows and keeps them.
+  constexpr uint64_t kMinCommitsPerRow = 200;
+  const auto rows = timeline.ReportMerged(kMinCommitsPerRow);
+  const double row_sec = rows.size() >= 2 ? rows[1].window_start_sec - rows[0].window_start_sec
+                                          : ToMillis(window) / 1000.0;
+  // Whole seconds for rows of 1 s or more (the default run prints what it
+  // always has), milliseconds below that.
+  const int decimals = row_sec >= 1.0 ? 0 : 3;
   for (size_t i = 0; i + 1 < rows.size(); ++i) {
     const bool kill_row = rows[i].window_start_sec <= kill_at_sec &&
                           kill_at_sec < rows[i + 1].window_start_sec;

@@ -2,12 +2,15 @@
 // Algorithm 1 version-selection loop, supersedence checks, record codecs,
 // the key version index, the CRC-32 kernel and the Zipf sampler. These
 // quantify the per-op CPU cost that underlies the node service-time model.
+// BM_MakePayload times the workload's value generator, which every dataset
+// load runs once per key.
 
 #include <benchmark/benchmark.h>
 
 #include "src/common/crc32.h"
 #include "src/common/zipf.h"
 #include "src/core/read_algorithm.h"
+#include "src/workload/workload.h"
 
 namespace aft {
 namespace {
@@ -99,6 +102,19 @@ void BM_Crc32(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) * state.range(0));
 }
 BENCHMARK(BM_Crc32)->Arg(64)->Arg(4096)->Arg(1 << 20);
+
+// One dataset value (4 KiB), built the way every preloaded key's is.
+void BM_MakePayload(benchmark::State& state) {
+  WorkloadSpec spec;
+  spec.value_bytes = 4096;
+  uint64_t salt = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(MakePayload(spec, salt++));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(spec.value_bytes));
+}
+BENCHMARK(BM_MakePayload);
 
 void BM_KeyVersionIndexAdd(benchmark::State& state) {
   Rng rng(5);

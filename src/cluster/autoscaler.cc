@@ -116,12 +116,9 @@ void Autoscaler::Start() {
   if (!running_.compare_exchange_strong(expected, true)) {
     return;
   }
+  stop_.store(false);
   thread_ = std::thread([this] {
-    while (running_.load()) {
-      clock_.SleepFor(options_.evaluate_interval);
-      if (!running_.load()) {
-        return;
-      }
+    while (!clock_.WaitFor(stop_, options_.evaluate_interval)) {
       RunOnce();
     }
   });
@@ -131,6 +128,9 @@ void Autoscaler::Stop() {
   if (!running_.exchange(false)) {
     return;
   }
+  // Wakes the loop out of its interval wait.
+  stop_.store(true);
+  clock_.Notify();
   if (thread_.joinable()) {
     thread_.join();
   }

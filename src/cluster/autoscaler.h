@@ -107,6 +107,8 @@ class Autoscaler {
   bool primed_ = false;
 
   std::atomic<bool> running_{false};
+  // Set by Stop; the loop waits on it between evaluations.
+  std::atomic<bool> stop_{false};
   std::thread thread_;
   AutoscalerStats stats_;
 };

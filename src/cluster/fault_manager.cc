@@ -374,11 +374,15 @@ void FaultManager::Start() {
   if (!running_.compare_exchange_strong(expected, true)) {
     return;
   }
+  stop_.store(false);
   thread_ = std::thread([this] { Loop(); });
 }
 
 void FaultManager::Stop() {
   if (running_.exchange(false)) {
+    // Wakes the loop out of its interval wait, so Stop does not wait one out.
+    stop_.store(true);
+    clock_.Notify();
     if (thread_.joinable()) {
       thread_.join();
     }
@@ -400,11 +404,7 @@ void FaultManager::Loop() {
   TimePoint last_scan = clock_.Now();
   TimePoint last_gc = last_scan;
   TimePoint last_orphan_sweep = last_scan;
-  while (running_.load()) {
-    clock_.SleepFor(options_.detection_interval);
-    if (!running_.load()) {
-      return;
-    }
+  while (!clock_.WaitFor(stop_, options_.detection_interval)) {
     CheckForFailuresOnce();
     const TimePoint now = clock_.Now();
     if (now - last_gc >= options_.gc_interval) {

@@ -169,6 +169,8 @@ class FaultManager {
 
   ThreadPool delete_pool_;
   std::atomic<bool> running_{false};
+  // Set by Stop; the loop waits on it between passes.
+  std::atomic<bool> stop_{false};
   std::thread thread_;
   Mutex replacements_mu_;
   std::vector<std::thread> replacement_threads_ GUARDED_BY(replacements_mu_);

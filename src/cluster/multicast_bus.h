@@ -59,12 +59,7 @@ class MulticastBus {
     // final drain needs their RunOnce). If one forgot, still join the
     // threads — without the drain — so we never destruct with a live loop.
     if (running_.exchange(false)) {
-      {
-        MutexLock lock(nudge_mu_);
-        nudge_stop_ = true;
-        nudge_cv_.NotifyAll();
-      }
-      JoinThreads();
+      StopThreads();
     }
   }
 
@@ -108,7 +103,7 @@ class MulticastBus {
     }
     {
       MutexLock lock(nudge_mu_);
-      nudge_stop_ = false;
+      stop_.store(false);
       handled_ = nudges_;  // Nudges from before Start are stale; drop them.
     }
     thread_ = std::thread([this] { Loop(); });
@@ -128,12 +123,7 @@ class MulticastBus {
     if (!running_.exchange(false)) {
       return;
     }
-    {
-      MutexLock lock(nudge_mu_);
-      nudge_stop_ = true;
-      nudge_cv_.NotifyAll();
-    }
-    JoinThreads();
+    StopThreads();
     // Final drain so no committed record is stranded in a node's pending list.
     RunOnce();
   }
@@ -149,11 +139,7 @@ class MulticastBus {
 
  private:
   void Loop() {
-    while (running_.load()) {
-      clock_.SleepFor(interval_);
-      if (!running_.load()) {
-        return;
-      }
+    while (!clock_.WaitFor(stop_, interval_)) {
       SerializedRunOnce();
     }
   }
@@ -165,10 +151,10 @@ class MulticastBus {
   void NudgeLoop() {
     MutexLock lock(nudge_mu_);
     while (true) {
-      while (nudges_ == handled_ && !nudge_stop_) {
+      while (nudges_ == handled_ && !stop_.load()) {
         nudge_cv_.Wait(lock);
       }
-      if (nudge_stop_) {
+      if (stop_.load()) {
         return;
       }
       handled_ = nudges_;
@@ -185,7 +171,15 @@ class MulticastBus {
     RunOnce();
   }
 
-  void JoinThreads() {
+  // Wakes both loops (the interval loop out of its clock wait, so stopping
+  // never waits out an interval) and joins them.
+  void StopThreads() {
+    {
+      MutexLock lock(nudge_mu_);
+      stop_.store(true);
+      nudge_cv_.NotifyAll();
+    }
+    clock_.Notify();
     if (nudge_thread_.joinable()) {
       nudge_thread_.join();
     }
@@ -204,7 +198,9 @@ class MulticastBus {
   CondVar nudge_cv_;
   uint64_t nudges_ GUARDED_BY(nudge_mu_) = 0;
   uint64_t handled_ GUARDED_BY(nudge_mu_) = 0;
-  bool nudge_stop_ GUARDED_BY(nudge_mu_) = false;
+  // Set by Stop (under nudge_mu_, so NudgeLoop cannot miss it); the interval
+  // loop waits on it through the clock.
+  std::atomic<bool> stop_{false};
 };
 
 // The original in-process implementation: peers exchange records by direct

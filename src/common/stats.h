@@ -34,10 +34,20 @@ class ThroughputTimeline {
   };
   std::vector<Row> Report() const;
 
+  // Report for a run too short to fill its windows: rows start at the first
+  // window holding an event, and every `k` adjacent windows are merged into
+  // one row, with k the smallest factor at which the rows average at least
+  // `min_events_per_row` events. A run that already fills its windows keeps
+  // them (k = 1).
+  std::vector<Row> ReportMerged(uint64_t min_events_per_row) const;
+
   // Total events recorded since Start().
   uint64_t total() const;
 
  private:
+  // Rows of `k` windows each, from window `first` on.
+  std::vector<Row> RowsLocked(size_t first, size_t k) const REQUIRES(mu_);
+
   Clock& clock_;
   const Duration window_;
   mutable Mutex mu_;

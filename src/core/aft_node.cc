@@ -128,7 +128,7 @@ AftNode::AftNode(std::string node_id, StorageEngine& storage, Clock& clock, AftN
 }
 
 AftNode::~AftNode() {
-  stop_background_.store(true);
+  StopBackground();
   if (background_.joinable()) {
     background_.join();
   }
@@ -206,7 +206,13 @@ Status AftNode::Start() {
 
 void AftNode::Kill() {
   alive_.store(false, std::memory_order_release);
+  StopBackground();
+}
+
+void AftNode::StopBackground() {
   stop_background_.store(true);
+  // Wakes the background loop out of its interval wait.
+  clock_.Notify();
 }
 
 Status AftNode::CheckAlive() const {
@@ -1013,9 +1019,8 @@ size_t AftNode::SweepTimedOutTransactions() {
 }
 
 void AftNode::BackgroundLoop() {
-  while (!stop_background_.load()) {
-    clock_.SleepFor(options_.local_gc_interval);
-    if (stop_background_.load() || !alive()) {
+  while (!clock_.WaitFor(stop_background_, options_.local_gc_interval)) {
+    if (!alive()) {
       return;
     }
     RunLocalGcOnce();

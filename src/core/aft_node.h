@@ -302,6 +302,8 @@ class AftNode {
   // memory, transaction-table erase, counters.
   void FinishCommittedTransaction(const Uuid& txid, const TxnId& commit_id);
   void BackgroundLoop();
+  // Sets stop_background_ and wakes the loop (destructor and Kill).
+  void StopBackground();
   bool MaybeCrash(CrashPoint point);
 
   const std::string node_id_;

@@ -11,15 +11,68 @@ std::string KeyForRank(uint64_t rank) {
   return std::string(buf);
 }
 
+namespace {
+
+// The payload generator is the 64-bit LCG x -> kLcgMul * x + kLcgInc; byte i
+// is Letter() of the state after i + 1 steps from the salt's seed.
+constexpr uint64_t kLcgMul = 6364136223846793005ULL;
+constexpr uint64_t kLcgInc = 1442695040888963407ULL;
+
+// Independent lanes stepped together: lane l emits bytes l, l + kLanes,
+// l + 2 * kLanes, ..., so its multiplies do not wait on each other.
+constexpr size_t kLanes = 8;
+
+// kLanes LCG steps folded into one affine step x -> mul * x + inc (mod 2^64).
+struct LcgJump {
+  uint64_t mul = 1;
+  uint64_t inc = 0;
+};
+
+constexpr LcgJump JumpAhead(size_t steps) {
+  LcgJump jump;
+  for (size_t i = 0; i < steps; ++i) {
+    jump = {jump.mul * kLcgMul, jump.inc * kLcgMul + kLcgInc};
+  }
+  return jump;
+}
+
+constexpr LcgJump kLaneJump = JumpAhead(kLanes);
+
+// 'a' + (state >> 33) % 26. The remainder is x - 26 * (x / 26) with the
+// multiply by 26 written as shifts and adds, which the compiler keeps as two
+// LEAs: a byte then costs two multiplies (lane step and quotient), not three.
+inline char Letter(uint64_t state) {
+  const uint32_t x = static_cast<uint32_t>(state >> 33);
+  const uint32_t q = x / 26;
+  const uint32_t thirteen_q = q + ((q + (q << 1)) << 2);
+  return static_cast<char>('a' + (x - (thirteen_q << 1)));
+}
+
+}  // namespace
+
 std::string MakePayload(const WorkloadSpec& spec, uint64_t salt) {
-  std::string payload;
-  payload.reserve(spec.value_bytes);
-  // Cheap deterministic filler; the salt makes payloads distinguishable so
-  // tests can assert which version they read.
+  const size_t n = spec.value_bytes;
+  std::string payload(n, '\0');
+  char* out = payload.data();
+  // Lane l starts at the sequence's state l + 1 (the state byte l is made from).
+  uint64_t lane[kLanes];
   uint64_t state = salt * 0x9e3779b97f4a7c15ULL + 1;
-  while (payload.size() < spec.value_bytes) {
-    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
-    payload.push_back(static_cast<char>('a' + ((state >> 33) % 26)));
+  for (uint64_t& s : lane) {
+    state = state * kLcgMul + kLcgInc;
+    s = state;
+  }
+  size_t i = 0;
+  for (; i + kLanes <= n; i += kLanes) {
+    // Fully unrolled, the lanes stay in registers (about 1.2x faster).
+#pragma GCC unroll 8
+    for (size_t l = 0; l < kLanes; ++l) {
+      out[i + l] = Letter(lane[l]);
+      lane[l] = lane[l] * kLaneJump.mul + kLaneJump.inc;
+    }
+  }
+  // The last n - i < kLanes bytes: each lane already holds its byte's state.
+  for (size_t l = 0; i + l < n; ++l) {
+    out[i + l] = Letter(lane[l]);
   }
   return payload;
 }

@@ -34,7 +34,13 @@ struct WorkloadSpec {
 // "key000042" — stable names for Zipf ranks.
 std::string KeyForRank(uint64_t rank);
 
-// A deterministic filler payload of the spec's value size.
+// A deterministic filler payload of the spec's value size: lowercase letters,
+// distinct per salt so tests can tell which version they read. Byte i is
+// 'a' + (s_{i+1} >> 33) % 26 over the LCG s_0 = salt * 0x9e3779b97f4a7c15 + 1,
+// s_{k+1} = 6364136223846793005 * s_k + 1442695040888963407 (mod 2^64). The
+// kernel steps 8 lanes at once, jumping each 8 states per step, and its
+// bytes equal that bytewise definition at every length and salt (pinned by
+// MakePayloadTest in tests/workload_test.cc).
 std::string MakePayload(const WorkloadSpec& spec, uint64_t salt);
 
 // One planned operation and the full plan of a request. Plans are generated

@@ -366,6 +366,36 @@ TEST(StatsTest, TimelineBucketsEvents) {
   EXPECT_EQ(timeline.total(), 3u);
 }
 
+TEST(StatsTest, MergedReportStartsAtFirstEventAndWidensThinWindows) {
+  SimClock clock;
+  ThroughputTimeline timeline(clock, Millis(100));
+  timeline.Start();
+  // Windows 0-1 stay empty; then 3, 1, 2, 0 and 2 events.
+  clock.Advance(Millis(250));
+  for (const int events : {3, 1, 2, 0, 2}) {
+    for (int e = 0; e < events; ++e) {
+      timeline.RecordEvent();
+    }
+    clock.Advance(Millis(100));
+  }
+  // Enough events for one per row: the windows stay, from the first event on.
+  auto rows = timeline.ReportMerged(1);
+  ASSERT_EQ(rows.size(), 5u);
+  EXPECT_DOUBLE_EQ(rows[0].window_start_sec, 0.2);
+  EXPECT_DOUBLE_EQ(rows[0].events_per_sec, 30.0);
+  EXPECT_DOUBLE_EQ(rows[3].events_per_sec, 0.0);
+  // Three per row: 2 windows a row gives 3 rows for 8 events, too thin; 3
+  // windows a row gives 2.
+  rows = timeline.ReportMerged(3);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_DOUBLE_EQ(rows[0].window_start_sec, 0.2);
+  EXPECT_NEAR(rows[0].events_per_sec, 20.0, 1e-9);  // 6 events in 0.3 s.
+  EXPECT_DOUBLE_EQ(rows[1].window_start_sec, 0.5);
+  EXPECT_NEAR(rows[1].events_per_sec, 10.0, 1e-9);  // 2 events in 0.2 s.
+  // Report() keeps every window from the start.
+  EXPECT_EQ(timeline.Report().size(), 7u);
+}
+
 // ---- ThreadPool -----------------------------------------------------------------
 
 TEST(ThreadPoolTest, RunsAllSubmittedTasks) {

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/cluster/autoscaler.h"
 #include "src/cluster/deployment.h"
 #include "src/storage/sim_dynamo.h"
 #include "src/workload/dataset.h"
@@ -448,6 +449,32 @@ TEST(ExactlyOnceStressTest, NodeDeathMidRunIsInvisibleToCorrectness) {
   EXPECT_EQ(result.failed, 0u) << "whole-request retries must absorb the node death";
   EXPECT_EQ(result.ryw_anomalies, 0u);
   EXPECT_EQ(result.fr_anomalies, 0u);
+}
+
+// Stopping wakes every background loop (gossip, fault manager, each node's
+// local GC, the autoscaler) out of its interval wait: with 30 s intervals on
+// a real clock, teardown must not wait one out.
+TEST(ShutdownTest, StopWakesEveryBackgroundLoop) {
+  RealClock clock;
+  SimDynamo storage(clock, InstantDynamo());
+  ClusterOptions options;
+  options.num_nodes = 2;
+  options.multicast_interval = std::chrono::seconds(30);
+  options.fault_manager.detection_interval = std::chrono::seconds(30);
+  options.node_options.enable_background_threads = true;
+  options.node_options.local_gc_interval = std::chrono::seconds(30);
+  auto cluster = std::make_unique<ClusterDeployment>(storage, clock, options);
+  ASSERT_TRUE(cluster->Start().ok());
+  AutoscalerOptions autoscaler_options;
+  autoscaler_options.evaluate_interval = std::chrono::seconds(30);
+  auto autoscaler = std::make_unique<Autoscaler>(
+      *cluster, clock, std::make_unique<ThresholdPolicy>(), autoscaler_options);
+  autoscaler->Start();
+
+  const auto start = std::chrono::steady_clock::now();
+  autoscaler.reset();
+  cluster.reset();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "src/cluster/deployment.h"
+#include "src/common/crc32.h"
 #include "src/storage/sim_dynamo.h"
 #include "src/storage/sim_redis.h"
 #include "src/workload/dataset.h"
@@ -58,6 +59,50 @@ TEST(WorkloadTest, PayloadHasRequestedSizeAndIsDeterministic) {
   EXPECT_EQ(MakePayload(spec, 7).size(), 4096u);
   EXPECT_EQ(MakePayload(spec, 7), MakePayload(spec, 7));
   EXPECT_NE(MakePayload(spec, 7), MakePayload(spec, 8));
+}
+
+// The bytewise definition MakePayload's lane kernel must reproduce: one LCG
+// step per byte, pushed back one at a time.
+std::string BytewisePayload(size_t n, uint64_t salt) {
+  std::string payload;
+  uint64_t state = salt * 0x9e3779b97f4a7c15ULL + 1;
+  while (payload.size() < n) {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    payload.push_back(static_cast<char>('a' + ((state >> 33) % 26)));
+  }
+  return payload;
+}
+
+constexpr uint64_t kPayloadSalts[] = {0, 1, 7, (uint64_t{1} << 32) + 5, UINT64_MAX};
+
+std::string PayloadOfLength(size_t n, uint64_t salt) {
+  WorkloadSpec spec;
+  spec.value_bytes = n;
+  return MakePayload(spec, salt);
+}
+
+TEST(MakePayloadTest, MatchesBytewiseAtEveryShortLength) {
+  for (const uint64_t salt : kPayloadSalts) {
+    for (size_t n = 0; n <= 300; ++n) {
+      ASSERT_EQ(PayloadOfLength(n, salt), BytewisePayload(n, salt))
+          << "length " << n << " salt " << salt;
+    }
+  }
+}
+
+TEST(MakePayloadTest, MatchesBytewiseAroundFourKiB) {
+  for (const uint64_t salt : kPayloadSalts) {
+    for (const size_t n : {4095, 4096, 4097}) {
+      ASSERT_EQ(PayloadOfLength(n, salt), BytewisePayload(n, salt))
+          << "length " << n << " salt " << salt;
+    }
+  }
+}
+
+// Every stored dataset value and every workload write is one of these; the
+// constant is the checksum of the bytewise definition's output.
+TEST(MakePayloadTest, FourKiBPayloadIsPinned) {
+  EXPECT_EQ(Crc32(PayloadOfLength(4096, 7)), 0x8FA454A9u);
 }
 
 TEST(WorkloadTest, PlanMatchesSpecShape) {

@@ -74,6 +74,7 @@ for bench in "${TARGETS[@]}"; do
   echo "==== running $bench (timeout ${TIMEOUT}s) ===="
   args=()
   envs=()
+  runs=1
   if [[ $SMOKE -eq 1 && "$bench" == bench_obs ]]; then
     # The google-benchmark microbench suite honors CLI flags, not the env
     # knobs above; cut per-config time so smoke stays well inside the timeout.
@@ -90,8 +91,13 @@ for bench in "${TARGETS[@]}"; do
     # ratio is mostly noise:
     # three runs of one build on a 4-vCPU host gave 1.24-1.49. At 20
     # requests and scale 0.1 the same build gave 1.15-1.29, and a build
-    # that merges S3 commit rounds gave 2.15-2.48. The cost is a few seconds.
+    # that merges S3 commit rounds gave 2.15-2.48 (1.30-1.37 since the
+    # one-PUT commit, which passes the ceiling). The Redis ratio still
+    # read 1.55 in one run under host load (1.25-1.31 in quiet runs), so
+    # smoke runs the bench three times and the gate takes the median run's
+    # ratio. About 2 s per run.
     envs+=(AFT_TIME_SCALE=0.1 AFT_BENCH_REQUESTS=20)
+    runs=3
   fi
   if [[ $SMOKE -eq 1 && "$bench" == bench_net ]]; then
     # Only its zipf rows sleep on simulated latencies; they feed bench_gate's
@@ -109,8 +115,17 @@ for bench in "${TARGETS[@]}"; do
     envs+=(AFT_BENCH_DURATION_SEC=3 AFT_BENCH_CLIENTS=8 AFT_BENCH_CLIENTS_PER_NODE=4
            AFT_BENCH_KEYS=2000)
   fi
-  env AFT_BENCH_JSON="$ROWS" ${envs[@]+"${envs[@]}"} \
-    timeout "$TIMEOUT" "$BUILD_DIR/bench/$bench" ${args[@]+"${args[@]}"}
+  if [[ $SMOKE -eq 1 && "$bench" == bench_fig10_fault ]]; then
+    # Its failure timeline only dips when the surviving nodes saturate, which
+    # takes its default 150 clients, and at a compressed time scale host
+    # scheduling noise swamps the dip; 3 s in real time shows the kill, the
+    # dip and the recovery in 0.1 s rows (about 3 s).
+    envs+=(AFT_TIME_SCALE=1.0 AFT_BENCH_CLIENTS=150)
+  fi
+  for ((run = 0; run < runs; run++)); do
+    env AFT_BENCH_JSON="$ROWS" ${envs[@]+"${envs[@]}"} \
+      timeout "$TIMEOUT" "$BUILD_DIR/bench/$bench" ${args[@]+"${args[@]}"}
+  done
 done
 
 for bench in "${BENCHES[@]}"; do

@@ -40,7 +40,8 @@
 # correctness: for each engine of bench_fig3_end_to_end (S3, DynamoDB,
 # Redis), the "Aft" p50 over the "Plain" p50, both measured in the same
 # run, must stay at or below MAX_FIG3_OVERHEAD (1.5; the paper's Fig 3
-# puts S3 and Redis near 1.2 and DynamoDB near 1.0).
+# puts S3 and Redis near 1.2 and DynamoDB near 1.0); when the file holds
+# several runs, the median run's ratio is the one gated.
 #
 # Usage: tools/bench_gate.sh CURRENT.json [MIN_SPEEDUP] [MIN_CLIENTS] [MAX_ALLOCS]
 #
@@ -224,27 +225,40 @@ done
 # Within-run ratios like gates 1-3: each engine's two rows come from one
 # bench_fig3 process on the same machine and the same seeded workload. A
 # commit path that makes S3 commits wait on each other (merged rounds where
-# they share no cost) sat near 2x on S3; the healthy path sits near 1.0-1.3x
-# on every engine. tools/bench.sh --smoke runs this bench at a time scale
-# and request count where the ratios are stable.
+# they share no cost) sat near 2x on S3 before the one-PUT commit and reads
+# ~1.3x since, which this ceiling no longer catches; the healthy path sits
+# near 0.9-1.3x on every engine. tools/bench.sh --smoke runs this bench three times at a
+# time scale and request count where the ratios are stable, and the gate
+# takes each engine's median ratio over the runs (Plain row, then Aft row,
+# per run): one run slowed by a burst of host load cannot fail it alone.
 for engine in S3 DynamoDB Redis; do
   sed -nE 's/.*"bench":"fig3_end_to_end","row":"'"$engine"' (Plain|Aft)","p50_ms":([0-9.]+).*/\1\t\2/p' "$CURRENT" \
     | awk -F '\t' -v ceil="$MAX_FIG3_OVERHEAD" -v engine="$engine" '
-    { if ($1 == "Plain") { plain = $2 + 0 } else { aft = $2 + 0 } }  # last run wins
+    $1 == "Plain" { plain = $2 + 0 }
+    $1 == "Aft" && plain > 0 {
+      aft = $2 + 0
+      ratio = aft / plain
+      # Insertion sort: the runs are few.
+      for (i = n; i > 0 && ratios[i - 1] > ratio; i--) ratios[i] = ratios[i - 1]
+      ratios[i] = ratio
+      runs = runs sprintf("%s x%.2f (%.1f / %.1f ms)", n ? "," : "", ratio, aft, plain)
+      n++
+      plain = 0
+    }
     END {
-      if (plain == 0 || aft == 0) {
+      if (n == 0) {
         printf "bench_gate: no fig3 \"%s Plain\"/\"%s Aft\" row pair found\n",
                engine, engine > "/dev/stderr";
         exit 1;
       }
-      ratio = aft / plain;
-      if (ratio > ceil) {
-        printf "bench_gate: FAIL — Fig 3 %s Aft/Plain p50 x%.2f (%.1f / %.1f ms) exceeds x%.2f\n",
-               engine, ratio, aft, plain, ceil > "/dev/stderr";
+      median = n % 2 ? ratios[(n - 1) / 2] : (ratios[n / 2 - 1] + ratios[n / 2]) / 2;
+      if (median > ceil) {
+        printf "bench_gate: FAIL — Fig 3 %s Aft/Plain p50 median x%.2f over %d run(s) [%s] exceeds x%.2f\n",
+               engine, median, n, runs, ceil > "/dev/stderr";
         exit 1;
       }
-      printf "bench_gate: PASS — Fig 3 %s Aft/Plain p50 x%.2f (%.1f / %.1f ms; ceiling x%.2f)\n",
-             engine, ratio, aft, plain, ceil;
+      printf "bench_gate: PASS — Fig 3 %s Aft/Plain p50 median x%.2f over %d run(s) [%s]; ceiling x%.2f\n",
+             engine, median, n, runs, ceil;
     }
   '
 done
