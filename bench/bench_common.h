@@ -118,6 +118,9 @@ struct JsonField {
 // ceilings) and fsyncs per transaction (the local-engine batch-fusion figure).
 inline JsonField AllocsPerTxn(double value) { return {"allocs_per_txn", value, 1}; }
 inline JsonField FsyncsPerTxn(double value) { return {"fsyncs_per_txn", value, 3}; }
+// Share of gossiped commit records that supersedence pruning kept off the
+// wire, in % (the pruning ablation; gated by tools/bench_gate.sh).
+inline JsonField SavedPct(double value) { return {"saved_pct", value, 1}; }
 
 // Machine-readable row sink. When AFT_BENCH_JSON names a file, every measured
 // row is appended to it as one JSON object per line; tools/bench.sh collects

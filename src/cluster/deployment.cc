@@ -30,11 +30,6 @@ ClusterDeployment::~ClusterDeployment() { Stop(); }
 AftNode* ClusterDeployment::CreateNode(const std::string& node_id) {
   MutexLock lock(nodes_mu_);
   nodes_.push_back(std::make_unique<AftNode>(node_id, storage_, clock_, options_.node_options));
-  // A batched commit round nudges the gossip bus into an immediate
-  // coalesced broadcast (no-op unless the bus's background loop runs).
-  // Safe lifetime: bus_ is declared before nodes_, so it is destroyed
-  // after every node that can fire the listener.
-  nodes_.back()->SetCommitBatchListener([bus = bus_.get()] { bus->NotifyCommitBatch(); });
   return nodes_.back().get();
 }
 

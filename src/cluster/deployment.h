@@ -55,10 +55,6 @@ class ClusterDeployment {
   Status Start();
   void Stop();
 
-  // Adds one more node to the running cluster (manual scale-out; the paper
-  // leaves the autoscaling *policy* pluggable and out of scope, §4.3).
-  AftNode* AddNode();
-
   // Simulates the failure of node `index` (§6.7).
   void KillNode(size_t index);
 
@@ -78,6 +74,9 @@ class ClusterDeployment {
 
  private:
   AftNode* CreateNode(const std::string& node_id);
+  // Start's per-node step: creates and boots the next numbered node, then
+  // hands it to the bus, the fault manager and the balancer.
+  AftNode* AddNode();
 
   StorageEngine& storage_;
   Clock& clock_;

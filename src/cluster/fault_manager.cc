@@ -59,13 +59,6 @@ void FaultManager::Manage(AftNode* node) {
   }
 }
 
-void FaultManager::Decommission(AftNode* node) {
-  MutexLock lock(nodes_mu_);
-  managed_nodes_.erase(std::remove(managed_nodes_.begin(), managed_nodes_.end(), node),
-                       managed_nodes_.end());
-  handled_failures_.insert(node->node_id());
-}
-
 void FaultManager::SetNodeFactory(NodeFactory factory) {
   MutexLock lock(nodes_mu_);
   factory_ = std::move(factory);
@@ -348,7 +341,9 @@ void FaultManager::ReplaceNode(const std::string& failed_id) {
     return;
   }
   // Declaring the failure takes a few seconds (heartbeat timeouts)...
-  clock_.SleepFor(options_.failure_detection_delay);
+  if (clock_.WaitFor(stop_, options_.failure_detection_delay)) {
+    return;  // Stopped: abandon the replacement.
+  }
   AftNode* replacement = factory(failed_id + "-r");
   if (replacement == nullptr) {
     return;
@@ -356,7 +351,9 @@ void FaultManager::ReplaceNode(const std::string& failed_id) {
   // ...and the replacement spends ~45s downloading its container before it
   // can bootstrap (§6.7). Standby VMs are assumed pre-allocated, so no EC2
   // spin-up time is charged.
-  clock_.SleepFor(options_.container_download_time);
+  if (clock_.WaitFor(stop_, options_.container_download_time)) {
+    return;  // Stopped mid-download: the replacement never starts.
+  }
   if (!replacement->Start().ok()) {
     AFT_LOG(Warn) << "fault manager: replacement for " << failed_id << " failed to start";
     return;
@@ -379,10 +376,11 @@ void FaultManager::Start() {
 }
 
 void FaultManager::Stop() {
+  // Wakes the loop out of its interval wait, so Stop does not wait one out,
+  // and every replacement out of its modelled delays.
+  stop_.store(true);
+  clock_.Notify();
   if (running_.exchange(false)) {
-    // Wakes the loop out of its interval wait, so Stop does not wait one out.
-    stop_.store(true);
-    clock_.Notify();
     if (thread_.joinable()) {
       thread_.join();
     }

@@ -106,10 +106,6 @@ class FaultManager {
   // `node` for failure.
   void Manage(AftNode* node);
 
-  // Stops watching `node` (planned scale-down): its death must NOT trigger a
-  // replacement, and it no longer votes in the global GC.
-  void Decommission(AftNode* node);
-
   void SetNodeFactory(NodeFactory factory);
 
   // Bus sink: ingest an unpruned committed set (§4.2).
@@ -133,7 +129,8 @@ class FaultManager {
   // occupying storage. Returns the number of versions deleted.
   size_t RunOrphanSweepOnce();
 
-  // Background driver multiplexing all three duties.
+  // Background driver multiplexing all three duties. Stop also abandons a
+  // replacement still inside its modelled delays: its node never starts.
   void Start();
   void Stop();
 
@@ -169,7 +166,8 @@ class FaultManager {
 
   ThreadPool delete_pool_;
   std::atomic<bool> running_{false};
-  // Set by Stop; the loop waits on it between passes.
+  // Set by Stop; the loop waits on it between passes, and a replacement
+  // through its modelled delays.
   std::atomic<bool> stop_{false};
   std::thread thread_;
   Mutex replacements_mu_;

@@ -43,9 +43,9 @@ struct MulticastStats {
 };
 
 // Transport-neutral gossip interface. Implementations own the membership
-// list; `Start`/`Stop` drive the shared background loop (one `RunOnce` per
-// `interval`), with `Stop` performing a final drain so no committed record is
-// stranded in a node's pending list.
+// list; `Start`/`Stop` drive the shared background loop (one thread, one
+// `RunOnce` per `interval`), with `Stop` performing a final drain so no
+// committed record is stranded in a node's pending list.
 // Base methods are defined inline so transport implementations in other
 // libraries (src/net) depend only on this header, not on aft_cluster.
 class MulticastBus {
@@ -57,9 +57,9 @@ class MulticastBus {
   virtual ~MulticastBus() {
     // Concrete destructors are required to have called Stop() already (the
     // final drain needs their RunOnce). If one forgot, still join the
-    // threads — without the drain — so we never destruct with a live loop.
+    // thread — without the drain — so we never destruct with a live loop.
     if (running_.exchange(false)) {
-      StopThreads();
+      StopThread();
     }
   }
 
@@ -79,21 +79,6 @@ class MulticastBus {
   // Disables supersedence pruning (ablation bench).
   void set_pruning_enabled(bool enabled) { pruning_enabled_.store(enabled); }
 
-  // Commit-round nudge (src/core/commit_batcher.h): wakes the nudge
-  // dispatcher into an immediate coalesced gossip round instead of letting
-  // the round's records wait out `interval`. Nudges arriving while a round
-  // is executing coalesce into ONE follow-up round. No-op while the bus is
-  // not started — tests that drive RunOnce by hand keep their exact round
-  // and record counts.
-  void NotifyCommitBatch() {
-    if (!running_.load(std::memory_order_acquire)) {
-      return;
-    }
-    MutexLock lock(nudge_mu_);
-    ++nudges_;
-    nudge_cv_.NotifyOne();
-  }
-
   // Background driver. Concrete destructors MUST call Stop() before their
   // members are torn down (the loop calls the virtual RunOnce).
   void Start() {
@@ -101,13 +86,8 @@ class MulticastBus {
     if (!running_.compare_exchange_strong(expected, true)) {
       return;
     }
-    {
-      MutexLock lock(nudge_mu_);
-      stop_.store(false);
-      handled_ = nudges_;  // Nudges from before Start are stale; drop them.
-    }
+    stop_.store(false);
     thread_ = std::thread([this] { Loop(); });
-    nudge_thread_ = std::thread([this] { NudgeLoop(); });
     // /readyz gossip_live: live exactly while the background driver runs.
     // Released in Stop, so a bus that was never started (or a test driving
     // RunOnce by hand) contributes no check.
@@ -123,7 +103,7 @@ class MulticastBus {
     if (!running_.exchange(false)) {
       return;
     }
-    StopThreads();
+    StopThread();
     // Final drain so no committed record is stranded in a node's pending list.
     RunOnce();
   }
@@ -140,49 +120,15 @@ class MulticastBus {
  private:
   void Loop() {
     while (!clock_.WaitFor(stop_, interval_)) {
-      SerializedRunOnce();
+      RunOnce();
     }
   }
 
-  // Dispatcher for commit-round nudges. Runs no clock sleeps of its own
-  // (SimClock-safe): it parks on the condvar until NotifyCommitBatch and
-  // snapshots the nudge counter before each round, so any number of nudges
-  // that arrived while a round was in flight collapse into one more round.
-  void NudgeLoop() {
-    MutexLock lock(nudge_mu_);
-    while (true) {
-      while (nudges_ == handled_ && !stop_.load()) {
-        nudge_cv_.Wait(lock);
-      }
-      if (stop_.load()) {
-        return;
-      }
-      handled_ = nudges_;
-      lock.Unlock();
-      SerializedRunOnce();
-      lock.Lock();
-    }
-  }
-
-  // Interval rounds and nudged rounds must not interleave: RunOnce drains
-  // per-node pending lists and bumps stats that assume one round at a time.
-  void SerializedRunOnce() {
-    MutexLock lock(round_mu_);
-    RunOnce();
-  }
-
-  // Wakes both loops (the interval loop out of its clock wait, so stopping
-  // never waits out an interval) and joins them.
-  void StopThreads() {
-    {
-      MutexLock lock(nudge_mu_);
-      stop_.store(true);
-      nudge_cv_.NotifyAll();
-    }
+  // Wakes the loop out of its clock wait, so stopping never waits out an
+  // interval, and joins it.
+  void StopThread() {
+    stop_.store(true);
     clock_.Notify();
-    if (nudge_thread_.joinable()) {
-      nudge_thread_.join();
-    }
     if (thread_.joinable()) {
       thread_.join();
     }
@@ -192,14 +138,7 @@ class MulticastBus {
   std::atomic<bool> running_{false};
   obs::ScopedReadyCheck gossip_ready_;
   std::thread thread_;
-  std::thread nudge_thread_;
-  Mutex round_mu_;
-  Mutex nudge_mu_;
-  CondVar nudge_cv_;
-  uint64_t nudges_ GUARDED_BY(nudge_mu_) = 0;
-  uint64_t handled_ GUARDED_BY(nudge_mu_) = 0;
-  // Set by Stop (under nudge_mu_, so NudgeLoop cannot miss it); the interval
-  // loop waits on it through the clock.
+  // Set by Stop; the loop waits on it through the clock.
   std::atomic<bool> stop_{false};
 };
 

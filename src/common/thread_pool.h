@@ -1,8 +1,7 @@
 // A bounded worker pool with a FIFO queue.
 //
-// Used by the FaaS platform simulator (worker slots model the provider's
-// concurrent-invocation limit), by background deletion in the global GC, and
-// as the lane pool behind IoExecutor.
+// Used by background deletion in the global GC and as the lane pool behind
+// IoExecutor.
 //
 // CONTRACT: destruction (and Shutdown) drops queued tasks that have not
 // started. Anything that must complete therefore may not rely on the pool

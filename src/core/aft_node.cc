@@ -834,16 +834,6 @@ void AftNode::PublishCommittedRound(std::span<CommitBatcher::Pending* const> com
       pending_broadcast_traces_.push_back(member->trace);
     }
   }
-  // One nudge for the whole round: the gossip bus runs a single coalesced
-  // broadcast covering every member.
-  if (has_batch_listener_.load(std::memory_order_acquire)) {
-    batch_listener_();
-  }
-}
-
-void AftNode::SetCommitBatchListener(std::function<void()> listener) {
-  batch_listener_ = std::move(listener);
-  has_batch_listener_.store(static_cast<bool>(batch_listener_), std::memory_order_release);
 }
 
 void AftNode::DrainRecentCommits(std::vector<CommitRecordPtr>* pruned,

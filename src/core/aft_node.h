@@ -210,13 +210,6 @@ class AftNode {
   // superseded records are skipped (§4.1).
   void ApplyRemoteCommits(const std::vector<CommitRecordPtr>& records);
 
-  // Registers a callback fired once per commit round (by the round leader,
-  // no node locks held) right after the round's records were staged for
-  // broadcast. The cluster layer uses it to nudge the gossip bus into an
-  // immediate coalesced round instead of waiting out the multicast
-  // interval. Set-once, before traffic starts; pass nullptr never.
-  void SetCommitBatchListener(std::function<void()> listener);
-
   // ---- Garbage collection (§5) ----------------------------------------------
   // One local metadata GC sweep; returns the number of records removed.
   size_t RunLocalGcOnce();
@@ -238,8 +231,7 @@ class AftNode {
   const std::string& node_id() const { return node_id_; }
   // Snapshot of the node's registry-backed counters (see AftNodeStats).
   AftNodeStats stats() const;
-  // Number of currently open (uncommitted, unaborted) transactions — used by
-  // the autoscaler to drain a node before decommissioning it.
+  // Number of currently open (uncommitted, unaborted) transactions.
   size_t RunningTransactionCount() const;
   const DataCache& data_cache() const { return data_cache_; }
   size_t CommitSetSize() const { return commits_.size(); }
@@ -290,8 +282,8 @@ class AftNode {
   Result<std::string> ReadVersionPayload(const std::string& key, const TxnId& version,
                                          const CommitRecordPtr& record);
   // Batcher round publisher: stages every committed member's record (and
-  // trace) for broadcast under ONE broadcast_mu_ hold, then fires the batch
-  // listener once for the whole round.
+  // trace) for broadcast under ONE broadcast_mu_ hold; the gossip bus
+  // drains them on its next interval round.
   void PublishCommittedRound(std::span<CommitBatcher::Pending* const> committed);
   // True when some running transaction has read from `id` (GC guard, §5.1).
   // O(1) via the read pin table.
@@ -371,12 +363,8 @@ class AftNode {
   std::vector<obs::TraceContext> pending_broadcast_traces_ GUARDED_BY(broadcast_mu_);
 
   // Every commit's storage round runs through the batcher, which merges
-  // concurrent rounds where the engine's rounds share a cost. The
-  // listener is read lock-free on the commit hot path: the flag is only
-  // ever set once, before traffic, so the std::function itself is stable.
+  // concurrent rounds where the engine's rounds share a cost.
   CommitBatcher batcher_;
-  std::function<void()> batch_listener_;
-  std::atomic<bool> has_batch_listener_{false};
 
   // Registry-backed instruments, looked up once at construction (labels:
   // {node=node_id_}). Counters/histograms are owned by the global registry;

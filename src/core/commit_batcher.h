@@ -80,7 +80,7 @@ class CommitBatcher {
   // Invoked by the round leader — with no batcher lock held — once per
   // round that committed anything, with exactly the members whose commit
   // records were durably written. The node stages them for broadcast under
-  // one lock hold and nudges the gossip bus once for the whole round.
+  // one lock hold; the gossip bus sends them on its next interval round.
   using RoundPublisher = std::function<void(std::span<Pending* const> committed)>;
 
   CommitBatcher(const std::string& node_id, StorageEngine& storage, RoundPublisher publisher);

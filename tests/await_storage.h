@@ -1,6 +1,7 @@
-// Test helper: the node's spills (§3.3) land on a shared-executor
-// helper after Put returns, so a test that asserts on storage contents
-// before commit first waits for them to land.
+// Test helpers for state a background thread reaches on its own. The
+// node's spills (§3.3) land on a shared-executor helper after Put returns,
+// so a test that asserts on storage contents before commit first waits for
+// them to land.
 
 #ifndef TESTS_AWAIT_STORAGE_H_
 #define TESTS_AWAIT_STORAGE_H_
@@ -12,6 +13,19 @@
 #include "src/storage/storage_engine.h"
 
 namespace aft {
+
+// Polls `done` until it holds or 10 s pass; returns whether it held.
+template <typename Pred>
+bool Await(Pred done) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done()) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      return false;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
 
 // Polls until `prefix` lists exactly `count` objects or 5 s pass; returns
 // the last count seen.

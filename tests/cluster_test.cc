@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "src/cluster/aft_client.h"
 #include "src/cluster/deployment.h"
 #include "src/storage/sim_dynamo.h"
+#include "tests/await_storage.h"
 
 namespace aft {
 namespace {
@@ -258,7 +262,9 @@ TEST_F(ClusterTest, FailedNodeIsReplacedAndBootstraps) {
 
   cluster.KillNode(0);
   cluster.fault_manager().CheckForFailuresOnce();
-  // Join the replacement thread (sleeps pass instantly on the sim clock).
+  // The replacement's modelled delays pass instantly on the sim clock; Stop
+  // would abandon it, so wait for it to join before Stop joins its thread.
+  ASSERT_TRUE(Await([&] { return cluster.fault_manager().stats().nodes_replaced.load() == 1; }));
   cluster.fault_manager().Stop();
 
   EXPECT_EQ(cluster.fault_manager().stats().failures_detected.load(), 1u);
@@ -283,6 +289,7 @@ TEST_F(ClusterTest, FailureHandledOnlyOnce) {
   cluster.KillNode(0);
   cluster.fault_manager().CheckForFailuresOnce();
   cluster.fault_manager().CheckForFailuresOnce();
+  ASSERT_TRUE(Await([&] { return cluster.fault_manager().stats().nodes_replaced.load() == 1; }));
   cluster.fault_manager().Stop();
   EXPECT_EQ(cluster.fault_manager().stats().failures_detected.load(), 1u);
   EXPECT_EQ(cluster.fault_manager().stats().nodes_replaced.load(), 1u);
@@ -324,6 +331,31 @@ TEST_P(ClusterTransportTest, GossipPrunesSupersededRecords) {
   EXPECT_EQ(cluster.bus().stats().records_pruned.load(), 1u);
   EXPECT_EQ(cluster.bus().stats().records_to_fault_manager.load(), 2u);
   EXPECT_EQ(ReadVia(*cluster.node(1), "k").value(), "new");
+}
+
+// The background loop gossips once per interval and not per commit, so
+// commits that supersede each other inside one interval are pruned (§4.1).
+TEST_P(ClusterTransportTest, BackgroundGossipPrunesWithinOneInterval) {
+  ClusterOptions options = Manual(2);
+  // Nothing but the bus may sleep on the clock: the node's service model
+  // would wait for an Advance that never comes.
+  options.node_options.service_cores = 0;
+  ClusterDeployment cluster(storage_, clock_, options);
+  ASSERT_TRUE(cluster.Start().ok());
+  clock_.set_auto_advance(false);  // The interval elapses only on Advance.
+  cluster.bus().Start();
+  const MulticastStats& stats = cluster.bus().stats();
+  CommitVia(*cluster.node(0), "k", "old");
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(stats.rounds.load(), 0u) << "a commit must not trigger a gossip round";
+  CommitVia(*cluster.node(0), "k", "new");
+  ASSERT_TRUE(Await([&] { return clock_.sleepers() == 1; }));  // The bus loop waits.
+  clock_.Advance(options.multicast_interval);
+  ASSERT_TRUE(Await([&] {
+    return stats.records_broadcast.load() + stats.records_pruned.load() == 2;
+  }));
+  EXPECT_EQ(stats.records_broadcast.load(), 1u);
+  EXPECT_EQ(stats.records_pruned.load(), 1u);
 }
 
 TEST_P(ClusterTransportTest, LivenessScanRecoversUnbroadcastCommits) {

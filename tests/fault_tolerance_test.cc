@@ -4,7 +4,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/cluster/autoscaler.h"
 #include "src/cluster/deployment.h"
 #include "src/storage/sim_dynamo.h"
 #include "src/workload/dataset.h"
@@ -452,8 +451,8 @@ TEST(ExactlyOnceStressTest, NodeDeathMidRunIsInvisibleToCorrectness) {
 }
 
 // Stopping wakes every background loop (gossip, fault manager, each node's
-// local GC, the autoscaler) out of its interval wait: with 30 s intervals on
-// a real clock, teardown must not wait one out.
+// local GC) out of its interval wait: with 30 s intervals on a real clock,
+// teardown must not wait one out.
 TEST(ShutdownTest, StopWakesEveryBackgroundLoop) {
   RealClock clock;
   SimDynamo storage(clock, InstantDynamo());
@@ -465,16 +464,33 @@ TEST(ShutdownTest, StopWakesEveryBackgroundLoop) {
   options.node_options.local_gc_interval = std::chrono::seconds(30);
   auto cluster = std::make_unique<ClusterDeployment>(storage, clock, options);
   ASSERT_TRUE(cluster->Start().ok());
-  AutoscalerOptions autoscaler_options;
-  autoscaler_options.evaluate_interval = std::chrono::seconds(30);
-  auto autoscaler = std::make_unique<Autoscaler>(
-      *cluster, clock, std::make_unique<ThresholdPolicy>(), autoscaler_options);
-  autoscaler->Start();
 
   const auto start = std::chrono::steady_clock::now();
-  autoscaler.reset();
   cluster.reset();
   EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+}
+
+// Stopping abandons a node replacement still inside its modelled delays: a
+// failure detected under a 20 s detection delay does not hold up teardown,
+// and the replacement never starts.
+TEST(ShutdownTest, StopAbandonsInFlightReplacement) {
+  RealClock clock;
+  SimDynamo storage(clock, InstantDynamo());
+  ClusterOptions options;
+  options.num_nodes = 2;
+  options.fault_manager.detection_interval = Millis(10);
+  options.fault_manager.failure_detection_delay = std::chrono::seconds(20);
+  auto cluster = std::make_unique<ClusterDeployment>(storage, clock, options);
+  ASSERT_TRUE(cluster->Start().ok());
+  cluster->KillNode(0);
+  const FaultManagerStats& stats = cluster->fault_manager().stats();
+  ASSERT_TRUE(Await([&] { return stats.failures_detected.load() == 1; }));
+
+  const auto start = std::chrono::steady_clock::now();
+  cluster->Stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_EQ(stats.nodes_replaced.load(), 0u);
+  EXPECT_EQ(cluster->node_count(), 2u) << "an abandoned replacement creates no node";
 }
 
 }  // namespace
