@@ -3,13 +3,15 @@
 // the key version index, the CRC-32 kernel and the Zipf sampler. These
 // quantify the per-op CPU cost that underlies the node service-time model.
 // BM_MakePayload times the workload's value generator, which every dataset
-// load runs once per key.
+// load runs once per key; BM_LoadAftDataset times a whole load.
 
 #include <benchmark/benchmark.h>
 
 #include "src/common/crc32.h"
 #include "src/common/zipf.h"
 #include "src/core/read_algorithm.h"
+#include "src/storage/sim_s3.h"
+#include "src/workload/dataset.h"
 #include "src/workload/workload.h"
 
 namespace aft {
@@ -115,6 +117,22 @@ void BM_MakePayload(benchmark::State& state) {
                           static_cast<int64_t>(spec.value_bytes));
 }
 BENCHMARK(BM_MakePayload);
+
+// The Fig 3 AFT dataset: 1,000 keys of 4 KiB loaded into a fresh SimS3,
+// the store's own set-up and teardown included.
+void BM_LoadAftDataset(benchmark::State& state) {
+  WorkloadSpec spec;
+  spec.num_keys = 1000;
+  spec.value_bytes = 4096;
+  SimClock clock;
+  for (auto _ : state) {
+    SimS3 store(clock);
+    benchmark::DoNotOptimize(LoadAftDataset(store, spec));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(spec.num_keys * spec.value_bytes));
+}
+BENCHMARK(BM_LoadAftDataset)->Unit(benchmark::kMillisecond);
 
 void BM_KeyVersionIndexAdd(benchmark::State& state) {
   Rng rng(5);

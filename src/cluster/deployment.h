@@ -38,8 +38,10 @@ struct ClusterOptions {
   // kTcp only: transport knobs for the per-node service servers and the
   // gossip RPCs (threading model, timeouts, backpressure).
   net::TcpMulticastBusOptions tcp_options;
-  // When true, Start() launches the bus / fault-manager / per-node
-  // background threads; tests that drive rounds manually leave this off.
+  // When true, Start() launches the gossip bus and fault-manager threads;
+  // tests that drive rounds manually leave this off. A node's own local-GC
+  // and timeout-sweep thread starts only with
+  // node_options.enable_background_threads (default false).
   bool start_background_threads = true;
 };
 

@@ -4,9 +4,7 @@
 
 #include "src/common/histogram.h"
 
-#include "src/common/io_executor.h"
 #include "src/common/logging.h"
-#include "src/storage/sim_engine_base.h"
 
 namespace aft {
 
@@ -104,44 +102,19 @@ size_t FaultManager::RunLivenessScanOnce() {
   if (candidates.empty()) {
     return 0;
   }
-  // Phase 2: fetch + decode the candidates concurrently, capped so this
-  // background pass never crowds the commit path off the shared executor.
-  // Slots are disjoint per lane; a slot left null means the record was
-  // deleted concurrently (or is corrupt) and is simply skipped.
-  std::vector<CommitRecordPtr> fetched(candidates.size());
-  (void)IoExecutor::Shared().ParallelFor(
-      candidates.size(),
-      [&](size_t i) {
-        auto bytes = MaintenanceRead(storage_, candidates[i]);
-        if (!bytes.ok()) {
-          return Status::Ok();  // Deleted concurrently.
-        }
-        auto record = CommitRecord::Deserialize(bytes.value());
-        if (!record.ok()) {
-          AFT_LOG(Warn) << "fault manager: corrupt commit record at " << candidates[i];
-          return Status::Ok();
-        }
-        fetched[i] = std::make_shared<const CommitRecord>(std::move(record).value());
-        return Status::Ok();
-      },
-      options_.maintenance_parallelism);
-  // Phase 3 (serial): merge into the unpruned view. The caches are
-  // thread-safe, but merging on one thread keeps Add/AddCommit pairing
-  // trivially atomic per record.
-  size_t recovered = 0;
+  // Phase 2: fetch the candidates, capped so this background pass never
+  // crowds the commit path off the shared executor. Phase 3 (serial): merge
+  // into the unpruned view; one thread keeps Add/AddCommit pairs atomic.
   std::vector<CommitRecordPtr> discovered;
-  for (CommitRecordPtr& ptr : fetched) {
-    if (ptr == nullptr) {
-      continue;
-    }
-    if (commits_.Add(ptr)) {
+  for (CommitRecordPtr& ptr : FetchCommitRecords(
+           storage_, candidates, options_.maintenance_parallelism, "fault manager")) {
+    if (ptr != nullptr && commits_.Add(ptr)) {
       index_.AddCommit(*ptr);
       {
         MutexLock lock(known_writers_mu_);
         known_writers_.insert(ptr->id.uuid);
       }
       discovered.push_back(std::move(ptr));
-      ++recovered;
     }
   }
   if (!discovered.empty()) {
@@ -162,7 +135,7 @@ size_t FaultManager::RunLivenessScanOnce() {
     stats_.missed_commits_recovered.fetch_add(static_cast<uint64_t>(missed),
                                               std::memory_order_relaxed);
   }
-  return recovered;
+  return discovered.size();
 }
 
 size_t FaultManager::RunGlobalGcOnce() {

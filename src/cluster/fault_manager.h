@@ -135,7 +135,6 @@ class FaultManager {
   void Stop();
 
   const FaultManagerStats& stats() const { return stats_; }
-  size_t KnownCommitCount() const { return commits_.size(); }
 
  private:
   void Loop();

@@ -31,20 +31,4 @@ AftNode* LoadBalancer::Pick() {
   return nullptr;
 }
 
-std::vector<AftNode*> LoadBalancer::LiveNodes() const {
-  ReaderMutexLock lock(mu_);
-  std::vector<AftNode*> out;
-  for (AftNode* node : nodes_) {
-    if (node->alive()) {
-      out.push_back(node);
-    }
-  }
-  return out;
-}
-
-size_t LoadBalancer::NodeCount() const {
-  ReaderMutexLock lock(mu_);
-  return nodes_.size();
-}
-
 }  // namespace aft

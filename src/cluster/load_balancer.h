@@ -26,10 +26,6 @@ class LoadBalancer {
   // The next live node in round-robin order; nullptr when none are live.
   AftNode* Pick();
 
-  // All currently registered live nodes.
-  std::vector<AftNode*> LiveNodes() const;
-  size_t NodeCount() const;
-
  private:
   mutable SharedMutex mu_;
   std::vector<AftNode*> nodes_ GUARDED_BY(mu_);

@@ -212,6 +212,7 @@ class ArenaWriter {
     PutStringVector<std::initializer_list<std::string_view>>(v);
   }
   void PutBytes(const void* data, size_t len) { buf_.Append(data, len); }
+  void PutRaw(std::string_view s) { buf_.Append(s.data(), s.size()); }
 
   size_t size() const { return buf_.size(); }
   void Clear() { buf_.Clear(); }

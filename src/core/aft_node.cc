@@ -177,22 +177,12 @@ Status AftNode::Start() {
   AFT_ASSIGN_OR_RETURN(std::vector<std::string> commit_keys, storage_.List(kCommitPrefix));
   const size_t limit = options_.bootstrap_commit_limit;
   const size_t start = commit_keys.size() > limit ? commit_keys.size() - limit : 0;
+  // Maintenance reads: the §6.7 replacement delay charges warm-up's cost.
   size_t loaded = 0;
-  for (size_t i = start; i < commit_keys.size(); ++i) {
-    // Bulk read: warming the metadata cache is a streaming scan; per-request
-    // point latencies would mis-model it, and the wall-clock cost of warmup
-    // is charged explicitly where it matters (the §6.7 replacement delay).
-    auto bytes = MaintenanceRead(storage_, commit_keys[i]);
-    if (!bytes.ok()) {
-      continue;  // Deleted by the global GC between List and Get.
-    }
-    auto record = CommitRecord::Deserialize(bytes.value());
-    if (!record.ok()) {
-      AFT_LOG(Warn) << node_id_ << ": skipping corrupt commit record " << commit_keys[i];
-      continue;
-    }
-    auto ptr = std::make_shared<const CommitRecord>(std::move(record).value());
-    if (commits_.Add(ptr)) {
+  for (const CommitRecordPtr& ptr :
+       FetchCommitRecords(storage_, std::span(commit_keys).subspan(start),
+                          std::thread::hardware_concurrency(), node_id_)) {
+    if (ptr != nullptr && commits_.Add(ptr)) {
       index_.AddCommit(*ptr);
       ++loaded;
     }

@@ -78,7 +78,9 @@ struct AftNodeOptions {
   // Node service capacity (§6.5.1): each API operation occupies one of
   // `service_cores` virtual cores for one sample of `service_time`. This is
   // what caps a single node's throughput (the paper's 4-core c5.2xlarge
-  // plateaus around 600-900 txn/s). Set service_cores = 0 to disable.
+  // plateaus around 600-900 txn/s). Set service_cores = 0 to disable; a
+  // stepped SimClock with auto-advance off needs 0, as the model's sleep
+  // would block every API call until the clock is advanced.
   // The base is scaled by the engine's client_cpu_factor() — DynamoDB's
   // HTTPS/JSON client burns more node CPU per op than Redis' RESP.
   size_t service_cores = 4;
@@ -240,11 +242,7 @@ class AftNode {
   bool KnowsCommit(const TxnId& id) const {
     return commits_.Contains(id) || commits_.HasLocallyDeleted(id);
   }
-  size_t KeyVersionCount() const { return index_.TotalVersionCount(); }
   StorageEngine& storage() { return storage_; }
-  bool IsSuperseded(const CommitRecord& record) const {
-    return IsTransactionSuperseded(record, index_);
-  }
 
  private:
   using TxnPtr = std::shared_ptr<TransactionState>;

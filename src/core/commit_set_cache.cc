@@ -1,6 +1,49 @@
 #include "src/core/commit_set_cache.h"
 
+#include <algorithm>
+
+#include "src/common/io_executor.h"
+#include "src/common/logging.h"
+#include "src/storage/sim_engine_base.h"
+
 namespace aft {
+
+std::vector<CommitRecordPtr> FetchCommitRecords(StorageEngine& storage,
+                                                std::span<const std::string> keys,
+                                                size_t max_parallelism, std::string_view who) {
+  // A lane claims kChunk keys at a time. The bytes of one window are held
+  // at once, never every object of a long scan.
+  constexpr size_t kChunk = 32;
+  constexpr size_t kWindow = 32 * kChunk;
+  std::vector<CommitRecordPtr> records(keys.size());
+  std::vector<Result<std::string>> bytes;
+  for (size_t base = 0; base < keys.size(); base += kWindow) {
+    const std::span<const std::string> part =
+        keys.subspan(base, std::min(kWindow, keys.size() - base));
+    bytes.assign(part.size(), Status::NotFound(""));
+    (void)IoExecutor::Shared().ParallelFor(
+        (part.size() + kChunk - 1) / kChunk,
+        [&](size_t chunk) {
+          for (size_t i = chunk * kChunk; i < std::min(part.size(), (chunk + 1) * kChunk); ++i) {
+            bytes[i] = MaintenanceRead(storage, part[i]);
+          }
+          return Status::Ok();
+        },
+        max_parallelism);
+    for (size_t i = 0; i < part.size(); ++i) {
+      if (!bytes[i].ok()) {
+        continue;  // Deleted by the global GC since the listing.
+      }
+      auto record = CommitRecord::Deserialize(bytes[i].value());
+      if (!record.ok()) {
+        AFT_LOG(Warn) << who << ": skipping corrupt commit record " << part[i];
+        continue;
+      }
+      records[base + i] = std::make_shared<const CommitRecord>(std::move(record).value());
+    }
+  }
+  return records;
+}
 
 bool CommitSetCache::Add(CommitRecordPtr record) {
   const TxnId id = record->id;
@@ -69,15 +112,6 @@ void CommitSetCache::ForgetLocallyDeleted(const TxnId& id) {
   Shard& shard = ShardFor(id);
   WriterMutexLock lock(shard.mu);
   shard.locally_deleted.erase(id);
-}
-
-size_t CommitSetCache::LocallyDeletedCount() const {
-  size_t total = 0;
-  for (const Shard& shard : shards_) {
-    ReaderMutexLock lock(shard.mu);
-    total += shard.locally_deleted.size();
-  }
-  return total;
 }
 
 size_t CommitSetCache::size() const {

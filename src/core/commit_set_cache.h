@@ -22,6 +22,8 @@
 #include <array>
 #include <atomic>
 #include <memory>
+#include <span>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -30,10 +32,20 @@
 #include "src/common/pool_allocator.h"
 #include "src/core/records.h"
 #include "src/core/txn_id.h"
+#include "src/storage/storage_engine.h"
 
 namespace aft {
 
 using CommitRecordPtr = std::shared_ptr<const CommitRecord>;
+
+// Reads the commit records at `keys` for the streaming scans (bootstrap,
+// the liveness scan) with maintenance reads, fetching chunks over
+// IoExecutor::Shared() on at most `max_parallelism` lanes. The lanes only
+// read: records are decoded and allocated on the calling thread. Slot i is
+// null when keys[i] is missing or corrupt (logged as a warning from `who`).
+std::vector<CommitRecordPtr> FetchCommitRecords(StorageEngine& storage,
+                                                std::span<const std::string> keys,
+                                                size_t max_parallelism, std::string_view who);
 
 class CommitSetCache {
  public:
@@ -69,7 +81,6 @@ class CommitSetCache {
   bool HasLocallyDeleted(const TxnId& id) const;
   // The global GC confirmed deletion; we can forget the tombstone.
   void ForgetLocallyDeleted(const TxnId& id);
-  size_t LocallyDeletedCount() const;
 
   size_t size() const;
   // Records held by shard `i` (i < kNumShards) — exposed per shard so a

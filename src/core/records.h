@@ -174,15 +174,24 @@ void EncodeCommitRecordFields(W& w, const TxnId& id, const Keys& write_set,
   }
 }
 
+// Everything but the payload bytes: the fields up to and including the
+// payload's length prefix, so a caller can fill the payload in place.
 template <typename W, typename Keys>
-void EncodeVersionedValueFields(W& w, const TxnId& writer, const Keys& cowritten,
-                                std::string_view payload) {
+void EncodeVersionedValueHeader(W& w, const TxnId& writer, const Keys& cowritten,
+                                size_t payload_bytes) {
   w.PutU8(record_detail::kVersionedValueTag);
   w.PutI64(writer.timestamp);
   w.PutU64(writer.uuid.hi());
   w.PutU64(writer.uuid.lo());
   w.PutStringVector(cowritten);
-  w.PutString(payload);
+  w.PutU32(static_cast<uint32_t>(payload_bytes));
+}
+
+template <typename W, typename Keys>
+void EncodeVersionedValueFields(W& w, const TxnId& writer, const Keys& cowritten,
+                                std::string_view payload) {
+  EncodeVersionedValueHeader(w, writer, cowritten, payload.size());
+  w.PutRaw(payload);
 }
 
 }  // namespace aft

@@ -110,8 +110,8 @@ class SimEngineBase : public StorageEngine {
   std::optional<std::string> PeekLatest(const std::string& key) const {
     return map_.GetLatest(key);
   }
-  void DirectPut(const std::string& key, const std::string& value) {
-    map_.Put(key, value, clock_.Now());
+  void DirectPut(std::string key, std::string value) {
+    map_.Put(std::move(key), std::move(value), clock_.Now());
   }
   size_t ApproximateKeyCount() const { return map_.ApproximateKeyCount(); }
 

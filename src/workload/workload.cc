@@ -50,10 +50,7 @@ inline char Letter(uint64_t state) {
 
 }  // namespace
 
-std::string MakePayload(const WorkloadSpec& spec, uint64_t salt) {
-  const size_t n = spec.value_bytes;
-  std::string payload(n, '\0');
-  char* out = payload.data();
+void FillPayload(char* out, size_t n, uint64_t salt) {
   // Lane l starts at the sequence's state l + 1 (the state byte l is made from).
   uint64_t lane[kLanes];
   uint64_t state = salt * 0x9e3779b97f4a7c15ULL + 1;
@@ -74,6 +71,11 @@ std::string MakePayload(const WorkloadSpec& spec, uint64_t salt) {
   for (size_t l = 0; i + l < n; ++l) {
     out[i + l] = Letter(lane[l]);
   }
+}
+
+std::string MakePayload(const WorkloadSpec& spec, uint64_t salt) {
+  std::string payload(spec.value_bytes, '\0');
+  FillPayload(payload.data(), payload.size(), salt);
   return payload;
 }
 

@@ -43,6 +43,11 @@ std::string KeyForRank(uint64_t rank);
 // MakePayloadTest in tests/workload_test.cc).
 std::string MakePayload(const WorkloadSpec& spec, uint64_t salt);
 
+// MakePayload's kernel: writes the n payload bytes for `salt` to out[0, n)
+// and touches nothing else, so callers can fill disjoint slices of their
+// own buffers concurrently.
+void FillPayload(char* out, size_t n, uint64_t salt);
+
 // One planned operation and the full plan of a request. Plans are generated
 // up front because the baselines need the request's write set at write time
 // (for embedded cowritten metadata) — AFT itself needs no such declaration.

@@ -308,6 +308,81 @@ TEST_F(AftNodeTest, BootstrapHonorsCommitLimit) {
   EXPECT_FALSE(ReadOnce(*fresh, "k0").has_value());
 }
 
+// Forwards to another engine, except that a Get of `missing_` reads
+// NotFound and a Get of `garbage_` reads bytes that are no commit record.
+// Not a SimEngineBase, so a node's bootstrap reads go through Get.
+class FlakyReadEngine final : public StorageEngine {
+ public:
+  FlakyReadEngine(StorageEngine& inner, std::string missing, std::string garbage)
+      : inner_(inner), missing_(std::move(missing)), garbage_(std::move(garbage)) {}
+
+  Result<std::string> Get(const std::string& key) override {
+    if (key == missing_) {
+      return Status::NotFound(key);
+    }
+    if (key == garbage_) {
+      return std::string("not a commit record");
+    }
+    return inner_.Get(key);
+  }
+  Status Put(std::string key, std::string value) override {
+    return inner_.Put(std::move(key), std::move(value));
+  }
+  Status PutIfAbsent(std::string key, std::string value) override {
+    return inner_.PutIfAbsent(std::move(key), std::move(value));
+  }
+  Status BatchPut(std::span<const WriteOp> ops) override { return inner_.BatchPut(ops); }
+  Status Delete(const std::string& key) override { return inner_.Delete(key); }
+  Status BatchDelete(std::span<const std::string> keys) override {
+    return inner_.BatchDelete(keys);
+  }
+  Result<std::vector<std::string>> List(const std::string& prefix) override {
+    return inner_.List(prefix);
+  }
+  std::string_view name() const override { return "flaky-read"; }
+  bool SupportsBatchPut() const override { return false; }
+  size_t MaxBatchSize() const override { return 1; }
+  const StorageCounters& counters() const override { return inner_.counters(); }
+
+ private:
+  StorageEngine& inner_;
+  const std::string missing_;
+  const std::string garbage_;
+};
+
+// Bootstrap reads its records through the liveness scan's chunked parallel
+// fetch: over more than three fetch chunks, it installs every readable
+// record among the newest `bootstrap_commit_limit` listed ones, skips the
+// missing and the corrupt one, and knows nothing older.
+TEST_F(AftNodeTest, BootstrapSkipsMissingAndCorruptRecordsAcrossFetchChunks) {
+  AftNodeOptions options;
+  options.service_cores = 0;
+  auto node = MakeNode("n0", options);
+  for (int i = 0; i < 150; ++i) {
+    CommitSimple(*node, {{"k" + std::to_string(i), "v"}});
+  }
+  auto listed = storage_.List(kCommitPrefix);
+  ASSERT_TRUE(listed.ok());
+  const std::vector<std::string>& keys = listed.value();
+  ASSERT_EQ(keys.size(), 150u);
+  constexpr size_t kLimit = 120;
+  const size_t first = keys.size() - kLimit;
+  const std::string& missing = keys[first + 7];
+  const std::string& garbage = keys[first + 90];
+  FlakyReadEngine flaky(storage_, missing, garbage);
+
+  options.bootstrap_commit_limit = kLimit;
+  AftNode fresh("n1", flaky, clock_, options);
+  ASSERT_TRUE(fresh.Start().ok());
+  EXPECT_EQ(fresh.CommitSetSize(), kLimit - 2);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const bool installed = i >= first && keys[i] != missing && keys[i] != garbage;
+    EXPECT_EQ(fresh.KnowsCommit(TxnIdFromCommitStorageKey(keys[i])), installed) << keys[i];
+  }
+  EXPECT_EQ(ReadOnce(fresh, "k149").value(), "v");
+  EXPECT_FALSE(ReadOnce(fresh, "k0").has_value());
+}
+
 // ---- Multicast hooks ----------------------------------------------------------------
 
 TEST_F(AftNodeTest, RemoteCommitsBecomeVisible) {

@@ -8,6 +8,7 @@
 #include "src/common/crc32.h"
 #include "src/storage/sim_dynamo.h"
 #include "src/storage/sim_redis.h"
+#include "src/storage/sim_s3.h"
 #include "src/workload/dataset.h"
 #include "src/workload/harness.h"
 
@@ -105,6 +106,20 @@ TEST(MakePayloadTest, FourKiBPayloadIsPinned) {
   EXPECT_EQ(Crc32(PayloadOfLength(4096, 7)), 0x8FA454A9u);
 }
 
+// The kernel writes exactly its n bytes: at an offset inside a larger
+// buffer it equals MakePayload and leaves the bytes on both sides alone.
+TEST(MakePayloadTest, FillPayloadWritesOnlyItsSlice) {
+  for (const uint64_t salt : kPayloadSalts) {
+    for (const size_t n : {0, 1, 7, 8, 9, 4096}) {
+      std::string buffer(n + 40, '#');
+      FillPayload(buffer.data() + 13, n, salt);
+      ASSERT_EQ(buffer.substr(13, n), PayloadOfLength(n, salt)) << "length " << n;
+      ASSERT_EQ(buffer.substr(0, 13), std::string(13, '#')) << "length " << n;
+      ASSERT_EQ(buffer.substr(13 + n), std::string(27, '#')) << "length " << n;
+    }
+  }
+}
+
 TEST(WorkloadTest, PlanMatchesSpecShape) {
   WorkloadSpec spec = SmallSpec();
   spec.num_functions = 3;
@@ -175,6 +190,42 @@ TEST(DatasetTest, PlainDatasetDecodes) {
   ASSERT_TRUE(value.ok());
   EXPECT_EQ(value->value(), MakePayload(spec, 5));
   EXPECT_FALSE(txn.log().events[0].read.version.IsNull());
+}
+
+// CRC-32 over every stored key followed by its value, in List order.
+uint32_t StoreChecksum(SimS3& store) {
+  auto keys = store.List("");
+  EXPECT_TRUE(keys.ok());
+  uint32_t state = Crc32Begin();
+  for (const std::string& key : keys.value()) {
+    const std::optional<std::string> value = store.PeekLatest(key);
+    EXPECT_TRUE(value.has_value()) << key;
+    state = Crc32Feed(state, key.data(), key.size());
+    state = Crc32Feed(state, value->data(), value->size());
+  }
+  return Crc32End(state);
+}
+
+// The loaded stores, byte for byte: 1,000 keys at four value sizes.
+TEST(DatasetTest, LoadedBytesArePinned) {
+  struct Pin {
+    size_t value_bytes;
+    uint32_t aft_crc;
+    uint32_t plain_crc;
+  };
+  for (const Pin pin : {Pin{4096, 0x20cd90ee, 0x79012501}, Pin{1, 0x0bc50618, 0xcaaef494},
+                        Pin{13, 0xb3b6819c, 0x8c299baf}, Pin{1000, 0xbd1bd91d, 0x273c392d}}) {
+    WorkloadSpec spec;
+    spec.num_keys = 1000;
+    spec.value_bytes = pin.value_bytes;
+    SimClock clock;
+    SimS3 aft_store(clock);
+    ASSERT_TRUE(LoadAftDataset(aft_store, spec).ok());
+    EXPECT_EQ(StoreChecksum(aft_store), pin.aft_crc) << "value_bytes " << pin.value_bytes;
+    SimS3 plain_store(clock);
+    ASSERT_TRUE(LoadPlainDataset(plain_store, spec).ok());
+    EXPECT_EQ(StoreChecksum(plain_store), pin.plain_crc) << "value_bytes " << pin.value_bytes;
+  }
 }
 
 // ---- Runners + harness (full-stack integration) -----------------------------------------
