@@ -59,7 +59,6 @@ int main() {
   cluster_options.num_nodes = 4;
   cluster_options.multicast_interval = Millis(1000);
   cluster_options.start_background_threads = true;
-  cluster_options.node_options.enable_background_threads = true;
   cluster_options.fault_manager.detection_interval = scaled(1.0);
   cluster_options.fault_manager.failure_detection_delay = scaled(5.0);
   cluster_options.fault_manager.container_download_time = scaled(45.0);

@@ -35,7 +35,6 @@ GcRun RunConfig(bool gc_enabled, double duration_sec, size_t clients) {
   cluster_options.num_nodes = 1;
   cluster_options.multicast_interval = Millis(1000);
   cluster_options.start_background_threads = true;
-  cluster_options.node_options.enable_background_threads = true;
   cluster_options.node_options.local_gc_interval = Millis(1000);
   cluster_options.fault_manager.enable_global_gc = gc_enabled;
   cluster_options.fault_manager.gc_interval = Millis(1000);

@@ -4,6 +4,7 @@
 // quantify the per-op CPU cost that underlies the node service-time model.
 // BM_MakePayload times the workload's value generator, which every dataset
 // load runs once per key; BM_LoadAftDataset times a whole load.
+// BM_VersionedMapChurn times the simulated store's put-then-delete cycle.
 
 #include <benchmark/benchmark.h>
 
@@ -11,6 +12,7 @@
 #include "src/common/zipf.h"
 #include "src/core/read_algorithm.h"
 #include "src/storage/sim_s3.h"
+#include "src/storage/versioned_map.h"
 #include "src/workload/dataset.h"
 #include "src/workload/workload.h"
 
@@ -133,6 +135,29 @@ void BM_LoadAftDataset(benchmark::State& state) {
                           static_cast<int64_t>(spec.num_keys * spec.value_bytes));
 }
 BENCHMARK(BM_LoadAftDataset)->Unit(benchmark::kMillisecond);
+
+// Steady-state churn of the simulated store: each iteration creates a key
+// and deletes it 1 ms later on the store's clock. Arg = retention horizon in
+// ms: 0 (consistent engine: the key goes at once) or 2000 (SimS3: the
+// tombstone is queued and reaped by a later mutation, ~2,000 deleted keys
+// held).
+void BM_VersionedMapChurn(benchmark::State& state) {
+  VersionedMap map(16, 8, Millis(state.range(0)));
+  std::vector<std::string> keys;
+  for (int i = 0; i < 4096; ++i) {
+    keys.push_back("c/" + std::to_string(1000000 + i));
+  }
+  const std::string value(64, 'x');
+  int64_t ms = 0;
+  for (auto _ : state) {
+    const std::string& key = keys[static_cast<size_t>(ms) % keys.size()];
+    map.Put(key, value, TimePoint(Millis(ms)));
+    map.Delete(key, TimePoint(Millis(ms + 1)));
+    ++ms;
+  }
+  state.counters["keys_held"] = static_cast<double>(map.ApproximateKeyCount());
+}
+BENCHMARK(BM_VersionedMapChurn)->Arg(0)->Arg(2000);
 
 void BM_KeyVersionIndexAdd(benchmark::State& state) {
   Rng rng(5);

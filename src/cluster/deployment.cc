@@ -28,8 +28,10 @@ ClusterDeployment::ClusterDeployment(StorageEngine& storage, Clock& clock, Clust
 ClusterDeployment::~ClusterDeployment() { Stop(); }
 
 AftNode* ClusterDeployment::CreateNode(const std::string& node_id) {
+  AftNodeOptions node_options = options_.node_options;
+  node_options.enable_background_threads = options_.start_background_threads;
   MutexLock lock(nodes_mu_);
-  nodes_.push_back(std::make_unique<AftNode>(node_id, storage_, clock_, options_.node_options));
+  nodes_.push_back(std::make_unique<AftNode>(node_id, storage_, clock_, std::move(node_options)));
   return nodes_.back().get();
 }
 
@@ -77,6 +79,11 @@ void ClusterDeployment::Stop() {
   }
   fault_manager_.Stop();
   bus_->Stop();
+  // Nodes are never removed, and with the fault manager stopped none is
+  // being added.
+  for (size_t i = 0; i < node_count(); ++i) {
+    node(i)->StopBackground();
+  }
 }
 
 std::vector<net::NetEndpoint> ClusterDeployment::ServiceEndpoints() const {

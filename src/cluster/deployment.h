@@ -38,10 +38,11 @@ struct ClusterOptions {
   // kTcp only: transport knobs for the per-node service servers and the
   // gossip RPCs (threading model, timeouts, backpressure).
   net::TcpMulticastBusOptions tcp_options;
-  // When true, Start() launches the gossip bus and fault-manager threads;
-  // tests that drive rounds manually leave this off. A node's own local-GC
-  // and timeout-sweep thread starts only with
-  // node_options.enable_background_threads (default false).
+  // The one switch for every §4/§5 loop: when true, Start() runs the gossip
+  // bus, the fault manager (liveness scan, global GC, orphan sweep, failure
+  // detection) and each node's local GC and timeout sweep, replacement
+  // nodes included, and Stop() stops them all. Tests that drive rounds
+  // manually turn it off. node_options.enable_background_threads is ignored.
   bool start_background_threads = true;
 };
 
@@ -55,6 +56,7 @@ class ClusterDeployment {
 
   // Boots all nodes (bootstrap from the commit set) and background services.
   Status Start();
+  // Stops every background loop Start() began; the nodes stay up.
   void Stop();
 
   // Simulates the failure of node `index` (§6.7).

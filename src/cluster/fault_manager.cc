@@ -194,13 +194,20 @@ size_t FaultManager::RunGlobalGcOnce() {
       std::vector<std::string> victim_keys;
       uint64_t version_count = 0;
       for (const auto& record : group) {
-        // Every key may have a version object, even one whose payload the
-        // record carries itself: a spilled version written before the key
-        // was rewritten, or one a failed commit round sent. The record
-        // cannot tell those apart from keys that have none; deleting a
-        // missing object is a no-op.
-        for (const std::string& key : record->write_set) {
-          victim_keys.push_back(VersionStorageKey(key, record->id.uuid));
+        // A key without a locator lives in its version object. A key with
+        // one has a version object only if it was spilled before being
+        // rewritten or sent by a failed commit round. A record carrying
+        // every payload shows neither on an engine whose rounds write no
+        // version objects, so only its record goes; the orphan sweep reaps
+        // a rare leftover once the writer leaves known_writers_ (below).
+        // Otherwise every key's version goes (deleting a missing object is
+        // a no-op).
+        const bool versions_may_exist = storage_.CommitUnitsFuseDataWithRecord() ||
+                                        record->locators.size() < record->write_set.size();
+        if (versions_may_exist) {
+          for (const std::string& key : record->write_set) {
+            victim_keys.push_back(VersionStorageKey(key, record->id.uuid));
+          }
         }
         version_count += record->write_set.size();
         // The record object; in-record payloads go with it.

@@ -129,9 +129,6 @@ AftNode::AftNode(std::string node_id, StorageEngine& storage, Clock& clock, AftN
 
 AftNode::~AftNode() {
   StopBackground();
-  if (background_.joinable()) {
-    background_.join();
-  }
   // Spills still in flight use the engine, which may go away right after
   // this node.
   std::vector<TxnPtr> running;
@@ -196,13 +193,21 @@ Status AftNode::Start() {
 
 void AftNode::Kill() {
   alive_.store(false, std::memory_order_release);
-  StopBackground();
+  // Kill can run on any thread (a crash hook's too): signal, never join.
+  SignalBackgroundStop();
 }
 
-void AftNode::StopBackground() {
+void AftNode::SignalBackgroundStop() {
   stop_background_.store(true);
   // Wakes the background loop out of its interval wait.
   clock_.Notify();
+}
+
+void AftNode::StopBackground() {
+  SignalBackgroundStop();
+  if (background_.joinable()) {
+    background_.join();
+  }
 }
 
 Status AftNode::CheckAlive() const {

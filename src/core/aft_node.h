@@ -65,6 +65,9 @@ struct AftNodeOptions {
   // Background local-GC sweep period (§5.1) and per-sweep cap.
   Duration local_gc_interval = Millis(1000);
   size_t local_gc_max_per_sweep = 4096;
+  // Starts the local-GC and timeout-sweep loop with a standalone node. A
+  // ClusterDeployment ignores it: its nodes run the loop exactly when
+  // ClusterOptions::start_background_threads is set.
   bool enable_background_threads = false;
 
   // How many of the newest commit records to load when bootstrapping the
@@ -131,9 +134,12 @@ class AftNode {
   AftNode& operator=(const AftNode&) = delete;
 
   // Warms the metadata cache from the Transaction Commit Set in storage;
-  // called on node start / recovery (§3.1). Also starts background threads
-  // when enabled.
+  // called on node start / recovery (§3.1). Also starts the background
+  // local-GC and timeout-sweep loop when enable_background_threads is set.
   Status Start();
+
+  // Stops the background loop, if one runs, and waits for it to exit.
+  void StopBackground();
 
   // Simulates a node failure: all subsequent API calls fail with
   // kUnavailable and background threads stop. In-flight transactions that
@@ -292,8 +298,8 @@ class AftNode {
   // memory, transaction-table erase, counters.
   void FinishCommittedTransaction(const Uuid& txid, const TxnId& commit_id);
   void BackgroundLoop();
-  // Sets stop_background_ and wakes the loop (destructor and Kill).
-  void StopBackground();
+  // Sets stop_background_ and wakes the loop without waiting for it.
+  void SignalBackgroundStop();
   bool MaybeCrash(CrashPoint point);
 
   const std::string node_id_;

@@ -33,7 +33,7 @@ SimEngineBase::SimEngineBase(std::string name, Clock& clock, EngineLatencyProfil
     : clock_(clock),
       profile_(profile),
       staleness_(staleness),
-      map_(map_shards),
+      map_(map_shards, /*history_depth=*/8, staleness.Retention()),
       name_(std::move(name)),
       record_writer_(clock) {
   auto& reg = obs::MetricsRegistry::Global();
@@ -151,11 +151,13 @@ TimePoint SimEngineBase::SampleReadAsOf(const std::string& key) {
     // New-key PUTs are read-after-write consistent; only overwrites go stale.
     return now;
   }
-  // Exponential staleness with the configured mean.
+  // Exponential staleness with the configured mean, clamped to the map's
+  // retention horizon (history older than that is gone).
   const double mean_ms = ToMillis(staleness_.mean_staleness);
   const double sample_ms = -mean_ms * std::log(1.0 - rng.NextDouble());
-  const auto staleness = std::chrono::duration_cast<Duration>(
-      std::chrono::duration<double, std::milli>(sample_ms));
+  const auto staleness = std::min(
+      staleness_.Retention(),
+      std::chrono::duration_cast<Duration>(std::chrono::duration<double, std::milli>(sample_ms)));
   counters_.stale_reads.fetch_add(1, std::memory_order_relaxed);
   return now - staleness;
 }

@@ -5,8 +5,8 @@
 
 namespace aft {
 
-VersionedMap::VersionedMap(size_t num_shards, size_t history_depth)
-    : history_depth_(std::max<size_t>(history_depth, 1)) {
+VersionedMap::VersionedMap(size_t num_shards, size_t history_depth, Duration retention)
+    : history_depth_(std::max<size_t>(history_depth, 1)), retention_(retention) {
   const size_t n = std::max<size_t>(num_shards, 1);
   shards_.reserve(n);
   for (size_t i = 0; i < n; ++i) {
@@ -22,28 +22,49 @@ const VersionedMap::Shard& VersionedMap::ShardFor(const std::string& key) const 
   return *shards_[std::hash<std::string>{}(key) % shards_.size()];
 }
 
+void VersionedMap::Append(Slot& slot, Entry entry) const {
+  const TimePoint now = entry.write_time;
+  auto& history = slot.history;
+  slot.overwritten = slot.overwritten || !history.empty();
+  history.push_back(std::move(entry));
+  // No read reaches back past the horizon, so an entry whose successor is
+  // older than the horizon is never served again.
+  while (history.size() > 1 &&
+         (history.size() > history_depth_ || now - history[1].write_time >= retention_)) {
+    history.erase(history.begin());
+  }
+}
+
+void VersionedMap::ReapTombstones(Shard& shard, TimePoint now) const {
+  while (!shard.tombstones.empty() && now - shard.tombstones.front().first >= retention_) {
+    const auto& [deleted_at, key] = shard.tombstones.front();
+    auto it = shard.data.find(key);
+    // A key written again since its deletion is no longer deleted.
+    if (it != shard.data.end() && !it->second.history.back().value.has_value() &&
+        it->second.history.back().write_time == deleted_at) {
+      shard.data.erase(it);
+    }
+    shard.tombstones.pop_front();
+  }
+}
+
 void VersionedMap::Put(std::string key, std::string value, TimePoint now) {
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
-  auto& history = shard.data[std::move(key)];
-  history.push_back(Entry{std::move(value), now});
-  while (history.size() > history_depth_) {
-    history.erase(history.begin());
-  }
+  ReapTombstones(shard, now);
+  Append(shard.data[std::move(key)], Entry{std::move(value), now});
 }
 
 bool VersionedMap::PutIfAbsent(std::string key, std::string value, TimePoint now) {
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
+  ReapTombstones(shard, now);
   // try_emplace leaves `key` untouched when it is already present.
-  auto& history = shard.data.try_emplace(std::move(key)).first->second;
-  if (!history.empty() && history.back().value.has_value()) {
+  Slot& slot = shard.data.try_emplace(std::move(key)).first->second;
+  if (!slot.history.empty() && slot.history.back().value.has_value()) {
     return false;
   }
-  history.push_back(Entry{std::move(value), now});
-  while (history.size() > history_depth_) {
-    history.erase(history.begin());
-  }
+  Append(slot, Entry{std::move(value), now});
   return true;
 }
 
@@ -52,10 +73,10 @@ std::optional<std::string> VersionedMap::Get(const std::string& key, TimePoint a
   const Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
   auto it = shard.data.find(key);
-  if (it == shard.data.end() || it->second.empty()) {
+  if (it == shard.data.end()) {
     return std::nullopt;
   }
-  const auto& history = it->second;
+  const auto& history = it->second.history;
   // Newest entry with write_time <= as_of. History is append-ordered.
   const Entry* chosen = nullptr;
   for (auto rit = history.rbegin(); rit != history.rend(); ++rit) {
@@ -81,29 +102,28 @@ std::optional<std::string> VersionedMap::GetLatest(const std::string& key) const
   const Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
   auto it = shard.data.find(key);
-  if (it == shard.data.end() || it->second.empty()) {
+  if (it == shard.data.end()) {
     return std::nullopt;
   }
-  return it->second.back().value;
+  return it->second.history.back().value;
 }
 
 void VersionedMap::Delete(const std::string& key, TimePoint now) {
   Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
+  ReapTombstones(shard, now);
   auto it = shard.data.find(key);
-  if (it == shard.data.end()) {
+  if (it == shard.data.end() || !it->second.history.back().value.has_value()) {
     return;
   }
-  it->second.push_back(Entry{std::nullopt, now});
-  while (it->second.size() > history_depth_) {
-    it->second.erase(it->second.begin());
-  }
-  // If the whole history is tombstones we can drop the key eagerly; this
-  // keeps List() and memory usage honest for GC-heavy workloads.
-  const bool all_tombstones = std::all_of(it->second.begin(), it->second.end(),
-                                          [](const Entry& e) { return !e.value.has_value(); });
-  if (all_tombstones) {
+  Append(it->second, Entry{std::nullopt, now});
+  // A history of tombstones alone reads as an absent key: erase it now.
+  const auto& history = it->second.history;
+  if (std::none_of(history.begin(), history.end(),
+                   [](const Entry& e) { return e.value.has_value(); })) {
     shard.data.erase(it);
+  } else if (retention_ != Duration::max()) {
+    shard.tombstones.emplace_back(now, key);
   }
 }
 
@@ -116,7 +136,7 @@ std::vector<std::string> VersionedMap::List(const std::string& prefix) const {
       if (it->first.compare(0, prefix.size(), prefix) != 0) {
         break;
       }
-      if (!it->second.empty() && it->second.back().value.has_value()) {
+      if (it->second.history.back().value.has_value()) {
         out.push_back(it->first);
       }
     }
@@ -129,7 +149,7 @@ bool VersionedMap::HasHistory(const std::string& key) const {
   const Shard& shard = ShardFor(key);
   MutexLock lock(shard.mu);
   auto it = shard.data.find(key);
-  return it != shard.data.end() && it->second.size() > 1;
+  return it != shard.data.end() && it->second.overwritten;
 }
 
 size_t VersionedMap::ApproximateKeyCount() const {

@@ -9,10 +9,20 @@
 // storage key, §3.3). Commit records are covered too: each is written with
 // PutIfAbsent, so a second attempt at the same record (a hedge) lands no
 // second entry.
+//
+// Retention: history is kept only as far back as a stale read can reach,
+// the map's retention horizon (StalenessModel::Retention()). An entry is
+// dropped once its successor is older than the horizon, and a deleted key
+// is erased once its tombstone is: each shard queues its tombstones and
+// reaps the expired ones on its next mutation. A consistent engine's
+// horizon is zero, so it keeps only each key's latest entry and erases a
+// deleted key at once. The count cap (`history_depth`) bounds a key
+// overwritten faster than the horizon expires.
 
 #ifndef SRC_STORAGE_VERSIONED_MAP_H_
 #define SRC_STORAGE_VERSIONED_MAP_H_
 
+#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -36,13 +46,20 @@ struct StalenessModel {
   Duration mean_staleness = Duration::zero();
 
   bool IsConsistent() const { return stale_probability <= 0.0; }
+
+  // How far back a stale read may reach: 25 mean stalenesses (a sampled
+  // staleness exceeds that with probability e^-25, and is clamped to it);
+  // zero for a consistent model.
+  Duration Retention() const { return IsConsistent() ? Duration::zero() : 25 * mean_staleness; }
 };
 
 class VersionedMap {
  public:
   // `num_shards` bounds lock contention; `history_depth` bounds the per-key
-  // version list used for stale reads.
-  explicit VersionedMap(size_t num_shards = 16, size_t history_depth = 8);
+  // version list used for stale reads; `retention` is the horizon past which
+  // history is dropped (see the file comment; the default keeps it all).
+  explicit VersionedMap(size_t num_shards = 16, size_t history_depth = 8,
+                        Duration retention = Duration::max());
 
   // Writes `key = value` at time `now`. By-value: hot callers move exact-
   // sized buffers straight into the map (a fresh key's string and first
@@ -63,15 +80,18 @@ class VersionedMap {
   // Returns the latest value regardless of as_of.
   std::optional<std::string> GetLatest(const std::string& key) const;
 
-  // Removes the key at time `now` (writes a tombstone so in-flight stale
-  // reads can still see the pre-delete value).
+  // Removes the key at time `now`: writes a tombstone, so stale reads inside
+  // the retention horizon still see the pre-delete value, and erases the key
+  // once the tombstone is past the horizon. Deleting a deleted or absent key
+  // changes nothing.
   void Delete(const std::string& key, TimePoint now);
 
   // Lexicographically ordered live keys with the given prefix.
   std::vector<std::string> List(const std::string& prefix) const;
 
-  // True if the key has been overwritten at least once (drives the
-  // staleness-only-on-overwrite rule).
+  // True if the key has been overwritten (or deleted) at least once, even
+  // where retention has since dropped the older entries (drives the
+  // staleness-only-on-overwrite rule). False once a deleted key is erased.
   bool HasHistory(const std::string& key) const;
 
   size_t ApproximateKeyCount() const;
@@ -83,21 +103,32 @@ class VersionedMap {
     TimePoint write_time;
   };
   // AFT's own data never overwrites a key (§3.3), so the history of almost
-  // every key is exactly one entry — stored inline in the map node. Tree
-  // nodes recycle through a per-shard pool, so steady-state Put/Delete churn
-  // stops hitting the global heap.
-  using History = SmallVector<Entry, 1>;
-  using ShardMap = std::map<std::string, History, std::less<>,
-                            PoolAllocator<std::pair<const std::string, History>>>;
+  // every key is one entry, or one and the tombstone the GC's delete adds —
+  // both stored inline in the map node. Tree nodes recycle through a
+  // per-shard pool, so steady-state Put/Delete churn stops hitting the
+  // global heap. `overwritten` outlives the entries retention drops.
+  struct Slot {
+    SmallVector<Entry, 2> history;  // Never empty.
+    bool overwritten = false;
+  };
+  using ShardMap = std::map<std::string, Slot, std::less<>,
+                            PoolAllocator<std::pair<const std::string, Slot>>>;
   struct Shard {
     mutable Mutex mu;
     ShardMap data GUARDED_BY(mu);
+    // (deletion time, key), oldest first.
+    std::deque<std::pair<TimePoint, std::string>> tombstones GUARDED_BY(mu);
   };
 
   Shard& ShardFor(const std::string& key);
   const Shard& ShardFor(const std::string& key) const;
+  // Appends `entry` to `slot` and drops what no read can reach any more.
+  void Append(Slot& slot, Entry entry) const;
+  // Erases the keys whose tombstones are past the horizon at `now`.
+  void ReapTombstones(Shard& shard, TimePoint now) const REQUIRES(shard.mu);
 
   const size_t history_depth_;
+  const Duration retention_;
   std::vector<std::unique_ptr<Shard>> shards_;
 };
 

@@ -6,9 +6,14 @@
 #include <chrono>
 #include <thread>
 
+#include "src/baseline/anomaly_checker.h"
 #include "src/cluster/aft_client.h"
 #include "src/cluster/deployment.h"
+#include "src/faas/faas_platform.h"
 #include "src/storage/sim_dynamo.h"
+#include "src/storage/sim_s3.h"
+#include "src/workload/dataset.h"
+#include "src/workload/runners.h"
 #include "tests/await_storage.h"
 
 namespace aft {
@@ -415,6 +420,69 @@ TEST(ClusterBackgroundTest, EndToEndWithBackgroundThreads) {
   }
   cluster.Stop();
   EXPECT_TRUE(visible);
+}
+
+// A started deployment runs every GC loop with no further switch: default
+// ClusterOptions (two nodes) over default SimS3, requests superseding a few
+// keys' versions. Records, commit-set caches and the store's own entries
+// stay bounded, reads stay atomic, and Stop() stops the node GC too.
+TEST(ClusterBackgroundTest, DefaultDeploymentGarbageCollectsAndStaysBounded) {
+  RealClock clock(0.01);  // 100x real time: a 1 s GC interval is 10 ms.
+  SimS3 storage(clock);
+  WorkloadSpec spec;
+  spec.num_keys = 6;
+  spec.value_bytes = 64;
+  ASSERT_TRUE(LoadAftDataset(storage, spec).ok());
+  ClusterOptions options;
+  options.num_nodes = 2;
+  ClusterDeployment cluster(storage, clock, options);
+  ASSERT_TRUE(cluster.Start().ok());
+  FaasPlatform faas(clock);
+  AftClient client(cluster.balancer(), clock);
+  const TxnPlanGenerator plans(spec);
+  AftRequestRunner runner(faas, client, clock, plans);
+
+  constexpr int kRequests = 400;
+  Rng rng(11);
+  int committed = 0;
+  size_t max_records = 0;
+  size_t max_entries = 0;
+  size_t max_commit_set = 0;
+  for (int i = 0; i < kRequests; ++i) {
+    TxnLog log;
+    if (runner.RunOnce(rng, &log).ok()) {
+      ++committed;
+      const AnomalyVerdict verdict = CheckTransaction(log);
+      EXPECT_FALSE(verdict.ryw_anomaly) << "request " << i;
+      EXPECT_FALSE(verdict.fr_anomaly) << "request " << i;
+    }
+    if (i >= kRequests / 2 && i % 10 == 0) {
+      max_records = std::max(max_records, storage.List(kCommitPrefix)->size());
+      max_entries = std::max(max_entries, storage.ApproximateKeyCount());
+      for (size_t n = 0; n < cluster.node_count(); ++n) {
+        max_commit_set = std::max(max_commit_set, cluster.node(n)->CommitSetSize());
+      }
+    }
+  }
+  EXPECT_GE(committed, kRequests * 9 / 10);
+  // Without GC each would exceed the commit count.
+  EXPECT_LT(max_records, static_cast<size_t>(committed) / 4);
+  EXPECT_LT(max_entries, static_cast<size_t>(committed) / 4);
+  EXPECT_LT(max_commit_set, static_cast<size_t>(committed) / 4);
+  EXPECT_GT(cluster.fault_manager().stats().txns_deleted.load(), 0u);
+
+  cluster.Stop();
+  uint64_t removed = 0;
+  for (size_t n = 0; n < cluster.node_count(); ++n) {
+    removed += cluster.node(n)->stats().gc_records_removed.load();
+  }
+  EXPECT_GT(removed, 0u);
+  clock.SleepFor(std::chrono::seconds(5));  // Five local-GC intervals.
+  uint64_t removed_after = 0;
+  for (size_t n = 0; n < cluster.node_count(); ++n) {
+    removed_after += cluster.node(n)->stats().gc_records_removed.load();
+  }
+  EXPECT_EQ(removed_after, removed) << "a node's local GC ran after Stop()";
 }
 
 }  // namespace

@@ -495,6 +495,42 @@ TEST(InlineRecordTest, SpilledAndInlineKeysReadBackAndAreCollectedWhole) {
   EXPECT_EQ(ReadOnce(node, "k").value(), "k-newer");
 }
 
+// A key spilled and then rewritten rides in its record, and a record that
+// carries every payload shows no version object: the global delete sends
+// the record's delete alone, and the orphan sweep reaps the spilled version
+// once its grace has passed.
+TEST(InlineRecordTest, RewrittenSpillIsReapedByTheOrphanSweep) {
+  SimClock clock;
+  SimS3 storage(clock, InstantS3());
+  ClusterOptions options = ManualCluster(1);
+  options.node_options.spill_threshold_bytes = kSmallSpillThreshold;
+  options.fault_manager.orphan_grace = Millis(500);
+  ClusterDeployment cluster(storage, clock, options);
+  ASSERT_TRUE(cluster.Start().ok());
+  AftNode& node = *cluster.node(0);
+
+  auto txid = node.StartTransaction();
+  ASSERT_TRUE(node.Put(*txid, "k", "k-early").ok());  // Spills "k".
+  ASSERT_EQ(AwaitObjectCount(storage, kVersionPrefix, 1), 1u);
+  ASSERT_TRUE(node.Put(*txid, "k", "k1").ok());
+  auto commit_id = node.CommitTransaction(*txid);
+  ASSERT_TRUE(commit_id.ok());
+  ASSERT_EQ(StoredRecord(storage, *commit_id).locators.size(), 1u);
+
+  const uint64_t deletes_before = storage.counters().deletes.load();
+  SupersedeAndCollect(cluster, {"k"});
+  EXPECT_EQ(storage.counters().deletes.load() - deletes_before, 1u) << "the record alone";
+  EXPECT_EQ(cluster.fault_manager().stats().versions_deleted.load(), 1u);
+  EXPECT_FALSE(storage.Get(CommitStorageKey(*commit_id)).ok());
+  EXPECT_EQ(ObjectsOf(storage, kVersionPrefix, commit_id->uuid), 1u);
+
+  EXPECT_EQ(cluster.fault_manager().RunOrphanSweepOnce(), 0u);  // Grace starts.
+  clock.Advance(Millis(600));
+  EXPECT_EQ(cluster.fault_manager().RunOrphanSweepOnce(), 1u);
+  ExpectCollected(storage, *commit_id);
+  EXPECT_EQ(ReadOnce(node, "k").value(), "k-newer");
+}
+
 // On the local engine a round writes fresh keys' version objects in the
 // record's append, so a round whose record write fails may still land
 // them; the retry then carries every key in its record. The GC must delete

@@ -118,6 +118,71 @@ TEST(VersionedMapTest, PutIfAbsentLandsOneEntryOnly) {
   EXPECT_FALSE(map.HasHistory("a"));
 }
 
+// A written-once key deleted under a 100 ms horizon: stale reads inside the
+// horizon still see its value; the shard's next mutation past the horizon
+// erases it.
+TEST(VersionedMapTest, DeletedKeyIsErasedPastTheRetentionHorizon) {
+  VersionedMap map(/*num_shards=*/1, /*history_depth=*/8, /*retention=*/Millis(100));
+  map.Put("a", "v1", TimePoint(Millis(10)));
+  map.Delete("a", TimePoint(Millis(20)));
+  map.Put("b", "1", TimePoint(Millis(119)));  // Inside the horizon: kept.
+  EXPECT_EQ(map.Get("a", TimePoint(Millis(15))).value(), "v1");
+  EXPECT_FALSE(map.GetLatest("a").has_value());
+  EXPECT_TRUE(map.HasHistory("a"));
+  EXPECT_EQ(map.ApproximateKeyCount(), 2u);
+
+  map.Put("b", "2", TimePoint(Millis(120)));  // The tombstone is 100 ms old.
+  EXPECT_EQ(map.ApproximateKeyCount(), 1u);
+  EXPECT_FALSE(map.Get("a", TimePoint(Millis(15))).has_value());
+  EXPECT_FALSE(map.HasHistory("a"));
+  // Written again, the key is new: no history, so no stale reads.
+  map.Put("a", "v2", TimePoint(Millis(130)));
+  EXPECT_FALSE(map.HasHistory("a"));
+  EXPECT_EQ(map.GetLatest("a").value(), "v2");
+}
+
+// A tombstone whose key was written again reaps nothing.
+TEST(VersionedMapTest, RewrittenKeyOutlivesItsOldTombstone) {
+  VersionedMap map(1, 8, Millis(100));
+  map.Put("a", "v1", TimePoint(Millis(10)));
+  map.Delete("a", TimePoint(Millis(20)));
+  map.Put("a", "v2", TimePoint(Millis(30)));
+  map.Put("b", "1", TimePoint(Millis(500)));
+  EXPECT_EQ(map.GetLatest("a").value(), "v2");
+  EXPECT_TRUE(map.HasHistory("a"));
+}
+
+// An overwritten key keeps only what a read inside the horizon can reach,
+// and still counts as overwritten.
+TEST(VersionedMapTest, OverwrittenHistoryShrinksToTheHorizon) {
+  VersionedMap map(1, 8, Millis(25));
+  for (int i = 0; i <= 10; ++i) {
+    map.Put("a", std::to_string(i), TimePoint(Millis(10 * i)));
+  }
+  // At t=100 the horizon reaches back to t=75: the value written at 70 is
+  // still served there, everything older is gone.
+  EXPECT_EQ(map.Get("a", TimePoint(Millis(75))).value(), "7");
+  EXPECT_FALSE(map.Get("a", TimePoint(Millis(65))).has_value());
+  EXPECT_EQ(map.GetLatest("a").value(), "10");
+  EXPECT_TRUE(map.HasHistory("a"));
+}
+
+// A consistent engine's horizon is zero: one entry per key, and a deleted
+// key goes at once.
+TEST(VersionedMapTest, ConsistentEngineKeepsOneEntryPerKey) {
+  ASSERT_EQ(StalenessModel{}.Retention(), Duration::zero());
+  VersionedMap map(4, 8, StalenessModel{}.Retention());
+  map.Put("a", "v1", TimePoint(Millis(10)));
+  map.Put("a", "v2", TimePoint(Millis(10)));
+  map.Put("a", "v3", TimePoint(Millis(20)));
+  EXPECT_FALSE(map.Get("a", TimePoint(Millis(15))).has_value()) << "older entries were kept";
+  EXPECT_EQ(map.GetLatest("a").value(), "v3");
+  EXPECT_TRUE(map.HasHistory("a"));
+  map.Put("b", "1", TimePoint(Millis(20)));
+  map.Delete("b", TimePoint(Millis(20)));
+  EXPECT_EQ(map.ApproximateKeyCount(), 1u);
+}
+
 // ---- Engine basics (parameterized over all three engines) -------------------------
 
 enum class EngineKind { kS3, kDynamo, kRedis, kLocal };
