@@ -6,16 +6,20 @@
 // socket hops per op) — and reports p50/p99 per path.
 //
 // Part 2 (throughput): closed-loop multi-client sweep at 1/4/16/64 client
-// threads against three transport configurations:
-//   * event    — epoll event-loop server, pooled + pipelined client;
-//   * thread   — thread-per-connection server, pooled + pipelined client;
-//   * baseline — thread-per-connection server, ONE connection, single-flight
-//                (the pre-pipelining transport; the acceptance yardstick).
-// Each row reports ops/sec plus per-op p50/p99.
+// threads against two client configurations of the event-loop server:
+//   * event    — pooled + pipelined client;
+//   * baseline — ONE connection, single-flight (the pre-pipelining client;
+//                the yardstick tools/bench_gate.sh divides by).
+// Each row reports ops/sec plus per-op p50/p99. Storage latencies are zeroed
+// so these rows isolate pure shim + wire overhead.
 //
-// Storage latencies are zeroed so the rows isolate pure shim + wire overhead,
-// and all numbers here are WALL-CLOCK milliseconds (the wire is real
-// hardware; the simulated time scale does not apply to it).
+// Part 3 (storage latency): the same sweep of pipelined clients over the
+// default-latency SimDynamo, each op a read-modify-write transaction ("tput
+// rmw event <N>c"). Here handlers sleep on storage, so the rows show how the
+// server overlaps slow requests rather than how cheap one hop is.
+//
+// All numbers are WALL-CLOCK milliseconds (the wire is real hardware; the
+// simulated time scale only shortens the simulated storage calls).
 //
 // Knobs: AFT_BENCH_REQUESTS (latency reps), AFT_BENCH_TPUT_OPS (closed-loop
 // ops per client; defaults to min(AFT_BENCH_REQUESTS, 200) so --smoke stays
@@ -197,7 +201,6 @@ void RunMultiGet(AftNode& node, net::RemoteAftClient& client, size_t keys, long 
 
 struct TputConfig {
   const char* name;                 // row label
-  net::ServerThreading threading;   // server side
   size_t connections_per_endpoint;  // client pool width
   size_t max_inflight;              // client pipelining depth
 };
@@ -222,10 +225,7 @@ void RunClosedLoop(size_t clients, double* elapsed_ms, PerThreadFn fn) {
 
 void RunThroughputConfig(AftNode& node, const TputConfig& cfg, long ops_per_client,
                          const std::vector<std::string>& keys) {
-  net::AftServiceServerOptions server_options;
-  server_options.port = 0;
-  server_options.threading = cfg.threading;
-  net::AftServiceServer server(node, server_options);
+  net::AftServiceServer server(node);
   Check(server.Start(), "tput server Start");
 
   net::RemoteAftClientOptions client_options;
@@ -233,9 +233,8 @@ void RunThroughputConfig(AftNode& node, const TputConfig& cfg, long ops_per_clie
   client_options.max_inflight = cfg.max_inflight;
   net::RemoteAftClient client({server.endpoint()}, client_options);
 
-  std::printf("  --- %s (server=%s, pool=%zu, inflight=%zu) ---\n", cfg.name,
-              cfg.threading == net::ServerThreading::kEventLoop ? "event-loop" : "thread-per-conn",
-              cfg.connections_per_endpoint, cfg.max_inflight);
+  std::printf("  --- %s (pool=%zu, inflight=%zu) ---\n", cfg.name, cfg.connections_per_endpoint,
+              cfg.max_inflight);
 
   for (size_t clients : {1u, 4u, 16u, 64u}) {
     const uint64_t total_ops = static_cast<uint64_t>(clients) * ops_per_client;
@@ -444,13 +443,58 @@ void RunThroughputSweep(AftNode& node, long ops_per_client) {
   }
 
   const TputConfig kConfigs[] = {
-      {"event", net::ServerThreading::kEventLoop, 4, 32},
-      {"thread", net::ServerThreading::kThreadPerConn, 4, 32},
-      {"baseline", net::ServerThreading::kThreadPerConn, 1, 1},
+      {"event", 4, 32},
+      {"baseline", 1, 1},
   };
   for (const TputConfig& cfg : kConfigs) {
     RunThroughputConfig(node, cfg, ops_per_client, keys);
   }
+}
+
+// Closed-loop read-modify-write over the default-latency SimDynamo: each op
+// is start + get + put (512 B) + commit of the client's own key, through a
+// pooled, pipelined client. kRmwTxnsPerClient is fixed so every run of a
+// row does the same work whatever AFT_BENCH_TPUT_OPS says.
+void RunStorageLatencySweep() {
+  constexpr long kRmwTxnsPerClient = 40;
+  PrintTitle("net closed-loop rmw over default-latency SimDynamo (wall-clock)");
+  std::printf("  %ld transactions per client per row, pool=4, inflight=32\n", kRmwTxnsPerClient);
+  SimDynamo storage(BenchClock(), SimDynamoOptions{});
+  AftNodeOptions node_options;
+  node_options.service_cores = 0;  // Measure storage waits, not simulated CPU.
+  AftNode node("bench-rmw", storage, BenchClock(), node_options);
+  Check(node.Start(), "rmw node Start");
+  net::AftServiceServer server(node);
+  Check(server.Start(), "rmw server Start");
+  net::RemoteAftClientOptions client_options;
+  client_options.connections_per_endpoint = 4;
+  client_options.max_inflight = 32;
+  net::RemoteAftClient client({server.endpoint()}, client_options);
+  const std::string value(512, 'r');
+
+  for (size_t clients : {1u, 4u, 16u, 64u}) {
+    const uint64_t total_ops = static_cast<uint64_t>(clients) * kRmwTxnsPerClient;
+    double elapsed_ms = 0;
+    obs::Histogram lat(FineLatencyBoundariesMs());
+    RunClosedLoop(clients, &elapsed_ms, [&](size_t c) {
+      const std::string key = "rmw" + std::to_string(c);
+      for (long r = 0; r < kRmwTxnsPerClient; ++r) {
+        const auto op_start = std::chrono::steady_clock::now();
+        auto session = client.StartTransaction();
+        Check(session.status(), "rmw StartTransaction");
+        Check(client.Get(*session, key).status(), "rmw Get");
+        Check(client.Put(*session, key, value), "rmw Put");
+        Check(client.Commit(*session).status(), "rmw Commit");
+        lat.Observe(WallMs(op_start));
+      }
+    });
+    const double ops_sec = total_ops / (elapsed_ms / 1000.0);
+    std::printf("  event    %2zu clients  rmw      %9.0f txn/s   p50 %7.3f ms   p99 %7.3f ms\n",
+                clients, ops_sec, lat.Quantile(0.50), lat.Quantile(0.99));
+    EmitJsonRow("net", "tput rmw event " + std::to_string(clients) + "c", lat.Quantile(0.50),
+                lat.Quantile(0.99), ops_sec, total_ops);
+  }
+  server.Stop();
 }
 
 }  // namespace
@@ -497,6 +541,7 @@ int main() {
   breakdown.Report("tcp commit");  // Window: the TCP commit rows above.
   RunThroughputSweep(node, tput_ops);
   breakdown.Report("tput commit");
+  RunStorageLatencySweep();
   RunCommitBatchingSweep(tput_ops);
 
   std::printf("\n  server: %llu requests over %llu connections\n",

@@ -15,9 +15,6 @@
 //                   on restart it recovers its state from the log.
 //   --data-dir D    data directory for --engine local (created if missing)
 //   --node-id ID    node identifier used in commit records (default aft-0)
-//   --threading M   thread | event (default: AFT_NET_THREADING env var, then
-//                   event) — thread-per-connection vs. epoll event loop; see
-//                   docs/PROTOCOLS.md "Server concurrency model"
 //   --metrics-port N  also serve plaintext HTTP on this port: GET /metrics
 //                   returns the Prometheus exposition of the process registry,
 //                   GET /traces the chrome://tracing JSON ring (0 = kernel-
@@ -43,8 +40,8 @@
 // node configurations apart; /readyz aggregates engine_recovered /
 // server_accepting / node_alive (plus gossip_live on clustered binaries).
 //
-// SIGINT / SIGTERM trigger a clean shutdown: stop accepting, drain handler
-// threads, stop the node's background sweeps, exit 0.
+// SIGINT / SIGTERM trigger a clean shutdown: stop accepting, drain in-flight
+// requests, stop the node's background sweeps, exit 0.
 
 #include <charconv>
 #include <csignal>
@@ -81,8 +78,8 @@ void HandleSignal(int) { g_shutdown = 1; }
 void Usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--port N] [--engine s3|dynamo|redis|local] [--data-dir D] "
-               "[--node-id ID] [--threading thread|event] [--metrics-port N] "
-               "[--trace-sample N] [--smoke-traffic N] [--contention-sample N]\n",
+               "[--node-id ID] [--metrics-port N] [--trace-sample N] [--smoke-traffic N] "
+               "[--contention-sample N]\n",
                argv0);
 }
 
@@ -107,7 +104,6 @@ int main(int argc, char** argv) {
   std::string engine = "dynamo";
   std::string data_dir;
   std::string node_id = "aft-0";
-  net::ServerThreading threading = net::DefaultServerThreading();
   int metrics_port = -1;  // -1 = exporter disabled; 0 = kernel-assigned.
   uint64_t trace_sample = 0;
   uint64_t smoke_traffic = 0;
@@ -138,16 +134,6 @@ int main(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) { Usage(argv[0]); return 2; }
       node_id = v;
-    } else if (arg == "--threading") {
-      const char* v = next();
-      if (v != nullptr && std::strcmp(v, "thread") == 0) {
-        threading = net::ServerThreading::kThreadPerConn;
-      } else if (v != nullptr && std::strcmp(v, "event") == 0) {
-        threading = net::ServerThreading::kEventLoop;
-      } else {
-        Usage(argv[0]);
-        return 2;
-      }
     } else if (arg == "--metrics-port") {
       const auto v = next_number(kMaxPort);
       if (!v) { Usage(argv[0]); return 2; }
@@ -176,19 +162,15 @@ int main(int argc, char** argv) {
   // /varz flag echo: every flag value as resolved, plus the env defaults the
   // resolution consulted. Scrape-side tooling (aft_top, the CI smoke) reads
   // these to tell node configurations apart without parsing command lines.
-  const char* env_threading = std::getenv("AFT_NET_THREADING");
   const char* env_io_threads = std::getenv("AFT_IO_THREADS");
   obs::SetVarz("flag.port", std::to_string(port));
   obs::SetVarz("flag.engine", engine);
   obs::SetVarz("flag.data_dir", data_dir.empty() ? "(none)" : data_dir);
   obs::SetVarz("flag.node_id", node_id);
-  obs::SetVarz("flag.threading",
-               threading == net::ServerThreading::kEventLoop ? "event" : "thread");
   obs::SetVarz("flag.metrics_port", std::to_string(metrics_port));
   obs::SetVarz("flag.trace_sample", std::to_string(trace_sample));
   obs::SetVarz("flag.smoke_traffic", std::to_string(smoke_traffic));
   obs::SetVarz("flag.contention_sample", std::to_string(contention_sample));
-  obs::SetVarz("env.AFT_NET_THREADING", env_threading != nullptr ? env_threading : "(unset)");
   obs::SetVarz("env.AFT_IO_THREADS", env_io_threads != nullptr ? env_io_threads : "(unset)");
 
   RealClock& clock = RealClock::Default();
@@ -217,7 +199,6 @@ int main(int argc, char** argv) {
 
   net::AftServiceServerOptions server_options;
   server_options.port = port;
-  server_options.threading = threading;
   net::AftServiceServer server(node, server_options);
   const Status started = server.Start();
   if (!started.ok()) {
@@ -230,9 +211,8 @@ int main(int argc, char** argv) {
       });
   obs::ScopedReadyCheck node_ready = obs::RegisterReadyCheck(
       "node_alive", [&node] { return std::make_pair(node.alive(), std::string()); });
-  std::printf("aft-server: node %s (%s) listening on %s (%s mode)\n", node_id.c_str(),
-              engine.c_str(), server.endpoint().ToString().c_str(),
-              threading == net::ServerThreading::kEventLoop ? "event-loop" : "thread-per-conn");
+  std::printf("aft-server: node %s (%s) listening on %s\n", node_id.c_str(), engine.c_str(),
+              server.endpoint().ToString().c_str());
 
   obs::MetricsHttpServer metrics_server(obs::MetricsRegistry::Global(), obs::Tracer::Global());
   if (metrics_port >= 0) {
@@ -271,7 +251,7 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, HandleSignal);
   std::signal(SIGTERM, HandleSignal);
   while (g_shutdown == 0) {
-    // The accept/handler threads do all the work; main just waits for a
+    // The accept, loop and worker threads do all the work; main just waits for a
     // signal. A short real sleep keeps shutdown latency low without a
     // self-pipe.
     std::this_thread::sleep_for(std::chrono::milliseconds(50));

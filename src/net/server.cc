@@ -5,7 +5,6 @@
 #include <unistd.h>
 
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <map>
@@ -20,42 +19,26 @@
 namespace aft {
 namespace net {
 
-ServerThreading DefaultServerThreading() {
-  if (const char* env = std::getenv("AFT_NET_THREADING")) {
-    const std::string_view value(env);
-    if (value == "thread" || value == "thread_per_conn") {
-      return ServerThreading::kThreadPerConn;
-    }
-    if (value == "event" || value == "event_loop" || value == "epoll") {
-      return ServerThreading::kEventLoop;
-    }
-    AFT_LOG(Warn) << "unrecognized AFT_NET_THREADING value '" << value
-                  << "' (want 'thread' or 'event'); using event loop";
-  }
-  return ServerThreading::kEventLoop;
-}
-
 // One connection owned by an event loop. Field ownership is split two ways:
-//   * loop-thread-only (no lock): the socket fd for read/write/epoll_ctl, the
-//     read buffer, dispatch sequencing, and epoll interest bookkeeping;
+//   * loop-thread-only (no lock): the read side of the socket, the read
+//     buffer, dispatch sequencing, and epoll interest bookkeeping;
 //   * `mu`-guarded: everything worker tasks touch — the response re-sequencing
-//     map and the outgoing byte buffer.
-// The only cross-thread socket operation is Shutdown(), which is race-free by
-// design (the fd cannot be closed underneath it: the last shared_ptr owner
-// closes it, and every toucher holds a shared_ptr).
-struct AftServiceServer::EventConnection {
+//     map, the outgoing byte queue and every send on the socket, and the
+//     backpressure pause.
+// Sends under `mu` and Shutdown() are the only cross-thread socket operations;
+// neither can race a close (the last shared_ptr owner closes the fd, and every
+// toucher holds a shared_ptr).
+struct AftServiceServer::Connection {
   Socket socket;
   size_t loop_index = 0;
 
   // ---- loop-thread-only ----
   std::string inbuf;
   uint64_t next_dispatch_seq = 0;  // seq assigned to the next decoded request
-  bool reads_paused = false;
-  bool want_write = false;  // partial write pending; EPOLLOUT wanted
   uint32_t armed_events = EPOLLIN;
 
-  // Set once (under the loop's ownership or by loop exit); checked by worker
-  // tasks to skip flush-queue churn for dead connections.
+  // Set once (by the loop, or by loop exit); checked by worker tasks so they
+  // neither send on nor hand over a dead connection.
   std::atomic<bool> closed{false};
 
   Mutex mu;
@@ -69,6 +52,47 @@ struct AftServiceServer::EventConnection {
   std::deque<FrameBytes> outq GUARDED_BY(mu);
   size_t outq_off GUARDED_BY(mu) = 0;   // bytes of outq.front() already sent
   size_t out_bytes GUARDED_BY(mu) = 0;  // total un-sent bytes across outq
+  // Reads disarmed for backpressure. Only the loop writes it, but a worker
+  // that drains a paused connection must wake the loop to re-arm reads, so
+  // the pause decision and the drain are ordered by `mu`.
+  bool reads_paused GUARDED_BY(mu) = false;
+
+  bool ReadsPaused() EXCLUDES(mu) {
+    MutexLock lock(mu);
+    return reads_paused;
+  }
+
+  // Sends queued frames until the queue is empty or the socket would block
+  // (the loop's EPOLLOUT resumes it); false when the connection died mid-send.
+  bool FlushLocked() REQUIRES(mu) {
+    // aftlint: hot
+    while (!outq.empty()) {
+      // Gather up to 64 spans across the queued frames into one writev: each
+      // frame contributes its header block plus its payload segments, straight
+      // from the arena — no coalescing copy on the way out.
+      struct iovec iov[64];
+      size_t count = 0;
+      size_t skip = outq_off;
+      for (const FrameBytes& frame : outq) {
+        if (count >= 64) {
+          break;
+        }
+        count += FillFrameIovecs(frame, skip, iov + count, 64 - count);
+        skip = 0;
+      }
+      auto sent = socket.SendSomeV(iov, count);
+      if (!sent.ok()) {
+        return sent.status().code() == StatusCode::kTimeout;  // Kernel buffer full.
+      }
+      out_bytes -= *sent;
+      outq_off += *sent;
+      while (!outq.empty() && outq_off >= outq.front().size()) {
+        outq_off -= outq.front().size();
+        outq.pop_front();  // Frame done; its segments return to the pool.
+      }
+    }
+    return true;
+  }
 };
 
 struct AftServiceServer::EventLoop {
@@ -78,15 +102,17 @@ struct AftServiceServer::EventLoop {
   std::atomic<bool> stop{false};
 
   Mutex mu;
-  std::vector<std::shared_ptr<EventConnection>> incoming GUARDED_BY(mu);
-  std::vector<std::shared_ptr<EventConnection>> flush_queue GUARDED_BY(mu);
+  std::vector<std::shared_ptr<Connection>> incoming GUARDED_BY(mu);
+  // Connections a worker left bytes queued on (EPOLLOUT must be armed) or
+  // drained while paused (reads may re-arm).
+  std::vector<std::shared_ptr<Connection>> flush_queue GUARDED_BY(mu);
 
   // ---- loop-thread-only ----
-  std::unordered_map<int, std::shared_ptr<EventConnection>> conns;  // by fd
+  std::unordered_map<int, std::shared_ptr<Connection>> conns;  // by fd
   // Connections closed during the current event batch. Cleared only after the
   // batch completes, so the raw data.ptr in already-fetched epoll events stays
   // valid even when an earlier event in the same batch closed the connection.
-  std::vector<std::shared_ptr<EventConnection>> graveyard;
+  std::vector<std::shared_ptr<Connection>> graveyard;
 
   ~EventLoop() {
     if (epoll_fd >= 0) {
@@ -171,16 +197,14 @@ Status AftServiceServer::Start() {
   }
   listener_ = std::move(listener).value();
   port_ = listener_.port();
-  if (options_.threading == ServerThreading::kEventLoop) {
-    Status status = StartEventLoops();
-    if (!status.ok()) {
-      StopEventLoops();
-      workers_.reset();
-      loops_.clear();
-      listener_.Close();
-      running_.store(false);
-      return status;
-    }
+  Status status = StartEventLoops();
+  if (!status.ok()) {
+    StopEventLoops();
+    workers_.reset();
+    loops_.clear();
+    listener_.Close();
+    running_.store(false);
+    return status;
   }
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::Ok();
@@ -195,75 +219,38 @@ void AftServiceServer::Stop() {
     accept_thread_.join();
   }
   listener_.Close();
-  if (options_.threading == ServerThreading::kEventLoop) {
-    // Join the loops first (their exit path shuts every connection down, so
-    // blocked clients see EOF), then wait out in-flight worker tasks — they
-    // may still queue responses into dead connections, which is harmless.
-    // Only after that is it safe to drop the loop and connection objects.
-    StopEventLoops();
-    {
-      MutexLock lock(inflight_mu_);
-      while (inflight_ > 0) {
-        inflight_cv_.Wait(lock);
-      }
-    }
-    workers_.reset();  // All tasks done; joins the (now idle) worker threads.
-    loops_.clear();
-    MutexLock lock(mu_);
-    event_connections_.clear();
-    return;
-  }
-  std::vector<std::unique_ptr<Connection>> connections;
+  // Join the loops first (their exit path shuts every connection down, so
+  // blocked clients see EOF), then wait out in-flight worker tasks — they
+  // may still queue responses into dead connections, which is harmless.
+  // Only after that is it safe to drop the loop and connection objects.
+  StopEventLoops();
   {
-    MutexLock lock(mu_);
-    connections.swap(connections_);
-  }
-  for (auto& conn : connections) {
-    conn->socket.Shutdown();
-  }
-  for (auto& conn : connections) {
-    if (conn->thread.joinable()) {
-      conn->thread.join();
+    MutexLock lock(inflight_mu_);
+    while (inflight_ > 0) {
+      inflight_cv_.Wait(lock);
     }
   }
+  workers_.reset();  // All tasks done; joins the (now idle) worker threads.
+  loops_.clear();
+  MutexLock lock(mu_);
+  connections_.clear();
 }
 
 void AftServiceServer::AbandonConnections() {
+  // shutdown(2) tears the stream under the loop — pending response sends fail
+  // with EPIPE and reads see EOF, so the loop closes the connection exactly as
+  // if the process had died mid-frame.
   MutexLock lock(mu_);
   for (auto& conn : connections_) {
-    if (!conn->done.load(std::memory_order_acquire)) {
-      conn->socket.Shutdown();
-    }
-  }
-  // Event connections: shutdown(2) tears the stream under the loop — pending
-  // response sends fail with EPIPE and reads see EOF, so the loop closes the
-  // connection exactly as if the process had died mid-frame.
-  for (auto& conn : event_connections_) {
     conn->socket.Shutdown();
   }
 }
 
-void AftServiceServer::ReapFinished() {
-  std::vector<std::unique_ptr<Connection>> finished;
-  {
-    MutexLock lock(mu_);
-    for (auto it = connections_.begin(); it != connections_.end();) {
-      if ((*it)->done.load(std::memory_order_acquire)) {
-        finished.push_back(std::move(*it));
-        it = connections_.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    std::erase_if(event_connections_, [](const std::shared_ptr<EventConnection>& conn) {
-      return conn->closed.load(std::memory_order_acquire);
-    });
-  }
-  for (auto& conn : finished) {
-    if (conn->thread.joinable()) {
-      conn->thread.join();
-    }
-  }
+void AftServiceServer::ReapClosed() {
+  MutexLock lock(mu_);
+  std::erase_if(connections_, [](const std::shared_ptr<Connection>& conn) {
+    return conn->closed.load(std::memory_order_acquire);
+  });
 }
 
 void AftServiceServer::AcceptLoop() {
@@ -276,62 +263,10 @@ void AftServiceServer::AcceptLoop() {
       continue;  // Transient (e.g. peer aborted the handshake).
     }
     stats_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-    ReapFinished();
-    if (options_.threading == ServerThreading::kEventLoop) {
-      AdoptEventConnection(std::move(accepted).value());
-      continue;
-    }
-    auto conn = std::make_unique<Connection>();
-    conn->socket = std::move(accepted).value();
-    (void)conn->socket.SetSendTimeout(options_.send_timeout);
-    Connection* raw = conn.get();
-    {
-      MutexLock lock(mu_);
-      connections_.push_back(std::move(conn));
-    }
-    // The thread is created AFTER the connection is registered so Stop()
-    // cannot miss it; the handler only touches its own Connection fields.
-    raw->thread = std::thread([this, raw] { ServeConnection(raw); });
+    ReapClosed();
+    AdoptConnection(std::move(accepted).value());
   }
 }
-
-void AftServiceServer::ServeConnection(Connection* conn) {
-  while (running_.load(std::memory_order_acquire)) {
-    auto frame = ReadFrame(conn->socket);
-    if (!frame.ok()) {
-      // kUnavailable: peer hung up (normal). kInvalidArgument: stream-level
-      // corruption — the length prefix can no longer be trusted, so the only
-      // safe move is to drop the connection.
-      if (frame.status().code() == StatusCode::kInvalidArgument) {
-        stats_.bad_frames.fetch_add(1, std::memory_order_relaxed);
-        AFT_LOG(Warn) << "aft server (" << node_.node_id()
-                      << "): dropping connection: " << frame.status().ToString();
-      }
-      break;
-    }
-    if (IsResponse(frame->type)) {
-      stats_.bad_frames.fetch_add(1, std::memory_order_relaxed);
-      break;  // A client sending response frames is not speaking the protocol.
-    }
-    bool bad_frame = false;
-    ArenaWriter response;
-    HandleRequest(frame->type, frame->payload, frame->trace_id, &bad_frame, response);
-    if (bad_frame) {
-      stats_.bad_frames.fetch_add(1, std::memory_order_relaxed);
-    }
-    stats_.requests_served.fetch_add(1, std::memory_order_relaxed);
-    auto sealed = SealFrame(ResponseType(frame->type), std::move(response).TakeBuffer());
-    if (!sealed.ok() || !WriteFrameBytes(conn->socket, *sealed).ok()) {
-      break;
-    }
-  }
-  // Send FIN now so the peer sees EOF immediately; the fd itself is closed
-  // when the Connection is reaped (Shutdown never races Close).
-  conn->socket.Shutdown();
-  conn->done.store(true, std::memory_order_release);
-}
-
-// ---- Event-loop mode --------------------------------------------------------
 
 Status AftServiceServer::StartEventLoops() {
   // Named so the contention profiler exposes the pool's queue wait and run
@@ -386,7 +321,7 @@ void AftServiceServer::StopEventLoops() {
   }
 }
 
-void AftServiceServer::AdoptEventConnection(Socket socket) {
+void AftServiceServer::AdoptConnection(Socket socket) {
   const Status nonblocking = socket.SetNonBlocking(true);
   if (!nonblocking.ok()) {
     // A blocking socket would stall its whole loop thread — and every
@@ -398,12 +333,12 @@ void AftServiceServer::AdoptEventConnection(Socket socket) {
     socket.Shutdown();
     return;
   }
-  auto conn = std::make_shared<EventConnection>();
+  auto conn = std::make_shared<Connection>();
   conn->socket = std::move(socket);
   conn->loop_index = next_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size();
   {
     MutexLock lock(mu_);
-    event_connections_.push_back(conn);
+    connections_.push_back(conn);
   }
   EventLoop* loop = loops_[conn->loop_index].get();
   {
@@ -434,7 +369,7 @@ void AftServiceServer::EventLoopMain(EventLoop* loop) {
         }
         continue;
       }
-      auto* raw = static_cast<EventConnection*>(events[i].data.ptr);
+      auto* raw = static_cast<Connection*>(events[i].data.ptr);
       if (raw->closed.load(std::memory_order_acquire)) {
         continue;  // Closed by an earlier event in this batch; in graveyard.
       }
@@ -442,14 +377,14 @@ void AftServiceServer::EventLoopMain(EventLoop* loop) {
       if (it == loop->conns.end()) {
         continue;
       }
-      const std::shared_ptr<EventConnection> conn = it->second;
-      if ((events[i].events & (EPOLLERR | EPOLLHUP)) != 0 && conn->reads_paused) {
+      const std::shared_ptr<Connection> conn = it->second;
+      if ((events[i].events & (EPOLLERR | EPOLLHUP)) != 0 && conn->ReadsPaused()) {
         // epoll reports error/hangup regardless of the armed interest mask,
         // but a paused (backpressured) connection bounces off HandleReadable's
-        // reads_paused guard — the dead fd would level-trigger this loop hot
-        // until the flush path happened to fail it. The peer is gone either
-        // way; close it now.
-        CloseEventConnection(loop, conn);
+        // pause guard — the dead fd would level-trigger this loop hot until
+        // the flush path happened to fail it. The peer is gone either way;
+        // close it now.
+        CloseConnection(loop, conn);
         continue;
       }
       if ((events[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) {
@@ -463,8 +398,8 @@ void AftServiceServer::EventLoopMain(EventLoop* loop) {
     // Control work handed over by the accept thread and worker tasks. The
     // wake eventfd was drained above, so anything enqueued after the swap
     // re-triggers epoll_wait immediately — no lost wakeups.
-    std::vector<std::shared_ptr<EventConnection>> incoming;
-    std::vector<std::shared_ptr<EventConnection>> flush;
+    std::vector<std::shared_ptr<Connection>> incoming;
+    std::vector<std::shared_ptr<Connection>> flush;
     {
       MutexLock lock(loop->mu);
       incoming.swap(loop->incoming);
@@ -499,9 +434,8 @@ void AftServiceServer::EventLoopMain(EventLoop* loop) {
   loop->graveyard.clear();
 }
 
-void AftServiceServer::HandleReadable(EventLoop* loop,
-                                      const std::shared_ptr<EventConnection>& conn) {
-  if (conn->closed.load(std::memory_order_acquire) || conn->reads_paused) {
+void AftServiceServer::HandleReadable(EventLoop* loop, const std::shared_ptr<Connection>& conn) {
+  if (conn->closed.load(std::memory_order_acquire) || conn->ReadsPaused()) {
     return;  // Stale readiness from earlier in the batch.
   }
   char buf[64 * 1024];
@@ -515,51 +449,61 @@ void AftServiceServer::HandleReadable(EventLoop* loop,
         AFT_LOG(Warn) << "aft server (" << node_.node_id()
                       << "): dropping connection: " << got.status().ToString();
       }
-      CloseEventConnection(loop, conn);
+      CloseConnection(loop, conn);
       return;
     }
     conn->inbuf.append(buf, *got);
   }
   if (!ParseAndDispatch(conn)) {
-    CloseEventConnection(loop, conn);
+    CloseConnection(loop, conn);
     return;
   }
   UpdateInterest(loop, conn);
 }
 
-void AftServiceServer::ServiceWritable(EventLoop* loop,
-                                       const std::shared_ptr<EventConnection>& conn) {
+void AftServiceServer::ServiceWritable(EventLoop* loop, const std::shared_ptr<Connection>& conn) {
   if (conn->closed.load(std::memory_order_acquire)) {
     return;
   }
-  if (!FlushEventConnection(loop, conn)) {
-    CloseEventConnection(loop, conn);
+  bool flushed;
+  {
+    MutexLock lock(conn->mu);
+    flushed = conn->FlushLocked();
+  }
+  if (!flushed) {
+    CloseConnection(loop, conn);
     return;
   }
-  UpdateInterest(loop, conn);
   // Draining the write backlog may have lifted backpressure; requests parked
   // in the read buffer while paused must be pumped now — no EPOLLIN will fire
   // for bytes we already hold.
-  if (!conn->reads_paused && !conn->inbuf.empty()) {
+  if (UpdateInterest(loop, conn) && !conn->inbuf.empty()) {
     if (!ParseAndDispatch(conn)) {
-      CloseEventConnection(loop, conn);
+      CloseConnection(loop, conn);
       return;
     }
     UpdateInterest(loop, conn);
   }
 }
 
-bool AftServiceServer::ParseAndDispatch(const std::shared_ptr<EventConnection>& conn) {
+bool AftServiceServer::ParseAndDispatch(const std::shared_ptr<Connection>& conn) {
   size_t consumed = 0;
   // aftlint: hot
   while (true) {
-    uint64_t sequenced;
+    bool full;
     {
       MutexLock lock(conn->mu);
-      sequenced = conn->next_send_seq;
+      full = conn->next_dispatch_seq - conn->next_send_seq >= options_.max_pipeline_depth;
+      // Pipeline full: pause under the lock, so the worker whose response
+      // drains it sees the pause and wakes the loop. No EPOLLIN fires for
+      // frames already in `inbuf`; only that wake gets them parsed.
+      if (full && !conn->reads_paused) {
+        conn->reads_paused = true;
+        stats_.backpressure_pauses.fetch_add(1, std::memory_order_relaxed);
+      }
     }
-    if (conn->next_dispatch_seq - sequenced >= options_.max_pipeline_depth) {
-      break;  // Pipeline full; UpdateInterest pauses reads until it drains.
+    if (full) {
+      break;
     }
     Frame frame;
     auto n = DecodeFrameFromBuffer(std::string_view(conn->inbuf).substr(consumed), &frame);
@@ -587,8 +531,8 @@ bool AftServiceServer::ParseAndDispatch(const std::shared_ptr<EventConnection>& 
   return true;
 }
 
-void AftServiceServer::DispatchRequest(const std::shared_ptr<EventConnection>& conn,
-                                       uint64_t seq, MessageType type, std::string payload,
+void AftServiceServer::DispatchRequest(const std::shared_ptr<Connection>& conn, uint64_t seq,
+                                       MessageType type, std::string payload,
                                        uint64_t trace_id) {
   {
     MutexLock lock(inflight_mu_);
@@ -612,22 +556,23 @@ void AftServiceServer::DispatchRequest(const std::shared_ptr<EventConnection>& c
       inflight_cv_.NotifyAll();
     }
   };
-  // Pool missing or shut down ⇒ run inline on the loop thread; slower but
-  // never lost. Same contract as IoExecutor::ParallelFor.
-  if (workers_ == nullptr || !workers_->Submit(task)) {
+  // Pool shut down ⇒ run inline on the loop thread; slower but never lost.
+  // Same contract as IoExecutor::ParallelFor.
+  if (!workers_->Submit(task)) {
     task();
   }
 }
 
-void AftServiceServer::QueueResponse(const std::shared_ptr<EventConnection>& conn, uint64_t seq,
+void AftServiceServer::QueueResponse(const std::shared_ptr<Connection>& conn, uint64_t seq,
                                      FrameBytes frame) {
-  bool appended = false;
   {
     MutexLock lock(conn->mu);
+    const bool was_idle = conn->outq.empty();
     conn->out_of_order[seq] = std::move(frame);
     // Drain the run of consecutive ready responses into the wire queue —
     // this is the FIFO re-sequencing point. Frames MOVE (header + segment
     // pointers); no response byte is copied here.
+    bool appended = false;
     while (true) {
       auto it = conn->out_of_order.find(conn->next_send_seq);
       if (it == conn->out_of_order.end()) {
@@ -639,9 +584,23 @@ void AftServiceServer::QueueResponse(const std::shared_ptr<EventConnection>& con
       ++conn->next_send_seq;
       appended = true;
     }
-  }
-  if (!appended || conn->closed.load(std::memory_order_acquire)) {
-    return;
+    if (!appended || conn->closed.load(std::memory_order_acquire)) {
+      return;
+    }
+    // On an idle socket this worker sends the run itself and spares the loop
+    // handoff. A non-empty queue before the append means the loop already
+    // owns the flush (a wake is pending or EPOLLOUT is armed), so the bytes
+    // ride with it. The loop is needed only for what the socket would not
+    // take (it arms EPOLLOUT; after a failed send its own flush fails and
+    // closes the connection) and to re-arm reads on a paused connection.
+    bool handoff = conn->reads_paused;
+    if (was_idle) {
+      (void)conn->FlushLocked();
+      handoff = handoff || !conn->outq.empty();
+    }
+    if (!handoff) {
+      return;
+    }
   }
   EventLoop* loop = loops_[conn->loop_index].get();
   {
@@ -651,73 +610,33 @@ void AftServiceServer::QueueResponse(const std::shared_ptr<EventConnection>& con
   loop->Wake();
 }
 
-bool AftServiceServer::FlushEventConnection(EventLoop* /*loop*/,
-                                            const std::shared_ptr<EventConnection>& conn) {
-  MutexLock lock(conn->mu);
-  // aftlint: hot
-  while (!conn->outq.empty()) {
-    // Gather up to 64 spans across the queued frames into one writev: each
-    // frame contributes its header block plus its payload segments, straight
-    // from the arena — no coalescing copy on the way out.
-    struct iovec iov[64];
-    size_t count = 0;
-    size_t skip = conn->outq_off;
-    for (const FrameBytes& frame : conn->outq) {
-      if (count >= 64) {
-        break;
-      }
-      count += FillFrameIovecs(frame, skip, iov + count, 64 - count);
-      skip = 0;
-    }
-    auto sent = conn->socket.SendSomeV(iov, count);
-    if (!sent.ok()) {
-      if (sent.status().code() == StatusCode::kTimeout) {
-        break;  // Kernel buffer full; EPOLLOUT will resume us.
-      }
-      return false;
-    }
-    conn->out_bytes -= *sent;
-    conn->outq_off += *sent;
-    while (!conn->outq.empty() && conn->outq_off >= conn->outq.front().size()) {
-      conn->outq_off -= conn->outq.front().size();
-      conn->outq.pop_front();  // Frame done; its segments return to the pool.
-    }
-  }
-  conn->want_write = !conn->outq.empty();
-  return true;
-}
-
-void AftServiceServer::UpdateInterest(EventLoop* loop,
-                                      const std::shared_ptr<EventConnection>& conn) {
+bool AftServiceServer::UpdateInterest(EventLoop* loop, const std::shared_ptr<Connection>& conn) {
   if (conn->closed.load(std::memory_order_acquire)) {
-    return;
+    return false;
   }
-  size_t pending_bytes;
-  uint64_t sequenced;
+  bool want_read;
+  bool want_write;
   {
     MutexLock lock(conn->mu);
-    pending_bytes = conn->out_bytes;
-    sequenced = conn->next_send_seq;
+    const uint64_t depth = conn->next_dispatch_seq - conn->next_send_seq;
+    // Hysteresis: pause at the caps, resume at half — a connection hovering
+    // at the limit does not thrash epoll_ctl.
+    if (conn->reads_paused) {
+      want_read = conn->out_bytes <= options_.max_write_buffer_bytes / 2 &&
+                  depth <= options_.max_pipeline_depth / 2;
+    } else {
+      want_read = conn->out_bytes <= options_.max_write_buffer_bytes &&
+                  depth < options_.max_pipeline_depth;
+    }
+    if (!want_read && !conn->reads_paused) {
+      stats_.backpressure_pauses.fetch_add(1, std::memory_order_relaxed);
+    } else if (want_read && conn->reads_paused) {
+      stats_.backpressure_resumes.fetch_add(1, std::memory_order_relaxed);
+    }
+    conn->reads_paused = !want_read;
+    want_write = !conn->outq.empty();
   }
-  const uint64_t depth = conn->next_dispatch_seq - sequenced;
-  // Hysteresis: pause at the caps, resume at half — a connection hovering at
-  // the limit does not thrash epoll_ctl.
-  bool want_read;
-  if (conn->reads_paused) {
-    want_read = pending_bytes <= options_.max_write_buffer_bytes / 2 &&
-                depth <= options_.max_pipeline_depth / 2;
-  } else {
-    want_read = pending_bytes <= options_.max_write_buffer_bytes &&
-                depth < options_.max_pipeline_depth;
-  }
-  if (!want_read && !conn->reads_paused) {
-    stats_.backpressure_pauses.fetch_add(1, std::memory_order_relaxed);
-  } else if (want_read && conn->reads_paused) {
-    stats_.backpressure_resumes.fetch_add(1, std::memory_order_relaxed);
-  }
-  conn->reads_paused = !want_read;
-  const uint32_t desired =
-      (want_read ? EPOLLIN : 0u) | (conn->want_write ? EPOLLOUT : 0u);
+  const uint32_t desired = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
   if (desired != conn->armed_events) {
     epoll_event ev{};
     ev.events = desired;
@@ -725,10 +644,10 @@ void AftServiceServer::UpdateInterest(EventLoop* loop,
     (void)::epoll_ctl(loop->epoll_fd, EPOLL_CTL_MOD, conn->socket.fd(), &ev);
     conn->armed_events = desired;
   }
+  return want_read;
 }
 
-void AftServiceServer::CloseEventConnection(EventLoop* loop,
-                                            const std::shared_ptr<EventConnection>& conn) {
+void AftServiceServer::CloseConnection(EventLoop* loop, const std::shared_ptr<Connection>& conn) {
   if (conn->closed.exchange(true, std::memory_order_acq_rel)) {
     return;
   }

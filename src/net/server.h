@@ -6,36 +6,32 @@
 // the process boundary the paper's deployment actually has: `RemoteAftClient`
 // and `TcpMulticastBus` are its two client populations.
 //
-// Two threading models, selected by `AftServiceServerOptions::threading`:
+// Concurrency: N epoll-driven I/O loop threads (default = hardware
+// concurrency, clamped to [1, 8]) own all sockets in non-blocking mode.
+// Decoded requests are handed to the server's own bounded worker pool (an
+// `IoExecutor` instance — NOT the process-shared one, which clients park
+// blocking fan-out chunks on; sharing it lets saturated client calls starve
+// the very responses they are waiting for). Responses are re-sequenced per
+// connection so they leave the socket in request order even though handlers
+// complete out of order; this is what makes client-side pipelining pay: one
+// connection can have many requests in flight, and one slow request delays
+// only its followers' responses. A worker whose response is next in sequence
+// on an idle socket writes it itself; the loop takes over only what the
+// socket would not accept at once (it arms EPOLLOUT).
 //
-//  * kThreadPerConn — the original model: one blocking handler thread per
-//    accepted connection, one request in flight per connection. Simple, and
-//    kept as the reference implementation the event loop is differentially
-//    tested against.
-//  * kEventLoop — N epoll-driven I/O loop threads (default = hardware
-//    concurrency) own all sockets in non-blocking mode; decoded requests are
-//    handed to the server's own bounded worker pool (an `IoExecutor` instance
-//    — NOT the process-shared one, which clients park blocking fan-out chunks
-//    on; sharing it lets saturated client calls starve the very responses
-//    they are waiting for), and responses are re-sequenced per connection so
-//    they leave the socket in request order even though handlers complete out
-//    of order. This is what
-//    makes client-side pipelining pay: one connection can have many requests
-//    in flight, and one slow request does not block the loop, only its
-//    followers' responses. The wire format is identical in both modes.
-//
-// Backpressure (kEventLoop): a connection whose un-sent response bytes exceed
+// Backpressure: a connection whose un-sent response bytes exceed
 // `max_write_buffer_bytes`, or which has `max_pipeline_depth` requests in
 // flight, stops being read (its EPOLLIN is disarmed) until the backlog drains
 // below half the cap — a client that stops draining responses or floods
-// requests throttles itself, never the server.
+// requests throttles itself, never the server. The pause is published under
+// the connection's lock, and a worker that drains a paused connection wakes
+// its loop to re-arm it.
 //
 // Shutdown protocol: `Stop` wakes the blocked accept(2) via shutdown(2) on
-// the listener, joins the accept thread, then per model: thread-per-conn
-// shuts every live connection down and joins the handler threads; event-loop
-// signals each loop's eventfd, joins the loop threads, and waits for every
-// in-flight worker task to finish. No thread is ever detached, so TSan sees
-// every exit.
+// the listener, joins the accept thread, signals each loop's eventfd, joins
+// the loop threads (their exit path shuts every connection down), and waits
+// for every in-flight worker task to finish. No thread is ever detached, so
+// TSan sees every exit.
 
 #ifndef SRC_NET_SERVER_H_
 #define SRC_NET_SERVER_H_
@@ -58,34 +54,25 @@
 namespace aft {
 namespace net {
 
+// One value: the server has one concurrency model. Kept only because
+// perfbench's `fig3_tcp` assigns it; the benchmark change that drops that
+// assignment removes this enum and `AftServiceServerOptions::threading`.
 enum class ServerThreading {
-  kThreadPerConn,
   kEventLoop,
 };
 
-// Process-wide default: the AFT_NET_THREADING environment variable ("thread"
-// or "event"; the CI matrix dimension), falling back to kEventLoop.
-ServerThreading DefaultServerThreading();
-
 struct AftServiceServerOptions {
   uint16_t port = 0;  // 0 = kernel-assigned ephemeral port.
-  ServerThreading threading = DefaultServerThreading();
-  // kEventLoop: number of epoll loop threads; 0 = hardware concurrency
-  // (clamped to [1, 8] — loops are I/O bound, not compute bound).
+  ServerThreading threading = ServerThreading::kEventLoop;
+  // Number of epoll loop threads; 0 = hardware concurrency (clamped to
+  // [1, 8] — loops are I/O bound, not compute bound).
   size_t num_event_loops = 0;
-  // kEventLoop: worker lanes executing decoded requests (handlers may sleep
-  // on simulated storage latency, so the width can exceed core count);
-  // 0 = default (8).
+  // Worker lanes executing decoded requests (handlers may sleep on simulated
+  // storage latency, so the width can exceed core count); 0 = default (8).
   size_t num_workers = 0;
-  // kEventLoop backpressure knobs (see header comment).
+  // Backpressure knobs (see header comment).
   size_t max_write_buffer_bytes = 4u << 20;
   size_t max_pipeline_depth = 256;
-  // Connection-level send deadline (kThreadPerConn only): a client that stops
-  // draining its socket cannot wedge a handler thread forever. The event loop
-  // never blocks on send — backpressure covers the same failure there. Reads
-  // are deadline-free — an idle connection is legal; Stop() wakes blocked
-  // readers via shutdown(2).
-  Duration send_timeout = std::chrono::seconds(30);
 };
 
 struct AftServiceServerStats {
@@ -94,10 +81,10 @@ struct AftServiceServerStats {
   // Frames rejected before dispatch: bad magic/version/CRC, unknown type,
   // oversized payload, undecodable request body.
   std::atomic<uint64_t> bad_frames{0};
-  // kEventLoop: times a connection's reads were paused for backpressure.
+  // Times a connection's reads were paused for backpressure.
   std::atomic<uint64_t> backpressure_pauses{0};
-  // kEventLoop: times a paused connection drained below the hysteresis
-  // threshold and had its reads re-armed.
+  // Times a paused connection drained below the hysteresis threshold and
+  // had its reads re-armed.
   std::atomic<uint64_t> backpressure_resumes{0};
 };
 
@@ -114,12 +101,11 @@ class AftServiceServer {
   Status Start();
 
   // Clean shutdown: stops accepting, tears down live connections, joins all
-  // threads (and, in kEventLoop mode, drains in-flight worker tasks). Safe to
-  // call twice.
+  // threads and drains in-flight worker tasks. Safe to call twice.
   void Stop();
 
   // Test-only crash simulation ("kill -9 between two frames"): shutdown(2)
-  // every live connection socket immediately WITHOUT joining handlers, so
+  // every live connection socket immediately WITHOUT draining workers, so
   // in-flight requests observe a torn connection exactly as if the process
   // died. Callable from inside a handler (e.g. an AftNode crash hook).
   void AbandonConnections();
@@ -129,54 +115,38 @@ class AftServiceServer {
   uint16_t port() const { return port_; }
   NetEndpoint endpoint() const { return NetEndpoint{"127.0.0.1", port_}; }
   AftNode& node() { return node_; }
-  ServerThreading threading() const { return options_.threading; }
   const AftServiceServerStats& stats() const { return stats_; }
 
  private:
-  // ---- kThreadPerConn ------------------------------------------------------
-  // One live connection. The handler thread owns the Socket; Stop and
-  // AbandonConnections only call Shutdown() on it (fd stays valid until the
-  // object dies after join), so there is no close/use race.
-  struct Connection {
-    Socket socket;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
-  // ---- kEventLoop ----------------------------------------------------------
   // Defined in server.cc; the loop thread owns each connection's fd and read
   // buffer, worker tasks only touch the mutex-guarded response state.
-  struct EventConnection;
+  struct Connection;
   struct EventLoop;
 
   void AcceptLoop();
-  void ServeConnection(Connection* conn);
   // Decodes + dispatches one request; the response payload (encoded status +
   // body) is appended into `out` as arena segments — the frame layer sends
   // them with writev, no flat-string coalescing on the response path.
   void HandleRequest(MessageType type, const std::string& payload, uint64_t trace_id,
                      bool* bad_frame, ArenaWriter& out);
-  // Joins finished handler threads / reaps closed event connections (called
-  // opportunistically per accept).
-  void ReapFinished();
+  // Drops closed connections from the registry (called per accept).
+  void ReapClosed();
 
-  // Event-loop internals (all defined in server.cc).
   Status StartEventLoops();
   void StopEventLoops();
   void EventLoopMain(EventLoop* loop);
-  void AdoptEventConnection(Socket socket);
-  void HandleReadable(EventLoop* loop, const std::shared_ptr<EventConnection>& conn);
+  void AdoptConnection(Socket socket);
+  void HandleReadable(EventLoop* loop, const std::shared_ptr<Connection>& conn);
   // Flush + interest update + resume-paused-reads, the post-write pump.
-  void ServiceWritable(EventLoop* loop, const std::shared_ptr<EventConnection>& conn);
-  bool ParseAndDispatch(const std::shared_ptr<EventConnection>& conn);
-  void DispatchRequest(const std::shared_ptr<EventConnection>& conn, uint64_t seq,
+  void ServiceWritable(EventLoop* loop, const std::shared_ptr<Connection>& conn);
+  bool ParseAndDispatch(const std::shared_ptr<Connection>& conn);
+  void DispatchRequest(const std::shared_ptr<Connection>& conn, uint64_t seq,
                        MessageType type, std::string payload, uint64_t trace_id);
-  void QueueResponse(const std::shared_ptr<EventConnection>& conn, uint64_t seq,
-                     FrameBytes frame);
-  // Returns false when the connection died mid-flush.
-  bool FlushEventConnection(EventLoop* loop, const std::shared_ptr<EventConnection>& conn);
-  void UpdateInterest(EventLoop* loop, const std::shared_ptr<EventConnection>& conn);
-  void CloseEventConnection(EventLoop* loop, const std::shared_ptr<EventConnection>& conn);
+  void QueueResponse(const std::shared_ptr<Connection>& conn, uint64_t seq, FrameBytes frame);
+  // Re-decides the backpressure pause and re-arms epoll; true when reads are
+  // armed.
+  bool UpdateInterest(EventLoop* loop, const std::shared_ptr<Connection>& conn);
+  void CloseConnection(EventLoop* loop, const std::shared_ptr<Connection>& conn);
 
   AftNode& node_;
   const AftServiceServerOptions options_;
@@ -187,19 +157,17 @@ class AftServiceServer {
   std::thread accept_thread_;
 
   Mutex mu_;
-  std::vector<std::unique_ptr<Connection>> connections_ GUARDED_BY(mu_);
-  std::vector<std::shared_ptr<EventConnection>> event_connections_ GUARDED_BY(mu_);
+  std::vector<std::shared_ptr<Connection>> connections_ GUARDED_BY(mu_);
 
   std::vector<std::unique_ptr<EventLoop>> loops_;
   std::atomic<size_t> next_loop_{0};
-  // kEventLoop request-execution lanes. Per-server, never the process-shared
-  // executor: shared-pool workers block inside client fan-out RPCs, and a
-  // server queued behind them could never produce the responses that would
-  // unblock them.
+  // Request-execution lanes. Per-server, never the process-shared executor:
+  // shared-pool workers block inside client fan-out RPCs, and a server queued
+  // behind them could never produce the responses that would unblock them.
   std::unique_ptr<IoExecutor> workers_;
 
-  // In-flight worker tasks (kEventLoop); Stop blocks until zero so a task can
-  // never outlive the server object it references.
+  // In-flight worker tasks; Stop blocks until zero so a task can never
+  // outlive the server object it references.
   Mutex inflight_mu_;
   CondVar inflight_cv_;
   size_t inflight_ GUARDED_BY(inflight_mu_) = 0;
@@ -209,8 +177,8 @@ class AftServiceServer {
   // Per-method service latency (aft_net_rpc_latency_ms{node=,method=}),
   // indexed by the request MessageType octet; nullptr for unknown types.
   std::array<obs::Histogram*, 16> rpc_latency_{};
-  // Requests currently inside HandleRequest, both threading modes; exposed
-  // as the aft_net_requests_inflight gauge.
+  // Requests currently inside HandleRequest; exposed as the
+  // aft_net_requests_inflight gauge.
   std::atomic<uint64_t> requests_inflight_{0};
   std::vector<obs::ScopedMetricCallback> metric_callbacks_;
 };

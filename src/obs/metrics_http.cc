@@ -111,12 +111,12 @@ void MetricsHttpServer::Loop() {
       }
       return;
     }
-    ServeConnection(fd);
+    ServeHttpRequest(fd);
     ::close(fd);
   }
 }
 
-void MetricsHttpServer::ServeConnection(int fd) {
+void MetricsHttpServer::ServeHttpRequest(int fd) {
   // Read until end-of-headers (or a sane cap); we only care about the request
   // line of a GET.
   std::string request;

@@ -42,7 +42,7 @@ class MetricsHttpServer {
 
  private:
   void Loop();
-  void ServeConnection(int fd);
+  void ServeHttpRequest(int fd);
 
   MetricsRegistry& registry_;
   Tracer& tracer_;

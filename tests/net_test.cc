@@ -598,17 +598,12 @@ TEST(NetFaultTest, ServerKilledMidInlineCommitLeavesNoObject) {
   EXPECT_TRUE(storage.List(kCommitPrefix)->empty());
 }
 
-// ---- Threading matrix: both server models, explicitly ------------------------
-//
-// The AFT_NET_THREADING env var flips the process-wide default (the CI matrix
-// dimension); these tests pin the mode per server so one binary always covers
-// BOTH models regardless of environment.
+// ---- Event-loop server: pipelining, sequencing, backpressure ---------------
 
-class ThreadingMatrixTest : public ::testing::TestWithParam<net::ServerThreading> {
+class EventLoopServerTest : public ::testing::Test {
  protected:
-  ThreadingMatrixTest() : storage_(clock_, InstantDynamo()), node_("aft-0", storage_, clock_) {
+  EventLoopServerTest() : storage_(clock_, InstantDynamo()), node_("aft-0", storage_, clock_) {
     EXPECT_TRUE(node_.Start().ok());
-    server_options_.threading = GetParam();
   }
 
   SimClock clock_;
@@ -617,10 +612,9 @@ class ThreadingMatrixTest : public ::testing::TestWithParam<net::ServerThreading
   AftServiceServerOptions server_options_;
 };
 
-TEST_P(ThreadingMatrixTest, CommitReadCycle) {
+TEST_F(EventLoopServerTest, CommitReadCycle) {
   AftServiceServer server(node_, server_options_);
   ASSERT_TRUE(server.Start().ok());
-  ASSERT_EQ(server.threading(), GetParam());
   RemoteAftClient client({server.endpoint()}, FastClient());
 
   auto session = client.StartTransaction();
@@ -638,9 +632,9 @@ TEST_P(ThreadingMatrixTest, CommitReadCycle) {
 
 // The pipelining contract at the wire level: N request frames written
 // back-to-back on ONE connection come back as N responses in request order,
-// even though (in event-loop mode) the handlers run concurrently on the
-// worker pool and finish in any order.
-TEST_P(ThreadingMatrixTest, PipelinedRequestsAnswerInOrder) {
+// even though the handlers run concurrently on the worker pool and finish in
+// any order.
+TEST_F(EventLoopServerTest, PipelinedRequestsAnswerInOrder) {
   AftServiceServer server(node_, server_options_);
   ASSERT_TRUE(server.Start().ok());
 
@@ -685,7 +679,7 @@ TEST_P(ThreadingMatrixTest, PipelinedRequestsAnswerInOrder) {
 // Overlapping client calls multiplexed onto ONE pooled connection: every call
 // succeeds and the server really saw a single connection (the pool did not
 // silently widen).
-TEST_P(ThreadingMatrixTest, ConcurrentCallersShareOneConnection) {
+TEST_F(EventLoopServerTest, ConcurrentCallersShareOneConnection) {
   AftServiceServer server(node_, server_options_);
   ASSERT_TRUE(server.Start().ok());
   RemoteAftClientOptions options = FastClient();
@@ -720,7 +714,7 @@ TEST_P(ThreadingMatrixTest, ConcurrentCallersShareOneConnection) {
 // Mid-pipeline connection kill: calls in flight when the stream tears fail
 // with a TRANSPORT status (never a wrong answer, never a hang), and the same
 // client reconnects cleanly for subsequent calls.
-TEST_P(ThreadingMatrixTest, MidPipelineKillFailsOnlyInflightThenReconnects) {
+TEST_F(EventLoopServerTest, MidPipelineKillFailsOnlyInflightThenReconnects) {
   AftServiceServer server(node_, server_options_);
   ASSERT_TRUE(server.Start().ok());
   RemoteAftClientOptions options = FastClient();
@@ -768,13 +762,113 @@ TEST_P(ThreadingMatrixTest, MidPipelineKillFailsOnlyInflightThenReconnects) {
   server.Stop();
 }
 
-INSTANTIATE_TEST_SUITE_P(BothModes, ThreadingMatrixTest,
-                         ::testing::Values(net::ServerThreading::kThreadPerConn,
-                                           net::ServerThreading::kEventLoop),
-                         [](const auto& info) {
-                           return info.param == net::ServerThreading::kEventLoop ? "EventLoop"
-                                                                                 : "ThreadPerConn";
-                         });
+// A response larger than the socket's send buffer leaves the worker's send
+// partial; the loop finishes it on EPOLLOUT as the client reads slowly, and
+// the small responses pipelined before and after it keep their places.
+TEST_F(EventLoopServerTest, ResponseLargerThanSendBufferArrivesWholeAndInOrder) {
+  server_options_.max_write_buffer_bytes = 1u << 20;  // The 4 MiB response pauses reads.
+  AftServiceServer server(node_, server_options_);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr size_t kKeys = 64;
+  constexpr size_t kValueBytes = 64 * 1024;
+  auto value_of = [](size_t i) {
+    return std::string(kValueBytes, static_cast<char>('a' + i % 26));
+  };
+  std::vector<std::string> keys;
+  auto writer = node_.StartTransaction();
+  ASSERT_TRUE(writer.ok());
+  for (size_t i = 0; i < kKeys; ++i) {
+    keys.push_back("big:" + std::to_string(i));
+    ASSERT_TRUE(node_.Put(*writer, keys.back(), value_of(i)).ok());
+  }
+  ASSERT_TRUE(node_.Put(*writer, "small", "tiny").ok());
+  ASSERT_TRUE(node_.CommitTransaction(*writer).ok());
+  auto reader_txn = node_.StartTransaction();
+  ASSERT_TRUE(reader_txn.ok());
+
+  auto raw = TcpConnect(server.endpoint(), std::chrono::seconds(2));
+  ASSERT_TRUE(raw.ok());
+  ASSERT_TRUE(raw->SetRecvTimeout(std::chrono::seconds(10)).ok());
+  net::GetRequest small;
+  small.txid = *reader_txn;
+  small.key = "small";
+  net::MultiGetRequest big;
+  big.txid = *reader_txn;
+  big.keys = keys;
+  ASSERT_TRUE(raw->SendAll(EncodeFrame(MessageType::kGet, small.Serialize()) +
+                           EncodeFrame(MessageType::kMultiGet, big.Serialize()) +
+                           EncodeFrame(MessageType::kGet, small.Serialize()))
+                  .ok());
+
+  // Read slowly: 16 KiB at a time, 1 ms apart, until three frames decode.
+  std::string received;
+  std::vector<Frame> frames;
+  size_t consumed = 0;
+  char chunk[16 * 1024];
+  while (frames.size() < 3) {
+    auto got = raw->RecvSome(chunk, sizeof(chunk));
+    ASSERT_TRUE(got.ok()) << "after " << received.size() << " bytes: " << got.status().ToString();
+    received.append(chunk, *got);
+    while (frames.size() < 3) {
+      Frame frame;
+      auto n = net::DecodeFrameFromBuffer(std::string_view(received).substr(consumed), &frame);
+      ASSERT_TRUE(n.ok()) << n.status().ToString();
+      if (*n == 0) {
+        break;
+      }
+      consumed += *n;
+      frames.push_back(std::move(frame));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+
+  for (size_t f : {0u, 2u}) {
+    ASSERT_EQ(frames[f].type, net::ResponseType(MessageType::kGet)) << "frame " << f;
+    auto response = net::GetResponse::Deserialize(frames[f].payload);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->read.value.value_or("?"), "tiny") << "frame " << f;
+  }
+  ASSERT_EQ(frames[1].type, net::ResponseType(MessageType::kMultiGet));
+  auto response = net::MultiGetResponse::Deserialize(frames[1].payload);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  ASSERT_EQ(response->reads.size(), kKeys);
+  for (size_t i = 0; i < kKeys; ++i) {
+    EXPECT_TRUE(response->reads[i].value == value_of(i)) << "key " << i;
+  }
+  EXPECT_EQ(consumed, received.size());  // Nothing beyond the three frames.
+  ASSERT_TRUE(node_.AbortTransaction(*reader_txn).ok());
+  server.Stop();
+}
+
+// With a pipeline depth of 4, a burst of requests pauses the connection's
+// reads. The workers answer on an idle socket themselves, so the loop learns
+// that the pipeline drained only from the wake a worker sends when it drains
+// a paused connection; without it the burst stalls after the first frames.
+TEST_F(EventLoopServerTest, PausedConnectionResumesWhenWorkersDrainIt) {
+  server_options_.max_pipeline_depth = 4;
+  AftServiceServer server(node_, server_options_);
+  ASSERT_TRUE(server.Start().ok());
+
+  auto raw = TcpConnect(server.endpoint(), std::chrono::seconds(2));
+  ASSERT_TRUE(raw.ok());
+  ASSERT_TRUE(raw->SetRecvTimeout(std::chrono::seconds(10)).ok());
+  constexpr size_t kRequests = 256;
+  std::string burst;
+  for (size_t i = 0; i < kRequests; ++i) {
+    burst += EncodeFrame(MessageType::kPing, net::PingRequest{}.Serialize());
+  }
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(raw->SendAll(burst).ok());
+  for (size_t i = 0; i < kRequests; ++i) {
+    auto frame = ReadFrame(*raw);
+    ASSERT_TRUE(frame.ok()) << "response " << i << ": " << frame.status().ToString();
+    ASSERT_EQ(frame->type, net::ResponseType(MessageType::kPing));
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
+  EXPECT_GE(server.stats().backpressure_pauses.load(), 1u);
+  server.Stop();
+}
 
 // ---- Client backoff ---------------------------------------------------------
 

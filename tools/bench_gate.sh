@@ -2,20 +2,22 @@
 # Throughput regression gate over one bench JSON file (tools/bench.sh output).
 #
 # Gates on a WITHIN-RUN ratio, not on absolute ops/sec: bench_net runs every
-# throughput workload under both the pipelined transports ("event", "thread")
-# and the single-flight "baseline" config in the same process on the same
+# throughput workload with the pipelined client ("event": 4 connections x 32
+# in flight) and the single-flight "baseline" client (1 connection, 1 in
+# flight) against the same event-loop server in the same process on the same
 # machine, so the speedup of pipelined over baseline is independent of how
 # fast the runner happens to be. (Comparing absolute numbers against a
 # checked-in file from another machine shifts the ratio with runner speed —
 # it fails spuriously on slow runners and masks regressions on fast ones.)
 #
-# The gate takes the GEOMETRIC MEAN of the per-row speedups at high client
-# counts (>= MIN_CLIENTS, default 16 — where pipelining is designed to win;
-# the 1-client rows measure per-op latency, not pipeline capacity) and fails
-# when it drops below MIN_SPEEDUP. A serialized event loop or a single-
-# flighted client pulls the geomean to ~1.0x, far below the floor, while the
-# healthy transport sits near 3x even in smoke runs. Zero matching row pairs
-# is an error — a gate that silently compares nothing is worse than no gate.
+# The gate takes the GEOMETRIC MEAN of the per-row speedups of the "event"
+# rows at high client counts (>= MIN_CLIENTS, default 16 — where pipelining
+# is designed to win; the 1-client rows measure per-op latency, not pipeline
+# capacity) and fails when it drops below MIN_SPEEDUP. A serialized event
+# loop or a single-flighted client pulls the geomean to ~1.0x (x0.99 when the
+# "event" config was forced to 1 connection x 1 in flight), far below the
+# floor; the healthy client read x3.45 in a smoke run. Zero matching row pairs is an error — a gate that silently compares
+# nothing is worse than no gate.
 #
 # A second within-run gate holds the cross-transaction commit-batching win
 # (bench_net's "tput zipf batched|unbatched" rows): geomean batched/unbatched
@@ -93,8 +95,8 @@ sed -nE 's/.*"row":"tput ([^"]*)".*"txn_per_s":([0-9.]+).*/\1\t\2/p' "$CURRENT" 
     workload = f[1]; config = f[2]; clients = f[3] + 0;
     if (clients < min_clients) { next }
     key = workload "/" clients "c";
-    if (config == "baseline") { base[key] = $2 + 0 }
-    else                      { cur[key "/" config] = $2 + 0 }
+    if (config == "baseline")   { base[key] = $2 + 0 }
+    else if (config == "event") { cur[key "/" config] = $2 + 0 }
   }
   END {
     for (k in cur) {

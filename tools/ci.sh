@@ -7,12 +7,9 @@
 #   matrix leg 2: AFT_SANITIZE=thread       (TSan, full ctest)
 #   matrix leg 3: AFT_SANITIZE=address      (ASan+UBSan, full ctest)
 #
-# Each leg runs the full suite under the event-loop server default, then
-# re-runs the socket-heavy suites (net + cluster) with
-# AFT_NET_THREADING=thread so both server models are covered per leg —
-# the same 2-D matrix ci.yml expands into separate jobs — and finally
-# hammers the WAL crash-recovery harness (kill -9 children, timing varies)
-# a few extra times under the leg's sanitizer.
+# Each leg runs the full suite, then hammers the WAL crash-recovery harness
+# (kill -9 children, timing varies) a few extra times under the leg's
+# sanitizer.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -24,8 +21,7 @@ leg() {  # leg <name> <build-dir> <extra cmake args...>
   printf '\n==== CI leg: %s ====\n' "$name"
   if cmake -B "$dir" -S . "$@" > /dev/null \
      && cmake --build "$dir" -j "$JOBS" 2>&1 | tail -5 \
-     && (cd "$dir" && AFT_NET_THREADING=event ctest --output-on-failure -j "$JOBS") \
-     && (cd "$dir" && AFT_NET_THREADING=thread ctest --output-on-failure -R 'net_test|cluster_test|serde_compat_test') \
+     && (cd "$dir" && ctest --output-on-failure -j "$JOBS") \
      && (cd "$dir" && ctest --output-on-failure -R 'wal_recovery_test' --repeat until-fail:3); then
     echo "[PASS] $name"
   else
