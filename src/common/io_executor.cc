@@ -61,10 +61,6 @@ std::function<void()> IoExecutor::Instrument(std::function<void()> task) {
   return task;
 }
 
-bool IoExecutor::Submit(std::function<void()> task) {
-  return pool_.Submit(Instrument(std::move(task)));
-}
-
 bool IoExecutor::SubmitIfIdle(std::function<void()> task) {
   return pool_.SubmitIfIdle(Instrument(std::move(task)));
 }

@@ -51,7 +51,7 @@ class IoExecutor {
   // thread count.
   //
   // A non-null `name` enrolls the executor in the contention profiler:
-  // sampled Submit() tasks record queue wait (submit → first instruction)
+  // sampled SubmitIfIdle() tasks record queue wait (submit → first instruction)
   // into "<name>.queue" and run time into "<name>.run". Unnamed executors
   // and unsampled tasks pay one pointer compare.
   explicit IoExecutor(size_t num_threads, const char* name = nullptr);
@@ -67,14 +67,9 @@ class IoExecutor {
   Status ParallelFor(size_t n, const std::function<Status(size_t)>& fn,
                      size_t max_parallelism = 0);
 
-  // Fire-and-forget: enqueues one task on the helper pool. Returns false when
-  // the pool has been shut down (the caller then runs the work inline — same
-  // never-rely-on-pool-drain contract as ParallelFor). Used by the event-loop
-  // server to hand decoded requests to worker lanes.
-  bool Submit(std::function<void()> task);
-
-  // Like Submit, but only when a helper is free to start the task at once;
-  // returns false (nothing enqueued) when every helper is busy. For work
+  // Fire-and-forget: enqueues one task on the helper pool, but only when a
+  // helper is free to start it at once; returns false (nothing enqueued)
+  // when every helper is busy or the pool has been shut down. For work
   // that has a fallback and must not queue behind — or starve — the
   // blocking fan-outs sharing the pool (the node's §3.3 early writes).
   bool SubmitIfIdle(std::function<void()> task);

@@ -222,16 +222,6 @@ size_t FillFrameIovecs(const FrameBytes& frame, size_t skip, struct iovec* iov, 
   return count;
 }
 
-Status WriteFrame(Socket& socket, MessageType type, std::string_view payload,
-                  uint64_t trace_id) {
-  if (payload.size() > kMaxFramePayload) {
-    return Status::InvalidArgument("frame payload of " + std::to_string(payload.size()) +
-                                   " bytes exceeds the " + std::to_string(kMaxFramePayload) +
-                                   "-byte limit");
-  }
-  return socket.SendAll(EncodeFrame(type, payload, trace_id));
-}
-
 Status WriteFrameBytes(Socket& socket, const FrameBytes& frame) {
   size_t sent = 0;
   const size_t total = frame.size();

@@ -146,7 +146,7 @@ size_t FillFrameIovecs(const FrameBytes& frame, size_t skip, struct iovec* iov, 
 // with a descriptive error — never crashes, never reads past `bytes`.
 Result<Frame> DecodeFrame(std::string_view bytes);
 
-// Incremental variant for a streaming read buffer (the event-loop server
+// Incremental variant for a streaming read buffer (the server's I/O step
 // accumulates bytes as they arrive): examines the FRONT of `buffer` and
 //   * returns the byte count consumed (header + payload) with `*out` filled
 //     when a complete frame is present;
@@ -160,8 +160,7 @@ Result<size_t> DecodeFrameFromBuffer(std::string_view buffer, Frame* out);
 // Stream variants: write/read one frame over a connected socket. ReadFrame
 // returns kUnavailable when the peer closes cleanly between frames, and the
 // DecodeFrame errors above for torn or corrupt frames.
-Status WriteFrame(Socket& socket, MessageType type, std::string_view payload,
-                  uint64_t trace_id = 0);
+//
 // Scatter-gather write of a sealed frame: header + payload segments go out
 // via one writev-style call per IOV window, no coalescing copy. Blocking;
 // safe to call repeatedly with the same frame (retries).

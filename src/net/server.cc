@@ -6,12 +6,9 @@
 
 #include <cerrno>
 #include <cstring>
-#include <deque>
 #include <map>
-#include <unordered_map>
 
 #include "src/common/histogram.h"
-#include "src/common/io_executor.h"
 #include "src/common/logging.h"
 #include "src/net/message.h"
 #include "src/obs/trace.h"
@@ -19,29 +16,33 @@
 namespace aft {
 namespace net {
 
-// One connection owned by an event loop. Field ownership is split two ways:
-//   * loop-thread-only (no lock): the read side of the socket, the read
-//     buffer, dispatch sequencing, and epoll interest bookkeeping;
-//   * `mu`-guarded: everything worker tasks touch — the response re-sequencing
-//     map, the outgoing byte queue and every send on the socket, and the
-//     backpressure pause.
+// One connection in the pool's epoll set. Field ownership:
+//   * the thread holding the I/O step (`io_owned`, taken under `mu`) alone
+//     reads the socket and owns the read buffer;
+//   * `mu`-guarded: the I/O-step token, request sequencing, the response
+//     re-sequencing map, the outgoing byte queue and every send on the
+//     socket, the backpressure pause, and every re-arm of the registration.
+// Readiness events are hints. The connection is re-armed under `mu`, by the
+// thread releasing the I/O step or by a serving thread that takes the step
+// when no thread holds it. A hint that finds the step held is dropped: the
+// holder's re-arm re-reports whatever is still ready.
 // Sends under `mu` and Shutdown() are the only cross-thread socket operations;
 // neither can race a close (the last shared_ptr owner closes the fd, and every
 // toucher holds a shared_ptr).
 struct AftServiceServer::Connection {
   Socket socket;
-  size_t loop_index = 0;
+  uint64_t id = 0;  // epoll data.u64; fixed before the connection is published
 
-  // ---- loop-thread-only ----
+  // ---- I/O-step holder only ----
   std::string inbuf;
-  uint64_t next_dispatch_seq = 0;  // seq assigned to the next decoded request
-  uint32_t armed_events = EPOLLIN;
 
-  // Set once (by the loop, or by loop exit); checked by worker tasks so they
-  // neither send on nor hand over a dead connection.
+  // Set once (by the close path or by Stop); a closed connection is never
+  // read or re-armed again, and responses to it are dropped.
   std::atomic<bool> closed{false};
 
   Mutex mu;
+  bool io_owned GUARDED_BY(mu) = false;
+  uint64_t next_dispatch_seq GUARDED_BY(mu) = 0;  // seq of the next decoded request
   // Next seq to enter the wire queue: responses leave in request order even
   // when handlers finish out of order.
   uint64_t next_send_seq GUARDED_BY(mu) = 0;
@@ -52,18 +53,11 @@ struct AftServiceServer::Connection {
   std::deque<FrameBytes> outq GUARDED_BY(mu);
   size_t outq_off GUARDED_BY(mu) = 0;   // bytes of outq.front() already sent
   size_t out_bytes GUARDED_BY(mu) = 0;  // total un-sent bytes across outq
-  // Reads disarmed for backpressure. Only the loop writes it, but a worker
-  // that drains a paused connection must wake the loop to re-arm reads, so
-  // the pause decision and the drain are ordered by `mu`.
+  // Reads left out of the re-arm for backpressure.
   bool reads_paused GUARDED_BY(mu) = false;
 
-  bool ReadsPaused() EXCLUDES(mu) {
-    MutexLock lock(mu);
-    return reads_paused;
-  }
-
   // Sends queued frames until the queue is empty or the socket would block
-  // (the loop's EPOLLOUT resumes it); false when the connection died mid-send.
+  // (EPOLLOUT resumes it); false when the connection died mid-send.
   bool FlushLocked() REQUIRES(mu) {
     // aftlint: hot
     while (!outq.empty()) {
@@ -93,43 +87,45 @@ struct AftServiceServer::Connection {
     }
     return true;
   }
-};
 
-struct AftServiceServer::EventLoop {
-  int epoll_fd = -1;
-  int wake_fd = -1;  // eventfd; registered in epoll with data.ptr == nullptr
-  std::thread thread;
-  std::atomic<bool> stop{false};
-
-  Mutex mu;
-  std::vector<std::shared_ptr<Connection>> incoming GUARDED_BY(mu);
-  // Connections a worker left bytes queued on (EPOLLOUT must be armed) or
-  // drained while paused (reads may re-arm).
-  std::vector<std::shared_ptr<Connection>> flush_queue GUARDED_BY(mu);
-
-  // ---- loop-thread-only ----
-  std::unordered_map<int, std::shared_ptr<Connection>> conns;  // by fd
-  // Connections closed during the current event batch. Cleared only after the
-  // batch completes, so the raw data.ptr in already-fetched epoll events stays
-  // valid even when an earlier event in the same batch closed the connection.
-  std::vector<std::shared_ptr<Connection>> graveyard;
-
-  ~EventLoop() {
-    if (epoll_fd >= 0) {
-      ::close(epoll_fd);
+  // Whether reads should be paused. Hysteresis: pause at the caps, resume
+  // at half — a connection hovering at the limit does not thrash.
+  bool WantPauseLocked(const AftServiceServerOptions& options) REQUIRES(mu) {
+    const uint64_t depth = next_dispatch_seq - next_send_seq;
+    if (reads_paused) {
+      return out_bytes > options.max_write_buffer_bytes / 2 ||
+             depth > options.max_pipeline_depth / 2;
     }
-    if (wake_fd >= 0) {
-      ::close(wake_fd);
-    }
+    return out_bytes > options.max_write_buffer_bytes || depth >= options.max_pipeline_depth;
   }
 
-  void Wake() {
-    const uint64_t one = 1;
-    [[maybe_unused]] const ssize_t n = ::write(wake_fd, &one, sizeof(one));
+  // Applies WantPauseLocked, counting pauses and resumes; returns the pause.
+  bool UpdatePauseLocked(const AftServiceServerOptions& options, AftServiceServerStats& stats)
+      REQUIRES(mu) {
+    const bool pause = WantPauseLocked(options);
+    if (pause && !reads_paused) {
+      stats.backpressure_pauses.fetch_add(1, std::memory_order_relaxed);
+    } else if (!pause && reads_paused) {
+      stats.backpressure_resumes.fetch_add(1, std::memory_order_relaxed);
+    }
+    reads_paused = pause;
+    return pause;
+  }
+
+  // Re-arms the one-shot registration: EPOLLIN unless paused, EPOLLOUT while
+  // bytes wait. Error and hangup are reported whatever the mask.
+  void ArmLocked(int epoll_fd) REQUIRES(mu) {
+    epoll_event ev{};
+    ev.events = EPOLLONESHOT | (reads_paused ? 0u : EPOLLIN) | (outq.empty() ? 0u : EPOLLOUT);
+    ev.data.u64 = id;
+    (void)::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, socket.fd(), &ev);
   }
 };
 
 namespace {
+
+// epoll data.u64 of the hand-off eventfd; connection ids start at 1.
+constexpr uint64_t kWakeId = 0;
 
 // Counts one in-flight request for the lifetime of a HandleRequest call.
 class InflightGuard {
@@ -144,6 +140,20 @@ class InflightGuard {
  private:
   std::atomic<uint64_t>& count_;
 };
+
+// Adds `n` to the hand-off eventfd's count: a semaphore, so each count wakes
+// one pool thread.
+void AddWakeCount(int wake_fd, uint64_t n) {
+  // aftlint-allow(loop-blocking): wake_fd is a non-blocking eventfd; write never waits
+  [[maybe_unused]] const ssize_t written = ::write(wake_fd, &n, sizeof(n));
+}
+
+void ArmWake(int epoll_fd, int wake_fd) {
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLONESHOT;
+  ev.data.u64 = kWakeId;
+  (void)::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, wake_fd, &ev);
+}
 
 }  // namespace
 
@@ -190,21 +200,40 @@ Status AftServiceServer::Start() {
   if (!running_.compare_exchange_strong(expected, true)) {
     return Status::FailedPrecondition("server already running");
   }
-  auto listener = Listener::Bind(options_.port);
-  if (!listener.ok()) {
-    running_.store(false);
-    return listener.status();
-  }
-  listener_ = std::move(listener).value();
-  port_ = listener_.port();
-  Status status = StartEventLoops();
-  if (!status.ok()) {
-    StopEventLoops();
-    workers_.reset();
-    loops_.clear();
+  auto fail = [this](Status status) {
+    for (int* fd : {&epoll_fd_, &wake_fd_}) {
+      if (*fd >= 0) {
+        ::close(*fd);
+        *fd = -1;
+      }
+    }
     listener_.Close();
     running_.store(false);
     return status;
+  };
+  auto listener = Listener::Bind(options_.port);
+  if (!listener.ok()) {
+    return fail(listener.status());
+  }
+  listener_ = std::move(listener).value();
+  port_ = listener_.port();
+  epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd_ < 0) {
+    return fail(Status::Internal(std::string("epoll_create1: ") + std::strerror(errno)));
+  }
+  wake_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK | EFD_SEMAPHORE);
+  if (wake_fd_ < 0) {
+    return fail(Status::Internal(std::string("eventfd: ") + std::strerror(errno)));
+  }
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLONESHOT;
+  ev.data.u64 = kWakeId;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, wake_fd_, &ev) != 0) {
+    return fail(Status::Internal(std::string("epoll_ctl(wake): ") + std::strerror(errno)));
+  }
+  stopping_.store(false, std::memory_order_relaxed);
+  for (size_t i = 0; i < kServerPoolThreads; ++i) {
+    pool_.emplace_back([this] { PoolThreadMain(); });
   }
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   return Status::Ok();
@@ -219,38 +248,39 @@ void AftServiceServer::Stop() {
     accept_thread_.join();
   }
   listener_.Close();
-  // Join the loops first (their exit path shuts every connection down, so
-  // blocked clients see EOF), then wait out in-flight worker tasks — they
-  // may still queue responses into dead connections, which is harmless.
-  // Only after that is it safe to drop the loop and connection objects.
-  StopEventLoops();
+  // Shut every connection down first, so blocked peers see EOF and no new
+  // frame is read. Then wake the pool: each thread finishes the request it
+  // serves and the queued ones (their responses go nowhere), and exits. The
+  // wake count is left in place at shutdown, so it passes from thread to
+  // thread. Only after the joins is it safe to drop the connections.
   {
-    MutexLock lock(inflight_mu_);
-    while (inflight_ > 0) {
-      inflight_cv_.Wait(lock);
+    MutexLock lock(mu_);
+    for (auto& [id, conn] : connections_) {
+      conn->closed.store(true, std::memory_order_release);
+      conn->socket.Shutdown();
     }
   }
-  workers_.reset();  // All tasks done; joins the (now idle) worker threads.
-  loops_.clear();
+  stopping_.store(true, std::memory_order_release);
+  AddWakeCount(wake_fd_, 1);
+  for (std::thread& thread : pool_) {
+    thread.join();
+  }
+  pool_.clear();
+  ::close(epoll_fd_);
+  ::close(wake_fd_);
+  epoll_fd_ = wake_fd_ = -1;
   MutexLock lock(mu_);
   connections_.clear();
 }
 
 void AftServiceServer::AbandonConnections() {
-  // shutdown(2) tears the stream under the loop — pending response sends fail
-  // with EPIPE and reads see EOF, so the loop closes the connection exactly as
-  // if the process had died mid-frame.
+  // shutdown(2) tears the stream under the pool — pending response sends
+  // fail with EPIPE and reads see EOF, so the I/O step closes the connection
+  // exactly as if the process had died mid-frame.
   MutexLock lock(mu_);
-  for (auto& conn : connections_) {
+  for (auto& [id, conn] : connections_) {
     conn->socket.Shutdown();
   }
-}
-
-void AftServiceServer::ReapClosed() {
-  MutexLock lock(mu_);
-  std::erase_if(connections_, [](const std::shared_ptr<Connection>& conn) {
-    return conn->closed.load(std::memory_order_acquire);
-  });
 }
 
 void AftServiceServer::AcceptLoop() {
@@ -263,70 +293,16 @@ void AftServiceServer::AcceptLoop() {
       continue;  // Transient (e.g. peer aborted the handshake).
     }
     stats_.connections_accepted.fetch_add(1, std::memory_order_relaxed);
-    ReapClosed();
     AdoptConnection(std::move(accepted).value());
-  }
-}
-
-Status AftServiceServer::StartEventLoops() {
-  // Named so the contention profiler exposes the pool's queue wait and run
-  // time as "net_workers.queue" / "net_workers.run" sites.
-  workers_ = std::make_unique<IoExecutor>(
-      options_.num_workers > 0 ? options_.num_workers : 8, "net_workers");
-  size_t n = options_.num_event_loops;
-  if (n == 0) {
-    n = std::thread::hardware_concurrency();
-    if (n == 0) {
-      n = 1;
-    }
-    if (n > 8) {
-      n = 8;  // I/O loops saturate well before core count on this workload.
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    auto loop = std::make_unique<EventLoop>();
-    loop->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-    if (loop->epoll_fd < 0) {
-      return Status::Internal(std::string("epoll_create1: ") + std::strerror(errno));
-    }
-    loop->wake_fd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    if (loop->wake_fd < 0) {
-      return Status::Internal(std::string("eventfd: ") + std::strerror(errno));
-    }
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.ptr = nullptr;  // Sentinel: "this readiness is the wake eventfd".
-    if (::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, loop->wake_fd, &ev) != 0) {
-      return Status::Internal(std::string("epoll_ctl(wake): ") + std::strerror(errno));
-    }
-    loops_.push_back(std::move(loop));
-  }
-  // Threads start only once every loop constructed, so a failure above never
-  // leaves a running thread behind.
-  for (auto& loop : loops_) {
-    loop->thread = std::thread([this, raw = loop.get()] { EventLoopMain(raw); });
-  }
-  return Status::Ok();
-}
-
-void AftServiceServer::StopEventLoops() {
-  for (auto& loop : loops_) {
-    loop->stop.store(true, std::memory_order_release);
-    loop->Wake();
-  }
-  for (auto& loop : loops_) {
-    if (loop->thread.joinable()) {
-      loop->thread.join();
-    }
   }
 }
 
 void AftServiceServer::AdoptConnection(Socket socket) {
   const Status nonblocking = socket.SetNonBlocking(true);
   if (!nonblocking.ok()) {
-    // A blocking socket would stall its whole loop thread — and every
-    // connection that loop owns — on the first recv/send. Refuse it; the fd
-    // closes when `socket` goes out of scope.
+    // A blocking socket would stall the pool thread holding its I/O step on
+    // the first recv/send. Refuse it; the fd closes when `socket` goes out of
+    // scope.
     AFT_LOG(Warn) << "aft server (" << node_.node_id()
                   << "): rejecting connection (cannot set non-blocking): "
                   << nonblocking.ToString();
@@ -335,176 +311,158 @@ void AftServiceServer::AdoptConnection(Socket socket) {
   }
   auto conn = std::make_shared<Connection>();
   conn->socket = std::move(socket);
-  conn->loop_index = next_loop_.fetch_add(1, std::memory_order_relaxed) % loops_.size();
   {
     MutexLock lock(mu_);
-    connections_.push_back(conn);
+    conn->id = next_connection_id_++;
+    connections_.emplace(conn->id, conn);
   }
-  EventLoop* loop = loops_[conn->loop_index].get();
-  {
-    MutexLock lock(loop->mu);
-    loop->incoming.push_back(std::move(conn));
+  epoll_event ev{};
+  ev.events = EPOLLIN | EPOLLONESHOT;
+  ev.data.u64 = conn->id;
+  if (::epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, conn->socket.fd(), &ev) != 0) {
+    conn->closed.store(true, std::memory_order_release);
+    conn->socket.Shutdown();
+    MutexLock lock(mu_);
+    connections_.erase(conn->id);
   }
-  loop->Wake();
 }
 
-void AftServiceServer::EventLoopMain(EventLoop* loop) {
-  constexpr int kMaxEvents = 64;
-  epoll_event events[kMaxEvents];
-  while (!loop->stop.load(std::memory_order_acquire)) {
-    const int n = ::epoll_wait(loop->epoll_fd, events, kMaxEvents, -1);
-    if (n < 0) {
-      if (errno == EINTR) {
+std::shared_ptr<AftServiceServer::Connection> AftServiceServer::FindConnection(uint64_t id) {
+  MutexLock lock(mu_);
+  auto it = connections_.find(id);
+  return it == connections_.end() ? nullptr : it->second;
+}
+
+void AftServiceServer::PoolThreadMain() {
+  std::vector<Request> requests = NextRequests();
+  while (!requests.empty()) {
+    // Frames 2..k run on other pool threads; this thread serves frame 1.
+    HandOff(requests);
+    requests = Serve(std::move(requests.front()));
+    if (requests.empty()) {
+      requests = NextRequests();
+    }
+  }
+}
+
+std::vector<AftServiceServer::Request> AftServiceServer::NextRequests() {
+  std::vector<Request> requests;
+  epoll_event event{};
+  while (requests.empty()) {
+    {
+      MutexLock lock(queue_mu_);
+      if (!queue_.empty()) {
+        requests.push_back(std::move(queue_.front()));
+        queue_.pop_front();
+        break;
+      }
+    }
+    if (stopping_.load(std::memory_order_acquire)) {
+      break;
+    }
+    // One event per wake: the leader takes it, the other threads stay in
+    // epoll_wait for the next one.
+    const int n = ::epoll_wait(epoll_fd_, &event, 1, -1);
+    if (n <= 0) {
+      if (n == 0 || errno == EINTR) {
         continue;
       }
       AFT_LOG(Warn) << "aft server (" << node_.node_id()
                     << "): epoll_wait failed: " << std::strerror(errno);
       break;
     }
-    for (int i = 0; i < n; ++i) {
-      if (events[i].data.ptr == nullptr) {
-        uint64_t drained;
-        // aftlint-allow(loop-blocking): wake_fd is a non-blocking eventfd; read drains and EAGAINs
-        while (::read(loop->wake_fd, &drained, sizeof(drained)) > 0) {
-        }
-        continue;
+    if (event.data.u64 == kWakeId) {
+      // Take one count (one queued request), then re-arm so the next count
+      // wakes another thread. At shutdown the count stays for the others.
+      if (!stopping_.load(std::memory_order_acquire)) {
+        uint64_t count = 0;
+        // aftlint-allow(loop-blocking): wake_fd_ is a non-blocking eventfd; read EAGAINs when empty
+        [[maybe_unused]] const ssize_t got = ::read(wake_fd_, &count, sizeof(count));
       }
-      auto* raw = static_cast<Connection*>(events[i].data.ptr);
-      if (raw->closed.load(std::memory_order_acquire)) {
-        continue;  // Closed by an earlier event in this batch; in graveyard.
-      }
-      auto it = loop->conns.find(raw->socket.fd());
-      if (it == loop->conns.end()) {
-        continue;
-      }
-      const std::shared_ptr<Connection> conn = it->second;
-      if ((events[i].events & (EPOLLERR | EPOLLHUP)) != 0 && conn->ReadsPaused()) {
-        // epoll reports error/hangup regardless of the armed interest mask,
-        // but a paused (backpressured) connection bounces off HandleReadable's
-        // pause guard — the dead fd would level-trigger this loop hot until
-        // the flush path happened to fail it. The peer is gone either way;
-        // close it now.
-        CloseConnection(loop, conn);
-        continue;
-      }
-      if ((events[i].events & (EPOLLIN | EPOLLERR | EPOLLHUP)) != 0) {
-        HandleReadable(loop, conn);
-      }
-      if (!conn->closed.load(std::memory_order_acquire) &&
-          (events[i].events & EPOLLOUT) != 0) {
-        ServiceWritable(loop, conn);
-      }
+      ArmWake(epoll_fd_, wake_fd_);
+      continue;
     }
-    // Control work handed over by the accept thread and worker tasks. The
-    // wake eventfd was drained above, so anything enqueued after the swap
-    // re-triggers epoll_wait immediately — no lost wakeups.
-    std::vector<std::shared_ptr<Connection>> incoming;
-    std::vector<std::shared_ptr<Connection>> flush;
+    const std::shared_ptr<Connection> conn = FindConnection(event.data.u64);
+    if (conn == nullptr) {
+      continue;  // Closed since the event was reported.
+    }
     {
-      MutexLock lock(loop->mu);
-      incoming.swap(loop->incoming);
-      flush.swap(loop->flush_queue);
-    }
-    for (auto& conn : incoming) {
-      const int fd = conn->socket.fd();
-      epoll_event ev{};
-      ev.events = EPOLLIN;
-      ev.data.ptr = conn.get();
-      if (::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-        conn->closed.store(true, std::memory_order_release);
-        conn->socket.Shutdown();
-        continue;
+      MutexLock lock(conn->mu);
+      if (conn->io_owned) {
+        continue;  // Stale hint; the holder re-arms.
       }
-      conn->armed_events = EPOLLIN;
-      loop->conns.emplace(fd, std::move(conn));
+      conn->io_owned = true;
     }
-    for (auto& conn : flush) {
-      ServiceWritable(loop, conn);
-    }
-    loop->graveyard.clear();
+    requests = RunIoStep(conn, event.events);
   }
-  // Loop exit: tear every owned connection down so blocked peers see EOF.
-  // The fds close once the registry (and any in-flight worker task) drops
-  // the last shared_ptr.
-  for (auto& [fd, conn] : loop->conns) {
-    conn->closed.store(true, std::memory_order_release);
-    conn->socket.Shutdown();
-  }
-  loop->conns.clear();
-  loop->graveyard.clear();
+  return requests;
 }
 
-void AftServiceServer::HandleReadable(EventLoop* loop, const std::shared_ptr<Connection>& conn) {
-  if (conn->closed.load(std::memory_order_acquire) || conn->ReadsPaused()) {
-    return;  // Stale readiness from earlier in the batch.
+std::vector<AftServiceServer::Request> AftServiceServer::RunIoStep(
+    const std::shared_ptr<Connection>& conn, uint32_t events) {
+  std::vector<Request> requests;
+  while (!conn->closed.load(std::memory_order_acquire)) {
+    bool ok = false;
+    bool paused = false;
+    {
+      MutexLock lock(conn->mu);
+      ok = conn->FlushLocked();
+      paused = conn->UpdatePauseLocked(options_, stats_);
+    }
+    // epoll reports error/hangup whatever the armed mask, but a paused
+    // connection is not read, so it would never see the error. The peer is
+    // gone either way; close it now.
+    if (paused && (events & (EPOLLERR | EPOLLHUP)) != 0) {
+      ok = false;
+    }
+    bool parsed_all = false;  // `inbuf` holds no complete frame.
+    if (ok && !paused) {
+      bool stalled = false;
+      ok = ReadAvailable(*conn) && ParseFrames(conn, &requests, &stalled);
+      parsed_all = !stalled;
+    }
+    if (!ok) {
+      CloseConnection(conn);
+      break;
+    }
+    MutexLock lock(conn->mu);
+    if (!conn->UpdatePauseLocked(options_, stats_) && !parsed_all && !conn->inbuf.empty()) {
+      // Responses lifted the pause meanwhile. No EPOLLIN fires for the
+      // frames already buffered; parse them now.
+      continue;
+    }
+    conn->io_owned = false;
+    conn->ArmLocked(epoll_fd_);
+    break;
   }
+  return requests;
+}
+
+bool AftServiceServer::ReadAvailable(Connection& conn) {
   char buf[64 * 1024];
   while (true) {
-    auto got = conn->socket.RecvSome(buf, sizeof(buf));
+    auto got = conn.socket.RecvSome(buf, sizeof(buf));
     if (!got.ok()) {
       if (got.status().code() == StatusCode::kTimeout) {
-        break;  // Drained; wait for the next readiness event.
+        return true;  // Drained; wait for the next readiness event.
       }
       if (got.status().code() != StatusCode::kUnavailable) {
         AFT_LOG(Warn) << "aft server (" << node_.node_id()
                       << "): dropping connection: " << got.status().ToString();
       }
-      CloseConnection(loop, conn);
-      return;
+      return false;
     }
-    conn->inbuf.append(buf, *got);
-  }
-  if (!ParseAndDispatch(conn)) {
-    CloseConnection(loop, conn);
-    return;
-  }
-  UpdateInterest(loop, conn);
-}
-
-void AftServiceServer::ServiceWritable(EventLoop* loop, const std::shared_ptr<Connection>& conn) {
-  if (conn->closed.load(std::memory_order_acquire)) {
-    return;
-  }
-  bool flushed;
-  {
-    MutexLock lock(conn->mu);
-    flushed = conn->FlushLocked();
-  }
-  if (!flushed) {
-    CloseConnection(loop, conn);
-    return;
-  }
-  // Draining the write backlog may have lifted backpressure; requests parked
-  // in the read buffer while paused must be pumped now — no EPOLLIN will fire
-  // for bytes we already hold.
-  if (UpdateInterest(loop, conn) && !conn->inbuf.empty()) {
-    if (!ParseAndDispatch(conn)) {
-      CloseConnection(loop, conn);
-      return;
-    }
-    UpdateInterest(loop, conn);
+    conn.inbuf.append(buf, *got);
   }
 }
 
-bool AftServiceServer::ParseAndDispatch(const std::shared_ptr<Connection>& conn) {
+bool AftServiceServer::ParseFrames(const std::shared_ptr<Connection>& conn,
+                                   std::vector<Request>* requests, bool* stalled) {
   size_t consumed = 0;
+  bool ok = true;
+  requests->reserve(4);  // Most steps decode one frame; a burst grows past it.
   // aftlint: hot
   while (true) {
-    bool full;
-    {
-      MutexLock lock(conn->mu);
-      full = conn->next_dispatch_seq - conn->next_send_seq >= options_.max_pipeline_depth;
-      // Pipeline full: pause under the lock, so the worker whose response
-      // drains it sees the pause and wakes the loop. No EPOLLIN fires for
-      // frames already in `inbuf`; only that wake gets them parsed.
-      if (full && !conn->reads_paused) {
-        conn->reads_paused = true;
-        stats_.backpressure_pauses.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    if (full) {
-      break;
-    }
     Frame frame;
     auto n = DecodeFrameFromBuffer(std::string_view(conn->inbuf).substr(consumed), &frame);
     if (!n.ok()) {
@@ -512,59 +470,68 @@ bool AftServiceServer::ParseAndDispatch(const std::shared_ptr<Connection>& conn)
       // aftlint-allow(obs-hot-log): teardown path — logs once, then the connection dies
       AFT_LOG(Warn) << "aft server (" << node_.node_id()
                     << "): dropping connection: " << n.status().ToString();
-      conn->inbuf.erase(0, consumed);
-      return false;
+      ok = false;
+      break;
     }
     if (*n == 0) {
       break;  // Need more bytes.
     }
-    consumed += *n;
     if (IsResponse(frame.type)) {
       stats_.bad_frames.fetch_add(1, std::memory_order_relaxed);
-      conn->inbuf.erase(0, consumed);
-      return false;  // A client sending response frames is off-protocol.
+      ok = false;  // A client sending response frames is off-protocol.
+      break;
     }
-    DispatchRequest(conn, conn->next_dispatch_seq++, frame.type, std::move(frame.payload),
-                    frame.trace_id);
+    uint64_t seq = 0;
+    {
+      MutexLock lock(conn->mu);
+      // Pipeline full: pause under the lock and leave the frame buffered, so
+      // the thread whose response drains the pipeline sees the pause and
+      // takes the I/O step. No EPOLLIN fires for frames already in `inbuf`;
+      // only that step gets them parsed.
+      if (conn->UpdatePauseLocked(options_, stats_)) {
+        *stalled = true;
+        break;
+      }
+      seq = conn->next_dispatch_seq++;
+    }
+    consumed += *n;
+    requests->push_back(Request{conn, seq, frame.type, std::move(frame.payload), frame.trace_id});
   }
   conn->inbuf.erase(0, consumed);
-  return true;
+  return ok;
 }
 
-void AftServiceServer::DispatchRequest(const std::shared_ptr<Connection>& conn, uint64_t seq,
-                                       MessageType type, std::string payload,
-                                       uint64_t trace_id) {
+void AftServiceServer::HandOff(std::vector<Request>& requests) {
+  if (requests.size() <= 1) {
+    return;
+  }
   {
-    MutexLock lock(inflight_mu_);
-    ++inflight_;
-  }
-  auto task = [this, conn, seq, type, trace_id, payload = std::move(payload)]() mutable {
-    bool bad_frame = false;
-    ArenaWriter response;
-    HandleRequest(type, payload, trace_id, &bad_frame, response);
-    if (bad_frame) {
-      stats_.bad_frames.fetch_add(1, std::memory_order_relaxed);
+    MutexLock lock(queue_mu_);
+    for (size_t i = 1; i < requests.size(); ++i) {
+      queue_.push_back(std::move(requests[i]));
     }
-    stats_.requests_served.fetch_add(1, std::memory_order_relaxed);
-    // Seal can only fail on a >64 MiB response, which no handler produces;
-    // ship an empty-payload frame of the right type if it ever does, so the
-    // sequencing chain never stalls waiting on a hole.
-    auto sealed = SealFrame(ResponseType(type), std::move(response).TakeBuffer());
-    QueueResponse(conn, seq, sealed.ok() ? std::move(*sealed) : FrameBytes());
-    MutexLock lock(inflight_mu_);
-    if (--inflight_ == 0) {
-      inflight_cv_.NotifyAll();
-    }
-  };
-  // Pool shut down ⇒ run inline on the loop thread; slower but never lost.
-  // Same contract as IoExecutor::ParallelFor.
-  if (!workers_->Submit(task)) {
-    task();
   }
+  AddWakeCount(wake_fd_, requests.size() - 1);
+  requests.resize(1);
 }
 
-void AftServiceServer::QueueResponse(const std::shared_ptr<Connection>& conn, uint64_t seq,
-                                     FrameBytes frame) {
+std::vector<AftServiceServer::Request> AftServiceServer::Serve(Request request) {
+  bool bad_frame = false;
+  ArenaWriter response;
+  HandleRequest(request.type, request.payload, request.trace_id, &bad_frame, response);
+  if (bad_frame) {
+    stats_.bad_frames.fetch_add(1, std::memory_order_relaxed);
+  }
+  stats_.requests_served.fetch_add(1, std::memory_order_relaxed);
+  // Seal can only fail on a >64 MiB response, which no handler produces;
+  // ship an empty-payload frame of the right type if it ever does, so the
+  // sequencing chain never stalls waiting on a hole.
+  auto sealed = SealFrame(ResponseType(request.type), std::move(response).TakeBuffer());
+  return QueueResponse(request.conn, request.seq, sealed.ok() ? std::move(*sealed) : FrameBytes());
+}
+
+std::vector<AftServiceServer::Request> AftServiceServer::QueueResponse(
+    const std::shared_ptr<Connection>& conn, uint64_t seq, FrameBytes frame) {
   {
     MutexLock lock(conn->mu);
     const bool was_idle = conn->outq.empty();
@@ -585,80 +552,34 @@ void AftServiceServer::QueueResponse(const std::shared_ptr<Connection>& conn, ui
       appended = true;
     }
     if (!appended || conn->closed.load(std::memory_order_acquire)) {
-      return;
+      return {};
     }
-    // On an idle socket this worker sends the run itself and spares the loop
-    // handoff. A non-empty queue before the append means the loop already
-    // owns the flush (a wake is pending or EPOLLOUT is armed), so the bytes
-    // ride with it. The loop is needed only for what the socket would not
-    // take (it arms EPOLLOUT; after a failed send its own flush fails and
-    // closes the connection) and to re-arm reads on a paused connection.
-    bool handoff = conn->reads_paused;
+    // On an idle socket this thread sends the run itself. A non-empty queue
+    // before the append means EPOLLOUT is armed or the I/O-step holder will
+    // arm it, so the bytes ride with that flush.
     if (was_idle) {
       (void)conn->FlushLocked();
-      handoff = handoff || !conn->outq.empty();
     }
-    if (!handoff) {
-      return;
+    // The I/O step is needed only for bytes the socket would not take (it
+    // arms EPOLLOUT; after a failed send its own flush fails and closes) and
+    // to parse the frames of a paused connection this drain resumes. A
+    // holder re-decides both when it releases the step.
+    const bool partial = was_idle && !conn->outq.empty();
+    const bool resume = conn->reads_paused && !conn->WantPauseLocked(options_);
+    if (conn->io_owned || (!partial && !resume)) {
+      return {};
     }
+    conn->io_owned = true;
   }
-  EventLoop* loop = loops_[conn->loop_index].get();
-  {
-    MutexLock lock(loop->mu);
-    loop->flush_queue.push_back(conn);
-  }
-  loop->Wake();
+  return RunIoStep(conn, 0);
 }
 
-bool AftServiceServer::UpdateInterest(EventLoop* loop, const std::shared_ptr<Connection>& conn) {
-  if (conn->closed.load(std::memory_order_acquire)) {
-    return false;
-  }
-  bool want_read;
-  bool want_write;
-  {
-    MutexLock lock(conn->mu);
-    const uint64_t depth = conn->next_dispatch_seq - conn->next_send_seq;
-    // Hysteresis: pause at the caps, resume at half — a connection hovering
-    // at the limit does not thrash epoll_ctl.
-    if (conn->reads_paused) {
-      want_read = conn->out_bytes <= options_.max_write_buffer_bytes / 2 &&
-                  depth <= options_.max_pipeline_depth / 2;
-    } else {
-      want_read = conn->out_bytes <= options_.max_write_buffer_bytes &&
-                  depth < options_.max_pipeline_depth;
-    }
-    if (!want_read && !conn->reads_paused) {
-      stats_.backpressure_pauses.fetch_add(1, std::memory_order_relaxed);
-    } else if (want_read && conn->reads_paused) {
-      stats_.backpressure_resumes.fetch_add(1, std::memory_order_relaxed);
-    }
-    conn->reads_paused = !want_read;
-    want_write = !conn->outq.empty();
-  }
-  const uint32_t desired = (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
-  if (desired != conn->armed_events) {
-    epoll_event ev{};
-    ev.events = desired;
-    ev.data.ptr = conn.get();
-    (void)::epoll_ctl(loop->epoll_fd, EPOLL_CTL_MOD, conn->socket.fd(), &ev);
-    conn->armed_events = desired;
-  }
-  return want_read;
-}
-
-void AftServiceServer::CloseConnection(EventLoop* loop, const std::shared_ptr<Connection>& conn) {
-  if (conn->closed.exchange(true, std::memory_order_acq_rel)) {
-    return;
-  }
-  const int fd = conn->socket.fd();
-  (void)::epoll_ctl(loop->epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
+void AftServiceServer::CloseConnection(const std::shared_ptr<Connection>& conn) {
+  conn->closed.store(true, std::memory_order_release);
+  (void)::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->socket.fd(), nullptr);
   conn->socket.Shutdown();
-  auto it = loop->conns.find(fd);
-  if (it != loop->conns.end()) {
-    loop->graveyard.push_back(std::move(it->second));
-    loop->conns.erase(it);
-  }
+  MutexLock lock(mu_);
+  connections_.erase(conn->id);
 }
 
 void AftServiceServer::HandleRequest(MessageType type, const std::string& payload,

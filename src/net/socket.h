@@ -61,7 +61,7 @@ class Socket {
   // peer, never a legal message boundary.
   Status RecvAll(char* data, size_t len);
 
-  // Single-shot partial I/O for the non-blocking event loop. Both return the
+  // Single-shot partial I/O for the non-blocking server. Both return the
   // byte count actually moved (>= 1), or:
   //   * kTimeout      — the operation would block (EAGAIN); try again after
   //                     the next readiness event;

@@ -315,10 +315,14 @@ TEST(ContentionProfiler, NamedExecutorProfilesQueueAndRunTime) {
     IoExecutor executor(2, "attrexec");
     std::atomic<int> ran{0};
     for (int i = 0; i < 16; ++i) {
-      executor.Submit([&ran] {
+      // SubmitIfIdle refuses while both helpers are busy; retry until one
+      // frees up.
+      while (!executor.SubmitIfIdle([&ran] {
         std::this_thread::sleep_for(std::chrono::milliseconds(2));
         ran.fetch_add(1, std::memory_order_relaxed);
-      });
+      })) {
+        std::this_thread::sleep_for(std::chrono::microseconds(100));
+      }
     }
     // No drain API: wait for the tasks themselves (the pool destructor would
     // drop queued work).

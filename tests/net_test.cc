@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <condition_variable>
+#include <mutex>
 #include <set>
 #include <thread>
 
@@ -36,7 +38,6 @@ using net::RemoteAftClient;
 using net::RemoteAftClientOptions;
 using net::Socket;
 using net::TcpConnect;
-using net::WriteFrame;
 
 SimDynamoOptions InstantDynamo() {
   SimDynamoOptions options;
@@ -867,6 +868,180 @@ TEST_F(EventLoopServerTest, PausedConnectionResumesWhenWorkersDrainIt) {
   }
   EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
   EXPECT_GE(server.stats().backpressure_pauses.load(), 1u);
+  server.Stop();
+}
+
+// ---- Server pool: blocking handlers ----------------------------------------
+//
+// A pool thread that serves a request may block (storage latency,
+// fdatasync). These tests hold a commit handler on a latch and check that
+// the rest of the server keeps going: other connections, and the frames
+// pipelined behind the held commit on its own connection.
+
+// Holds every commit at kBeforeDataWrite while armed, until Release().
+class CommitGate {
+ public:
+  std::function<bool(CrashPoint)> Hook() {
+    return [this](CrashPoint point) {
+      if (point != CrashPoint::kBeforeDataWrite) {
+        return false;
+      }
+      std::unique_lock<std::mutex> lock(mu_);
+      if (!armed_) {
+        return false;
+      }
+      ++held_;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return !armed_; });
+      return false;
+    };
+  }
+  void Arm() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = true;
+  }
+  // Waits up to 5 s for a commit to reach the gate.
+  bool AwaitHeld() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(5), [this] { return held_ > 0; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    armed_ = false;
+    cv_.notify_all();
+  }
+
+  // Releases the gate when it goes out of scope. Declared after the server,
+  // so a failed assertion frees the held handler before Stop joins its thread.
+  struct ReleaseOnExit {
+    CommitGate& gate;
+    ~ReleaseOnExit() { gate.Release(); }
+  };
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool armed_ = false;
+  int held_ = 0;
+};
+
+class ServerPoolTest : public ::testing::Test {
+ protected:
+  ServerPoolTest()
+      : storage_(clock_, InstantDynamo()), node_("aft-0", storage_, clock_, GatedOptions()) {
+    EXPECT_TRUE(node_.Start().ok());
+  }
+  AftNodeOptions GatedOptions() {
+    AftNodeOptions options;
+    options.crash_hook = gate_.Hook();
+    return options;
+  }
+
+  // Starts a transaction that wrote `key` and returns its Commit frame.
+  std::string CommitFrameForNewWrite(const std::string& key) {
+    auto txid = node_.StartTransaction();
+    EXPECT_TRUE(txid.ok());
+    EXPECT_TRUE(node_.Put(*txid, key, "held").ok());
+    net::CommitRequest request;
+    request.txid = *txid;
+    return EncodeFrame(MessageType::kCommit, request.Serialize());
+  }
+
+  CommitGate gate_;
+  SimClock clock_;
+  SimDynamo storage_;
+  AftNode node_;
+};
+
+// While one connection's commit is held, a Ping on each of eight other
+// connections is answered within 1 s. A server that served requests on the
+// thread watching a connection's socket would leave the connections that
+// share that thread unanswered until the commit returned.
+TEST_F(ServerPoolTest, SlowHandlerDoesNotStallOtherConnections) {
+  AftServiceServer server(node_);
+  ASSERT_TRUE(server.Start().ok());
+  CommitGate::ReleaseOnExit release{gate_};
+  gate_.Arm();
+  auto held = TcpConnect(server.endpoint(), std::chrono::seconds(2));
+  ASSERT_TRUE(held.ok());
+  ASSERT_TRUE(held->SendAll(CommitFrameForNewWrite("slow:k")).ok());
+  ASSERT_TRUE(gate_.AwaitHeld());
+
+  for (int i = 0; i < 8; ++i) {
+    auto raw = TcpConnect(server.endpoint(), std::chrono::seconds(2));
+    ASSERT_TRUE(raw.ok());
+    ASSERT_TRUE(raw->SetRecvTimeout(std::chrono::seconds(1)).ok());
+    const auto start = std::chrono::steady_clock::now();
+    ASSERT_TRUE(raw->SendAll(EncodeFrame(MessageType::kPing, net::PingRequest{}.Serialize())).ok());
+    auto frame = ReadFrame(*raw);
+    ASSERT_TRUE(frame.ok()) << "ping on connection " << i << ": " << frame.status().ToString();
+    EXPECT_EQ(frame->type, net::ResponseType(MessageType::kPing));
+    EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(1));
+  }
+
+  gate_.Release();
+  ASSERT_TRUE(held->SetRecvTimeout(std::chrono::seconds(5)).ok());
+  auto committed = ReadFrame(*held);
+  ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+  ASSERT_EQ(committed->type, net::ResponseType(MessageType::kCommit));
+  auto response = net::CommitResponse::Deserialize(committed->payload);
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  server.Stop();
+}
+
+// One connection sends a commit that is held, then kGets Gets. The Gets run
+// on other pool threads while the commit waits (the node counts their reads
+// before the release), and all responses still arrive in request order.
+TEST_F(ServerPoolTest, PipelinedFramesBehindABlockedCommitStillRun) {
+  constexpr size_t kGets = 16;
+  auto writer = node_.StartTransaction();
+  ASSERT_TRUE(writer.ok());
+  for (size_t i = 0; i < kGets; ++i) {
+    ASSERT_TRUE(node_.Put(*writer, "behind:" + std::to_string(i), "v" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(node_.CommitTransaction(*writer).ok());
+  auto reader = node_.StartTransaction();
+  ASSERT_TRUE(reader.ok());
+
+  AftServiceServer server(node_);
+  ASSERT_TRUE(server.Start().ok());
+  CommitGate::ReleaseOnExit release{gate_};
+  gate_.Arm();
+  auto raw = TcpConnect(server.endpoint(), std::chrono::seconds(2));
+  ASSERT_TRUE(raw.ok());
+  ASSERT_TRUE(raw->SetRecvTimeout(std::chrono::seconds(5)).ok());
+  std::string burst = CommitFrameForNewWrite("behind:held");
+  for (size_t i = 0; i < kGets; ++i) {
+    net::GetRequest request;
+    request.txid = *reader;
+    request.key = "behind:" + std::to_string(i);
+    burst += EncodeFrame(MessageType::kGet, request.Serialize());
+  }
+  const uint64_t reads_before = node_.stats().reads.load();
+  ASSERT_TRUE(raw->SendAll(burst).ok());
+  ASSERT_TRUE(gate_.AwaitHeld());
+
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (node_.stats().reads.load() - reads_before < kGets &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(node_.stats().reads.load() - reads_before, kGets)
+      << "Gets pipelined behind a held commit did not run";
+  gate_.Release();
+
+  auto committed = ReadFrame(*raw);
+  ASSERT_TRUE(committed.ok()) << committed.status().ToString();
+  ASSERT_EQ(committed->type, net::ResponseType(MessageType::kCommit));
+  for (size_t i = 0; i < kGets; ++i) {
+    auto frame = ReadFrame(*raw);
+    ASSERT_TRUE(frame.ok()) << "response " << i << ": " << frame.status().ToString();
+    ASSERT_EQ(frame->type, net::ResponseType(MessageType::kGet));
+    auto response = net::GetResponse::Deserialize(frame->payload);
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->read.value.value_or("?"), "v" + std::to_string(i)) << "out of order at " << i;
+  }
+  ASSERT_TRUE(node_.AbortTransaction(*reader).ok());
   server.Stop();
 }
 

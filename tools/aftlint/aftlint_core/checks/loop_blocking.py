@@ -1,9 +1,12 @@
-"""loop-blocking: nothing reachable from an event-loop thread may block.
+"""loop-blocking: nothing reachable from a server's I/O step may block.
 
-The PR-4 rule: an epoll loop thread owns every connection on its loop — one
-blocking call (connect, a blocking read/write, a sleep, a condvar wait, a
-ParallelFor that drains items on the caller) stalls every connection that
-loop owns. Handlers run on worker lanes; the loop thread only moves bytes.
+A server pool thread that holds a connection's I/O step — from its epoll
+wake to the connection's re-arm — is the only reader of that connection, and
+until the re-arm no other thread will. One blocking call there (connect, a
+blocking read/write, a sleep, a condvar wait, a ParallelFor that drains
+items on the caller) stalls the connection and takes the thread out of the
+pool's epoll_wait. Serving a request after the re-arm may block: another
+pool thread is then waiting in epoll_wait.
 
 Mechanics: build a call graph over the file set (textual, resolved by
 receiver type when a parameter/local declaration gives one, otherwise by
@@ -14,10 +17,8 @@ take the transitive closure from the event-loop entry points
 matching a blocking pattern.
 
 Lambda bodies are excluded from the traversal: the repo convention is that
-lambdas created on the loop thread are handed to the worker pool
-(`DispatchRequest`), so code inside them does not run on the loop. The one
-inline-fallback path (executor shut down) is a documented shutdown-only
-exception. A raw `::read`/`::write` on a non-blocking fd is legal but must
+a lambda built on an I/O step is handed to another thread, so code inside
+it does not run on the step. A raw `::read`/`::write` on a non-blocking fd is legal but must
 say so: `// aftlint-allow(loop-blocking): <why this fd cannot block>`.
 """
 

@@ -59,9 +59,13 @@ DECODER_FILES = [
 
 # Event-loop entry points: functions marked `// aftlint: event-loop` in the
 # source are entries too; these names are the repo's known roots so the check
-# cannot be defeated by deleting the marker comment.
+# cannot be defeated by deleting the marker comment. The server's root is a
+# pool thread's non-blocking I/O step, from the epoll wake to the re-arm
+# (`NextRequests`, which runs `RunIoStep`). Serving the decoded requests
+# afterwards may block: the connection is re-armed and the other pool threads
+# wait in epoll_wait.
 EVENT_LOOP_ENTRIES = [
-    "AftServiceServer::EventLoopMain",
+    "AftServiceServer::NextRequests",
 ]
 
 # Call-site patterns that block (or may block unboundedly) and therefore must

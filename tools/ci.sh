@@ -7,9 +7,10 @@
 #   matrix leg 2: AFT_SANITIZE=thread       (TSan, full ctest)
 #   matrix leg 3: AFT_SANITIZE=address      (ASan+UBSan, full ctest)
 #
-# Each leg runs the full suite, then hammers the WAL crash-recovery harness
-# (kill -9 children, timing varies) a few extra times under the leg's
-# sanitizer.
+# Each leg runs the full suite, then hammers the net transport suite (the
+# server pool's interleavings vary run to run) and the WAL crash-recovery
+# harness (kill -9 children, timing varies) a few extra times under the
+# leg's sanitizer.
 
 set -u
 cd "$(dirname "$0")/.."
@@ -22,6 +23,7 @@ leg() {  # leg <name> <build-dir> <extra cmake args...>
   if cmake -B "$dir" -S . "$@" > /dev/null \
      && cmake --build "$dir" -j "$JOBS" 2>&1 | tail -5 \
      && (cd "$dir" && ctest --output-on-failure -j "$JOBS") \
+     && (cd "$dir" && ctest --output-on-failure -R 'net_test' --repeat until-fail:3) \
      && (cd "$dir" && ctest --output-on-failure -R 'wal_recovery_test' --repeat until-fail:3); then
     echo "[PASS] $name"
   else
