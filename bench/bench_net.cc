@@ -25,10 +25,7 @@
 // ops per client; defaults to min(AFT_BENCH_REQUESTS, 200) so --smoke stays
 // fast).
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -283,156 +280,6 @@ void RunThroughputConfig(AftNode& node, const TputConfig& cfg, long ops_per_clie
   server.Stop();
 }
 
-// ---------------------------------------------------------------------------
-// Cross-transaction commit batching: Zipfian hot-key contended RMW.
-//
-// The batching comparison needs the *real* DynamoDB latency profile (zeroed
-// latencies make every storage round free, so there is nothing to coalesce)
-// plus a bounded connection pool: with a handful of request slots and 16+
-// closed-loop committers, the unbatched protocol queues 2 rounds per
-// transaction on the pool while the batcher fuses every queued committer
-// into one shared round. Workload is a contended read-modify-write — each
-// op reads a Zipfian-hot key, overwrites it, commits — the serverless
-// counter/session pattern the paper's Figure 7 stresses. Rows are named
-// "tput zipf batched|unbatched <N>c" for the bench_gate stage-3 ratio;
-// stage 1 skips them (no "baseline" config to pair with).
-
-// Inverse-CDF Zipfian sampler over `n` key ranks; rank 0 is the hottest.
-class ZipfianKeys {
- public:
-  ZipfianKeys(size_t n, double s) {
-    cdf_.reserve(n);
-    double sum = 0;
-    for (size_t i = 1; i <= n; ++i) {
-      sum += 1.0 / std::pow(static_cast<double>(i), s);
-      cdf_.push_back(sum);
-    }
-    for (double& c : cdf_) {
-      c /= sum;
-    }
-  }
-
-  size_t Sample(std::mt19937_64& rng) const {
-    const double u = std::uniform_real_distribution<double>(0.0, 1.0)(rng);
-    return static_cast<size_t>(std::lower_bound(cdf_.begin(), cdf_.end(), u) - cdf_.begin());
-  }
-
- private:
-  std::vector<double> cdf_;
-};
-
-// Forwards every call to `inner` but reports that commit rounds share no
-// cost, so the node's batcher runs each commit in its own round: the
-// "unbatched" reference over the very same bounded-pool engine.
-class SoloRoundEngine final : public StorageEngine {
- public:
-  explicit SoloRoundEngine(StorageEngine& inner) : inner_(inner) {}
-
-  Result<std::string> Get(const std::string& key) override { return inner_.Get(key); }
-  Result<std::string> GetRange(const std::string& key, uint64_t offset,
-                               uint64_t length) override {
-    return inner_.GetRange(key, offset, length);
-  }
-  std::vector<Result<std::string>> MultiGet(std::span<const std::string> keys) override {
-    return inner_.MultiGet(keys);
-  }
-  Status Put(std::string key, std::string value) override {
-    return inner_.Put(std::move(key), std::move(value));
-  }
-  Status PutIfAbsent(std::string key, std::string value) override {
-    return inner_.PutIfAbsent(std::move(key), std::move(value));
-  }
-  Status BatchPut(std::span<const WriteOp> ops) override { return inner_.BatchPut(ops); }
-  Status BatchPutConsume(std::span<WriteOp> ops) override { return inner_.BatchPutConsume(ops); }
-  void BatchPutEach(std::span<WriteOp> ops, std::span<Status> statuses) override {
-    inner_.BatchPutEach(ops, statuses);
-  }
-  void CommitUnits(std::span<CommitUnit> units, std::span<Status> results,
-                   CommitStageProfile* profile) override {
-    inner_.CommitUnits(units, results, profile);
-  }
-  bool CommitRoundsShareCost() const override { return false; }
-  Status Delete(const std::string& key) override { return inner_.Delete(key); }
-  Status BatchDelete(std::span<const std::string> keys) override {
-    return inner_.BatchDelete(keys);
-  }
-  Result<std::vector<std::string>> List(const std::string& prefix) override {
-    return inner_.List(prefix);
-  }
-  std::string_view name() const override { return inner_.name(); }
-  bool SupportsBatchPut() const override { return inner_.SupportsBatchPut(); }
-  size_t MaxBatchSize() const override { return inner_.MaxBatchSize(); }
-  double client_cpu_factor() const override { return inner_.client_cpu_factor(); }
-  const StorageCounters& counters() const override { return inner_.counters(); }
-
- private:
-  StorageEngine& inner_;
-};
-
-void RunCommitBatchingConfig(bool batching, size_t clients, long ops_per_client,
-                             const ZipfianKeys& zipf, size_t key_space, size_t pool_slots) {
-  // Fresh engine per config so batched and unbatched runs see identical
-  // initial state and identical pool pressure.
-  SimDynamo storage(BenchClock(), SimDynamoOptions{});
-  storage.SetMaxConcurrentRequests(pool_slots);
-  SoloRoundEngine solo_rounds(storage);
-  AftNodeOptions node_options;
-  node_options.service_cores = 0;  // Measure protocol rounds, not simulated CPU.
-  AftNode node("bench-batch", batching ? static_cast<StorageEngine&>(storage) : solo_rounds,
-               BenchClock(), node_options);
-  Check(node.Start(), "batch node Start");
-
-  // Seed the key space so the RMW reads mostly hit.
-  {
-    auto txid = node.StartTransaction();
-    Check(txid.status(), "batch seed StartTransaction");
-    for (size_t i = 0; i < key_space; ++i) {
-      Check(node.Put(*txid, "zipf" + std::to_string(i), "0"), "batch seed Put");
-    }
-    Check(node.CommitTransaction(*txid).status(), "batch seed Commit");
-  }
-
-  const uint64_t total_ops = static_cast<uint64_t>(clients) * ops_per_client;
-  double elapsed_ms = 0;
-  obs::Histogram lat(FineLatencyBoundariesMs());
-  RunClosedLoop(clients, &elapsed_ms, [&](size_t c) {
-    std::mt19937_64 rng(0x5eed0000 + c);
-    for (long r = 0; r < ops_per_client; ++r) {
-      const auto op_start = std::chrono::steady_clock::now();
-      auto txid = node.StartTransaction();
-      Check(txid.status(), "batch StartTransaction");
-      const std::string key = "zipf" + std::to_string(zipf.Sample(rng));
-      // Contended RMW: read the hot key (kNotFound only races the seed),
-      // overwrite it, commit. The value encodes writer+round for debugging.
-      (void)node.Get(*txid, key);
-      Check(node.Put(*txid, key, std::to_string(c) + ":" + std::to_string(r)), "batch Put");
-      Check(node.CommitTransaction(*txid).status(), "batch Commit");
-      lat.Observe(WallMs(op_start));
-    }
-  });
-  const double ops_sec = total_ops / (elapsed_ms / 1000.0);
-  const char* label = batching ? "batched" : "unbatched";
-  std::printf("  %-9s %2zu clients  rmw-commit %9.0f ops/s   p50 %7.3f ms   p99 %7.3f ms\n",
-              label, clients, ops_sec, lat.Quantile(0.50), lat.Quantile(0.99));
-  EmitJsonRow("net",
-              std::string("tput zipf ") + label + " " + std::to_string(clients) + "c",
-              lat.Quantile(0.50), lat.Quantile(0.99), ops_sec, total_ops);
-}
-
-void RunCommitBatchingSweep(long ops_per_client) {
-  PrintTitle("commit batching: Zipfian hot-key RMW, batched vs unbatched (wall-clock)");
-  constexpr size_t kKeySpace = 64;     // Zipf s=0.99 -> ~25% of ops hit rank 0.
-  constexpr size_t kPoolSlots = 4;     // Bounded connection pool (shared resource).
-  std::printf("  %ld ops per client per row, %zu keys, pool=%zu\n", ops_per_client, kKeySpace,
-              kPoolSlots);
-  const ZipfianKeys zipf(kKeySpace, 0.99);
-  for (size_t clients : {16u, 64u}) {
-    for (bool batching : {false, true}) {
-      RunCommitBatchingConfig(batching, clients, ops_per_client, zipf, kKeySpace, kPoolSlots);
-    }
-  }
-}
-
 void RunThroughputSweep(AftNode& node, long ops_per_client) {
   PrintTitle("net closed-loop throughput: 1/4/16/64 clients (wall-clock)");
   std::printf("  %ld ops per client per row\n", ops_per_client);
@@ -542,7 +389,6 @@ int main() {
   RunThroughputSweep(node, tput_ops);
   breakdown.Report("tput commit");
   RunStorageLatencySweep();
-  RunCommitBatchingSweep(tput_ops);
 
   std::printf("\n  server: %llu requests over %llu connections\n",
               static_cast<unsigned long long>(server.stats().requests_served.load()),

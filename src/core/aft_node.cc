@@ -359,7 +359,7 @@ void AftNode::StartEarlyWrites(const TxnPtr& txn) {
   const bool started = IoExecutor::Shared().SubmitIfIdle(
       [&storage = storage_, txn, ops = std::move(ops), keys = std::move(keys)]() mutable {
         txn->early_writes.Finish(
-            keys, storage.BatchPutConsume(std::span<WriteOp>(ops.data(), ops.size())));
+            keys, storage.BatchPut(std::span<WriteOp>(ops.data(), ops.size())));
       });
   if (!started) {
     // Every helper is busy with other requests' I/O: the entries stay
@@ -671,12 +671,11 @@ Result<TxnId> AftNode::CommitTransaction(const Uuid& txid) {
   // commit record; only then does the transaction become visible. Unless
   // the engine fuses a unit's data ops with its record into one write, a
   // data op is a request the record must wait for, so every dirty payload
-  // rides inside the record object and the two steps are one write (a
-  // merged round then merges the records). On a fusing engine a dirty key
-  // never written before gets its version object in the round's data ops.
-  // A key whose version object may exist rides in the record on every
-  // engine. Nothing here mutates the transaction; a failed round is
-  // accounted for below.
+  // rides inside the record object and the two steps are one write. On a
+  // fusing engine a dirty key never written before gets its version object
+  // in the round's data ops. A key whose version object may exist rides in
+  // the record on every engine. Nothing here mutates the transaction; a
+  // failed round is accounted for below.
   const bool record_holds_data = !storage_.CommitUnitsFuseDataWithRecord();
   SmallVector<WriteOp, 8> ops;
   std::vector<VersionLocator> locators;

@@ -367,7 +367,7 @@ class AftNode {
   std::vector<obs::TraceContext> pending_broadcast_traces_ GUARDED_BY(broadcast_mu_);
 
   // Every commit's storage round runs through the batcher, which merges
-  // concurrent rounds where the engine's rounds share a cost.
+  // concurrent rounds where the engine fuses data with records.
   CommitBatcher batcher_;
 
   // Registry-backed instruments, looked up once at construction (labels:

@@ -67,7 +67,7 @@ CommitBatcher::CommitBatcher(const std::string& node_id, StorageEngine& storage,
 
 Status CommitBatcher::Commit(Pending& pending) {
   Pending* solo = &pending;
-  if (!storage_.CommitRoundsShareCost()) {
+  if (!storage_.CommitUnitsFuseDataWithRecord()) {
     // Nothing for a merged round to share: run this commit's round now,
     // concurrently with any others, without the latch.
     ExecuteRound(std::span<Pending* const>(&solo, 1), solo);

@@ -1,14 +1,15 @@
 // Cross-transaction commit batching: group commit at the AFT protocol layer.
 //
-// CommitTransaction's storage cost is two serialized rounds against the
-// shared engine — flush the data versions, then (after the §3.3 barrier)
-// write the commit record. Every commit runs through this batcher, but it
-// merges rounds only where the engine says a round has a shared cost
-// (StorageEngine::CommitRoundsShareCost: a group-committed fsync, a bounded
-// connection pool). Elsewhere — S3 with no batch API and an unbounded pool —
-// merging would only make commits wait for each other and pay the slowest
-// member's tail, so every commit runs its own round concurrently, with no
-// batcher lock taken.
+// CommitTransaction's storage cost is two ordered steps against the shared
+// engine — the data versions, then (after the §3.3 barrier) the commit
+// record. Every commit runs through this batcher, but it merges rounds only
+// where one round costs less than its members' separate rounds: on an
+// engine that fuses a unit's data with its record into one durable write
+// (StorageEngine::CommitUnitsFuseDataWithRecord: the local engine's WAL
+// append and group-committed fsync). Elsewhere — every simulated engine,
+// where a commit is one record write of its own — merging would only make
+// commits wait for each other and pay the slowest member's tail, so every
+// commit runs its own round concurrently, with no batcher lock taken.
 //
 // Where rounds merge, the batcher coalesces them the way the WAL's group
 // commit coalesces fsyncs (latch-and-piggyback): the first committer

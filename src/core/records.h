@@ -12,18 +12,16 @@
 //                     key versions are durable; its presence is what makes
 //                     the transaction's updates visible. The key is unique
 //                     per commit attempt, so no other commit overwrites a
-//                     record. A solo round (StorageEngine::CommitUnits with
-//                     one unit) CREATES it with a conditional PutIfAbsent,
-//                     which an engine may hedge with a second identical
-//                     create (src/storage/record_writer.h). At most one
-//                     attempt lands, so "already exists" means created. The
+//                     record. StorageEngine::CommitUnits CREATES it with a
+//                     conditional PutIfAbsent, which an engine may hedge
+//                     with a second identical create
+//                     (src/storage/record_writer.h). At most one attempt
+//                     lands, so "already exists" means created. The
 //                     committing node pins the record against GC while a
-//                     losing attempt is still in flight. Merged rounds write
-//                     records with plain puts: LocalEngine's fused WAL
-//                     append, and the second round of the default path on a
-//                     bounded pool (BatchPutEach -> Put). That is safe
-//                     because merged rounds never hedge, so each record key
-//                     sees exactly one write.
+//                     losing attempt is still in flight. Only LocalEngine's
+//                     fused WAL append writes records with plain puts; it
+//                     never hedges, so each record key sees exactly one
+//                     write there.
 //
 // A payload lives in one of two places, named by the record:
 //

@@ -188,8 +188,9 @@ int main(int argc, char** argv) {
       "engine_recovered", [engine] { return std::make_pair(true, engine); });
 
   // Which commit policy this node runs: merged rounds only where the
-  // engine's rounds share a cost (src/core/commit_batcher.h).
-  obs::SetVarz("commit.rounds_share_cost", storage->CommitRoundsShareCost() ? "true" : "false");
+  // engine fuses a commit's data with its record (src/core/commit_batcher.h).
+  obs::SetVarz("commit.rounds_share_cost",
+               storage->CommitUnitsFuseDataWithRecord() ? "true" : "false");
 
   AftNode node(node_id, *storage, clock);
   if (!node.Start().ok()) {

@@ -436,7 +436,7 @@ Status LocalEngine::PutIfAbsent(std::string key, std::string value) {
   return Put(std::move(key), std::move(value));
 }
 
-Status LocalEngine::BatchPut(std::span<const WriteOp> ops) {
+Status LocalEngine::BatchPut(std::span<WriteOp> ops) {
   if (ops.empty()) {
     return Status::Ok();
   }
@@ -544,12 +544,6 @@ void LocalEngine::CommitUnits(std::span<CommitUnit> units, std::span<Status> res
       }
     }
   }
-}
-
-Status LocalEngine::BatchPutConsume(std::span<WriteOp> ops) {
-  // Nothing to move: the write path streams the caller's bytes straight to
-  // the kernel, so the consuming and copying entry points are the same call.
-  return BatchPut(std::span<const WriteOp>(ops.data(), ops.size()));
 }
 
 Status LocalEngine::Delete(const std::string& key) {

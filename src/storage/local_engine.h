@@ -94,11 +94,9 @@ class LocalEngine final : public StorageEngine {
   // Atomic against other conditional creates, the only writers of a record
   // key: creates take turns between the existence check and the append.
   Status PutIfAbsent(std::string key, std::string value) override;
-  Status BatchPut(std::span<const WriteOp> ops) override;
-  // Truly consuming is trivially true here: value bytes stream from the
-  // caller's buffers into the kernel via writev and are never copied into
-  // engine memory at all. Both batch entry points share that path.
-  Status BatchPutConsume(std::span<WriteOp> ops) override;
+  // Consumes nothing: value bytes stream from the caller's buffers into the
+  // kernel via writev and are never copied into engine memory at all.
+  Status BatchPut(std::span<WriteOp> ops) override;
   // Fused group commit: the whole batch — every unit's data versions
   // followed by that unit's commit record — rides ONE WAL append (one
   // writev) and ONE group-committed fsync. Per-unit §3.3 ordering falls out
@@ -113,22 +111,20 @@ class LocalEngine final : public StorageEngine {
   // group-committed fsync (data and records become durable together),
   // barrier = 0 (ordering rides batch append order, no separate wait).
   // A round with an after_data_write hook has no point between a unit's
-  // data and its record in one append, so it takes the generic two-round
+  // data and its record in one append, so it takes the default per-unit
   // path instead (crash-point injection, or a transaction whose buffer
   // spilled past the threshold and must wait for its early writes).
   void CommitUnits(std::span<CommitUnit> units, std::span<Status> results,
                    CommitStageProfile* profile = nullptr) override;
-  // Every round ends in one group-committed fsync, paid once however many
-  // units ride it.
-  bool CommitRoundsShareCost() const override { return true; }
-  // A unit's data ops and record ride the same append (see CommitUnits).
+  // A unit's data ops and record ride the same append (see CommitUnits),
+  // and every round ends in one group-committed fsync, paid once however
+  // many units ride it.
   bool CommitUnitsFuseDataWithRecord() const override { return true; }
   Status Delete(const std::string& key) override;
   Status BatchDelete(std::span<const std::string> keys) override;
   Result<std::vector<std::string>> List(const std::string& prefix) override;
 
   std::string_view name() const override { return "local"; }
-  bool SupportsBatchPut() const override { return true; }
   size_t MaxBatchSize() const override { return 1024; }
   const StorageCounters& counters() const override { return counters_; }
 

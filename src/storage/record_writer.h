@@ -1,7 +1,8 @@
 // Hedged commit-record writes (Dean & Barroso, "The Tail at Scale").
 //
-// A commit on an engine whose rounds share no cost is exactly one record
-// create, so that create's latency tail is the commit's tail. The writer
+// A commit on a simulated engine is exactly one record create (its payloads
+// ride inside the record), so that create's latency tail is the commit's
+// tail. The writer
 // keeps a rolling window of this engine's record-write latencies. Once the
 // window is full and its p90 is at least kHedgeFloor, a create runs on a
 // helper thread; if it is still outstanding after that p90, an identical

@@ -57,7 +57,6 @@ class SimDynamo final : public SimEngineBase {
       : SimEngineBase("dynamodb", clock, options.profile, options.staleness, options.map_shards),
         txn_call_(options.txn_call) {}
 
-  bool SupportsBatchPut() const override { return true; }
   size_t MaxBatchSize() const override { return 25; }  // BatchWriteItem limit.
   double client_cpu_factor() const override { return 1.45; }  // HTTPS + JSON.
 

@@ -82,38 +82,6 @@ SimEngineBase::SimEngineBase(std::string name, Clock& clock, EngineLatencyProfil
       [this] { return ToMillis(record_writer_.hedge_delay()); }));
 }
 
-void SimEngineBase::SetMaxConcurrentRequests(size_t n) {
-  MutexLock lock(pool_mu_);
-  pool_limit_ = n;
-  pool_limit_hint_.store(n, std::memory_order_relaxed);
-  pool_cv_.NotifyAll();
-}
-
-SimEngineBase::ConnectionSlot::ConnectionSlot(SimEngineBase& engine) : engine_(engine) {
-  if (engine_.pool_limit_hint_.load(std::memory_order_relaxed) == 0) {
-    return;  // Unbounded pool: no slot accounting at all.
-  }
-  MutexLock lock(engine_.pool_mu_);
-  // Re-check under the lock — the limit may have been cleared meanwhile.
-  if (engine_.pool_limit_ == 0) {
-    return;
-  }
-  while (engine_.pool_in_use_ >= engine_.pool_limit_ && engine_.pool_limit_ != 0) {
-    engine_.pool_cv_.Wait(lock);
-  }
-  ++engine_.pool_in_use_;
-  acquired_ = true;
-}
-
-SimEngineBase::ConnectionSlot::~ConnectionSlot() {
-  if (!acquired_) {
-    return;
-  }
-  MutexLock lock(engine_.pool_mu_);
-  --engine_.pool_in_use_;
-  engine_.pool_cv_.NotifyOne();
-}
-
 void SimEngineBase::Charge(const LatencyModel& model, uint64_t bytes, obs::Histogram* latency) {
   ChargeDuration(model.Sample(ThreadLocalRng(), bytes), latency);
 }
@@ -163,7 +131,6 @@ TimePoint SimEngineBase::SampleReadAsOf(const std::string& key) {
 }
 
 Result<std::string> SimEngineBase::Get(const std::string& key) {
-  ConnectionSlot slot(*this);
   counters_.gets.fetch_add(1, std::memory_order_relaxed);
   counters_.api_calls.fetch_add(1, std::memory_order_relaxed);
   Charge(profile_.get, 0, op_latency_get_);
@@ -181,7 +148,6 @@ Result<std::string> SimEngineBase::Get(const std::string& key) {
 
 Result<std::string> SimEngineBase::GetRange(const std::string& key, uint64_t offset,
                                             uint64_t length) {
-  ConnectionSlot slot(*this);
   counters_.gets.fetch_add(1, std::memory_order_relaxed);
   counters_.api_calls.fetch_add(1, std::memory_order_relaxed);
   Charge(profile_.get, length, op_latency_get_);
@@ -202,7 +168,6 @@ Result<std::string> SimEngineBase::GetRange(const std::string& key, uint64_t off
 }
 
 Status SimEngineBase::Put(std::string key, std::string value) {
-  ConnectionSlot slot(*this);
   counters_.puts.fetch_add(1, std::memory_order_relaxed);
   counters_.api_calls.fetch_add(1, std::memory_order_relaxed);
   counters_.bytes_written.fetch_add(value.size(), std::memory_order_relaxed);
@@ -215,7 +180,6 @@ Status SimEngineBase::Put(std::string key, std::string value) {
 }
 
 Status SimEngineBase::PutIfAbsent(std::string key, std::string value) {
-  ConnectionSlot slot(*this);
   counters_.puts.fetch_add(1, std::memory_order_relaxed);
   counters_.api_calls.fetch_add(1, std::memory_order_relaxed);
   counters_.bytes_written.fetch_add(value.size(), std::memory_order_relaxed);
@@ -230,9 +194,6 @@ Status SimEngineBase::PutIfAbsent(std::string key, std::string value) {
 }
 
 Status SimEngineBase::CreateCommitRecord(WriteOp& record, RecordWriteListener* listener) {
-  if (CommitRoundsShareCost()) {
-    return StorageEngine::CreateCommitRecord(record, listener);
-  }
   return record_writer_.Create(*this, record, listener);
 }
 
@@ -269,43 +230,7 @@ void SimEngineBase::ChargeBatchWrite(std::span<const WriteOp> chunk) {
   ChargeDuration(d, op_latency_batch_);
 }
 
-Status SimEngineBase::PutBatchChunk(std::span<const WriteOp> chunk) {
-  ConnectionSlot slot(*this);
-  ChargeBatchWrite(chunk);
-  if (ShouldFail()) {
-    return Status::Unavailable("transient storage error (injected)");
-  }
-  const TimePoint now = clock_.Now();
-  for (const WriteOp& op : chunk) {
-    map_.Put(op.key, op.value, now);
-  }
-  return Status::Ok();
-}
-
-Status SimEngineBase::BatchPut(std::span<const WriteOp> ops) {
-  if (ops.empty()) {
-    return Status::Ok();
-  }
-  if (!SupportsBatchPut()) {
-    // No batch API: one PUT per key, dispatched concurrently (§3.3 — "all
-    // of the transaction's updates are sent to storage in parallel").
-    // `Put` stays the dispatch point so engine subclasses (and the fault
-    // injection in tests) intercept each op individually.
-    return IoExecutor::Shared().ParallelFor(
-        ops.size(), [this, ops](size_t i) { return Put(ops[i].key, ops[i].value); });
-  }
-  // Chunk by the engine's batch limit (25 for DynamoDB's BatchWriteItem)
-  // and issue the chunks concurrently.
-  const size_t limit = MaxBatchSize();
-  const size_t chunks = (ops.size() + limit - 1) / limit;
-  return IoExecutor::Shared().ParallelFor(chunks, [this, ops, limit](size_t c) {
-    const size_t start = c * limit;
-    return PutBatchChunk(ops.subspan(start, std::min(limit, ops.size() - start)));
-  });
-}
-
-Status SimEngineBase::PutBatchChunkConsume(std::span<WriteOp> chunk) {
-  ConnectionSlot slot(*this);
+Status SimEngineBase::PutBatchChunk(std::span<WriteOp> chunk) {
   ChargeBatchWrite(chunk);
   if (ShouldFail()) {
     return Status::Unavailable("transient storage error (injected)");
@@ -317,72 +242,34 @@ Status SimEngineBase::PutBatchChunkConsume(std::span<WriteOp> chunk) {
   return Status::Ok();
 }
 
-Status SimEngineBase::BatchPutConsume(std::span<WriteOp> ops) {
+Status SimEngineBase::BatchPut(std::span<WriteOp> ops) {
   if (ops.empty()) {
     return Status::Ok();
   }
-  if (!SupportsBatchPut()) {
+  const size_t limit = MaxBatchSize();
+  if (limit <= 1) {
+    // No batch API: one PUT per key, dispatched concurrently (§3.3 — "all
+    // of the transaction's updates are sent to storage in parallel").
     if (ops.size() == 1) {
-      // Inline fast path: the executor runs n==1 inline anyway, so skip its
-      // std::function wrapper. Still the virtual Put, so interception holds.
       return Put(std::move(ops[0].key), std::move(ops[0].value));
     }
     return IoExecutor::Shared().ParallelFor(ops.size(), [this, ops](size_t i) {
       return Put(std::move(ops[i].key), std::move(ops[i].value));
     });
   }
-  const size_t limit = MaxBatchSize();
   if (ops.size() <= limit) {
-    return PutBatchChunkConsume(ops);
+    return PutBatchChunk(ops);
   }
+  // Chunk by the engine's batch limit (25 for DynamoDB's BatchWriteItem)
+  // and issue the chunks concurrently.
   const size_t chunks = (ops.size() + limit - 1) / limit;
   return IoExecutor::Shared().ParallelFor(chunks, [this, ops, limit](size_t c) {
     const size_t start = c * limit;
-    return PutBatchChunkConsume(ops.subspan(start, std::min(limit, ops.size() - start)));
-  });
-}
-
-void SimEngineBase::BatchPutEach(std::span<WriteOp> ops, std::span<Status> statuses) {
-  if (ops.empty()) {
-    return;
-  }
-  if (!SupportsBatchPut()) {
-    if (ops.size() == 1) {
-      statuses[0] = Put(std::move(ops[0].key), std::move(ops[0].value));
-      return;
-    }
-    // Per-key PUTs in parallel, each op's own outcome recorded positionally.
-    // The per-op misses live in `statuses`, never the executor's latch.
-    (void)IoExecutor::Shared().ParallelFor(ops.size(), [this, ops, statuses](size_t i) {
-      statuses[i] = Put(std::move(ops[i].key), std::move(ops[i].value));
-      return Status::Ok();
-    });
-    return;
-  }
-  const size_t limit = MaxBatchSize();
-  if (ops.size() <= limit) {
-    const Status chunk_status = PutBatchChunkConsume(ops);
-    for (Status& s : statuses) {
-      s = chunk_status;
-    }
-    return;
-  }
-  const size_t chunks = (ops.size() + limit - 1) / limit;
-  // Chunk outcomes fan out to every op in the chunk: a failed batch API
-  // call fails all of its items, exactly like BatchWriteItem.
-  (void)IoExecutor::Shared().ParallelFor(chunks, [this, ops, statuses, limit](size_t c) {
-    const size_t start = c * limit;
-    const size_t n = std::min(limit, ops.size() - start);
-    const Status chunk_status = PutBatchChunkConsume(ops.subspan(start, n));
-    for (size_t i = start; i < start + n; ++i) {
-      statuses[i] = chunk_status;
-    }
-    return Status::Ok();
+    return PutBatchChunk(ops.subspan(start, std::min(limit, ops.size() - start)));
   });
 }
 
 Status SimEngineBase::Delete(const std::string& key) {
-  ConnectionSlot slot(*this);
   counters_.deletes.fetch_add(1, std::memory_order_relaxed);
   counters_.api_calls.fetch_add(1, std::memory_order_relaxed);
   Charge(profile_.erase, 0, op_latency_delete_);
@@ -394,7 +281,6 @@ Status SimEngineBase::Delete(const std::string& key) {
 }
 
 Status SimEngineBase::DeleteBatchChunk(std::span<const std::string> chunk) {
-  ConnectionSlot slot(*this);
   counters_.deletes.fetch_add(chunk.size(), std::memory_order_relaxed);
   counters_.api_calls.fetch_add(1, std::memory_order_relaxed);
   Charge(profile_.batch_base, 0, op_latency_batch_);
@@ -409,7 +295,7 @@ Status SimEngineBase::BatchDelete(std::span<const std::string> keys) {
   if (keys.empty()) {
     return Status::Ok();
   }
-  if (!SupportsBatchPut()) {
+  if (MaxBatchSize() <= 1) {
     return IoExecutor::Shared().ParallelFor(keys.size(),
                                             [this, keys](size_t i) { return Delete(keys[i]); });
   }
@@ -422,7 +308,6 @@ Status SimEngineBase::BatchDelete(std::span<const std::string> keys) {
 }
 
 Result<std::vector<std::string>> SimEngineBase::List(const std::string& prefix) {
-  ConnectionSlot slot(*this);
   counters_.lists.fetch_add(1, std::memory_order_relaxed);
   counters_.api_calls.fetch_add(1, std::memory_order_relaxed);
   Charge(profile_.list, 0, op_latency_list_);

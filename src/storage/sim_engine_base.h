@@ -10,7 +10,6 @@
 
 #include "src/common/clock.h"
 #include "src/common/latency.h"
-#include "src/common/mutex.h"
 #include "src/common/rng.h"
 #include "src/obs/metrics.h"
 #include "src/storage/record_writer.h"
@@ -54,21 +53,6 @@ class SimEngineBase : public StorageEngine {
     fault_probability_.store(probability, std::memory_order_relaxed);
   }
 
-  // Models the client SDK's bounded connection pool: at most `n` API calls
-  // may be in flight against this engine simultaneously; extra callers
-  // queue for a free slot, exactly like callers of a saturated HTTP
-  // connection pool. 0 (the default) = unbounded, which preserves the
-  // historical behaviour of every existing bench and test. A bounded pool
-  // is the shared resource that makes cross-transaction commit batching
-  // pay on the simulated engines: k concurrent transactions issuing one
-  // merged call pass the pool once instead of k times.
-  void SetMaxConcurrentRequests(size_t n);
-
-  // True exactly while SetMaxConcurrentRequests bounds the pool (see above).
-  bool CommitRoundsShareCost() const override {
-    return pool_limit_hint_.load(std::memory_order_relaxed) != 0;
-  }
-
   Result<std::string> Get(const std::string& key) override;
   // Native ranged read: charges the get latency for `length` bytes only.
   Result<std::string> GetRange(const std::string& key, uint64_t offset,
@@ -80,24 +64,16 @@ class SimEngineBase : public StorageEngine {
   // Charges exactly what Put does; lands only if the key holds no object.
   Status PutIfAbsent(std::string key, std::string value) override;
   // Multi-op writes dispatch concurrently on the shared IoExecutor: engines
-  // without a batch API issue per-key Puts in parallel, batch engines issue
-  // their MaxBatchSize() chunks in parallel. Like the real APIs, the batch
-  // is NOT atomic — every op is attempted even after one fails (in-flight
-  // parallel writes cannot be recalled) and the first error by op index is
-  // returned.
-  Status BatchPut(std::span<const WriteOp> ops) override;
-  // Consuming variant: identical charging and dispatch, but key/value move
-  // through into the backing map. Single-chunk batches skip the executor's
-  // std::function indirection entirely (the executor runs n==1 inline
-  // anyway), which keeps the commit flush allocation-free. Per-key dispatch
-  // still goes through the virtual Put so subclass interception (fault
-  // injection in tests) keeps working.
-  Status BatchPutConsume(std::span<WriteOp> ops) override;
-  // Per-op-outcome variant feeding CommitUnits: same concurrent dispatch as
-  // BatchPutConsume, but each op's (or its chunk's) status lands in
-  // `statuses` so one transaction's failed write poisons only that
-  // transaction, never its batch-mates.
-  void BatchPutEach(std::span<WriteOp> ops, std::span<Status> statuses) override;
+  // without a batch API (MaxBatchSize() == 1) issue per-key Puts in
+  // parallel, batch engines issue their MaxBatchSize() chunks in parallel.
+  // Key/value move through into the backing map. Like the real APIs, the
+  // batch is NOT atomic — every op is attempted even after one fails
+  // (in-flight parallel writes cannot be recalled) and the first error by
+  // op index is returned. A single op or chunk runs inline, skipping the
+  // executor's std::function indirection, which keeps the commit flush
+  // allocation-free. Per-key dispatch goes through the virtual Put so
+  // subclass interception (fault injection in tests) keeps working.
+  Status BatchPut(std::span<WriteOp> ops) override;
   Status Delete(const std::string& key) override;
   Status BatchDelete(std::span<const std::string> keys) override;
   Result<std::vector<std::string>> List(const std::string& prefix) override;
@@ -121,8 +97,7 @@ class SimEngineBase : public StorageEngine {
   const RecordWriter& record_writer() const { return record_writer_; }
 
  protected:
-  // Where rounds share no cost, the record write goes through the hedging
-  // RecordWriter; otherwise it is the default single create.
+  // The record write goes through the hedging RecordWriter.
   Status CreateCommitRecord(WriteOp& record, RecordWriteListener* listener) override;
 
   // Blocks until no commit-record write is in flight. The record writer
@@ -147,12 +122,11 @@ class SimEngineBase : public StorageEngine {
   obs::Histogram* op_latency_list_ = nullptr;
   obs::Histogram* op_latency_batch_ = nullptr;
 
-  // One batched API call covering `chunk` (size <= MaxBatchSize()).
-  Status PutBatchChunk(std::span<const WriteOp> chunk);
+  // One batched API call covering `chunk` (size <= MaxBatchSize()); moves
+  // each op's key/value into the backing map.
+  Status PutBatchChunk(std::span<WriteOp> chunk);
   // The counters and the one sleep of a batched write of `chunk`.
   void ChargeBatchWrite(std::span<const WriteOp> chunk);
-  // Same charging, but moves each op's key/value into the backing map.
-  Status PutBatchChunkConsume(std::span<WriteOp> chunk);
   Status DeleteBatchChunk(std::span<const std::string> chunk);
 
   // The timestamp this read observes the store at: `Now()` for consistent
@@ -169,31 +143,9 @@ class SimEngineBase : public StorageEngine {
   VersionedMap map_;
   StorageCounters counters_;
 
-  // RAII pool slot around one charged API call. No-op while the pool is
-  // unbounded (one relaxed atomic load), so the default configuration adds
-  // nothing to the hot path.
-  class ConnectionSlot {
-   public:
-    explicit ConnectionSlot(SimEngineBase& engine);
-    ~ConnectionSlot();
-    ConnectionSlot(const ConnectionSlot&) = delete;
-    ConnectionSlot& operator=(const ConnectionSlot&) = delete;
-
-   private:
-    SimEngineBase& engine_;
-    bool acquired_ = false;
-  };
-
  private:
   const std::string name_;
   std::atomic<double> fault_probability_{0.0};
-  // Connection pool (see SetMaxConcurrentRequests). `pool_limit_hint_`
-  // mirrors the guarded limit so the unbounded fast path never locks.
-  std::atomic<size_t> pool_limit_hint_{0};
-  Mutex pool_mu_;
-  CondVar pool_cv_;
-  size_t pool_limit_ GUARDED_BY(pool_mu_) = 0;
-  size_t pool_in_use_ GUARDED_BY(pool_mu_) = 0;
   // After the state its attempts use, so its destructor waits for losing
   // attempts before that state goes away.
   RecordWriter record_writer_;

@@ -43,7 +43,6 @@ class SimRedis final : public SimEngineBase {
 
   // Cluster-mode Redis cannot batch across shards; AFT therefore issues one
   // SET per write (§6.1.2 "cannot consistently batch updates").
-  bool SupportsBatchPut() const override { return false; }
   size_t MaxBatchSize() const override { return 1; }
 
   // The hash slot (shard) serving `key`.

@@ -39,7 +39,6 @@ class SimS3 final : public SimEngineBase {
   explicit SimS3(Clock& clock, SimS3Options options = {})
       : SimEngineBase("s3", clock, options.profile, options.staleness, options.map_shards) {}
 
-  bool SupportsBatchPut() const override { return false; }
   size_t MaxBatchSize() const override { return 1; }
   double client_cpu_factor() const override { return 1.6; }  // HTTPS + XML.
 };

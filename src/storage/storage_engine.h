@@ -49,10 +49,10 @@ class RecordWriteListener {
   ~RecordWriteListener() = default;
 };
 
-// One transaction's contribution to a fused commit round: its data-version
-// writes plus the commit record that makes them visible. CommitUnits()
-// persists many units in shared storage rounds while preserving the §3.3
-// write-ordering guarantee PER UNIT (see below).
+// One transaction's contribution to a commit round: its data-version writes
+// plus the commit record that makes them visible. CommitUnits() persists
+// one or more units while preserving the §3.3 write-ordering guarantee PER
+// UNIT (see below).
 struct CommitUnit {
   std::span<WriteOp> data_ops;  // version objects; may be consumed
   WriteOp commit_record;        // commit-set key + serialized record; may be consumed
@@ -70,22 +70,21 @@ struct CommitUnit {
 // Wall-clock decomposition of one CommitUnits call, in seconds. Stages are
 // DISJOINT — their sum is the storage portion of the call — so the commit
 // path can reconcile per-stage histograms against end-to-end latency:
-//   data_flush:   issuing + writing the merged data-version round, excluding
-//                 straggler wait (WAL engine: AppendBatch + index publish)
+//   data_flush:   issuing + writing the data versions, excluding straggler
+//                 wait (WAL engine: AppendBatch + index publish)
 //   barrier:      the §3.3 wait for in-flight data writes to be acknowledged
 //                 before any commit record may be written, including the
 //                 units' after_data_write hooks (WAL engine: 0 — ordering
 //                 rides the single fused append, see local_engine)
-//   record_write: the commit-record round (WAL engine: the group-committed
+//   record_write: the commit-record writes (WAL engine: the group-committed
 //                 fsync, which is also what makes the data durable)
 // Filled only when a profile is passed AND contention::StageTimingEnabled().
 //
 // Boundary sharing keeps attribution near-free on µs-scale engines: a caller
 // that already read the clock at the instant the call began may pass that
 // reading in `start` (the engine then opens data_flush there instead of
-// taking its own), and an engine leaves its final clock reading in `end`
-// (set only when the record stage actually ran) so the caller can open the
-// following stage without re-reading the clock. Shared boundaries keep the
+// taking its own), and an engine may leave its final clock reading in `end`
+// so the caller can open the following stage without re-reading the clock. Shared boundaries keep the
 // stages exactly contiguous, so they stay disjoint by construction.
 struct CommitStageProfile {
   double data_flush_s = 0;
@@ -142,77 +141,54 @@ class StorageEngine {
   // Conditional create (S3 `If-None-Match: *`, DynamoDB
   // `attribute_not_exists`, Redis `SET NX`): writes `key = value` only if
   // `key` holds no object when the write lands, atomically with that check,
-  // and returns kAlreadyExists otherwise. Costs one PUT either way. A solo
-  // round's commit record is written this way (CreateCommitRecord), so its
-  // hedged second attempt cannot overwrite it. Merged rounds write records
-  // with plain puts (LocalEngine's fused append, BatchPutEach on a bounded
-  // pool); the record key is unique per commit attempt and merged rounds
-  // never hedge, so such a record is written once and never overwritten.
+  // and returns kAlreadyExists otherwise. Costs one PUT either way. A
+  // commit record is written this way (CreateCommitRecord), so a hedged
+  // second attempt cannot overwrite it. Only LocalEngine's fused append
+  // writes records with plain puts; it never hedges, and the record key is
+  // unique per commit attempt, so such a record is written once.
   virtual Status PutIfAbsent(std::string key, std::string value) = 0;
 
-  // Writes a set of keys. Engines with native batch support (DynamoDB)
-  // charge one batched API call per MaxBatchSize() chunk; engines without
-  // (S3, cluster-mode Redis across shards) degrade to sequential puts.
-  // The batch is NOT atomic — exactly like BatchWriteItem.
-  virtual Status BatchPut(std::span<const WriteOp> ops) = 0;
+  // Writes a set of keys and may move each key/value out (the span's
+  // strings are left valid-but-unspecified); a caller that reuses its ops
+  // passes a copy. Engines with native batch support (DynamoDB) charge one
+  // batched API call per MaxBatchSize() chunk; engines without (S3,
+  // cluster-mode Redis across shards) degrade to per-key puts. The batch is
+  // NOT atomic — exactly like BatchWriteItem.
+  virtual Status BatchPut(std::span<WriteOp> ops) = 0;
 
-  // BatchPut that consumes the ops: the engine may move each key/value out
-  // (the span's strings are left valid-but-unspecified). The commit flush
-  // path uses this so payload bytes transfer into the engine without a copy.
-  // The default copies via BatchPut for engines that do not care.
-  virtual Status BatchPutConsume(std::span<WriteOp> ops) {
-    return BatchPut(std::span<const WriteOp>(ops.data(), ops.size()));
-  }
-
-  // Like BatchPutConsume, but reports a PER-OP outcome into `statuses`
-  // (statuses.size() == ops.size()) instead of collapsing to the first
-  // error, and never short-circuits: every op is attempted. Engines with a
-  // chunked batch API report the chunk's outcome for each op in it (a
-  // failed BatchWriteItem call fails all items of that request). The
-  // default issues sequential consuming Puts.
-  virtual void BatchPutEach(std::span<WriteOp> ops, std::span<Status> statuses);
-
-  // Cross-transaction group commit: persists `units` in (at most) two
-  // merged rounds — one for every unit's data ops, then one for the commit
-  // records of the units whose data all landed — filling results[i] per
-  // unit (results.size() == units.size()). The §3.3 ordering holds PER
-  // UNIT: unit i's commit record is written only after ALL of unit i's
-  // data ops were durably acknowledged. A unit with any failed data op is
-  // POISONED — results[i] carries the first error and its commit record is
-  // never written — without failing batch-mates; stray data versions a
-  // poisoned unit did land are invisible orphans (no record references
-  // them) left to the fault manager's sweep. Ops may be consumed like
-  // BatchPutConsume. A single-unit call degenerates to one BatchPutConsume
-  // plus one Put, so the solo path costs nothing extra. Engines may override
-  // to fuse the rounds further — the local engine rides a whole batch on
-  // one WAL append and one group-committed fsync. A unit's after_data_write
-  // hook runs between the two rounds. A non-null `profile` receives the
-  // per-stage wall-clock split documented on CommitStageProfile.
+  // Persists each unit's data ops and then its commit record, filling
+  // results[i] per unit (results.size() == units.size()). The §3.3 ordering
+  // holds PER UNIT: unit i's commit record is written only after ALL of
+  // unit i's data ops were durably acknowledged and its after_data_write
+  // hook returned OK. A unit whose data write or hook fails is POISONED —
+  // results[i] carries the error and its commit record is never written —
+  // without failing the other units; stray data versions a poisoned unit
+  // did land are invisible orphans (no record references them) left to the
+  // fault manager's sweep. Ops may be consumed like BatchPut's. The default
+  // runs the units one after another, each as one BatchPut, its hook, then
+  // CreateCommitRecord. An engine may override to fuse units: the local
+  // engine rides a whole batch on one WAL append and one group-committed
+  // fsync. A non-null `profile` receives the per-stage wall-clock split
+  // documented on CommitStageProfile, summed over the units.
   //
-  // The solo path writes the record with CreateCommitRecord: a conditional
-  // create, which an engine may hedge. A hedged write returns at the first
-  // attempt that created the record (or found it created by the other
-  // attempt: record keys are unique per commit attempt), and fails only
-  // once every attempt has returned, so a failed unit never leaves a write
-  // of its record in flight. A losing attempt still in flight when the call
-  // returns is reported to the unit's record_listener.
+  // CreateCommitRecord is a conditional create, which an engine may hedge.
+  // A hedged write returns at the first attempt that created the record (or
+  // found it created by the other attempt: record keys are unique per
+  // commit attempt), and fails only once every attempt has returned, so a
+  // failed unit never leaves a write of its record in flight. A losing
+  // attempt still in flight when the call returns is reported to the
+  // unit's record_listener.
   virtual void CommitUnits(std::span<CommitUnit> units, std::span<Status> results,
                            CommitStageProfile* profile = nullptr);
 
-  // Whether one multi-unit CommitUnits round costs less than the same units
-  // committed in separate, concurrent rounds: true only when a round pays
-  // some cost ONCE that every separate round would pay again (a
-  // group-committed fsync, a slot in a bounded connection pool). Where it
-  // is false, merging only makes commits wait for each other and pay the
-  // slowest member's tail, so the commit batcher runs every commit in its
-  // own round. May change at runtime (SimEngineBase's pool bound).
-  virtual bool CommitRoundsShareCost() const { return false; }
-
   // Whether CommitUnits persists a unit's data ops and its commit record in
   // ONE durable write (the local engine's single WAL append and fsync), so a
-  // data op costs no write of its own. Where it is false, every data op is
-  // a request the record must wait for, and AftNode puts a commit's
-  // payloads inside the record object instead.
+  // data op costs no write of its own and a multi-unit round pays that
+  // write once for every unit in it. Where it is false, every data op is a
+  // request the record must wait for, so AftNode puts a commit's payloads
+  // inside the record object instead, and the commit batcher runs every
+  // commit in its own round: merging would only make commits wait for each
+  // other and pay the slowest member's tail.
   virtual bool CommitUnitsFuseDataWithRecord() const { return false; }
 
   // Deletes `key`. Deleting a missing key is OK (idempotent).
@@ -226,7 +202,7 @@ class StorageEngine {
 
   // Engine identification / capabilities.
   virtual std::string_view name() const = 0;
-  virtual bool SupportsBatchPut() const = 0;
+  // Items per batched write call; 1 means the engine has no batch API.
   virtual size_t MaxBatchSize() const = 0;
 
   // Relative CPU cost of this engine's client library per request, as seen
@@ -239,8 +215,8 @@ class StorageEngine {
   virtual const StorageCounters& counters() const = 0;
 
  protected:
-  // The solo round's record write: one PutIfAbsent, where finding the
-  // record already created counts as success. SimEngineBase hedges it (see
+  // A unit's record write: one PutIfAbsent, where finding the record
+  // already created counts as success. SimEngineBase hedges it (see
   // src/storage/record_writer.h). `record` may be consumed.
   virtual Status CreateCommitRecord(WriteOp& record, RecordWriteListener* listener);
 };

@@ -331,7 +331,7 @@ class FlakyReadEngine final : public StorageEngine {
   Status PutIfAbsent(std::string key, std::string value) override {
     return inner_.PutIfAbsent(std::move(key), std::move(value));
   }
-  Status BatchPut(std::span<const WriteOp> ops) override { return inner_.BatchPut(ops); }
+  Status BatchPut(std::span<WriteOp> ops) override { return inner_.BatchPut(ops); }
   Status Delete(const std::string& key) override { return inner_.Delete(key); }
   Status BatchDelete(std::span<const std::string> keys) override {
     return inner_.BatchDelete(keys);
@@ -340,7 +340,6 @@ class FlakyReadEngine final : public StorageEngine {
     return inner_.List(prefix);
   }
   std::string_view name() const override { return "flaky-read"; }
-  bool SupportsBatchPut() const override { return false; }
   size_t MaxBatchSize() const override { return 1; }
   const StorageCounters& counters() const override { return inner_.counters(); }
 
@@ -586,7 +585,6 @@ class GatedReadEngine final : public SimEngineBase {
  public:
   explicit GatedReadEngine(Clock& clock)
       : SimEngineBase("gated-read", clock, InstantDynamo().profile, StalenessModel{}, 16) {}
-  bool SupportsBatchPut() const override { return false; }
   size_t MaxBatchSize() const override { return 1; }
 
   Result<std::string> GetRange(const std::string& key, uint64_t offset,

@@ -10,10 +10,11 @@
 //     stay readable.
 //   * Fusion — a multi-unit round on the local engine rides ONE batched API
 //     call and ONE group-committed fsync.
-//   * Policy — rounds merge only where the engine says they share a cost
-//     (StorageEngine::CommitRoundsShareCost): concurrent committers over
-//     unbounded-pool S3 never queue, while bounded-pool DynamoDB and the
-//     local engine still fuse.
+//   * The default CommitUnits — each unit in turn: its data write, its
+//     hook, then its record, so one unit's failure spares the others.
+//   * Policy — rounds merge only where the engine fuses a unit's data with
+//     its record (StorageEngine::CommitUnitsFuseDataWithRecord): concurrent
+//     committers over S3 never queue, while the local engine fuses.
 //   * Equivalence — commits through a merging and a non-merging engine
 //     leave the same committed state, including after crash-recovery
 //     replay; a failed round leaves the transaction retryable; a crash
@@ -35,6 +36,7 @@
 
 #include "src/common/clock.h"
 #include "src/common/histogram.h"
+#include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/core/aft_node.h"
 #include "src/core/records.h"
@@ -262,62 +264,125 @@ TEST(CommitUnitsLocalEngine, FailedRecordWritePoisonsThatUnitOnly) {
   EXPECT_EQ((*engine)->Get("commit/b").status().code(), StatusCode::kNotFound);
 }
 
-TEST(CommitUnitsDefaultImpl, TwoRoundFallbackPreservesPerUnitOutcomes) {
-  // SimDynamo has no CommitUnits override: the default two merged
-  // BatchPutEach rounds must produce the same contract.
+TEST(CommitUnitsDefaultImpl, RunsEachUnitsSequenceInTurn) {
+  // SimDynamo has no CommitUnits override: the default runs unit a's data
+  // write, hook and record, then unit b's. Each hook sees its own data
+  // landed, its own record not yet written, and every earlier unit's record
+  // already written.
   RealClock clock(0.002);
-  SimDynamoOptions options = InstantDynamoOptions();
-  SimDynamo engine(clock, options);
+  SimDynamo engine(clock, InstantDynamoOptions());
 
   UnitFixture a = MakeUnit("a", 2);
   UnitFixture b = MakeUnit("b", 1);
   std::vector<CommitUnit> units = {a.unit(), b.unit()};
+  std::vector<std::string> seen;
+  units[0].after_data_write = [&] {
+    seen.push_back("a");
+    EXPECT_TRUE(engine.PeekLatest("data/a/1").has_value());
+    EXPECT_FALSE(engine.PeekLatest("commit/a").has_value());
+    EXPECT_FALSE(engine.PeekLatest("data/b/0").has_value());
+    return Status::Ok();
+  };
+  units[1].after_data_write = [&] {
+    seen.push_back("b");
+    EXPECT_TRUE(engine.PeekLatest("data/b/0").has_value());
+    EXPECT_TRUE(engine.PeekLatest("commit/a").has_value());
+    EXPECT_FALSE(engine.PeekLatest("commit/b").has_value());
+    return Status::Ok();
+  };
   std::vector<Status> results(units.size());
+  const uint64_t calls_before = engine.counters().api_calls.load();
   engine.CommitUnits(units, results);
   EXPECT_TRUE(results[0].ok());
   EXPECT_TRUE(results[1].ok());
-  EXPECT_TRUE(engine.PeekLatest("commit/a").has_value());
-  EXPECT_TRUE(engine.PeekLatest("commit/b").has_value());
-  EXPECT_TRUE(engine.PeekLatest("data/a/1").has_value());
+  EXPECT_EQ(seen, (std::vector<std::string>{"a", "b"}));
+  EXPECT_EQ(engine.PeekLatest("commit/a").value(), "record-a");
+  EXPECT_EQ(engine.PeekLatest("commit/b").value(), "record-b");
+  // Per unit: one batch call for its data, one create for its record.
+  EXPECT_EQ(engine.counters().api_calls.load() - calls_before, 4u);
 
-  // Total failure: every unit is poisoned and no record is written.
-  engine.InjectTransientFaults(1.0);
+  // A failing hook poisons its unit alone: no record for c, d commits.
   UnitFixture c = MakeUnit("c", 1);
   UnitFixture d = MakeUnit("d", 1);
   std::vector<CommitUnit> units2 = {c.unit(), d.unit()};
+  units2[0].after_data_write = [] { return Status::Unavailable("hook failed"); };
   std::vector<Status> results2(units2.size());
   engine.CommitUnits(units2, results2);
-  EXPECT_FALSE(results2[0].ok());
-  EXPECT_FALSE(results2[1].ok());
+  EXPECT_TRUE(results2[0].IsUnavailable());
+  EXPECT_TRUE(results2[1].ok());
+  EXPECT_TRUE(engine.PeekLatest("data/c/0").has_value());  // orphan (sweep's job)
   EXPECT_FALSE(engine.PeekLatest("commit/c").has_value());
-  EXPECT_FALSE(engine.PeekLatest("commit/d").has_value());
+  EXPECT_TRUE(engine.PeekLatest("commit/d").has_value());
+
+  // Total failure: every unit is poisoned and no record is written.
+  engine.InjectTransientFaults(1.0);
+  UnitFixture e = MakeUnit("e", 1);
+  UnitFixture f = MakeUnit("f", 1);
+  std::vector<CommitUnit> units3 = {e.unit(), f.unit()};
+  std::vector<Status> results3(units3.size());
+  engine.CommitUnits(units3, results3);
+  EXPECT_FALSE(results3[0].ok());
+  EXPECT_FALSE(results3[1].ok());
+  EXPECT_FALSE(engine.PeekLatest("commit/e").has_value());
+  EXPECT_FALSE(engine.PeekLatest("commit/f").has_value());
+}
+
+TEST(CommitUnitsDefaultImpl, FailedDataWritePoisonsOnlyItsUnit) {
+  // A hook sends a LocalEngine round through the default CommitUnits (the
+  // fused append has no point between a unit's data and its record). Only
+  // unit a's data write fails: a gets no record, its mate b commits, and a
+  // replay agrees.
+  TempDir dir;
+  {
+    auto engine = LocalEngine::Open(dir.path());
+    ASSERT_TRUE(engine.ok());
+    (*engine)->SetWriteFailureInjector([](std::string_view key) {
+      return key == "data/a/0" ? Status::Unavailable("injected write failure") : Status::Ok();
+    });
+    UnitFixture a = MakeUnit("a", 2);
+    UnitFixture b = MakeUnit("b", 2);
+    std::vector<CommitUnit> units = {a.unit(), b.unit()};
+    int hooks_run = 0;
+    for (CommitUnit& unit : units) {
+      unit.after_data_write = [&hooks_run] {
+        ++hooks_run;
+        return Status::Ok();
+      };
+    }
+    std::vector<Status> results(units.size());
+    (*engine)->CommitUnits(units, results);
+    EXPECT_TRUE(results[0].IsUnavailable());
+    EXPECT_TRUE(results[1].ok());
+    EXPECT_EQ(hooks_run, 1);  // A poisoned unit's hook never runs.
+    EXPECT_TRUE((*engine)->Get("data/a/1").ok());  // orphan (sweep's job)
+    EXPECT_EQ((*engine)->Get("commit/a").status().code(), StatusCode::kNotFound);
+    EXPECT_EQ((*engine)->Get("commit/b").value(), "record-b");
+  }
+  auto reopened = LocalEngine::Open(dir.path());
+  ASSERT_TRUE(reopened.ok());
+  EXPECT_EQ((*reopened)->Get("commit/a").status().code(), StatusCode::kNotFound);
+  EXPECT_EQ((*reopened)->Get("commit/b").value(), "record-b");
+  EXPECT_EQ((*reopened)->Get("data/b/1").value(), "payload-b1");
 }
 
 // ---- merge policy -----------------------------------------------------------
 
-TEST(CommitBatcherPolicy, EnginesReportWhetherRoundsShareCost) {
+TEST(CommitBatcherPolicy, OnlyTheLocalEngineFusesDataWithRecords) {
   RealClock clock(0.002);
   SimS3 s3(clock);
-  EXPECT_FALSE(s3.CommitRoundsShareCost());
-  s3.SetMaxConcurrentRequests(4);
-  EXPECT_TRUE(s3.CommitRoundsShareCost());
-  // A bounded pool shares slots, but every data op is still a request of
-  // its own: payloads ride inside the record.
   EXPECT_FALSE(s3.CommitUnitsFuseDataWithRecord());
-  s3.SetMaxConcurrentRequests(0);
-  EXPECT_FALSE(s3.CommitRoundsShareCost());
-  EXPECT_FALSE(s3.CommitUnitsFuseDataWithRecord());
+  SimDynamo dynamo(clock, InstantDynamoOptions());
+  EXPECT_FALSE(dynamo.CommitUnitsFuseDataWithRecord());
 
   TempDir dir;
   auto local = LocalEngine::Open(dir.path());
   ASSERT_TRUE(local.ok());
-  EXPECT_TRUE((*local)->CommitRoundsShareCost());
   EXPECT_TRUE((*local)->CommitUnitsFuseDataWithRecord());
 }
 
-TEST(CommitBatcherPolicy, UnboundedS3CommittersNeverQueue) {
-  // S3 has no batch API and an unbounded pool: a merged round would only
-  // make 8 committers wait for each other. Each runs its own round.
+TEST(CommitBatcherPolicy, S3CommittersNeverQueue) {
+  // On S3 a commit is one record PUT: a merged round would only make 8
+  // committers wait for each other. Each runs its own round.
   RealClock clock(1.0);
   SimS3Options options;
   const LatencyModel put(50.0, 0.0);  // Deterministic, so wall times compare.
@@ -343,19 +408,6 @@ TEST(CommitBatcherPolicy, UnboundedS3CommittersNeverQueue) {
   // (the first committer's, then everyone else's); serializing, eight.
   EXPECT_LT(concurrent_ms, 1.6 * solo_ms)
       << "8 concurrent commits took " << concurrent_ms << " ms, one took " << solo_ms << " ms";
-}
-
-TEST(CommitBatcherPolicy, BoundedPoolDynamoWritersStillFuse) {
-  RealClock clock(0.2);
-  SimDynamo engine(clock, SimDynamoOptions{});
-  engine.SetMaxConcurrentRequests(4);
-  const std::string id = "policy-dynamo-pool";
-  AftNode node(id, engine, clock, FastNodeOptions());
-  ASSERT_TRUE(node.Start().ok());
-  CommitConcurrently(node, /*writers=*/16, /*rounds=*/10);
-  obs::Histogram* sizes = BatchSizes(id);
-  ASSERT_GT(sizes->Count(), 0u);
-  EXPECT_GT(sizes->Sum() / static_cast<double>(sizes->Count()), 1.0);
 }
 
 TEST(CommitBatcherPolicy, LocalEngineWritersStillFuse) {
@@ -405,14 +457,14 @@ void CheckEquivalenceState(StorageEngine& engine, Clock& clock) {
 
 TEST(CommitBatcherNode, BatchedCommitEquivalentToUnbatchedAfterReplay) {
   // The same workload through a merging engine (LocalEngine, recovered by
-  // reopening its WAL) and a non-merging one (unbounded-pool SimDynamo,
-  // recovered by a fresh node's bootstrap) leaves the same committed state.
+  // reopening its WAL) and a non-merging one (SimDynamo, recovered by a
+  // fresh node's bootstrap) leaves the same committed state.
   RealClock clock(0.002);
   TempDir dir;
   {
     auto engine = LocalEngine::Open(dir.path());
     ASSERT_TRUE(engine.ok());
-    ASSERT_TRUE((*engine)->CommitRoundsShareCost());
+    ASSERT_TRUE((*engine)->CommitUnitsFuseDataWithRecord());
     CommitEquivalenceWorkload(**engine, clock);
   }
   auto reopened = LocalEngine::Open(dir.path());
@@ -420,7 +472,7 @@ TEST(CommitBatcherNode, BatchedCommitEquivalentToUnbatchedAfterReplay) {
   CheckEquivalenceState(**reopened, clock);
 
   SimDynamo dynamo(clock, InstantDynamoOptions());
-  ASSERT_FALSE(dynamo.CommitRoundsShareCost());
+  ASSERT_FALSE(dynamo.CommitUnitsFuseDataWithRecord());
   CommitEquivalenceWorkload(dynamo, clock);
   CheckEquivalenceState(dynamo, clock);
 }
@@ -567,9 +619,12 @@ TEST(CommitBatcherNode, PoisonedMemberDoesNotFailBatchMates) {
 
 // ---- concurrency stress (TSan leg) ------------------------------------------
 
-// Parameter: the engine's connection-pool bound; 0 (unbounded) means rounds
-// never merge, anything else means they do.
-class CommitBatcherStress : public ::testing::TestWithParam<size_t> {};
+// Parameter: the engine. SimDynamo never merges rounds, and its transient
+// faults fail whole calls; LocalEngine merges them, and a seeded injector
+// fails single write ops, so one member of a merged round is poisoned alone.
+enum class StressEngine { kSimDynamo, kLocal };
+
+class CommitBatcherStress : public ::testing::TestWithParam<StressEngine> {};
 
 TEST_P(CommitBatcherStress, ConcurrentCommittersUnderTransientFaults) {
   // Many committers race through the batcher against an engine that fails
@@ -578,11 +633,35 @@ TEST_P(CommitBatcherStress, ConcurrentCommittersUnderTransientFaults) {
   // poisoning concurrently where rounds merge, and concurrent solo rounds
   // where they do not. Run under TSan in CI.
   RealClock clock(0.002);
-  SimDynamo engine(clock, InstantDynamoOptions());
-  engine.SetMaxConcurrentRequests(GetParam());
-  engine.InjectTransientFaults(0.05);
+  SimDynamo dynamo(clock, InstantDynamoOptions());
+  // The n-th write op offered to the injector fails iff a SplitMix64 hash
+  // of n lands in the lowest 5%, whichever thread offers it.
+  std::atomic<uint64_t> offered{0};
+  TempDir dir;
+  std::unique_ptr<LocalEngine> local;
+  if (GetParam() == StressEngine::kLocal) {
+    auto opened = LocalEngine::Open(dir.path());
+    ASSERT_TRUE(opened.ok());
+    local = std::move(*opened);
+  }
+  StorageEngine& engine = local != nullptr ? static_cast<StorageEngine&>(*local) : dynamo;
+  auto inject_faults = [&](bool on) {
+    if (local == nullptr) {
+      dynamo.InjectTransientFaults(on ? 0.05 : 0.0);
+    } else if (!on) {
+      local->SetWriteFailureInjector(nullptr);
+    } else {
+      local->SetWriteFailureInjector([&offered](std::string_view /*key*/) {
+        uint64_t state = 0x5eed0000 + offered.fetch_add(1, std::memory_order_relaxed);
+        return SplitMix64(state) % 100 < 5 ? Status::Unavailable("injected write failure")
+                                           : Status::Ok();
+      });
+    }
+  };
+  inject_faults(true);
 
-  AftNode node("n0", engine, clock, FastNodeOptions());
+  const std::string id = local != nullptr ? "stress-local" : "stress-dynamo";
+  AftNode node(id, engine, clock, FastNodeOptions());
   ASSERT_TRUE(node.Start().ok());
 
   constexpr int kThreads = 8;
@@ -612,8 +691,14 @@ TEST_P(CommitBatcherStress, ConcurrentCommittersUnderTransientFaults) {
     t.join();
   }
   EXPECT_EQ(total_committed.load(), kThreads * kTxnsPerThread);
+  if (local != nullptr) {
+    obs::Counter* followers = obs::MetricsRegistry::Global().GetCounter(
+        "aft_commit_batch_commits_total", "Commits by batch role (follower piggybacked)",
+        {{"node", id}, {"role", "follower"}});
+    EXPECT_GT(followers->Value(), 0u) << "no round merged";
+  }
 
-  engine.InjectTransientFaults(0.0);
+  inject_faults(false);
   auto txid = node.StartTransaction();
   ASSERT_TRUE(txid.ok());
   for (int t = 0; t < kThreads; ++t) {
@@ -625,7 +710,13 @@ TEST_P(CommitBatcherStress, ConcurrentCommittersUnderTransientFaults) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(PoolBounds, CommitBatcherStress, ::testing::Values(0u, 4u));
+INSTANTIATE_TEST_SUITE_P(Engines, CommitBatcherStress,
+                         ::testing::Values(StressEngine::kSimDynamo, StressEngine::kLocal),
+                         [](const ::testing::TestParamInfo<StressEngine>& param_info) {
+                           return param_info.param == StressEngine::kLocal
+                                      ? std::string("LocalEngine")
+                                      : std::string("SimDynamo");
+                         });
 
 }  // namespace
 }  // namespace aft

@@ -67,8 +67,8 @@ class Script {
   std::deque<Step> steps_;
 };
 
-// Zero-latency engine without a batch API (S3-like: rounds share no cost)
-// whose conditional creates follow a Script.
+// Zero-latency engine without a batch API (S3-like) whose conditional
+// creates follow a Script.
 class ScriptedEngine final : public SimEngineBase {
  public:
   ScriptedEngine(Clock& clock, Script& script)
@@ -76,7 +76,6 @@ class ScriptedEngine final : public SimEngineBase {
         script_(script) {}
   // A losing attempt may still be sleeping in PutIfAbsent below.
   ~ScriptedEngine() override { AwaitRecordWrites(); }
-  bool SupportsBatchPut() const override { return false; }
   size_t MaxBatchSize() const override { return 1; }
   Status PutIfAbsent(std::string key, std::string value) override {
     const Step step = script_.Next();

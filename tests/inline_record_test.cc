@@ -1,16 +1,15 @@
 // Tests for commit records that carry their own payloads (§3.3 write
 // ordering in one write): unless the engine fuses a commit's data ops with
 // its record (the local engine's WAL append), a commit is ONE object, the
-// record's fields followed by every dirty payload, and a merged round
-// merges the records; on the local engine fresh keys still go out as
-// version objects in the same append. On every engine a key whose version
-// object may already exist (spilled, or sent by a failed round) rides in
-// the record, so no version object is ever overwritten. Also: spill failure
-// poisoning, abort, and the node's shutdown drain.
+// record's fields followed by every dirty payload; on the local engine
+// fresh keys still go out as version objects in the same append. On every
+// engine a key whose version object may already exist (spilled, or sent by
+// a failed round) rides in the record, so no version object is ever
+// overwritten. Also: spill failure poisoning, abort, and the node's
+// shutdown drain.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
 #include <filesystem>
 #include <initializer_list>
@@ -21,11 +20,8 @@
 #include <vector>
 
 #include "src/cluster/deployment.h"
-#include "src/common/histogram.h"
 #include "src/core/aft_node.h"
-#include "src/obs/metrics.h"
 #include "src/storage/local_engine.h"
-#include "src/storage/sim_dynamo.h"
 #include "src/storage/sim_engine_base.h"
 #include "src/storage/sim_s3.h"
 #include "tests/await_storage.h"
@@ -146,7 +142,6 @@ class FailingPutEngine final : public SimEngineBase {
  public:
   explicit FailingPutEngine(Clock& clock)
       : SimEngineBase("failing-put", clock, ZeroProfile(), StalenessModel{}, 16) {}
-  bool SupportsBatchPut() const override { return false; }
   size_t MaxBatchSize() const override { return 1; }
   Status Put(std::string key, std::string value) override {
     if (Fails(key)) {
@@ -192,7 +187,7 @@ class TempDir {
 TEST(InlineRecordTest, PutMakesNoStorageCallAndCommitIsOnePut) {
   SimClock clock;
   SimS3 storage(clock, InstantS3());
-  ASSERT_FALSE(storage.CommitRoundsShareCost());
+  ASSERT_FALSE(storage.CommitUnitsFuseDataWithRecord());
   AftNode node("n0", storage, clock, NodeOptions());
   ASSERT_TRUE(node.Start().ok());
 
@@ -316,60 +311,7 @@ TEST(InlineRecordTest, FailedRecordPutThenRetryReadsTheRetrysBytes) {
   EXPECT_EQ(ReadOnce(reader, "k").value(), "retried");
 }
 
-// ---- Merged rounds and the local engine --------------------------------------------
-
-// Concurrent commits over a bounded pool merge: each round sends its
-// members' records, payloads inside, in ONE call (a PUT for a solo round, a
-// batch call for a merged one) and no version object.
-TEST(InlineRecordTest, BoundedPoolSendsOneRecordCallPerMergedRound) {
-  RealClock clock(0.2);
-  SimDynamo storage(clock, SimDynamoOptions{});
-  storage.SetMaxConcurrentRequests(4);
-  ASSERT_TRUE(storage.CommitRoundsShareCost());
-  const std::string id = "inline-bounded-pool";
-  AftNode node(id, storage, clock, NodeOptions());
-  ASSERT_TRUE(node.Start().ok());
-  obs::Counter* rounds = obs::MetricsRegistry::Global().GetCounter(
-      "aft_commit_batch_rounds_total", "Batched commit rounds executed", {{"node", id}});
-  obs::Histogram* sizes = obs::MetricsRegistry::Global().GetHistogram(
-      "aft_commit_batch_size", "Transactions fused per commit round",
-      ExponentialBoundaries(1, 2, 8), {{"node", id}});
-
-  const uint64_t rounds_before = rounds->Value();
-  const uint64_t batches_before = storage.counters().batch_puts.load();
-  const uint64_t puts_before = storage.counters().puts.load();
-  constexpr int kWriters = 8;
-  constexpr int kTxnsPerWriter = 5;
-  std::atomic<int> committed{0};
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&node, &committed, w] {
-      for (int i = 0; i < kTxnsPerWriter; ++i) {
-        auto txid = node.StartTransaction();
-        const std::string key = "w" + std::to_string(w) + "-" + std::to_string(i);
-        if (txid.ok() && node.Put(*txid, key, "v").ok() && node.CommitTransaction(*txid).ok()) {
-          committed.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (std::thread& writer : writers) {
-    writer.join();
-  }
-  ASSERT_EQ(committed.load(), kWriters * kTxnsPerWriter);
-  const uint64_t round_count = rounds->Value() - rounds_before;
-  ASSERT_GT(round_count, 0u);
-  EXPECT_GT(sizes->Sum() / static_cast<double>(sizes->Count()), 1.0) << "no round merged";
-  EXPECT_EQ((storage.counters().batch_puts.load() - batches_before) +
-                (storage.counters().puts.load() - puts_before),
-            round_count);
-  EXPECT_EQ(ObjectCount(storage, kVersionPrefix), 0u);
-  EXPECT_EQ(ObjectCount(storage, kCommitPrefix), static_cast<size_t>(kWriters * kTxnsPerWriter));
-  EXPECT_EQ(node.stats().spills.load(), 0u);
-  AftNode reader("reader", storage, clock, UncachedOptions());
-  ASSERT_TRUE(reader.Start().ok());
-  EXPECT_EQ(ReadOnce(reader, "w3-4").value(), "v");
-}
+// ---- The local engine ----------------------------------------------------------------
 
 TEST(InlineRecordTest, LocalEngineKeepsOneFsyncPerCommit) {
   TempDir dir;

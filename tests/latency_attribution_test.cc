@@ -5,10 +5,10 @@
 //   * Reconciliation — the per-stage commit decomposition is a set of
 //     DISJOINT, nested slices of the end-to-end commit, so across any run
 //     the stage sums total at most the aft_node_commit_latency_ms sum.
-//     Holds on the solo fast path, under concurrent non-merging rounds,
-//     under merged rounds, with spills still in flight at commit and for
-//     inline records, on both the simulated-cloud engine and the durable
-//     LocalEngine.
+//     Holds on the solo fast path, under concurrent non-merging rounds
+//     (the simulated-cloud engine), under merged rounds (the durable
+//     LocalEngine), with spills still in flight at commit on both, and for
+//     inline records.
 //   * Coverage — every committed transaction observes every per-commit
 //     stage exactly once, with exactly one queue_wait_{leader,follower}
 //     by batch role (always leader where the engine's rounds do not merge).
@@ -175,21 +175,9 @@ TEST(LatencyAttribution, ReconcilesSoloSimEngine) {
   CheckReconciliation("attr-sim-solo", committed, /*merging=*/false);
 }
 
-TEST(LatencyAttribution, ReconcilesBatchedSimEngine) {
-  RealClock clock(0.002);
-  SimDynamo engine(clock, InstantDynamoOptions());
-  engine.SetMaxConcurrentRequests(2);  // A bounded pool: rounds merge.
-  AftNode node("attr-sim-batched", engine, clock, FastNodeOptions());
-  ASSERT_TRUE(node.Start().ok());
-  const uint64_t committed = RunCommits(node, /*threads=*/8, /*txns_per_thread=*/25);
-  node.Kill();
-  ASSERT_GT(committed, 0u);
-  CheckReconciliation("attr-sim-batched", committed, /*merging=*/true);
-}
-
 TEST(LatencyAttribution, ReconcilesUnbatchedSimEngine) {
   RealClock clock(0.002);
-  SimDynamo engine(clock, InstantDynamoOptions());  // Unbounded pool: rounds never merge.
+  SimDynamo engine(clock, InstantDynamoOptions());  // A simulated engine: rounds never merge.
   AftNode node("attr-sim-unmerged", engine, clock, FastNodeOptions());
   ASSERT_TRUE(node.Start().ok());
   const uint64_t committed = RunCommits(node, /*threads=*/8, /*txns_per_thread=*/25);
@@ -253,6 +241,25 @@ TEST(LatencyAttribution, ReconcilesBatchedLocalEngine) {
   node.Kill();
   ASSERT_GT(committed, 0u);
   CheckReconciliation("attr-local-batched", committed, /*merging=*/true);
+}
+
+// Spills in flight give every commit an after_data_write hook, so merged
+// LocalEngine rounds run their units one after another through the default
+// CommitUnits; the stages it sums over the units must still reconcile.
+TEST(LatencyAttribution, ReconcilesLocalEngineUnitByUnit) {
+  TempDir dir;
+  RealClock clock(0.002);
+  auto engine = LocalEngine::Open(dir.path());
+  ASSERT_TRUE(engine.ok());
+  AftNodeOptions node_options = FastNodeOptions();
+  node_options.spill_threshold_bytes = 1;
+  AftNode node("attr-local-unit-by-unit", **engine, clock, node_options);
+  ASSERT_TRUE(node.Start().ok());
+  const uint64_t committed = RunCommits(node, /*threads=*/8, /*txns_per_thread=*/15);
+  node.Kill();
+  ASSERT_GT(committed, 0u);
+  EXPECT_GT(node.stats().spills.load(), 0u);
+  CheckReconciliation("attr-local-unit-by-unit", committed, /*merging=*/true);
 }
 
 // ---- contention profiler ----------------------------------------------------

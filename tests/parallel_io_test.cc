@@ -151,7 +151,6 @@ class PerKeyEngine : public SimEngineBase {
  public:
   explicit PerKeyEngine(Clock& clock)
       : SimEngineBase("per-key", clock, ZeroProfile(), StalenessModel{}, 16) {}
-  bool SupportsBatchPut() const override { return false; }
   size_t MaxBatchSize() const override { return 1; }
 };
 
@@ -553,11 +552,11 @@ TEST_F(MultiGetTest, CacheHitsSkipStorageEntirely) {
   EXPECT_EQ(storage_.counters().gets.load(), gets_before);
 }
 
-// On an engine whose commit rounds share no cost (unbounded SimDynamo) the
-// three payloads ride inside one record object; a batch reads each with a
-// ranged GET of that object.
+// On an engine that does not fuse data with records (SimDynamo) the three
+// payloads ride inside one record object; a batch reads each with a ranged
+// GET of that object.
 TEST_F(MultiGetTest, InlineRecordBatchReadsRangedSlices) {
-  ASSERT_FALSE(storage_.CommitRoundsShareCost());
+  ASSERT_FALSE(storage_.CommitUnitsFuseDataWithRecord());
   AftNodeOptions options;
   options.data_cache_bytes = 0;  // Force ranged GETs on every read.
   auto node = MakeNode("n0", options);

@@ -352,7 +352,7 @@ INSTANTIATE_TEST_SUITE_P(AllEngines, EngineTest,
 TEST(SimS3Test, HasNoBatchSupport) {
   SimClock clock;
   SimS3 s3(clock, FastS3());
-  EXPECT_FALSE(s3.SupportsBatchPut());
+  EXPECT_EQ(s3.MaxBatchSize(), 1u);
   std::vector<WriteOp> ops{{"a", "1"}, {"b", "2"}};
   ASSERT_TRUE(s3.BatchPut(ops).ok());
   // Degraded to two sequential puts — no batch API call was made.
@@ -408,7 +408,6 @@ TEST(SimS3Test, NewKeysAreReadAfterWriteConsistent) {
 TEST(SimDynamoTest, BatchRespectsChunkLimit) {
   SimClock clock;
   SimDynamo dynamo(clock, FastDynamo());
-  EXPECT_TRUE(dynamo.SupportsBatchPut());
   EXPECT_EQ(dynamo.MaxBatchSize(), 25u);
   std::vector<WriteOp> ops;
   for (int i = 0; i < 60; ++i) {
@@ -431,15 +430,12 @@ TEST(SimDynamoTest, BatchChargeIsOneSleepObservedWhole) {
   for (int i = 0; i < 20; ++i) {
     ops.push_back(WriteOp{"k" + std::to_string(i), "v"});
   }
-  for (const bool consume : {false, true}) {
-    const uint64_t count_before = batch->Count();
-    const double sum_before = batch->Sum();
-    const TimePoint start = clock.Now();
-    std::vector<WriteOp> copy = ops;
-    ASSERT_TRUE((consume ? dynamo.BatchPutConsume(copy) : dynamo.BatchPut(copy)).ok());
-    EXPECT_EQ(batch->Count() - count_before, 1u) << consume;
-    EXPECT_NEAR(batch->Sum() - sum_before, ToMillis(clock.Now() - start), 1e-6) << consume;
-  }
+  const uint64_t count_before = batch->Count();
+  const double sum_before = batch->Sum();
+  const TimePoint start = clock.Now();
+  ASSERT_TRUE(dynamo.BatchPut(ops).ok());
+  EXPECT_EQ(batch->Count() - count_before, 1u);
+  EXPECT_NEAR(batch->Sum() - sum_before, ToMillis(clock.Now() - start), 1e-6);
 }
 
 TEST(SimDynamoTest, TransactWriteThenTransactGet) {
@@ -588,13 +584,13 @@ TEST_F(LocalEngineTest, MultiGetMixesHitsAndMisses) {
   }
 }
 
-TEST_F(LocalEngineTest, BatchPutConsumeRoundTrips) {
+TEST_F(LocalEngineTest, BatchPutRoundTrips) {
   std::vector<WriteOp> ops;
   for (int i = 0; i < 32; ++i) {
     ops.push_back(WriteOp{"key" + std::to_string(i), std::string(100, 'a' + i % 26)});
   }
-  std::vector<WriteOp> copy = ops;
-  ASSERT_TRUE(engine_->BatchPutConsume(copy).ok());
+  std::vector<WriteOp> copy = ops;  // BatchPut may move the ops out.
+  ASSERT_TRUE(engine_->BatchPut(copy).ok());
   for (const WriteOp& op : ops) {
     auto value = engine_->Get(op.key);
     ASSERT_TRUE(value.ok()) << op.key;

@@ -91,24 +91,12 @@ for bench in "${TARGETS[@]}"; do
     # smoke settings above the S3 ratio is mostly noise:
     # three runs of one build on a 4-vCPU host gave 1.24-1.49. At 20
     # requests and scale 0.1 the same build gave 1.15-1.29, and a build
-    # that merges S3 commit rounds gave 2.15-2.48 (1.26-1.40 since the
-    # one-PUT commit, while healthy S3 reads 0.9-1.0). The Redis ratio still
+    # whose S3 commit takes two sequential PUTs gave 1.18-1.23 (healthy S3
+    # reads 0.9-1.0). The Redis ratio still
     # read 1.55 in one run under host load (1.25-1.31 in quiet runs), so
     # smoke runs the bench three times and the gate takes the median run's
     # ratio. About 2 s per run.
     envs+=(AFT_TIME_SCALE=0.1 AFT_BENCH_REQUESTS=20)
-    runs=3
-  fi
-  if [[ $SMOKE -eq 1 && "$bench" == bench_net ]]; then
-    # Only its zipf rows sleep on simulated latencies; they feed bench_gate's
-    # batched/unbatched stage (floor 1.5), which measures what a bounded
-    # connection pool saves. At scale 0.02 a DynamoDB call is ~0.1 ms, as
-    # cheap as the CPU around it, and four smoke runs per build gave
-    # geomeans of 1.17-1.77; at 0.1 three runs per build gave 2.09-2.65,
-    # in under 10 s each, but one of 11 smoke runs of a healthy build read
-    # 1.47. So smoke runs it three times and the gate takes the median
-    # run's geomean; its other gated rows take the last run's value.
-    envs+=(AFT_TIME_SCALE=0.1)
     runs=3
   fi
   # bench_ablation_pruning needs no settings of its own: at the smoke

@@ -19,15 +19,11 @@
 # floor; the healthy client read x3.45 in a smoke run. Zero matching row pairs is an error — a gate that silently compares
 # nothing is worse than no gate.
 #
-# A second within-run gate holds the cross-transaction commit-batching win
-# (bench_net's "tput zipf batched|unbatched" rows): geomean batched/unbatched
-# ops-per-sec at >= MIN_CLIENTS must also clear MIN_SPEEDUP.
-#
-# A third within-run gate bounds latency-attribution overhead (bench_obs's
+# A second within-run gate bounds latency-attribution overhead (bench_obs's
 # "commit attribution off|on" rows): attribution-on p50 commit latency must
 # stay within MAX_ATTR_RATIO (env, default 1.05) of attribution-off.
 #
-# A fourth, absolute gate covers allocation count: bench_net's
+# A third, absolute gate covers allocation count: bench_net's
 # "inproc commit" row carries allocs_per_txn — heap allocations per commit
 # on the measuring thread. Unlike ops/sec this IS machine-independent (the
 # code path allocates what it allocates), so it gates against a checked-in
@@ -38,7 +34,7 @@
 # the commit into Put cannot pass for a saving; it is held to its own fixed
 # ceiling, MAX_PUT_COMMIT_ALLOCS below.
 #
-# A fifth, paper-shape gate holds the claim the shim is built on — cheap
+# A fourth, paper-shape gate holds the claim the shim is built on — cheap
 # correctness: for each engine of bench_fig3_end_to_end (S3, DynamoDB,
 # Redis), the "Aft" p50 over the "Plain" p50, both measured in the same
 # run, must stay at or below its ceiling: MAX_FIG3_S3_OVERHEAD (1.15) for
@@ -46,7 +42,7 @@
 # puts S3 and Redis near 1.2 and DynamoDB near 1.0); when the file holds
 # several runs, the median run's ratio is the one gated.
 #
-# A sixth, paper-shape gate holds §4.1's pruning claim: bench_ablation_pruning's
+# A fifth, paper-shape gate holds §4.1's pruning claim: bench_ablation_pruning's
 # "zipf 2.0 on" row must report at least MIN_PRUNED_PCT (20) of its gossiped
 # records pruned as superseded within their interval.
 #
@@ -124,69 +120,6 @@ sed -nE 's/.*"row":"tput ([^"]*)".*"txn_per_s":([0-9.]+).*/\1\t\2/p' "$CURRENT" 
   }
 '
 
-# ---- commit-batching speedup -------------------------------------------------
-# Third gate, same within-run-ratio philosophy as the first: bench_net runs
-# the Zipfian hot-key RMW closed loop twice in the same process — commit
-# batching off ("unbatched": the legacy two-rounds-per-transaction protocol)
-# and on ("batched": fused CommitUnits rounds, src/core/commit_batcher.h) —
-# over the same bounded-pool simulated engine. The geomean of the per-client-
-# count batched/unbatched ops-per-sec ratios at >= MIN_CLIENTS must clear
-# MIN_SPEEDUP. A batcher that stops fusing (every round solo) pulls the ratio
-# to ~1.0x; the healthy batcher sits near 2x at 16 clients. Zero row pairs is
-# an error, as above. At smoke settings one run's geomean is noise-bound
-# (1.47-2.33 on one healthy build), so tools/bench.sh --smoke runs bench_net
-# three times and, as in the Fig 3 stage, the gate takes the median run's
-# geomean. A run ends where a row it already holds repeats.
-sed -nE 's/.*"row":"tput zipf (batched|unbatched) ([0-9]+)c".*"txn_per_s":([0-9.]+).*/\1\t\2\t\3/p' "$CURRENT" \
-  | awk -F '\t' -v floor="$MIN_SPEEDUP" -v min_clients="$MIN_CLIENTS" '
-  # Adds the geomean of the finished run to the sorted geomeans[], then clears the run.
-  function close_run(   c, ratio, rows, log_sum, g, i) {
-    for (c in batched) {
-      if (!(c in unbatched) || unbatched[c] <= 0) { continue }
-      ratio = batched[c] / unbatched[c];
-      rows++;
-      log_sum += log(ratio);
-      printf "%-7s run %d zipf/%sc %22.0f -> %10.0f ops/s  (x%.2f vs unbatched)\n",
-             (ratio < floor ? "slow" : "ok"), n + 1, c, unbatched[c], batched[c], ratio;
-    }
-    split("", batched);
-    split("", unbatched);
-    if (rows == 0) { return }
-    g = exp(log_sum / rows);
-    for (i = n; i > 0 && geomeans[i - 1] > g; i--) geomeans[i] = geomeans[i - 1];
-    geomeans[i] = g;
-    runs = runs sprintf("%sx%.2f", n ? ", " : "", g);
-    n++;
-  }
-  BEGIN { n = 0 }
-  {
-    clients = $2 + 0;
-    if (clients < min_clients) { next }
-    if ($1 == "batched") {
-      if (clients in batched) { close_run() }
-      batched[clients] = $3 + 0
-    } else {
-      if (clients in unbatched) { close_run() }
-      unbatched[clients] = $3 + 0
-    }
-  }
-  END {
-    close_run();
-    if (n == 0) {
-      print "bench_gate: no batched/unbatched zipf throughput row pairs found" > "/dev/stderr";
-      exit 1;
-    }
-    median = n % 2 ? geomeans[(n - 1) / 2] : (geomeans[n / 2 - 1] + geomeans[n / 2]) / 2;
-    if (median < floor) {
-      printf "bench_gate: FAIL — median geomean batched-vs-unbatched commit speedup x%.2f over %d run(s) [%s] is below x%.2f\n",
-             median, n, runs, floor > "/dev/stderr";
-      exit 1;
-    }
-    printf "bench_gate: PASS — median geomean batched-vs-unbatched commit speedup x%.2f over %d run(s) [%s] (floor x%.2f)\n",
-           median, n, runs, floor;
-  }
-'
-
 # ---- attribution overhead ----------------------------------------------------
 # Latency attribution (the per-stage aft_commit_stage_seconds decomposition)
 # ships always-on, so its cost is gated like a regression: bench_obs runs the
@@ -198,7 +131,7 @@ sed -nE 's/.*"row":"tput zipf (batched|unbatched) ([0-9]+)c".*"txn_per_s":([0-9.
 # than throughput: the within-run median is far less exposed to scheduler
 # noise on small CI runners, while a real regression (attribution suddenly
 # costing tens of µs) still fails loudly. Same within-run philosophy as
-# gates 1-2.
+# gate 1.
 MAX_ATTR_RATIO="${MAX_ATTR_RATIO:-1.05}"
 sed -nE 's/.*"row":"commit attribution (off|on)".*"p50_ms":([0-9.]+).*"txn_per_s":([0-9.]+).*/\1\t\2\t\3/p' "$CURRENT" \
   | awk -F '\t' -v ceil="$MAX_ATTR_RATIO" '
@@ -252,12 +185,14 @@ for gated in "inproc commit=$MAX_ALLOCS" "local commit=$MAX_ALLOCS" \
 done
 
 # ---- paper shape: Fig 3 AFT-over-Plain overhead ------------------------------
-# Within-run ratios like gates 1-3: each engine's two rows come from one
+# Within-run ratios like gates 1-2: each engine's two rows come from one
 # bench_fig3 process on the same machine and the same seeded workload. The
 # healthy path sits near 0.85-0.95x on S3 and 1.1-1.3x on DynamoDB and
-# Redis at smoke settings. A commit path that makes S3 commits wait on each
-# other (merged rounds where they share no cost) reads 1.30-1.37x on S3,
-# hence S3's own ceiling. tools/bench.sh --smoke runs this bench three
+# Redis at smoke settings. An S3 commit that takes two sequential PUTs
+# (its payloads in version objects before the record, i.e.
+# DirtyPlacement::kRound forced on SimS3) reads a 1.20x median on S3 in
+# two smoke runs (1.18-1.23x per run), hence S3's own ceiling.
+# tools/bench.sh --smoke runs this bench three
 # times at a time scale and request count where the ratios are stable, and
 # the gate takes each engine's median ratio over the runs (Plain row, then
 # Aft row, per run): one run slowed by a burst of host load cannot fail it
@@ -302,7 +237,7 @@ for engine in S3 DynamoDB Redis; do
 done
 
 # ---- paper shape: §4.1 supersedence pruning ----------------------------------
-# Within-run like gates 1-3: the saving is pruned / (pruned + broadcast)
+# Within-run like gates 1-2: the saving is pruned / (pruned + broadcast)
 # records of one run. At Zipf 2.0 most commits hit a few hot keys and
 # supersede each other within a gossip interval; a bus that gossips each
 # commit on its own leaves nothing to prune (~5% at smoke settings, against
