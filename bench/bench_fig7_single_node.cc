@@ -54,11 +54,10 @@ void RunSweep(const char* label, double paper_peak) {
 // The same single-node sweep over the durable WAL-backed engine — real
 // writev + fdatasync instead of simulated latency. AftEnv holds its engine
 // by value, so the factory-constructed LocalEngine gets a hand-rolled copy
-// of the fixture. The headline column is fsyncs/txn: cross-transaction
-// commit batching fuses every round member's data versions AND commit
-// records into one WAL append with one group-committed sync, so the figure
-// falls with concurrency (the PR 8 WAL-level group commit alone measured
-// 0.13 at 16 writers; the protocol-level batcher stacks on top of it).
+// of the fixture. The headline column is fsyncs/txn: each commit is one
+// WAL append carrying its data versions AND its record, and the WAL's group
+// commit lets one fdatasync acknowledge every append that landed before
+// it, so the figure falls with concurrency.
 void RunLocalSweep() {
   std::printf("\n-- AFT over local WAL engine (real I/O; --engine local) --\n");
   char dir_template[] = "/tmp/aft_fig7_local_XXXXXX";

@@ -158,12 +158,11 @@ void RunGroupCommitSweep(LocalEngine& engine, long ops_per_writer) {
 }
 
 // N closed-loop committers through ONE AftNode over the engine: full AFT
-// transactions instead of raw puts. The protocol-level commit batcher
-// (src/core/commit_batcher.h) fuses every queued member's data versions AND
-// commit record into one WAL append with one group-committed fsync per
-// round, so fsyncs/txn falls toward 1/batch-size — below the 0.13 the
-// WAL-level latch alone measured at 16 writers (PR 8), because one fused
-// round now covers whole transactions, not single puts.
+// transactions instead of raw puts. Each commit is one WAL append carrying
+// its data versions AND its commit record (LocalEngine::Commit); the WAL's
+// group-commit latch (src/storage/wal.h) lets one fdatasync acknowledge
+// every append that landed before it, so fsyncs/txn falls below 1 as
+// writers are added, the same way it does for the raw puts above.
 void RunAftCommitSweep(LocalEngine& engine, long ops_per_writer) {
   RealClock& clock = RealClock::Default();
   AftNodeOptions node_options;

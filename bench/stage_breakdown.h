@@ -20,7 +20,7 @@
 
 #include "bench/bench_common.h"
 #include "src/common/histogram.h"
-#include "src/core/commit_batcher.h"
+#include "src/core/aft_node.h"
 #include "src/obs/metrics.h"
 
 namespace aft {
@@ -73,10 +73,9 @@ class StageBreakdown {
   }
 
  private:
-  static constexpr int kNumStages = 7;
+  static constexpr int kNumStages = 5;
   static constexpr const char* kStageNames[kNumStages] = {
-      "txn_lock_wait", "queue_wait_leader", "queue_wait_follower", "data_flush",
-      "barrier",       "record_write",      "gossip_publish"};
+      "txn_lock_wait", "data_flush", "barrier", "record_write", "gossip_publish"};
 
   struct State {
     double stage_sum_s[kNumStages] = {};
@@ -85,10 +84,9 @@ class StageBreakdown {
   };
 
   void Capture(State* out) {
-    obs::Histogram* children[kNumStages] = {
-        stages_.txn_lock_wait, stages_.queue_wait_leader, stages_.queue_wait_follower,
-        stages_.data_flush,    stages_.barrier,           stages_.record_write,
-        stages_.gossip_publish};
+    obs::Histogram* children[kNumStages] = {stages_.txn_lock_wait, stages_.data_flush,
+                                            stages_.barrier, stages_.record_write,
+                                            stages_.gossip_publish};
     for (int i = 0; i < kNumStages; ++i) {
       out->stage_sum_s[i] = children[i]->Sum();
     }

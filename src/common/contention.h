@@ -172,7 +172,7 @@ inline void TimedAcquire(ContentionSite* site, TryFn&& try_acquire, LockFn&& acq
 
 // ---- Commit-stage attribution toggle ---------------------------------------
 // Gates the per-stage commit decomposition (aft_commit_stage_seconds and the
-// stage timing inside CommitUnits / ParallelFor). ON by default — the
+// stage timing inside StorageEngine::Commit / ParallelFor). ON by default — the
 // instrumentation is a handful of steady_clock reads per commit; the toggle
 // exists for the bench_obs on/off overhead A/B and as an escape hatch. Lives
 // here (not obs) so src/common and src/storage can read it without an obs

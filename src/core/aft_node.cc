@@ -27,7 +27,37 @@ double StageSecondsSince(StageClock::time_point start) {
   return std::chrono::duration<double>(StageClock::now() - start).count();
 }
 
+// 10 µs .. ~10 s in doubling buckets — spans a WAL fsync (~ms) and a
+// simulated cloud round-trip (~tens of ms) with headroom for stragglers.
+std::vector<double> StageBoundaries() { return ExponentialBoundaries(1e-5, 2.0, 21); }
+
+void RecordSpan(const obs::TraceContext& trace, const char* name, const std::string& node,
+                uint64_t start_us, uint64_t dur_us) {
+  obs::TraceEvent event;
+  event.trace_id = trace.trace_id;
+  event.name = name;
+  event.node = node;
+  event.start_us = start_us;
+  event.dur_us = dur_us;
+  obs::Tracer::Global().Record(std::move(event));
+}
+
 }  // namespace
+
+CommitStageHistograms CommitStageHistograms::ForNode(const std::string& node_id) {
+  auto& reg = obs::MetricsRegistry::Global();
+  auto stage = [&](const char* stage_name, const char* help) {
+    return reg.GetHistogram("aft_commit_stage_seconds", help, StageBoundaries(),
+                            {{"node", node_id}, {"stage", stage_name}});
+  };
+  CommitStageHistograms h;
+  h.txn_lock_wait = stage("txn_lock_wait", "Commit stage: transaction lock wait");
+  h.data_flush = stage("data_flush", "Commit stage: data-version flush");
+  h.barrier = stage("barrier", "Commit stage: write-ordering barrier wait");
+  h.record_write = stage("record_write", "Commit stage: commit-record write");
+  h.gossip_publish = stage("gossip_publish", "Commit stage: staging for gossip broadcast");
+  return h;
+}
 
 AftNode::AftNode(std::string node_id, StorageEngine& storage, Clock& clock, AftNodeOptions options)
     : node_id_(std::move(node_id)),
@@ -36,11 +66,7 @@ AftNode::AftNode(std::string node_id, StorageEngine& storage, Clock& clock, AftN
       options_(std::move(options)),
       data_cache_(options_.data_cache_bytes),
       throttle_(clock, options_.service_cores,
-                options_.service_time.Scaled(storage.client_cpu_factor())),
-      batcher_(node_id_, storage,
-               [this](std::span<CommitBatcher::Pending* const> committed) {
-                 PublishCommittedRound(committed);
-               }) {
+                options_.service_time.Scaled(storage.client_cpu_factor())) {
   auto& reg = obs::MetricsRegistry::Global();
   const obs::MetricLabels labels = {{"node", node_id_}};
   metrics_.txns_started =
@@ -713,17 +739,15 @@ Result<TxnId> AftNode::CommitTransaction(const Uuid& txid) {
   for (const VersionLocator& locator : record->locators) {
     object.PutRaw(txn->write_buffer.find(locator.key)->second);
   }
-  CommitBatcher::Pending pending;
-  pending.unit.data_ops = std::span<WriteOp>(ops.data(), ops.size());
-  pending.unit.commit_record = WriteOp{CommitStorageKey(commit_id), std::move(object).TakeData()};
-  pending.unit.record_listener = &in_flight_records_;
-  pending.record = record;
-  pending.trace = txn->trace;
+  CommitUnit unit;
+  unit.data_ops = std::span<WriteOp>(ops.data(), ops.size());
+  unit.commit_record = WriteOp{CommitStorageKey(commit_id), std::move(object).TakeData()};
+  unit.record_listener = &in_flight_records_;
   // The barrier's other half: the record waits for the spills still in
-  // flight, and a failed one poisons the unit.
+  // flight, and a failed one fails the round.
   EarlyWrites* const early = txn->early_written.empty() ? nullptr : &txn->early_writes;
   if (early != nullptr || options_.crash_hook) {
-    pending.unit.after_data_write = [this, early] {
+    unit.after_data_write = [this, early] {
       if (early != nullptr) {
         AFT_RETURN_IF_ERROR(early->Wait());
       }
@@ -736,14 +760,12 @@ Result<TxnId> AftNode::CommitTransaction(const Uuid& txid) {
 
   Status committed;
   {
-    // The round — data flush, §3.3 barrier, record write, fused with
-    // batch-mates where the engine's rounds merge — runs outside the
-    // transaction lock so committers prepared on other threads can join it
-    // and the leader can publish. While unlocked the transaction sits in
-    // kCommitting, which rejects every concurrent mutation of it.
+    // The round runs outside the transaction lock. While unlocked the
+    // transaction sits in kCommitting, which rejects every concurrent
+    // mutation of it.
     obs::TraceSpan round_span(txn->trace, "CommitRound", node_id_);
     lock.Unlock();
-    committed = batcher_.Commit(pending);
+    committed = RunCommitRound(unit, record, txn->trace);
     if (!committed.ok() && early != nullptr) {
       // A round that failed before its hook ran did not wait; the failed
       // keys below must be complete.
@@ -778,8 +800,8 @@ Result<TxnId> AftNode::CommitTransaction(const Uuid& txid) {
     return Status::Unavailable("node crashed");
   }
 
-  // Step 3: local visibility. The round's publisher already staged the
-  // record (and trace) for broadcast.
+  // Step 3: local visibility. The round already staged the record (and
+  // trace) for broadcast.
   txn->dirty.clear();
   if (commits_.Add(record)) {
     index_.AddCommit(*record);
@@ -820,14 +842,63 @@ void AftNode::FinishCommittedTransaction(const Uuid& txid, const TxnId& commit_i
   metrics_.txns_committed->Increment();
 }
 
-void AftNode::PublishCommittedRound(std::span<CommitBatcher::Pending* const> committed) {
-  {
-    MutexLock lock(broadcast_mu_);
-    for (CommitBatcher::Pending* member : committed) {
-      pending_broadcast_.push_back(member->record);
-      pending_broadcast_traces_.push_back(member->trace);
+Status AftNode::RunCommitRound(CommitUnit& unit, const CommitRecordPtr& record,
+                               const obs::TraceContext& trace) {
+  const bool attrib = contention::StageTimingEnabled();
+  const bool sampled = trace.sampled();
+  const uint64_t span_start_us = sampled ? obs::Tracer::NowMicros() : 0;
+  CommitStageProfile profile;
+  if (attrib) {
+    // Shared boundaries: the round start is the engine's flush start, and
+    // the engine's last reading (profile.end) is the publish start.
+    profile.start = StageClock::now();
+  }
+  const Status committed = storage_.Commit(unit, attrib ? &profile : nullptr);
+  if (sampled) {
+    // The engine persists data versions and the record in one call, so
+    // both lifecycle spans share the round's window.
+    const uint64_t end_us = obs::Tracer::NowMicros();
+    for (const char* name : {"CommitFlush", "CommitRecordWrite"}) {
+      RecordSpan(trace, name, node_id_, span_start_us, end_us - span_start_us);
     }
   }
+  double publish_s = 0;
+  if (committed.ok()) {
+    StageClock::time_point publish_start = profile.end;
+    if (attrib && publish_start == StageClock::time_point{}) {
+      publish_start = StageClock::now();
+    }
+    {
+      MutexLock lock(broadcast_mu_);
+      pending_broadcast_.push_back(record);
+      pending_broadcast_traces_.push_back(trace);
+    }
+    if (attrib) {
+      publish_s = StageSecondsSince(publish_start);
+    }
+  }
+  if (attrib) {
+    metrics_.stages.data_flush->Observe(profile.data_flush_s);
+    metrics_.stages.barrier->Observe(profile.barrier_s);
+    metrics_.stages.record_write->Observe(profile.record_write_s);
+    metrics_.stages.gossip_publish->Observe(publish_s);
+    if (sampled) {
+      // Child spans laid out sequentially from the round start by measured
+      // duration — an approximation of in-stage timestamps (the stages of
+      // a fused WAL append are not separately clocked), documented in
+      // docs/OBSERVABILITY.md.
+      uint64_t start_us = span_start_us;
+      for (const auto& [name, stage_s] : {std::pair{"StageDataFlush", profile.data_flush_s},
+                                          std::pair{"StageBarrier", profile.barrier_s},
+                                          std::pair{"StageRecordWrite", profile.record_write_s},
+                                          std::pair{"StageGossipPublish", publish_s}}) {
+        const auto dur_us = static_cast<uint64_t>(stage_s * 1e6);
+        RecordSpan(trace, name, node_id_, start_us, dur_us);
+        start_us += dur_us;
+      }
+    }
+  }
+  return committed;
 }
 
 void AftNode::DrainRecentCommits(std::vector<CommitRecordPtr>* pruned,

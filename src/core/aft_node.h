@@ -26,7 +26,6 @@
 #include "src/common/small_vector.h"
 #include "src/common/status.h"
 #include "src/common/throttle.h"
-#include "src/core/commit_batcher.h"
 #include "src/core/commit_set_cache.h"
 #include "src/core/data_cache.h"
 #include "src/core/key_version_index.h"
@@ -47,6 +46,22 @@ enum class CrashPoint {
   kBeforeDataWrite,
   kAfterDataWrite,    // Data persisted, commit record NOT yet written.
   kAfterCommitWrite,  // Commit record persisted, local caches NOT updated.
+};
+
+// The aft_commit_stage_seconds{node=,stage=} family: one histogram child per
+// commit-path stage. Stages are DISJOINT slices of one transaction's
+// end-to-end commit latency (aft_node_commit_latency_ms), so per-commit
+// stage observations sum to (at most) the e2e time — the reconciliation
+// contract in docs/OBSERVABILITY.md. Registered find-or-create, so tests
+// and benches that look a node's children up share them with the node.
+struct CommitStageHistograms {
+  obs::Histogram* txn_lock_wait;   // acquiring the transaction's lock
+  obs::Histogram* data_flush;      // data-version write, minus barrier
+  obs::Histogram* barrier;         // §3.3 straggler wait
+  obs::Histogram* record_write;    // commit-record write / WAL fsync
+  obs::Histogram* gossip_publish;  // staging the record for broadcast
+
+  static CommitStageHistograms ForNode(const std::string& node_id);
 };
 
 struct AftNodeOptions {
@@ -96,7 +111,7 @@ struct AftNodeOptions {
   // Fault-injection hook: return true to crash the node at this point.
   // kAfterDataWrite fires inside the commit round, between this
   // transaction's data write and its record write (CommitUnit's
-  // after_data_write), possibly on a batch-mate's thread.
+  // after_data_write), on the committing thread.
   std::function<bool(CrashPoint)> crash_hook;
 };
 
@@ -285,10 +300,13 @@ class AftNode {
   // record object, any other from its version object.
   Result<std::string> ReadVersionPayload(const std::string& key, const TxnId& version,
                                          const CommitRecordPtr& record);
-  // Batcher round publisher: stages every committed member's record (and
-  // trace) for broadcast under ONE broadcast_mu_ hold; the gossip bus
-  // drains them on its next interval round.
-  void PublishCommittedRound(std::span<CommitBatcher::Pending* const> committed);
+  // Runs a prepared commit's storage round — data flush, §3.3 barrier,
+  // record write — with no lock held, then stages the record (and trace)
+  // for broadcast if it was written; the gossip bus drains it on its next
+  // interval round. Observes every commit stage after txn_lock_wait and
+  // emits the round's trace spans.
+  Status RunCommitRound(CommitUnit& unit, const CommitRecordPtr& record,
+                        const obs::TraceContext& trace);
   // True when some running transaction has read from `id` (GC guard, §5.1).
   // O(1) via the read pin table.
   bool AnyRunningTransactionReadsFrom(const TxnId& id);
@@ -366,10 +384,6 @@ class AftNode {
   std::vector<CommitRecordPtr> pending_broadcast_ GUARDED_BY(broadcast_mu_);
   std::vector<obs::TraceContext> pending_broadcast_traces_ GUARDED_BY(broadcast_mu_);
 
-  // Every commit's storage round runs through the batcher, which merges
-  // concurrent rounds where the engine fuses data with records.
-  CommitBatcher batcher_;
-
   // Registry-backed instruments, looked up once at construction (labels:
   // {node=node_id_}). Counters/histograms are owned by the global registry;
   // callbacks_ keeps the point-in-time gauges (cache sizes, write-buffer
@@ -390,9 +404,7 @@ class AftNode {
     obs::Histogram* commit_latency_ms;
     obs::Histogram* read_latency_ms;
     obs::Histogram* read_walk_depth;
-    // aft_commit_stage_seconds children (shared with batcher_ — same
-    // registry keys). The node observes txn_lock_wait; the batcher observes
-    // the queue and round stages.
+    // aft_commit_stage_seconds children.
     CommitStageHistograms stages;
   };
   Instruments metrics_;

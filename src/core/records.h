@@ -12,7 +12,7 @@
 //                     key versions are durable; its presence is what makes
 //                     the transaction's updates visible. The key is unique
 //                     per commit attempt, so no other commit overwrites a
-//                     record. StorageEngine::CommitUnits CREATES it with a
+//                     record. StorageEngine::Commit CREATES it with a
 //                     conditional PutIfAbsent, which an engine may hedge
 //                     with a second identical create
 //                     (src/storage/record_writer.h). At most one attempt

@@ -35,10 +35,9 @@
 // anything else prints the usage line and exits 2.
 //
 // Every flag (and the env defaults it consulted) is echoed to /varz on the
-// metrics exporter, as is the commit policy the engine implies
-// (commit.rounds_share_cost: true|false), so scrape-side tooling can tell
-// node configurations apart; /readyz aggregates engine_recovered /
-// server_accepting / node_alive (plus gossip_live on clustered binaries).
+// metrics exporter, so scrape-side tooling can tell node configurations
+// apart; /readyz aggregates engine_recovered / server_accepting /
+// node_alive (plus gossip_live on clustered binaries).
 //
 // SIGINT / SIGTERM trigger a clean shutdown: stop accepting, drain in-flight
 // requests, stop the node's background sweeps, exit 0.
@@ -186,11 +185,6 @@ int main(int argc, char** argv) {
   // that is after WAL replay, so /readyz says "recovered", not "constructed".
   obs::ScopedReadyCheck engine_ready = obs::RegisterReadyCheck(
       "engine_recovered", [engine] { return std::make_pair(true, engine); });
-
-  // Which commit policy this node runs: merged rounds only where the
-  // engine fuses a commit's data with its record (src/core/commit_batcher.h).
-  obs::SetVarz("commit.rounds_share_cost",
-               storage->CommitUnitsFuseDataWithRecord() ? "true" : "false");
 
   AftNode node(node_id, *storage, clock);
   if (!node.Start().ok()) {

@@ -455,95 +455,64 @@ Status LocalEngine::BatchPut(std::span<WriteOp> ops) {
   return ApplyWrites(std::span<const Wal::AppendOp>(wal_ops));
 }
 
-void LocalEngine::CommitUnits(std::span<CommitUnit> units, std::span<Status> results,
-                              CommitStageProfile* profile) {
-  for (const CommitUnit& unit : units) {
-    if (unit.after_data_write) {
-      StorageEngine::CommitUnits(units, results, profile);
-      return;
-    }
-  }
-  for (Status& r : results) {
-    r = Status::Ok();
-  }
-  if (units.empty()) {
-    return;
+Status LocalEngine::Commit(CommitUnit& unit, CommitStageProfile* profile) {
+  if (unit.after_data_write) {
+    return StorageEngine::Commit(unit, profile);
   }
   counters_.batch_puts.fetch_add(1, std::memory_order_relaxed);
   counters_.api_calls.fetch_add(1, std::memory_order_relaxed);
   LatencyTimer timer(op_latency_batch_);
-  // Fuse every unit into one ordered op vector: [unit data ops..., unit
-  // record] per unit. The record trails its data in the log, so
-  // prefix-truncating replay can never keep a record whose data was torn
-  // away — the §3.3 barrier, paid once per BATCH as a single fsync below.
+  // One ordered op vector: [data ops..., record]. The record trails its
+  // data in the log, so prefix-truncating replay can never keep a record
+  // whose data was torn away — the §3.3 barrier, paid as the one fsync
+  // below.
   static thread_local std::vector<Wal::AppendOp> fused;
   fused.clear();
-  size_t max_ops = 0;
-  for (const CommitUnit& unit : units) {
-    max_ops += unit.data_ops.size() + 1;
-  }
-  fused.reserve(max_ops);
-  uint64_t bytes = 0;
+  fused.reserve(unit.data_ops.size() + 1);
   const auto injector =
       has_injector_.load(std::memory_order_acquire) ? InjectorSnapshot() : nullptr;
+  Status rejected;
   // aftlint: hot
-  for (size_t u = 0; u < units.size(); ++u) {
-    CommitUnit& unit = units[u];
-    for (const WriteOp& op : unit.data_ops) {
-      if (injector) {
-        Status verdict = (*injector)(op.key);
-        if (!verdict.ok()) {
-          // Poison THIS unit only. Its already-accepted data ops still
-          // append (non-atomic batch semantics — in-flight writes cannot be
-          // recalled) but stay invisible: the record that would reference
-          // them is withheld below.
-          if (results[u].ok()) {
-            results[u] = std::move(verdict);
-          }
-          continue;
-        }
+  for (const WriteOp& op : unit.data_ops) {
+    Status verdict = injector ? (*injector)(op.key) : Status::Ok();
+    if (!verdict.ok()) {
+      // In-flight writes cannot be recalled: the ops already accepted still
+      // append, invisible, because the record that would reference them is
+      // withheld below.
+      if (rejected.ok()) {
+        rejected = std::move(verdict);
       }
-      fused.push_back(Wal::AppendOp{wal::RecordOp::kPut, op.key, op.value});
-      bytes += op.value.size();
-    }
-    if (!results[u].ok()) {
       continue;
     }
-    if (injector) {
-      Status verdict = (*injector)(unit.commit_record.key);
-      if (!verdict.ok()) {
-        results[u] = std::move(verdict);
-        continue;
-      }
-    }
+    fused.push_back(Wal::AppendOp{wal::RecordOp::kPut, op.key, op.value});
+  }
+  if (rejected.ok() && injector) {
+    rejected = (*injector)(unit.commit_record.key);
+  }
+  if (rejected.ok()) {
     fused.push_back(
         Wal::AppendOp{wal::RecordOp::kPut, unit.commit_record.key, unit.commit_record.value});
-    bytes += unit.commit_record.value.size();
+  }
+  uint64_t bytes = 0;
+  for (const Wal::AppendOp& op : fused) {
+    bytes += op.value.size();
   }
   counters_.puts.fetch_add(fused.size(), std::memory_order_relaxed);
   counters_.bytes_written.fetch_add(bytes, std::memory_order_relaxed);
   if (fused.empty()) {
-    return;
+    return rejected;
   }
   double* append_out = nullptr;
   double* sync_out = nullptr;
   if (profile != nullptr && contention::StageTimingEnabled()) {
     // Fused-path stage mapping: append + index publish = data_flush, the
-    // group-committed fsync = record_write, barrier = 0 (see header).
+    // fsync = record_write, barrier = 0 (see header).
     append_out = &profile->data_flush_s;
     sync_out = &profile->record_write_s;
   }
   const Status applied =
       AppendIndexSync(std::span<const Wal::AppendOp>(fused), append_out, sync_out);
-  if (!applied.ok()) {
-    // The append (or its sync) is all-or-nothing for the batch: no unit's
-    // record was acknowledged, so every surviving unit fails.
-    for (Status& r : results) {
-      if (r.ok()) {
-        r = applied;
-      }
-    }
-  }
+  return rejected.ok() ? applied : rejected;
 }
 
 Status LocalEngine::Delete(const std::string& key) {

@@ -97,28 +97,24 @@ class LocalEngine final : public StorageEngine {
   // Consumes nothing: value bytes stream from the caller's buffers into the
   // kernel via writev and are never copied into engine memory at all.
   Status BatchPut(std::span<WriteOp> ops) override;
-  // Fused group commit: the whole batch — every unit's data versions
-  // followed by that unit's commit record — rides ONE WAL append (one
-  // writev) and ONE group-committed fsync. Per-unit §3.3 ordering falls out
-  // of batch append order plus prefix-truncating replay: a unit's record is
-  // appended after its data, so a record that survives recovery implies its
-  // data survived. A unit whose write the injector rejects is poisoned: its
-  // record is withheld from the batch (already-accepted data ops still
-  // append — non-atomic batch semantics — and stay invisible orphans) while
-  // its batch-mates commit.
+  // Fused commit: the unit's data versions followed by its commit record
+  // ride ONE WAL append (one writev) and one fsync, which the WAL's group
+  // commit shares with every concurrent appender. §3.3 ordering falls out
+  // of append order plus prefix-truncating replay: the record is appended
+  // after its data, so a record that survives recovery implies its data
+  // survived. A data op the injector rejects fails the commit: the record
+  // is withheld (already-accepted data ops still append — non-atomic batch
+  // semantics — and stay invisible orphans).
   // Stage mapping for `profile` (fused path — see CommitStageProfile):
   // data_flush = AppendBatch + index publication, record_write = the
-  // group-committed fsync (data and records become durable together),
-  // barrier = 0 (ordering rides batch append order, no separate wait).
-  // A round with an after_data_write hook has no point between a unit's
-  // data and its record in one append, so it takes the default per-unit
-  // path instead (crash-point injection, or a transaction whose buffer
-  // spilled past the threshold and must wait for its early writes).
-  void CommitUnits(std::span<CommitUnit> units, std::span<Status> results,
-                   CommitStageProfile* profile = nullptr) override;
-  // A unit's data ops and record ride the same append (see CommitUnits),
-  // and every round ends in one group-committed fsync, paid once however
-  // many units ride it.
+  // fsync (data and record become durable together), barrier = 0
+  // (ordering rides append order, no separate wait).
+  // A unit with an after_data_write hook has no point between its data and
+  // its record in one append, so it takes the default path instead
+  // (crash-point injection, or a transaction whose buffer spilled past the
+  // threshold and must wait for its early writes).
+  Status Commit(CommitUnit& unit, CommitStageProfile* profile = nullptr) override;
+  // A unit's data ops and record ride the same append (see Commit).
   bool CommitUnitsFuseDataWithRecord() const override { return true; }
   Status Delete(const std::string& key) override;
   Status BatchDelete(std::span<const std::string> keys) override;

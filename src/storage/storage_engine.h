@@ -34,8 +34,8 @@ struct WriteOp {
   std::string value;
 };
 
-// Follows a commit record write that may outlive CommitUnits. A hedged
-// record write (see CommitUnits) returns at its first success while the
+// Follows a commit record write that may outlive Commit. A hedged
+// record write (see Commit) returns at its first success while the
 // other attempt of it may still be in flight. Started runs on the calling
 // thread before the write leaves it, and only for a write that may outlive
 // the call; Settled runs once every attempt of that write has returned, on
@@ -49,16 +49,15 @@ class RecordWriteListener {
   ~RecordWriteListener() = default;
 };
 
-// One transaction's contribution to a commit round: its data-version writes
-// plus the commit record that makes them visible. CommitUnits() persists
-// one or more units while preserving the §3.3 write-ordering guarantee PER
-// UNIT (see below).
+// One transaction's commit: its data-version writes plus the commit record
+// that makes them visible. Commit() persists it under the §3.3
+// write-ordering guarantee (see below).
 struct CommitUnit {
   std::span<WriteOp> data_ops;  // version objects; may be consumed
   WriteOp commit_record;        // commit-set key + serialized record; may be consumed
   // Optional: runs once this unit's data ops are acknowledged and before its
-  // record is written, as part of the barrier. A non-OK status poisons the
-  // unit like a failed data op. The node sets it to wait for the
+  // record is written, as part of the barrier. A non-OK status fails the
+  // commit like a failed data op. The node sets it to wait for the
   // transaction's writes issued before the round (§3.3 early writes) and
   // under crash-point injection (CrashPoint::kAfterDataWrite).
   std::function<Status()> after_data_write;
@@ -67,16 +66,16 @@ struct CommitUnit {
   RecordWriteListener* record_listener = nullptr;
 };
 
-// Wall-clock decomposition of one CommitUnits call, in seconds. Stages are
+// Wall-clock decomposition of one Commit call, in seconds. Stages are
 // DISJOINT — their sum is the storage portion of the call — so the commit
 // path can reconcile per-stage histograms against end-to-end latency:
 //   data_flush:   issuing + writing the data versions, excluding straggler
 //                 wait (WAL engine: AppendBatch + index publish)
 //   barrier:      the §3.3 wait for in-flight data writes to be acknowledged
-//                 before any commit record may be written, including the
-//                 units' after_data_write hooks (WAL engine: 0 — ordering
+//                 before the commit record may be written, including the
+//                 unit's after_data_write hook (WAL engine: 0 — ordering
 //                 rides the single fused append, see local_engine)
-//   record_write: the commit-record writes (WAL engine: the group-committed
+//   record_write: the commit-record write (WAL engine: the group-committed
 //                 fsync, which is also what makes the data durable)
 // Filled only when a profile is passed AND contention::StageTimingEnabled().
 //
@@ -156,39 +155,35 @@ class StorageEngine {
   // NOT atomic — exactly like BatchWriteItem.
   virtual Status BatchPut(std::span<WriteOp> ops) = 0;
 
-  // Persists each unit's data ops and then its commit record, filling
-  // results[i] per unit (results.size() == units.size()). The §3.3 ordering
-  // holds PER UNIT: unit i's commit record is written only after ALL of
-  // unit i's data ops were durably acknowledged and its after_data_write
-  // hook returned OK. A unit whose data write or hook fails is POISONED —
-  // results[i] carries the error and its commit record is never written —
-  // without failing the other units; stray data versions a poisoned unit
-  // did land are invisible orphans (no record references them) left to the
-  // fault manager's sweep. Ops may be consumed like BatchPut's. The default
-  // runs the units one after another, each as one BatchPut, its hook, then
-  // CreateCommitRecord. An engine may override to fuse units: the local
-  // engine rides a whole batch on one WAL append and one group-committed
-  // fsync. A non-null `profile` receives the per-stage wall-clock split
-  // documented on CommitStageProfile, summed over the units.
+  // Persists the unit's data ops and then its commit record. The §3.3
+  // ordering holds: the record is written only after ALL of the data ops
+  // were durably acknowledged and the after_data_write hook returned OK. A
+  // failed data write or hook fails the commit and its record is never
+  // written; stray data versions that did land are invisible orphans (no
+  // record references them) left to the fault manager's sweep. Ops may be
+  // consumed like BatchPut's. The default is the paper's sequence: one
+  // BatchPut, the hook, then CreateCommitRecord. The local engine
+  // overrides it to ride data and record on one WAL append; its WAL's group
+  // commit lets one fsync acknowledge every concurrent commit. A non-null
+  // `profile` receives the per-stage wall-clock split documented on
+  // CommitStageProfile.
   //
   // CreateCommitRecord is a conditional create, which an engine may hedge.
   // A hedged write returns at the first attempt that created the record (or
   // found it created by the other attempt: record keys are unique per
   // commit attempt), and fails only once every attempt has returned, so a
-  // failed unit never leaves a write of its record in flight. A losing
+  // failed commit never leaves a write of its record in flight. A losing
   // attempt still in flight when the call returns is reported to the
   // unit's record_listener.
-  virtual void CommitUnits(std::span<CommitUnit> units, std::span<Status> results,
-                           CommitStageProfile* profile = nullptr);
+  virtual Status Commit(CommitUnit& unit, CommitStageProfile* profile = nullptr);
 
-  // Whether CommitUnits persists a unit's data ops and its commit record in
-  // ONE durable write (the local engine's single WAL append and fsync), so a
-  // data op costs no write of its own and a multi-unit round pays that
-  // write once for every unit in it. Where it is false, every data op is a
-  // request the record must wait for, so AftNode puts a commit's payloads
-  // inside the record object instead, and the commit batcher runs every
-  // commit in its own round: merging would only make commits wait for each
-  // other and pay the slowest member's tail.
+  // Whether Commit persists a unit's data ops and its commit record in ONE
+  // durable write (the local engine's single WAL append and fsync), so a
+  // data op costs no write of its own. It steers where payloads go: where
+  // it is false, every data op is a request the record must wait for, so
+  // AftNode puts a commit's payloads inside the record object instead. The
+  // fault manager's global GC reads it too: only where it is true may a
+  // record that locates every payload still have version objects.
   virtual bool CommitUnitsFuseDataWithRecord() const { return false; }
 
   // Deletes `key`. Deleting a missing key is OK (idempotent).
@@ -215,7 +210,7 @@ class StorageEngine {
   virtual const StorageCounters& counters() const = 0;
 
  protected:
-  // A unit's record write: one PutIfAbsent, where finding the record
+  // A commit's record write: one PutIfAbsent, where finding the record
   // already created counts as success. SimEngineBase hedges it (see
   // src/storage/record_writer.h). `record` may be consumed.
   virtual Status CreateCommitRecord(WriteOp& record, RecordWriteListener* listener);

@@ -1,26 +1,21 @@
-// Cross-transaction commit batching (src/core/commit_batcher.h) and the
-// CommitUnits storage contract (src/storage/storage_engine.h).
+// The commit path: the StorageEngine::Commit contract
+// (src/storage/storage_engine.h) and AftNode's one storage round per commit.
 //
 // The load-bearing guarantees under test:
-//   * Per-unit §3.3 ordering — no member's commit record is visible (even
-//     after a LocalEngine reopen/replay) unless that member's data is
-//     durable.
-//   * Per-unit poisoning — one member's failed write aborts that member
-//     alone; its commit record is never written, its batch-mates commit and
-//     stay readable.
-//   * Fusion — a multi-unit round on the local engine rides ONE batched API
-//     call and ONE group-committed fsync.
-//   * The default CommitUnits — each unit in turn: its data write, its
-//     hook, then its record, so one unit's failure spares the others.
-//   * Policy — rounds merge only where the engine fuses a unit's data with
-//     its record (StorageEngine::CommitUnitsFuseDataWithRecord): concurrent
-//     committers over S3 never queue, while the local engine fuses.
-//   * Equivalence — commits through a merging and a non-merging engine
-//     leave the same committed state, including after crash-recovery
-//     replay; a failed round leaves the transaction retryable; a crash
-//     between data and record leaves no record, even on the local engine.
-// The TSan stress at the bottom drives concurrent committers through the
-// batcher under fault injection (run under -DAFT_SANITIZE=thread in CI).
+//   * §3.3 ordering — no commit record is visible (even after a LocalEngine
+//     reopen/replay) unless that commit's data is durable.
+//   * Failure isolation — a failed data or record write fails that commit
+//     alone; its record is never written, and commits before, after and
+//     beside it on other threads commit and stay readable.
+//   * The default Commit — the paper's sequence: the data write, the hook,
+//     then the record.
+//   * Fusion — only the local engine rides a commit's data and record on
+//     one write (StorageEngine::CommitUnitsFuseDataWithRecord), and
+//     concurrent commits there replay to the same state as serial ones.
+//   * A failed round leaves the transaction retryable; a crash between data
+//     and record leaves no record, even on the local engine.
+// The TSan stress at the bottom drives concurrent committers under fault
+// injection (run under -DAFT_SANITIZE=thread in CI).
 
 #include <atomic>
 #include <cstdint>
@@ -30,17 +25,16 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/common/clock.h"
-#include "src/common/histogram.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/core/aft_node.h"
 #include "src/core/records.h"
-#include "src/obs/metrics.h"
 #include "src/storage/local_engine.h"
 #include "src/storage/sim_dynamo.h"
 #include "src/storage/sim_s3.h"
@@ -51,7 +45,7 @@ namespace {
 class TempDir {
  public:
   TempDir() {
-    char tmpl[] = "/tmp/aft_cbatch_XXXXXX";
+    char tmpl[] = "/tmp/aft_cpath_XXXXXX";
     const char* dir = ::mkdtemp(tmpl);
     EXPECT_NE(dir, nullptr);
     path_ = dir == nullptr ? "" : dir;
@@ -81,7 +75,6 @@ std::map<std::string, std::string> Snapshot(StorageEngine& engine) {
   }
   return out;
 }
-
 
 // Zero-latency engine profile: these tests exercise ordering and contention,
 // not simulated round-trip times.
@@ -118,86 +111,12 @@ AftNodeOptions FastNodeOptions() {
   return options;
 }
 
-obs::Histogram* BatchSizes(const std::string& node_id) {
-  return obs::MetricsRegistry::Global().GetHistogram(
-      "aft_commit_batch_size", "Transactions fused per commit round",
-      ExponentialBoundaries(1, 2, 8), {{"node", node_id}});
-}
-
-// Starts `writers` transactions of one key each, then commits them all at
-// once from `writers` threads, `rounds` times over. Returns the wall time of
-// the commit phase in ms.
-double CommitConcurrently(AftNode& node, int writers, int rounds) {
-  std::atomic<int> ready{0};
-  std::atomic<bool> go{false};
-  std::vector<std::thread> threads;
-  for (int w = 0; w < writers; ++w) {
-    threads.emplace_back([&, w] {
-      for (int r = 0; r < rounds; ++r) {
-        auto txid = node.StartTransaction();
-        ASSERT_TRUE(txid.ok());
-        ASSERT_TRUE(node.Put(*txid, "w" + std::to_string(w), std::to_string(r)).ok());
-        if (r == 0) {
-          ready.fetch_add(1);
-          while (!go.load()) {
-            std::this_thread::yield();
-          }
-        }
-        ASSERT_TRUE(node.CommitTransaction(*txid).ok());
-      }
-    });
-  }
-  while (ready.load() < writers) {
-    std::this_thread::yield();
-  }
-  const auto start = std::chrono::steady_clock::now();
-  go.store(true);
-  for (std::thread& t : threads) {
-    t.join();
-  }
-  return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - start)
-      .count();
-}
+// Threads of the concurrent commit-equivalence workload.
+constexpr int kEquivalenceWriters = 8;
 
 // ---- storage-level contract -------------------------------------------------
 
-TEST(CommitUnitsLocalEngine, MultiUnitRoundIsOneApiCallAndOneFsync) {
-  TempDir dir;
-  auto engine = LocalEngine::Open(dir.path());
-  ASSERT_TRUE(engine.ok());
-
-  UnitFixture a = MakeUnit("a", 2);
-  UnitFixture b = MakeUnit("b", 3);
-  UnitFixture c = MakeUnit("c", 1);
-  std::vector<CommitUnit> units = {a.unit(), b.unit(), c.unit()};
-  std::vector<Status> results(units.size());
-
-  const Wal::Stats before = (*engine)->wal_stats();
-  const uint64_t api_before = (*engine)->counters().api_calls.load();
-  (*engine)->CommitUnits(units, results);
-  const Wal::Stats after = (*engine)->wal_stats();
-
-  for (const Status& r : results) {
-    EXPECT_TRUE(r.ok()) << r.ToString();
-  }
-  // The whole round: one batched API call, one WAL append batch, one fsync.
-  EXPECT_EQ((*engine)->counters().api_calls.load() - api_before, 1u);
-  EXPECT_EQ(after.batches - before.batches, 1u);
-  EXPECT_EQ(after.fsyncs - before.fsyncs, 1u);
-  // 6 data records + 3 commit records.
-  EXPECT_EQ(after.records - before.records, 9u);
-
-  for (const std::string& tag : {"a", "b", "c"}) {
-    auto record = (*engine)->Get("commit/" + tag);
-    ASSERT_TRUE(record.ok());
-    EXPECT_EQ(*record, "record-" + tag);
-  }
-  auto payload = (*engine)->Get("data/b/2");
-  ASSERT_TRUE(payload.ok());
-  EXPECT_EQ(*payload, "payload-b2");
-}
-
-TEST(CommitUnitsLocalEngine, PoisonedUnitAbortsAloneAndSurvivesReplay) {
+TEST(CommitLocalEngine, PoisonedUnitWritesNoRecordAndSurvivesReplay) {
   TempDir dir;
   std::map<std::string, std::string> committed_view;
   {
@@ -216,19 +135,28 @@ TEST(CommitUnitsLocalEngine, PoisonedUnitAbortsAloneAndSurvivesReplay) {
     UnitFixture a = MakeUnit("a", 2);
     UnitFixture b = MakeUnit("b", 3);
     UnitFixture c = MakeUnit("c", 1);
-    std::vector<CommitUnit> units = {a.unit(), b.unit(), c.unit()};
-    std::vector<Status> results(units.size());
-    (*engine)->CommitUnits(units, results);
+    CommitUnit unit_a = a.unit();
+    CommitUnit unit_b = b.unit();
+    CommitUnit unit_c = c.unit();
+    const Wal::Stats before = (*engine)->wal_stats();
+    const uint64_t api_before = (*engine)->counters().api_calls.load();
+    EXPECT_TRUE((*engine)->Commit(unit_a).ok());
+    const Wal::Stats after = (*engine)->wal_stats();
+    // A fused commit: one API call, one WAL append batch, one fsync, its 2
+    // data records and its commit record.
+    EXPECT_EQ((*engine)->counters().api_calls.load() - api_before, 1u);
+    EXPECT_EQ(after.batches - before.batches, 1u);
+    EXPECT_EQ(after.fsyncs - before.fsyncs, 1u);
+    EXPECT_EQ(after.records - before.records, 3u);
+    EXPECT_FALSE((*engine)->Commit(unit_b).ok());
+    EXPECT_TRUE((*engine)->Commit(unit_c).ok());
 
-    EXPECT_TRUE(results[0].ok());
-    EXPECT_FALSE(results[1].ok());
-    EXPECT_TRUE(results[2].ok());
-
-    // Batch-mates committed and readable; b's record absent, its accepted
-    // data ops are invisible orphans.
-    EXPECT_TRUE((*engine)->Get("commit/a").ok());
+    // The commits beside it are committed and readable; b's record is
+    // absent, its accepted data ops are invisible orphans.
+    EXPECT_EQ((*engine)->Get("commit/a").value(), "record-a");
     EXPECT_EQ((*engine)->Get("commit/b").status().code(), StatusCode::kNotFound);
     EXPECT_TRUE((*engine)->Get("commit/c").ok());
+    EXPECT_EQ((*engine)->Get("data/a/1").value(), "payload-a1");
     EXPECT_TRUE((*engine)->Get("data/b/0").ok());   // orphan (sweep's job)
     EXPECT_EQ((*engine)->Get("data/b/1").status().code(), StatusCode::kNotFound);
     committed_view = Snapshot(**engine);
@@ -243,7 +171,7 @@ TEST(CommitUnitsLocalEngine, PoisonedUnitAbortsAloneAndSurvivesReplay) {
   EXPECT_TRUE((*reopened)->Get("commit/c").ok());
 }
 
-TEST(CommitUnitsLocalEngine, FailedRecordWritePoisonsThatUnitOnly) {
+TEST(CommitLocalEngine, FailedRecordWriteFailsItsCommit) {
   TempDir dir;
   auto engine = LocalEngine::Open(dir.path());
   ASSERT_TRUE(engine.ok());
@@ -255,83 +183,58 @@ TEST(CommitUnitsLocalEngine, FailedRecordWritePoisonsThatUnitOnly) {
   });
   UnitFixture a = MakeUnit("a", 1);
   UnitFixture b = MakeUnit("b", 1);
-  std::vector<CommitUnit> units = {a.unit(), b.unit()};
-  std::vector<Status> results(units.size());
-  (*engine)->CommitUnits(units, results);
-  EXPECT_TRUE(results[0].ok());
-  EXPECT_FALSE(results[1].ok());
+  CommitUnit unit_a = a.unit();
+  CommitUnit unit_b = b.unit();
+  EXPECT_TRUE((*engine)->Commit(unit_a).ok());
+  EXPECT_FALSE((*engine)->Commit(unit_b).ok());
   EXPECT_TRUE((*engine)->Get("commit/a").ok());
   EXPECT_EQ((*engine)->Get("commit/b").status().code(), StatusCode::kNotFound);
 }
 
-TEST(CommitUnitsDefaultImpl, RunsEachUnitsSequenceInTurn) {
-  // SimDynamo has no CommitUnits override: the default runs unit a's data
-  // write, hook and record, then unit b's. Each hook sees its own data
-  // landed, its own record not yet written, and every earlier unit's record
-  // already written.
+TEST(CommitDefaultImpl, RunsDataThenHookThenRecord) {
+  // SimDynamo has no Commit override: the default runs the unit's data
+  // write, its hook, then its record. The hook sees the data landed and the
+  // record not yet written.
   RealClock clock(0.002);
   SimDynamo engine(clock, InstantDynamoOptions());
 
   UnitFixture a = MakeUnit("a", 2);
-  UnitFixture b = MakeUnit("b", 1);
-  std::vector<CommitUnit> units = {a.unit(), b.unit()};
-  std::vector<std::string> seen;
-  units[0].after_data_write = [&] {
-    seen.push_back("a");
+  CommitUnit unit_a = a.unit();
+  int hooks_run = 0;
+  unit_a.after_data_write = [&] {
+    ++hooks_run;
     EXPECT_TRUE(engine.PeekLatest("data/a/1").has_value());
     EXPECT_FALSE(engine.PeekLatest("commit/a").has_value());
-    EXPECT_FALSE(engine.PeekLatest("data/b/0").has_value());
     return Status::Ok();
   };
-  units[1].after_data_write = [&] {
-    seen.push_back("b");
-    EXPECT_TRUE(engine.PeekLatest("data/b/0").has_value());
-    EXPECT_TRUE(engine.PeekLatest("commit/a").has_value());
-    EXPECT_FALSE(engine.PeekLatest("commit/b").has_value());
-    return Status::Ok();
-  };
-  std::vector<Status> results(units.size());
   const uint64_t calls_before = engine.counters().api_calls.load();
-  engine.CommitUnits(units, results);
-  EXPECT_TRUE(results[0].ok());
-  EXPECT_TRUE(results[1].ok());
-  EXPECT_EQ(seen, (std::vector<std::string>{"a", "b"}));
+  EXPECT_TRUE(engine.Commit(unit_a).ok());
+  EXPECT_EQ(hooks_run, 1);
   EXPECT_EQ(engine.PeekLatest("commit/a").value(), "record-a");
-  EXPECT_EQ(engine.PeekLatest("commit/b").value(), "record-b");
-  // Per unit: one batch call for its data, one create for its record.
-  EXPECT_EQ(engine.counters().api_calls.load() - calls_before, 4u);
+  // One batch call for the data, one create for the record.
+  EXPECT_EQ(engine.counters().api_calls.load() - calls_before, 2u);
 
-  // A failing hook poisons its unit alone: no record for c, d commits.
+  // A failing hook fails its commit: the data landed, no record for c.
   UnitFixture c = MakeUnit("c", 1);
-  UnitFixture d = MakeUnit("d", 1);
-  std::vector<CommitUnit> units2 = {c.unit(), d.unit()};
-  units2[0].after_data_write = [] { return Status::Unavailable("hook failed"); };
-  std::vector<Status> results2(units2.size());
-  engine.CommitUnits(units2, results2);
-  EXPECT_TRUE(results2[0].IsUnavailable());
-  EXPECT_TRUE(results2[1].ok());
+  CommitUnit unit_c = c.unit();
+  unit_c.after_data_write = [] { return Status::Unavailable("hook failed"); };
+  EXPECT_TRUE(engine.Commit(unit_c).IsUnavailable());
   EXPECT_TRUE(engine.PeekLatest("data/c/0").has_value());  // orphan (sweep's job)
   EXPECT_FALSE(engine.PeekLatest("commit/c").has_value());
-  EXPECT_TRUE(engine.PeekLatest("commit/d").has_value());
 
-  // Total failure: every unit is poisoned and no record is written.
+  // Total failure: the commit fails and no record is written.
   engine.InjectTransientFaults(1.0);
   UnitFixture e = MakeUnit("e", 1);
-  UnitFixture f = MakeUnit("f", 1);
-  std::vector<CommitUnit> units3 = {e.unit(), f.unit()};
-  std::vector<Status> results3(units3.size());
-  engine.CommitUnits(units3, results3);
-  EXPECT_FALSE(results3[0].ok());
-  EXPECT_FALSE(results3[1].ok());
+  CommitUnit unit_e = e.unit();
+  EXPECT_FALSE(engine.Commit(unit_e).ok());
   EXPECT_FALSE(engine.PeekLatest("commit/e").has_value());
-  EXPECT_FALSE(engine.PeekLatest("commit/f").has_value());
 }
 
-TEST(CommitUnitsDefaultImpl, FailedDataWritePoisonsOnlyItsUnit) {
-  // A hook sends a LocalEngine round through the default CommitUnits (the
-  // fused append has no point between a unit's data and its record). Only
-  // unit a's data write fails: a gets no record, its mate b commits, and a
-  // replay agrees.
+TEST(CommitDefaultImpl, FailedDataWriteWritesNoRecord) {
+  // A hook sends a LocalEngine commit through the default Commit (the
+  // fused append has no point between a unit's data and its record). Unit
+  // a's data write fails: a gets no record and its hook never runs, the
+  // next commit b lands, and a replay agrees.
   TempDir dir;
   {
     auto engine = LocalEngine::Open(dir.path());
@@ -341,19 +244,18 @@ TEST(CommitUnitsDefaultImpl, FailedDataWritePoisonsOnlyItsUnit) {
     });
     UnitFixture a = MakeUnit("a", 2);
     UnitFixture b = MakeUnit("b", 2);
-    std::vector<CommitUnit> units = {a.unit(), b.unit()};
+    CommitUnit unit_a = a.unit();
+    CommitUnit unit_b = b.unit();
     int hooks_run = 0;
-    for (CommitUnit& unit : units) {
-      unit.after_data_write = [&hooks_run] {
+    for (CommitUnit* unit : {&unit_a, &unit_b}) {
+      unit->after_data_write = [&hooks_run] {
         ++hooks_run;
         return Status::Ok();
       };
     }
-    std::vector<Status> results(units.size());
-    (*engine)->CommitUnits(units, results);
-    EXPECT_TRUE(results[0].IsUnavailable());
-    EXPECT_TRUE(results[1].ok());
-    EXPECT_EQ(hooks_run, 1);  // A poisoned unit's hook never runs.
+    EXPECT_TRUE((*engine)->Commit(unit_a).IsUnavailable());
+    EXPECT_TRUE((*engine)->Commit(unit_b).ok());
+    EXPECT_EQ(hooks_run, 1);  // A failed data write skips the hook.
     EXPECT_TRUE((*engine)->Get("data/a/1").ok());  // orphan (sweep's job)
     EXPECT_EQ((*engine)->Get("commit/a").status().code(), StatusCode::kNotFound);
     EXPECT_EQ((*engine)->Get("commit/b").value(), "record-b");
@@ -365,9 +267,7 @@ TEST(CommitUnitsDefaultImpl, FailedDataWritePoisonsOnlyItsUnit) {
   EXPECT_EQ((*reopened)->Get("data/b/1").value(), "payload-b1");
 }
 
-// ---- merge policy -----------------------------------------------------------
-
-TEST(CommitBatcherPolicy, OnlyTheLocalEngineFusesDataWithRecords) {
+TEST(CommitCapability, OnlyTheLocalEngineFusesDataWithRecords) {
   RealClock clock(0.002);
   SimS3 s3(clock);
   EXPECT_FALSE(s3.CommitUnitsFuseDataWithRecord());
@@ -380,104 +280,94 @@ TEST(CommitBatcherPolicy, OnlyTheLocalEngineFusesDataWithRecords) {
   EXPECT_TRUE((*local)->CommitUnitsFuseDataWithRecord());
 }
 
-TEST(CommitBatcherPolicy, S3CommittersNeverQueue) {
-  // On S3 a commit is one record PUT: a merged round would only make 8
-  // committers wait for each other. Each runs its own round.
-  RealClock clock(1.0);
-  SimS3Options options;
-  const LatencyModel put(50.0, 0.0);  // Deterministic, so wall times compare.
-  options.profile = EngineLatencyProfile{LatencyModel::Zero(), put, LatencyModel::Zero(),
-                                         LatencyModel::Zero(), LatencyModel::Zero(),
-                                         LatencyModel::Zero()};
-  options.staleness = StalenessModel{};
-  SimS3 engine(clock, options);
-  const std::string id = "policy-s3";
-  AftNode node(id, engine, clock, FastNodeOptions());
-  ASSERT_TRUE(node.Start().ok());
-
-  const double solo_ms = CommitConcurrently(node, /*writers=*/1, /*rounds=*/1);
-  const double concurrent_ms = CommitConcurrently(node, /*writers=*/8, /*rounds=*/1);
-
-  obs::Histogram* sizes = BatchSizes(id);
-  EXPECT_EQ(sizes->Count(), 9u);
-  EXPECT_EQ(sizes->Sum(), 9.0) << "some round carried more than one commit";
-  const CommitStageHistograms stages = CommitStageHistograms::ForNode(id);
-  EXPECT_EQ(stages.queue_wait_follower->Count(), 0u);
-  EXPECT_EQ(stages.queue_wait_leader->Sum(), 0.0);
-  // Two 50 ms PUTs per commit. Merging would take at least two rounds here
-  // (the first committer's, then everyone else's); serializing, eight.
-  EXPECT_LT(concurrent_ms, 1.6 * solo_ms)
-      << "8 concurrent commits took " << concurrent_ms << " ms, one took " << solo_ms << " ms";
-}
-
-TEST(CommitBatcherPolicy, LocalEngineWritersStillFuse) {
-  TempDir dir;
-  RealClock clock(0.002);
-  auto engine = LocalEngine::Open(dir.path());
-  ASSERT_TRUE(engine.ok());
-  const std::string id = "policy-local";
-  AftNode node(id, **engine, clock, FastNodeOptions());
-  ASSERT_TRUE(node.Start().ok());
-  CommitConcurrently(node, /*writers=*/16, /*rounds=*/10);
-  obs::Histogram* sizes = BatchSizes(id);
-  ASSERT_GT(sizes->Count(), 0u);
-  EXPECT_GT(sizes->Sum() / static_cast<double>(sizes->Count()), 1.0);
-}
-
 // ---- node-level contract ----------------------------------------------------
 
-// Ten transactions over three keys plus one key every transaction writes.
-void CommitEquivalenceWorkload(StorageEngine& engine, Clock& clock) {
-  AftNode node("n0", engine, clock, FastNodeOptions());
-  ASSERT_TRUE(node.Start().ok());
-  for (int t = 0; t < 10; ++t) {
-    auto txid = node.StartTransaction();
-    ASSERT_TRUE(txid.ok());
-    ASSERT_TRUE(node.Put(*txid, "k" + std::to_string(t % 3), "v" + std::to_string(t)).ok());
-    ASSERT_TRUE(node.Put(*txid, "shared", "round-" + std::to_string(t)).ok());
-    ASSERT_TRUE(node.CommitTransaction(*txid).ok());
+// kEquivalenceWriters writers each commit `rounds` transactions: one key
+// of the writer's own that every round overwrites, and one fresh key per
+// round, so the committed state does not depend on how writers interleave.
+// Writers run on one thread each, or one after another on this thread.
+void CommitWorkload(AftNode& node, bool concurrent, int rounds) {
+  auto run_writer = [&node, rounds](int w) {
+    for (int r = 0; r < rounds; ++r) {
+      auto txid = node.StartTransaction();
+      ASSERT_TRUE(txid.ok());
+      const std::string value = std::to_string(w) + ":" + std::to_string(r);
+      ASSERT_TRUE(node.Put(*txid, "slot-" + std::to_string(w), value).ok());
+      ASSERT_TRUE(node.Put(*txid, "fresh-" + value, value).ok());
+      ASSERT_TRUE(node.CommitTransaction(*txid).ok());
+    }
+  };
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kEquivalenceWriters; ++w) {
+    if (concurrent) {
+      threads.emplace_back(run_writer, w);
+    } else {
+      run_writer(w);
+    }
+  }
+  for (std::thread& t : threads) {
+    t.join();
   }
 }
 
-// What a node bootstrapped from `engine` must read after the workload.
-void CheckEquivalenceState(StorageEngine& engine, Clock& clock) {
-  AftNode reader("reader", engine, clock, FastNodeOptions());
-  ASSERT_TRUE(reader.Start().ok());
-  auto txid = reader.StartTransaction();
-  ASSERT_TRUE(txid.ok());
-  auto shared = reader.Get(*txid, "shared");
-  ASSERT_TRUE(shared.ok());
-  ASSERT_TRUE(shared->has_value());
-  EXPECT_EQ(**shared, "round-9");
-  auto k2 = reader.Get(*txid, "k2");
-  ASSERT_TRUE(k2.ok());
-  ASSERT_TRUE(k2->has_value());
-  EXPECT_EQ(**k2, "v8");
-}
-
-TEST(CommitBatcherNode, BatchedCommitEquivalentToUnbatchedAfterReplay) {
-  // The same workload through a merging engine (LocalEngine, recovered by
-  // reopening its WAL) and a non-merging one (SimDynamo, recovered by a
-  // fresh node's bootstrap) leaves the same committed state.
+// Reopens the engine in `dir` (WAL replay) and reads every workload key
+// through a freshly bootstrapped node. Also returns the commit-record count.
+std::map<std::string, std::string> ReplayedState(const std::string& dir, int rounds,
+                                                 size_t* records) {
   RealClock clock(0.002);
-  TempDir dir;
-  {
-    auto engine = LocalEngine::Open(dir.path());
-    ASSERT_TRUE(engine.ok());
-    ASSERT_TRUE((*engine)->CommitUnitsFuseDataWithRecord());
-    CommitEquivalenceWorkload(**engine, clock);
+  std::map<std::string, std::string> state;
+  auto engine = LocalEngine::Open(dir);
+  EXPECT_TRUE(engine.ok());
+  if (!engine.ok()) {
+    return state;
   }
-  auto reopened = LocalEngine::Open(dir.path());
-  ASSERT_TRUE(reopened.ok());
-  CheckEquivalenceState(**reopened, clock);
-
-  SimDynamo dynamo(clock, InstantDynamoOptions());
-  ASSERT_FALSE(dynamo.CommitUnitsFuseDataWithRecord());
-  CommitEquivalenceWorkload(dynamo, clock);
-  CheckEquivalenceState(dynamo, clock);
+  *records = (*engine)->List(std::string(kCommitPrefix))->size();
+  AftNode reader("reader", **engine, clock, FastNodeOptions());
+  EXPECT_TRUE(reader.Start().ok());
+  auto txid = reader.StartTransaction();
+  EXPECT_TRUE(txid.ok());
+  std::vector<std::string> keys;
+  for (int w = 0; w < kEquivalenceWriters; ++w) {
+    keys.push_back("slot-" + std::to_string(w));
+    for (int r = 0; r < rounds; ++r) {
+      keys.push_back("fresh-" + std::to_string(w) + ":" + std::to_string(r));
+    }
+  }
+  for (const std::string& key : keys) {
+    auto read = reader.Get(*txid, key);
+    EXPECT_TRUE(read.ok()) << key;
+    state[key] = read.ok() && read->has_value() ? **read : "<none>";
+  }
+  return state;
 }
 
-TEST(CommitBatcherNode, FailedRoundLeavesTransactionRetryable) {
+TEST(CommitPathNode, ConcurrentLocalEngineCommitsReplayEqualToSerial) {
+  // Concurrent commits share WAL fsyncs; after a reopen they must leave
+  // exactly the state the same commits leave when run one at a time.
+  constexpr int kRounds = 10;
+  RealClock clock(0.002);
+  TempDir serial_dir;
+  TempDir concurrent_dir;
+  for (const auto& [dir, concurrent] :
+       {std::pair{&serial_dir, false}, std::pair{&concurrent_dir, true}}) {
+    auto engine = LocalEngine::Open(dir->path());
+    ASSERT_TRUE(engine.ok());
+    AftNode node("n0", **engine, clock, FastNodeOptions());
+    ASSERT_TRUE(node.Start().ok());
+    CommitWorkload(node, concurrent, kRounds);
+  }
+  size_t serial_records = 0;
+  size_t concurrent_records = 0;
+  const auto serial = ReplayedState(serial_dir.path(), kRounds, &serial_records);
+  const auto concurrent = ReplayedState(concurrent_dir.path(), kRounds, &concurrent_records);
+  EXPECT_EQ(serial_records, static_cast<size_t>(kEquivalenceWriters * kRounds));
+  EXPECT_EQ(concurrent_records, serial_records);
+  EXPECT_EQ(concurrent, serial);
+  EXPECT_EQ(serial.at("slot-3"), "3:" + std::to_string(kRounds - 1));
+  EXPECT_EQ(serial.at("fresh-5:4"), "5:4");
+}
+
+TEST(CommitPathNode, FailedRoundLeavesTransactionRetryable) {
   TempDir dir;
   RealClock clock(0.002);
   auto engine = LocalEngine::Open(dir.path());
@@ -514,7 +404,7 @@ TEST(CommitBatcherNode, FailedRoundLeavesTransactionRetryable) {
   EXPECT_EQ(**read, "v1");
 }
 
-TEST(CommitBatcherNode, CrashAfterDataWriteOnLocalEngineWritesNoRecord) {
+TEST(CommitPathNode, CrashAfterDataWriteOnLocalEngineWritesNoRecord) {
   // The local engine fuses data and records into one WAL append; a round
   // carrying the kAfterDataWrite hook must still land the data alone.
   TempDir dir;
@@ -545,10 +435,10 @@ TEST(CommitBatcherNode, CrashAfterDataWriteOnLocalEngineWritesNoRecord) {
   EXPECT_FALSE(read->has_value());
 }
 
-TEST(CommitBatcherNode, PoisonedMemberDoesNotFailBatchMates) {
-  // Concurrent committers where exactly one member's data write fails: the
-  // poisoned transaction aborts with no commit record; every batch-mate
-  // commits and its data survives a replay cycle.
+TEST(CommitPathNode, InjectedFailureSparesConcurrentCommitters) {
+  // Concurrent committers where exactly one transaction's data write fails:
+  // it aborts with no commit record; every other committer commits and its
+  // data survives a replay cycle.
   TempDir dir;
   RealClock clock(0.002);
   std::map<std::string, std::string> state_before_reopen;
@@ -619,19 +509,16 @@ TEST(CommitBatcherNode, PoisonedMemberDoesNotFailBatchMates) {
 
 // ---- concurrency stress (TSan leg) ------------------------------------------
 
-// Parameter: the engine. SimDynamo never merges rounds, and its transient
-// faults fail whole calls; LocalEngine merges them, and a seeded injector
-// fails single write ops, so one member of a merged round is poisoned alone.
+// Parameter: the engine. SimDynamo's transient faults fail whole calls;
+// on LocalEngine a seeded injector fails single write ops, so one commit
+// fails while concurrent ones share its WAL fsync.
 enum class StressEngine { kSimDynamo, kLocal };
 
-class CommitBatcherStress : public ::testing::TestWithParam<StressEngine> {};
+class CommitPathStress : public ::testing::TestWithParam<StressEngine> {};
 
-TEST_P(CommitBatcherStress, ConcurrentCommittersUnderTransientFaults) {
-  // Many committers race through the batcher against an engine that fails
-  // writes at random; every failure is retried until it lands. Exercises
-  // solo / leader / follower paths, leadership handoff, and per-member
-  // poisoning concurrently where rounds merge, and concurrent solo rounds
-  // where they do not. Run under TSan in CI.
+TEST_P(CommitPathStress, ConcurrentCommittersUnderTransientFaults) {
+  // Many committers race against an engine that fails writes at random;
+  // every failure is retried until it lands. Run under TSan in CI.
   RealClock clock(0.002);
   SimDynamo dynamo(clock, InstantDynamoOptions());
   // The n-th write op offered to the injector fails iff a SplitMix64 hash
@@ -691,12 +578,6 @@ TEST_P(CommitBatcherStress, ConcurrentCommittersUnderTransientFaults) {
     t.join();
   }
   EXPECT_EQ(total_committed.load(), kThreads * kTxnsPerThread);
-  if (local != nullptr) {
-    obs::Counter* followers = obs::MetricsRegistry::Global().GetCounter(
-        "aft_commit_batch_commits_total", "Commits by batch role (follower piggybacked)",
-        {{"node", id}, {"role", "follower"}});
-    EXPECT_GT(followers->Value(), 0u) << "no round merged";
-  }
 
   inject_faults(false);
   auto txid = node.StartTransaction();
@@ -710,7 +591,7 @@ TEST_P(CommitBatcherStress, ConcurrentCommittersUnderTransientFaults) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Engines, CommitBatcherStress,
+INSTANTIATE_TEST_SUITE_P(Engines, CommitPathStress,
                          ::testing::Values(StressEngine::kSimDynamo, StressEngine::kLocal),
                          [](const ::testing::TestParamInfo<StressEngine>& param_info) {
                            return param_info.param == StressEngine::kLocal

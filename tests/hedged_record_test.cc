@@ -91,13 +91,11 @@ class ScriptedEngine final : public SimEngineBase {
   Script& script_;
 };
 
-// One solo commit round holding only a record.
+// One commit round holding only a record.
 Status CreateRecord(StorageEngine& engine, const std::string& key, const std::string& value) {
   CommitUnit unit;
   unit.commit_record = WriteOp{key, value};
-  Status result;
-  engine.CommitUnits(std::span<CommitUnit>(&unit, 1), std::span<Status>(&result, 1));
-  return result;
+  return engine.Commit(unit);
 }
 
 // Fills the writer's window with kWarmLatency creates (auto-advance on, so

@@ -5,13 +5,11 @@
 //   * Reconciliation — the per-stage commit decomposition is a set of
 //     DISJOINT, nested slices of the end-to-end commit, so across any run
 //     the stage sums total at most the aft_node_commit_latency_ms sum.
-//     Holds on the solo fast path, under concurrent non-merging rounds
-//     (the simulated-cloud engine), under merged rounds (the durable
-//     LocalEngine), with spills still in flight at commit on both, and for
-//     inline records.
-//   * Coverage — every committed transaction observes every per-commit
-//     stage exactly once, with exactly one queue_wait_{leader,follower}
-//     by batch role (always leader where the engine's rounds do not merge).
+//     Holds for concurrent inline-record commits on a simulated engine, for
+//     the durable LocalEngine's fused and unit-by-unit commits, and with
+//     spills still in flight at commit.
+//   * Coverage — every committed transaction observes every stage exactly
+//     once.
 //   * Exactness — a thread that demonstrably blocked ~N ms on a named,
 //     fully-sampled Mutex shows ≥ ~N ms of wait at its site; with sampling
 //     off the same contention records nothing.
@@ -33,7 +31,6 @@
 #include "src/common/io_executor.h"
 #include "src/common/mutex.h"
 #include "src/core/aft_node.h"
-#include "src/core/commit_batcher.h"
 #include "src/obs/metrics.h"
 #include "src/storage/local_engine.h"
 #include "src/storage/sim_dynamo.h"
@@ -128,62 +125,65 @@ uint64_t RunCommits(AftNode& node, int threads, int txns_per_thread) {
   return committed.load();
 }
 
+// One histogram read as a delta from construction. The metrics registry is
+// process-global, so a rerun of a test in one process (--gtest_repeat)
+// finds the earlier run's observations under the same node id.
+class HistogramDelta {
+ public:
+  explicit HistogramDelta(obs::Histogram* histogram)
+      : histogram_(histogram), count0_(histogram->Count()), sum0_(histogram->Sum()) {}
+  uint64_t Count() const { return histogram_->Count() - count0_; }
+  double Sum() const { return histogram_->Sum() - sum0_; }
+
+ private:
+  obs::Histogram* histogram_;
+  uint64_t count0_;
+  double sum0_;
+};
+
+// A node's end-to-end commit histogram and its 5 commit stages, as deltas
+// from construction; construct it before the node commits anything.
+struct CommitDeltas {
+  explicit CommitDeltas(const std::string& node_id)
+      : stages(CommitStageHistograms::ForNode(node_id)),
+        e2e(obs::MetricsRegistry::Global().GetHistogram(
+            "aft_node_commit_latency_ms", "CommitTransaction wall latency (ms)",
+            DefaultLatencyBoundariesMs(), {{"node", node_id}})),
+        txn_lock_wait(stages.txn_lock_wait),
+        data_flush(stages.data_flush),
+        barrier(stages.barrier),
+        record_write(stages.record_write),
+        gossip_publish(stages.gossip_publish) {}
+
+  CommitStageHistograms stages;
+  HistogramDelta e2e;
+  HistogramDelta txn_lock_wait;
+  HistogramDelta data_flush;
+  HistogramDelta barrier;
+  HistogramDelta record_write;
+  HistogramDelta gossip_publish;
+};
+
 // The reconciliation contract (docs/OBSERVABILITY.md "Latency attribution"):
 // per-commit stages are disjoint slices of the commit_latency_ms window, so
 // their sums cannot exceed the end-to-end sum. 5% + 2ms of slack absorbs
 // float accumulation and the ms→s unit hop, NOT any structural overlap.
-void CheckReconciliation(const std::string& node_id, uint64_t committed, bool merging) {
-  auto& reg = obs::MetricsRegistry::Global();
-  CommitStageHistograms stages = CommitStageHistograms::ForNode(node_id);
-  obs::Histogram* e2e =
-      reg.GetHistogram("aft_node_commit_latency_ms", "CommitTransaction wall latency (ms)",
-                       DefaultLatencyBoundariesMs(), {{"node", node_id}});
-  ASSERT_EQ(e2e->Count(), committed);
+void CheckReconciliation(const CommitDeltas& d, uint64_t committed) {
+  ASSERT_EQ(d.e2e.Count(), committed);
 
-  // Coverage: one observation per committed transaction per per-commit stage.
-  EXPECT_EQ(stages.txn_lock_wait->Count(), committed);
-  EXPECT_EQ(stages.data_flush->Count(), committed);
-  EXPECT_EQ(stages.barrier->Count(), committed);
-  EXPECT_EQ(stages.record_write->Count(), committed);
-  EXPECT_EQ(stages.gossip_publish->Count(), committed);
-  EXPECT_EQ(stages.queue_wait_leader->Count() + stages.queue_wait_follower->Count(), committed);
-  EXPECT_GE(stages.queue_wait_leader->Count(), 1u);
-  if (!merging) {
-    // Every commit ran its own round: no followers, no wait.
-    EXPECT_EQ(stages.queue_wait_follower->Count(), 0u);
-    EXPECT_EQ(stages.queue_wait_leader->Sum(), 0.0);
-  }
+  // Coverage: one observation per committed transaction per stage.
+  EXPECT_EQ(d.txn_lock_wait.Count(), committed);
+  EXPECT_EQ(d.data_flush.Count(), committed);
+  EXPECT_EQ(d.barrier.Count(), committed);
+  EXPECT_EQ(d.record_write.Count(), committed);
+  EXPECT_EQ(d.gossip_publish.Count(), committed);
 
-  const double stage_sum_s = stages.txn_lock_wait->Sum() + stages.queue_wait_leader->Sum() +
-                             stages.queue_wait_follower->Sum() + stages.data_flush->Sum() +
-                             stages.barrier->Sum() + stages.record_write->Sum() +
-                             stages.gossip_publish->Sum();
-  const double e2e_sum_s = e2e->Sum() * 1e-3;
+  const double stage_sum_s = d.txn_lock_wait.Sum() + d.data_flush.Sum() + d.barrier.Sum() +
+                             d.record_write.Sum() + d.gossip_publish.Sum();
+  const double e2e_sum_s = d.e2e.Sum() * 1e-3;
   EXPECT_GT(stage_sum_s, 0.0);
   EXPECT_LE(stage_sum_s, e2e_sum_s * 1.05 + 2e-3)
       << "stage sum " << stage_sum_s << "s vs e2e " << e2e_sum_s << "s";
-}
-
-TEST(LatencyAttribution, ReconcilesSoloSimEngine) {
-  RealClock clock(0.002);
-  SimDynamo engine(clock, InstantDynamoOptions());
-  AftNode node("attr-sim-solo", engine, clock, FastNodeOptions());
-  ASSERT_TRUE(node.Start().ok());
-  const uint64_t committed = RunCommits(node, /*threads=*/1, /*txns_per_thread=*/25);
-  node.Kill();
-  ASSERT_GT(committed, 0u);
-  CheckReconciliation("attr-sim-solo", committed, /*merging=*/false);
-}
-
-TEST(LatencyAttribution, ReconcilesUnbatchedSimEngine) {
-  RealClock clock(0.002);
-  SimDynamo engine(clock, InstantDynamoOptions());  // A simulated engine: rounds never merge.
-  AftNode node("attr-sim-unmerged", engine, clock, FastNodeOptions());
-  ASSERT_TRUE(node.Start().ok());
-  const uint64_t committed = RunCommits(node, /*threads=*/8, /*txns_per_thread=*/25);
-  node.Kill();
-  ASSERT_GT(committed, 0u);
-  CheckReconciliation("attr-sim-unmerged", committed, /*merging=*/false);
 }
 
 // Every Put spills past the threshold, so each transaction's version write
@@ -197,69 +197,69 @@ TEST(LatencyAttribution, ReconcilesInFlightEarlyWrites) {
   SimDynamo engine(clock, options);
   AftNodeOptions node_options = FastNodeOptions();
   node_options.spill_threshold_bytes = 1;
+  const CommitDeltas deltas("attr-early-writes");
   AftNode node("attr-early-writes", engine, clock, node_options);
   ASSERT_TRUE(node.Start().ok());
   const uint64_t committed = RunCommits(node, /*threads=*/2, /*txns_per_thread=*/10);
   node.Kill();
   ASSERT_GT(committed, 0u);
   EXPECT_EQ(node.stats().spills.load(), committed);
-  CheckReconciliation("attr-early-writes", committed, /*merging=*/false);
-  const CommitStageHistograms stages = CommitStageHistograms::ForNode("attr-early-writes");
-  EXPECT_GE(stages.barrier->Sum(), static_cast<double>(committed) * 2e-3)
+  CheckReconciliation(deltas, committed);
+  EXPECT_GE(deltas.barrier.Sum(), static_cast<double>(committed) * 2e-3)
       << "the wait for in-flight early writes is not in the barrier stage";
 }
 
 // On a simulated engine the payloads ride inside the record object: one
 // write, so there is no barrier, the data round is (close to) zero and
-// the record write carries the commit's storage time.
+// the record write carries the commit's storage time. Eight threads commit
+// at once; a lone committer takes the same path.
 TEST(LatencyAttribution, ReconcilesInlineRecords) {
   RealClock clock(1.0);
   SimDynamoOptions options = InstantDynamoOptions();
   options.profile.put = LatencyModel(5.0, 0.0);
   SimDynamo engine(clock, options);
+  const CommitDeltas deltas("attr-inline");
   AftNode node("attr-inline", engine, clock, FastNodeOptions());
   ASSERT_TRUE(node.Start().ok());
-  const uint64_t committed = RunCommits(node, /*threads=*/2, /*txns_per_thread=*/10);
+  const uint64_t committed = RunCommits(node, /*threads=*/8, /*txns_per_thread=*/10);
   node.Kill();
   ASSERT_GT(committed, 0u);
   EXPECT_EQ(node.stats().spills.load(), 0u);
-  CheckReconciliation("attr-inline", committed, /*merging=*/false);
-  const CommitStageHistograms stages = CommitStageHistograms::ForNode("attr-inline");
-  EXPECT_EQ(stages.barrier->Sum(), 0.0);
-  EXPECT_GE(stages.record_write->Sum(), static_cast<double>(committed) * 4e-3);
-  EXPECT_LT(stages.data_flush->Sum(), 0.1 * stages.record_write->Sum());
+  CheckReconciliation(deltas, committed);
+  EXPECT_EQ(deltas.barrier.Sum(), 0.0);
+  EXPECT_GE(deltas.record_write.Sum(), static_cast<double>(committed) * 4e-3);
+  EXPECT_LT(deltas.data_flush.Sum(), 0.1 * deltas.record_write.Sum());
 }
 
-TEST(LatencyAttribution, ReconcilesBatchedLocalEngine) {
-  TempDir dir;
-  RealClock clock(0.002);
-  auto engine = LocalEngine::Open(dir.path());
-  ASSERT_TRUE(engine.ok());
-  AftNode node("attr-local-batched", **engine, clock, FastNodeOptions());
-  ASSERT_TRUE(node.Start().ok());
-  const uint64_t committed = RunCommits(node, /*threads=*/8, /*txns_per_thread=*/15);
-  node.Kill();
-  ASSERT_GT(committed, 0u);
-  CheckReconciliation("attr-local-batched", committed, /*merging=*/true);
-}
-
-// Spills in flight give every commit an after_data_write hook, so merged
-// LocalEngine rounds run their units one after another through the default
-// CommitUnits; the stages it sums over the units must still reconcile.
-TEST(LatencyAttribution, ReconcilesLocalEngineUnitByUnit) {
-  TempDir dir;
-  RealClock clock(0.002);
-  auto engine = LocalEngine::Open(dir.path());
-  ASSERT_TRUE(engine.ok());
-  AftNodeOptions node_options = FastNodeOptions();
-  node_options.spill_threshold_bytes = 1;
-  AftNode node("attr-local-unit-by-unit", **engine, clock, node_options);
-  ASSERT_TRUE(node.Start().ok());
-  const uint64_t committed = RunCommits(node, /*threads=*/8, /*txns_per_thread=*/15);
-  node.Kill();
-  ASSERT_GT(committed, 0u);
-  EXPECT_GT(node.stats().spills.load(), 0u);
-  CheckReconciliation("attr-local-unit-by-unit", committed, /*merging=*/true);
+// The durable engine's two commit paths, each on its own node. With no
+// spill a commit's data and record ride one fused WAL append. With every
+// Put spilled, commits carry an after_data_write hook and run through the
+// default Commit, unit by unit; its stages must reconcile too.
+TEST(LatencyAttribution, ReconcilesLocalEngine) {
+  for (const bool spill : {false, true}) {
+    SCOPED_TRACE(spill ? "every Put spills" : "no spill");
+    TempDir dir;
+    RealClock clock(0.002);
+    auto engine = LocalEngine::Open(dir.path());
+    ASSERT_TRUE(engine.ok());
+    AftNodeOptions node_options = FastNodeOptions();
+    if (spill) {
+      node_options.spill_threshold_bytes = 1;
+    }
+    const std::string id = spill ? "attr-local-unit-by-unit" : "attr-local-fused";
+    const CommitDeltas deltas(id);
+    AftNode node(id, **engine, clock, node_options);
+    ASSERT_TRUE(node.Start().ok());
+    const uint64_t committed = RunCommits(node, /*threads=*/8, /*txns_per_thread=*/15);
+    node.Kill();
+    ASSERT_GT(committed, 0u);
+    if (spill) {
+      EXPECT_GT(node.stats().spills.load(), 0u);
+    } else {
+      EXPECT_EQ(node.stats().spills.load(), 0u);
+    }
+    CheckReconciliation(deltas, committed);
+  }
 }
 
 // ---- contention profiler ----------------------------------------------------

@@ -374,6 +374,13 @@ ClusterOptions TcpManualCluster(size_t nodes) {
 TEST(NetObsTest, GetMetricsRpcReturnsPrometheusText) {
   SimClock clock;
   SimDynamo storage(clock, InstantDynamo());
+  // The registry is process-global: a rerun of this test in one process
+  // (--gtest_repeat) finds the earlier run's commits on the same node id.
+  const uint64_t committed_before =
+      MetricsRegistry::Global()
+          .GetCounter("aft_node_txns_committed_total", "Transactions committed",
+                      {{"node", "obs-rpc-node"}})
+          ->Value();
   AftNode node("obs-rpc-node", storage, clock);
   ASSERT_TRUE(node.Start().ok());
   AftServiceServer server(node);
@@ -389,7 +396,8 @@ TEST(NetObsTest, GetMetricsRpcReturnsPrometheusText) {
   auto text = client.GetMetrics(0);
   ASSERT_TRUE(text.ok()) << text.status().ToString();
   // Node lifecycle counters, with this node's label.
-  EXPECT_NE(text->find("aft_node_txns_committed_total{node=\"obs-rpc-node\"} 1"),
+  EXPECT_NE(text->find("aft_node_txns_committed_total{node=\"obs-rpc-node\"} " +
+                       std::to_string(committed_before + 1) + "\n"),
             std::string::npos);
   // Commit latency histogram.
   EXPECT_NE(text->find("# TYPE aft_node_commit_latency_ms histogram"), std::string::npos);

@@ -11,9 +11,9 @@ NOW", not "since boot".
     $ tools/aft_top.py --once --interval 1 127.0.0.1:9100
 
 Per node: txn/s, commit p50/p99, per-stage p50/p99 from the
-aft_commit_stage_seconds breakdown (txn_lock_wait / queue_wait_* /
-data_flush / barrier / record_write / gossip_publish), batcher role mix,
-backpressure pauses/s, and fsyncs per committed transaction. Pure stdlib.
+aft_commit_stage_seconds breakdown (txn_lock_wait / data_flush / barrier /
+record_write / gossip_publish), backpressure pauses/s, and fsyncs per
+committed transaction. Pure stdlib.
 """
 
 import argparse
@@ -25,8 +25,6 @@ import urllib.request
 
 STAGES = [
     "txn_lock_wait",
-    "queue_wait_leader",
-    "queue_wait_follower",
     "data_flush",
     "barrier",
     "record_write",
@@ -156,8 +154,6 @@ def fmt_rate(v):
 def node_row(endpoint, cur, prev, window_s):
     """One endpoint's headline stats dict (values may be None)."""
     committed = delta(cur, prev, "aft_node_txns_committed_total")
-    leader = delta(cur, prev, "aft_commit_batch_commits_total", role="leader")
-    follower = delta(cur, prev, "aft_commit_batch_commits_total", role="follower")
     pauses = delta(cur, prev, "aft_net_backpressure_pauses_total")
     fsyncs = delta(cur, prev, "aft_wal_fsyncs_total")
     row = {
@@ -165,14 +161,10 @@ def node_row(endpoint, cur, prev, window_s):
         "txn_rate": committed / window_s if committed is not None and window_s > 0 else None,
         "p50": quantile(cur, prev, "aft_node_commit_latency_ms", 0.50),
         "p99": quantile(cur, prev, "aft_node_commit_latency_ms", 0.99),
-        "leader_pct": None,
         "pauses_rate": pauses / window_s if pauses is not None and window_s > 0 else None,
         "fsyncs_per_txn": None,
         "stages": {},
     }
-    batched = (leader or 0.0) + (follower or 0.0)
-    if batched > 0:
-        row["leader_pct"] = 100.0 * (leader or 0.0) / batched
     if fsyncs is not None and committed:
         row["fsyncs_per_txn"] = fsyncs / committed
     for stage in STAGES:
@@ -190,10 +182,10 @@ def render(rows, errors, interval, once):
     out.append("aft_top — %s  (window %.1fs; rates are since-last-scrape)" %
                (time.strftime("%H:%M:%S"), interval))
     out.append("")
-    header = "%-22s %8s %9s %9s %8s %9s %10s" % (
-        "node", "txn/s", "commit", "commit", "leader", "bp", "fsyncs")
-    sub = "%-22s %8s %9s %9s %8s %9s %10s" % (
-        "", "", "p50", "p99", "%", "pauses/s", "/txn")
+    header = "%-22s %8s %9s %9s %9s %10s" % (
+        "node", "txn/s", "commit", "commit", "bp", "fsyncs")
+    sub = "%-22s %8s %9s %9s %9s %10s" % (
+        "", "", "p50", "p99", "pauses/s", "/txn")
     out.append(header)
     out.append(sub)
     out.append("-" * len(header))
@@ -201,9 +193,8 @@ def render(rows, errors, interval, once):
         # aft_node_commit_latency_ms buckets are in MILLISECONDS.
         p50 = fmt_dur(row["p50"] / 1e3) if row["p50"] is not None else "-"
         p99 = fmt_dur(row["p99"] / 1e3) if row["p99"] is not None else "-"
-        out.append("%-22s %8s %9s %9s %8s %9s %10s" % (
+        out.append("%-22s %8s %9s %9s %9s %10s" % (
             row["endpoint"], fmt_rate(row["txn_rate"]), p50, p99,
-            "%.0f%%" % row["leader_pct"] if row["leader_pct"] is not None else "-",
             fmt_rate(row["pauses_rate"]),
             "%.2f" % row["fsyncs_per_txn"] if row["fsyncs_per_txn"] is not None else "-"))
     out.append("")

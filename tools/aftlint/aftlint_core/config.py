@@ -150,8 +150,6 @@ COUNTER_SUFFIXES = ["_total"]
 # a protocol change and must be added here AND to the docs table.
 STAGE_LABEL_VALUES = [
     "txn_lock_wait",
-    "queue_wait_leader",
-    "queue_wait_follower",
     "data_flush",
     "barrier",
     "record_write",

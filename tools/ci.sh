@@ -10,21 +10,24 @@
 # Each leg runs the full suite, then hammers the net transport suite (the
 # server pool's interleavings vary run to run) and the WAL crash-recovery
 # harness (kill -9 children, timing varies) a few extra times under the
-# leg's sanitizer.
+# leg's sanitizer. The plain leg also runs every gtest binary twice in one
+# process (tools/gtest_repeat.sh), which catches tests that leak
+# process-global state into their own rerun.
 
 set -u
 cd "$(dirname "$0")/.."
 JOBS="$(nproc 2>/dev/null || echo 4)"
 rc=0
 
-leg() {  # leg <name> <build-dir> <extra cmake args...>
-  local name="$1" dir="$2"; shift 2
+leg() {  # leg <name> <build-dir> <gtest-repeat: 0|1> <extra cmake args...>
+  local name="$1" dir="$2" repeat="$3"; shift 3
   printf '\n==== CI leg: %s ====\n' "$name"
   if cmake -B "$dir" -S . "$@" > /dev/null \
      && cmake --build "$dir" -j "$JOBS" 2>&1 | tail -5 \
      && (cd "$dir" && ctest --output-on-failure -j "$JOBS") \
      && (cd "$dir" && ctest --output-on-failure -R 'net_test' --repeat until-fail:3) \
-     && (cd "$dir" && ctest --output-on-failure -R 'wal_recovery_test' --repeat until-fail:3); then
+     && (cd "$dir" && ctest --output-on-failure -R 'wal_recovery_test' --repeat until-fail:3) \
+     && { [ "$repeat" = 0 ] || tools/gtest_repeat.sh "$dir"; }; then
     echo "[PASS] $name"
   else
     echo "[FAIL] $name"
@@ -32,7 +35,7 @@ leg() {  # leg <name> <build-dir> <extra cmake args...>
   fi
 }
 
-leg "RelWithDebInfo" build-ci-rel -DCMAKE_BUILD_TYPE=RelWithDebInfo
+leg "RelWithDebInfo" build-ci-rel 1 -DCMAKE_BUILD_TYPE=RelWithDebInfo
 
 # Metrics smoke: boot the real binary with the HTTP exporter on a
 # kernel-assigned port, drive real wire traffic through it
@@ -69,8 +72,7 @@ if [ "$smoke_ok" = 1 ]; then
       '^# TYPE aft_node_commit_latency_ms histogram' \
       '^aft_node_data_cache_hits_total' \
       '^aft_commit_set_cache_lookup_' \
-      '^aft_commit_batch_rounds_total' \
-      '^aft_commit_batch_size_bucket' \
+      '^aft_commit_stage_seconds_bucket{[^}]*stage="gossip_publish"' \
       '^aft_commit_stage_seconds_bucket{[^}]*stage="data_flush"' \
       '^aft_commit_stage_seconds_bucket{[^}]*stage="record_write"' \
       '^aft_net_requests_inflight' \
@@ -81,13 +83,11 @@ if [ "$smoke_ok" = 1 ]; then
   scrape /traces | grep -q '^\[' || smoke_ok=0
   # Health surface: liveness always 200, readiness 200 once the node booted
   # (gossip idle counts as live on a single-node cluster), /varz echoes every
-  # CLI flag as resolved and the commit policy the engine implies.
+  # CLI flag as resolved.
   scrape /healthz | grep -q '^ok' || { echo "  /healthz not ok"; smoke_ok=0; }
   scrape /readyz | grep -q '200 OK' || { echo "  /readyz not ready"; smoke_ok=0; }
   scrape /varz | grep -q '^flag.smoke_traffic: 1000' \
     || { echo "  /varz missing flag echo"; smoke_ok=0; }
-  scrape /varz | grep -q '^commit.rounds_share_cost: \(true\|false\)' \
-    || { echo "  /varz missing commit.rounds_share_cost"; smoke_ok=0; }
   # Monotone under load: the commit counter must strictly increase.
   before="$(committed)"
   after="$before"
@@ -112,9 +112,9 @@ kill "$smoke_pid" 2>/dev/null; wait "$smoke_pid" 2>/dev/null
 rm -f "$smoke_log" "$smoke_log.scrape"
 
 TSAN_OPTIONS='halt_on_error=1' \
-  leg "TSan" build-ci-tsan -DAFT_SANITIZE=thread
+  leg "TSan" build-ci-tsan 0 -DAFT_SANITIZE=thread
 ASAN_OPTIONS='detect_leaks=1' UBSAN_OPTIONS='print_stacktrace=1' \
-  leg "ASan+UBSan" build-ci-asan -DAFT_SANITIZE=address
+  leg "ASan+UBSan" build-ci-asan 0 -DAFT_SANITIZE=address
 
 if command -v clang-tidy >/dev/null 2>&1; then
   printf '\n==== CI leg: clang-tidy ====\n'
